@@ -126,7 +126,7 @@ def _cmd_pathfactor(args):
         return payload, human, EXIT_OK
     payload = {"kind": args.kind, "factor": None}
     human = [f"no {'perfect matching' if args.kind == 'pm' else 'path factor'}"]
-    cert = factors.factor_obstruction(g) if g.order <= 24 else None
+    cert = factors.factor_obstruction(g)
     if cert is not None:
         payload["certificate"] = _factor_cert_json(cert)
         human.append(cert.format())

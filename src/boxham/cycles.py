@@ -358,7 +358,7 @@ class BuildResult:
     column_counts: dict[int, int]
 
 
-def _component_edges(n: int, comp: tuple[int, ...], roles: RoleAssignment) -> set[LabelEdge]:
+def _component_edges(n: int, comp: tuple[int, ...]) -> set[LabelEdge]:
     if len(comp) == 2:
         return _two_column_edges(n, comp[0], comp[1])
     a, m, b = comp
@@ -372,7 +372,7 @@ def _assemble(n: int, tree: Graph, roles: RoleAssignment, mode: str) -> BuildRes
     placed: set[int] = set()
 
     def add_fresh(comp: tuple[int, ...]) -> None:
-        edges.update(_component_edges(n, comp, roles))
+        edges.update(_component_edges(n, comp))
         for col in comp:
             stock[col] = set(used_column_indices(roles.role_of(col), n))
         placed.update(comp)

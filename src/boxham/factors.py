@@ -2,18 +2,26 @@
 
 A factor here is a spanning collection of vertex-disjoint paths with two
 or three vertices each; a factor made of two-vertex paths only is a
-perfect matching.  When no factor exists the obstruction is a vertex set
-S whose removal isolates more than 2|S| vertices, and for bipartite
-graphs such a set can always be pushed into a single side.
+perfect matching.  Both searches are polynomial augmenting-path
+algorithms, for graphs of any order:
+
+* perfect matchings by Edmonds' blossom algorithm;
+* 2/3-path factors through a *pick map*, in which every vertex picks a
+  neighbor and no vertex is picked more than twice.  Such a map exists
+  exactly when a factor does, and the factor is read off the map.
+
+When no factor exists the obstruction is a vertex set S whose removal
+isolates more than 2|S| vertices (Amahashi-Kano); the pick-map search
+that fails yields one directly.  For bipartite graphs such a set can
+always be pushed into a single side.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, HasPathFactorError
-from .graphs import Bipartition, Graph, bridges, is_connected, is_tree
+from .errors import HasPathFactorError
+from .graphs import Bipartition, Graph, bridges, is_connected
 from .kernels import count_isolated_after
 
 Component = tuple[int, ...]
@@ -92,232 +100,232 @@ def validate_path_factor(g: Graph, factor: PathFactor) -> bool:
 
 
 def find_perfect_matching(g: Graph) -> PathFactor | None:
-    """Exhaustive matching search, pairing the smallest uncovered vertex first."""
+    """Perfect matching by Edmonds' blossom algorithm, or None.
+
+    A greedy pass pairs each vertex, ascending, with its smallest free
+    neighbor; then one augmenting search runs from every vertex still
+    free.  A perfect matching would give every free vertex an augmenting
+    path, so the first root without one ends the search.
+    """
     if g.order % 2:
         return None
-    covered = [False] * (g.order + 1)
-    pairs: list[Component] = []
+    mate = [0] * (g.order + 1)  # 0: free
+    for v in g.vertices():
+        if not mate[v]:
+            for w in g.neighbors(v):
+                if not mate[w]:
+                    mate[v], mate[w] = w, v
+                    break
+    for root in g.vertices():
+        if not mate[root] and not _augment_matching(g, mate, root):
+            return None
+    return _canon_factor((v, mate[v]) for v in g.vertices() if v < mate[v])
 
-    def extend(lowest: int) -> bool:
-        v = lowest
-        while v <= g.order and covered[v]:
-            v += 1
-        if v > g.order:
-            return True
-        covered[v] = True
+
+def _augment_matching(g: Graph, mate: list[int], root: int) -> bool:
+    """Grow an alternating tree from a free root, contracting blossoms,
+    and flip the first augmenting path found.  False when there is none.
+
+    ``parent`` links each odd vertex to the even vertex that reached it;
+    ``base`` maps each vertex to the base of its contracted blossom.
+    """
+    n = g.order
+    parent = [0] * (n + 1)
+    base = list(range(n + 1))
+    even = [False] * (n + 1)
+    even[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        on_path = [False] * (n + 1)
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if a == root:
+                break
+            a = parent[mate[a]]
+        while not on_path[base[b]]:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
         for w in g.neighbors(v):
-            if covered[w]:
+            if base[v] == base[w] or mate[v] == w:
                 continue
-            covered[w] = True
-            pairs.append((v, w))
-            if extend(v + 1):
-                return True
-            pairs.pop()
-            covered[w] = False
-        covered[v] = False
-        return False
-
-    if extend(1):
-        return _canon_factor(pairs)
-    return None
+            if w == root or (mate[w] and parent[mate[w]]):
+                # w is even too: the edge closes an odd cycle
+                top = lca(v, w)
+                blossom = [False] * (n + 1)
+                mark(v, top, w, blossom)
+                mark(w, top, v, blossom)
+                for x in g.vertices():
+                    if blossom[base[x]]:
+                        base[x] = top
+                        if not even[x]:
+                            even[x] = True
+                            queue.append(x)
+            elif not parent[w]:
+                parent[w] = v
+                if not mate[w]:
+                    while w:
+                        u = parent[w]
+                        nxt = mate[u]
+                        mate[w], mate[u] = u, w
+                        w = nxt
+                    return True
+                even[mate[w]] = True
+                queue.append(mate[w])
+    return False
 
 
 # ---------------------------------------------------------------------------
-# factors with paths of 2 or 3 vertices
+# factors with paths of 2 or 3 vertices, through pick maps
 
 
-def p23_factor_search(g: Graph) -> PathFactor | None:
-    """Exhaustive cover search; the generic (non-tree) route.
+def _pick_map(g: Graph) -> tuple[list[int], list[int] | None]:
+    """Search for a pick map: every vertex picks a neighbor, none is
+    picked more than twice.
 
-    At the smallest uncovered vertex v the branches are tried in a fixed
-    order: pair (v, w) over neighbors w ascending, then triples with v as
-    an end, then triples with v in the middle.
+    This is a bipartite assignment with capacity 2 on the picked side.  A
+    greedy pass lets each vertex, ascending, pick its smallest neighbor
+    with room; then one augmenting search runs from every vertex still
+    without a pick.  Returns ``(pick, None)`` on success, else the partial
+    map and the vertex set reached by the search that failed.
     """
-    covered = [False] * (g.order + 1)
-    comps: list[Component] = []
-
-    def take(vs: Component) -> None:
-        for x in vs:
-            covered[x] = True
-        comps.append(vs)
-
-    def drop() -> None:
-        for x in comps.pop():
-            covered[x] = False
-
-    def extend(lowest: int) -> bool:
-        v = lowest
-        while v <= g.order and covered[v]:
-            v += 1
-        if v > g.order:
-            return True
+    pick = [0] * (g.order + 1)  # 0: no pick yet
+    pickers: list[list[int]] = [[] for _ in range(g.order + 1)]
+    for v in g.vertices():
         for w in g.neighbors(v):
-            if covered[w]:
-                continue
-            take((v, w))
-            if extend(v + 1):
-                return True
-            drop()
-        for w in g.neighbors(v):
-            if covered[w]:
-                continue
-            for x in g.neighbors(w):
-                if covered[x] or x == v:
-                    continue
-                take((v, w, x))
-                if extend(v + 1):
-                    return True
-                drop()
-        nbrs = [w for w in g.neighbors(v) if not covered[w]]
-        for a, b in itertools.combinations(nbrs, 2):
-            take((a, v, b))
-            if extend(v + 1):
-                return True
-            drop()
-        return False
-
-    if extend(1):
-        return _canon_factor(comps)
-    return None
+            if len(pickers[w]) < 2:
+                pick[v] = w
+                pickers[w].append(v)
+                break
+    for root in g.vertices():
+        if not pick[root]:
+            stuck = _augment_picks(g, pick, pickers, root)
+            if stuck is not None:
+                return pick, stuck
+    return pick, None
 
 
-def tree_p23_factor(g: Graph) -> PathFactor | None:
-    """Factor search specialized to trees: one rooted bottom-up pass.
-
-    Each subtree reports which of three shapes it can reach: fully covered,
-    covered except the root ("dangling"), or covered with the root sitting
-    in a pair that a parent may still extend into a triple.
+def _augment_picks(g: Graph, pick: list[int], pickers: list[list[int]],
+                   root: int) -> list[int] | None:
+    """Breadth-first search for a chain of re-picks that makes room for
+    the root: apply it and return None, or return the set X it reached.
+    Every neighbor of that X is picked twice from inside X, so
+    |X| = 2|N(X)| + 1 and no pick map exists.
     """
-    if not is_tree(g):
-        raise ValueError("tree_p23_factor needs a tree")
-    root = 1
-    parent = {root: 0}
-    order: list[int] = [root]
-    for u in order:
-        for w in g.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    children: dict[int, list[int]] = {v: [] for v in g.vertices()}
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    for v in children:
-        children[v].sort()
+    prev = {root: 0}  # who takes over a reached vertex's current pick
+    reached = [root]
+    full: set[int] = set()
+    for x in reached:
+        for w in g.neighbors(x):
+            if w in full:
+                continue
+            if len(pickers[w]) < 2:
+                while x:
+                    old = pick[x]
+                    pick[x] = w
+                    pickers[w].append(x)
+                    if old:
+                        pickers[old].remove(x)
+                    w, x = old, prev[x]
+                return None
+            full.add(w)
+            for y in pickers[w]:
+                if y not in prev:
+                    prev[y] = x
+                    reached.append(y)
+    return reached
 
-    DONE, DANGLE, PAIR = "done", "dangle", "pair"
-    # plans[v][state] -> realization recipe
-    plans: dict[int, dict[str, tuple]] = {}
 
-    for v in reversed(order):
-        kids = children[v]
-        can: dict[str, tuple] = {}
+def _factor_from_picks(g: Graph, pick: list[int]) -> PathFactor:
+    """Read a 2/3-path factor off a complete pick map.
 
-        # a child is "covered" when it can finish as DONE or PAIR on its own
-        def covered_choice(c):
-            if DONE in plans[c]:
-                return DONE
-            if PAIR in plans[c]:
-                return PAIR
-            return None
-
-        choices = {c: covered_choice(c) for c in kids}
-        must_dangle = [c for c in kids if choices[c] is None and DANGLE in plans[c]]
-        if any(choices[c] is None and DANGLE not in plans[c] for c in kids):
-            plans[v] = {}
-            continue
-        danglable = [c for c in kids if DANGLE in plans[c]]
-        pairable = [c for c in kids if PAIR in plans[c]]
-
-        if not must_dangle:
-            can[DANGLE] = ("dangle",)
-        if len(must_dangle) <= 1 and danglable:
-            partner = must_dangle[0] if must_dangle else danglable[0]
-            can[PAIR] = ("pair", partner)
-        if len(must_dangle) <= 2 and len(danglable) >= 2:
-            picks = list(must_dangle)
-            for c in danglable:
-                if len(picks) == 2:
-                    break
-                if c not in picks:
-                    picks.append(c)
-            can[DONE] = ("triple", picks[0], picks[1])
-        if DONE not in can and not must_dangle and pairable:
-            can[DONE] = ("join", pairable[0])
-        plans[v] = can
-
-    final = plans[root]
-    state = PAIR if PAIR in final else (DONE if DONE in final else None)
-    if state is None:
-        return None
-
+    Vertices nobody picks are peeled first, in topological order: one
+    that no peeled vertex joined joins its own pick as a leaf, which makes
+    that pick a *centre* of a star with at most two leaves.  What remains
+    are the cycles of the map.  Their free vertices fall into runs between
+    centres; a run of two or more is cut into 2- and 3-paths along the
+    cycle, and a single vertex hangs on its pick, the next centre, which
+    has room because its cycle predecessor is one of its two pickers.
+    """
+    indeg = [0] * (g.order + 1)
+    for v in g.vertices():
+        indeg[pick[v]] += 1
+    leaves: list[list[int]] = [[] for _ in range(g.order + 1)]
+    done = [False] * (g.order + 1)
+    queue = [v for v in g.vertices() if indeg[v] == 0]
+    for v in queue:
+        done[v] = True
+        if not leaves[v]:
+            leaves[pick[v]].append(v)
+        indeg[pick[v]] -= 1
+        if indeg[pick[v]] == 0:
+            queue.append(pick[v])
     comps: list[Component] = []
-
-    def realize(v: int, state: str, absorb_parent: int | None = None) -> None:
-        recipe = plans[v][state]
-        kind = recipe[0]
-        specials: set[int] = set()
-        if kind == "pair":
-            partner = recipe[1]
-            specials.add(partner)
-            realize(partner, DANGLE)
-            if absorb_parent is None:
-                comps.append((v, partner))
+    for start in g.vertices():
+        cycle, v = [], start
+        while not done[v]:
+            done[v] = True
+            cycle.append(v)
+            v = pick[v]
+        cut = next((i + 1 for i, c in enumerate(cycle) if leaves[c]), 0)
+        run: list[int] = []
+        for c in cycle[cut:] + cycle[:cut]:  # ends at a centre, if any
+            if not leaves[c]:
+                run.append(c)
+            elif len(run) == 1:
+                leaves[c].append(run.pop())
             else:
-                comps.append((min(absorb_parent, partner), v, max(absorb_parent, partner)))
-        elif kind == "triple":
-            x, y = recipe[1], recipe[2]
-            specials.update((x, y))
-            realize(x, DANGLE)
-            realize(y, DANGLE)
-            comps.append((min(x, y), v, max(x, y)))
-        elif kind == "join":
-            x = recipe[1]
-            specials.add(x)
-            realize(x, PAIR, absorb_parent=v)
-        for c in children[v]:
-            if c in specials:
-                continue
-            choice = DONE if DONE in plans[c] else PAIR
-            realize(c, choice)
-
-    realize(root, state)
+                comps += _cut_run(run)
+                run = []
+        comps += _cut_run(run)
+    comps += [(ls[0], c, *ls[1:]) for c, ls in enumerate(leaves) if ls]
     return _canon_factor(comps)
 
 
-def find_p23_factor(g: Graph) -> PathFactor | None:
-    """Factor into paths of 2 or 3 vertices, or None when none exists.
+def _cut_run(run: list[int]) -> list[Component]:
+    """Consecutive 2-paths along a run, the last one a 3-path if it is odd."""
+    cuts = list(range(0, len(run) - 1, 2)) + [len(run)]
+    return [tuple(run[i:j]) for i, j in zip(cuts, cuts[1:])]
 
-    Trees take the one-pass specialization; everything else runs the
-    exhaustive cover search, which is meant for desk-scale orders.
-    """
-    if is_tree(g):
-        return tree_p23_factor(g)
-    return p23_factor_search(g)
+
+def find_p23_factor(g: Graph) -> PathFactor | None:
+    """Factor into paths of 2 or 3 vertices, or None when none exists."""
+    pick, stuck = _pick_map(g)
+    if stuck is not None:
+        return None
+    return _factor_from_picks(g, pick)
 
 
 # ---------------------------------------------------------------------------
 # obstruction certificates
 
 
-def factor_obstruction(g: Graph, max_order: int = 24) -> FactorCertificate | None:
-    """Minimum witness that no factor exists, or None when one does.
+def factor_obstruction(g: Graph) -> FactorCertificate | None:
+    """A witness that no factor exists, or None when one does.
 
-    The scan runs in increasing witness size and lexicographic order, so
-    results are reproducible.  Sizes beyond (order - 1) / 3 cannot violate
-    the isolation bound and are skipped.
+    The pick-map search that fails reaches a set X with |X| > 2|N(X)|.
+    Then S = N(X) - X isolates every vertex of X - N(X), which is more
+    than 2|S| vertices.  S need not be a minimum witness; its count is
+    taken afresh by the kernel.
     """
-    if g.order > max_order:
-        raise BudgetExceededError(f"order {g.order} above the scan cap {max_order}")
-    if find_p23_factor(g) is not None:
+    _, stuck = _pick_map(g)
+    if stuck is None:
         return None
-    verts = list(g.vertices())
-    for size in range((g.order - 1) // 3 + 1):
-        for combo in itertools.combinations(verts, size):
-            s = frozenset(combo)
-            iso = count_isolated_after(g, s)
-            if iso > 2 * size:
-                return FactorCertificate(s, iso)
-    raise AssertionError("no factor and no obstruction: characterization violated")
+    s = frozenset(w for v in stuck for w in g.neighbors(v)) - set(stuck)
+    iso = count_isolated_after(g, s)
+    if iso <= 2 * len(s):
+        raise AssertionError("failed pick-map search without an obstruction")
+    return FactorCertificate(s, iso)
 
 
 def one_sided_obstruction(h: Graph, bip: Bipartition) -> FactorCertificate:
@@ -364,8 +372,6 @@ __all__ = [
     "find_p23_factor",
     "find_perfect_matching",
     "one_sided_obstruction",
-    "p23_factor_search",
     "sufficient_conditions",
-    "tree_p23_factor",
     "validate_path_factor",
 ]

@@ -166,26 +166,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.order
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the components, ordered by smallest member."""
-    seen: set[int] = set()
-    comps = []
-    for root in g.vertices():
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def is_tree(g: Graph) -> bool:
     return g.size == g.order - 1 and is_connected(g)
 
@@ -264,10 +244,6 @@ def bridges(g: Graph) -> tuple[Edge, ...]:
 
 # ---------------------------------------------------------------------------
 # Cartesian product
-
-
-def product_order(layers: int, base_order: int) -> int:
-    return layers * base_order
 
 
 def product_id(layer: int, base: int, base_order: int) -> int:
@@ -491,7 +467,6 @@ __all__ = [
     "cartesian_product",
     "complete_bipartite",
     "complete_graph",
-    "connected_components",
     "cycle_graph",
     "degree_stats",
     "format_graph",

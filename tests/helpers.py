@@ -26,6 +26,14 @@ def random_connected_graph(rng: random.Random, min_order: int = 2,
     return Graph.from_edges(n, edges)
 
 
+def caterpillar(spine: int, legs: int) -> Graph:
+    """Path 1..spine with ``legs`` leaves on every spine vertex."""
+    edges = [(v, v + 1) for v in range(1, spine)]
+    for v in range(1, spine + 1):
+        edges += [(v, spine + (v - 1) * legs + i) for i in range(1, legs + 1)]
+    return Graph.from_edges(spine * (1 + legs), edges)
+
+
 def random_connected_bipartite(rng: random.Random, min_order: int = 2,
                                max_order: int = 10) -> Graph:
     n = rng.randint(min_order, max_order)

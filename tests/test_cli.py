@@ -11,6 +11,8 @@ from boxham.graphs import (
     star_graph,
 )
 from boxham.oracle import fixtures
+from boxham.toughness import removal_stats
+from helpers import caterpillar
 
 
 @pytest.fixture
@@ -25,6 +27,20 @@ def files(tmp_path):
         out[name] = str(path)
     out["dir"] = tmp_path
     return out
+
+
+CAT28 = caterpillar(7, 3)  # three leaves on every spine vertex: no path factor
+
+
+def no_factor_tree_28(tmp_path) -> str:
+    path = tmp_path / "cat28.el"
+    path.write_text(format_graph(CAT28))
+    return str(path)
+
+
+def assert_recounts(cert: dict):
+    _, iso = removal_stats(CAT28, set(cert["witness"]))
+    assert iso == cert["isolated"] > 2 * len(cert["witness"])
 
 
 def run(capsys, *argv):
@@ -80,6 +96,12 @@ class TestHamcycle:
         assert payload["error"]["kind"] == "no-factor"
         assert payload["error"]["certificate"] == {"isolated": 3, "witness": [1]}
 
+    def test_no_factor_certificate_at_order_28(self, capsys, tmp_path):
+        graph = no_factor_tree_28(tmp_path)
+        code, payload = run_json(capsys, "hamcycle", "--n", "4", "--graph", graph)
+        assert code == 4 and payload["error"]["kind"] == "no-factor"
+        assert_recounts(payload["error"]["certificate"])
+
     def test_layer_bound_exit(self, capsys, files):
         code, payload = run_json(capsys, "hamcycle", "--n", "2", "--graph", files["k4"],
                                  "--mode", "matching")
@@ -110,6 +132,11 @@ class TestPathfactor:
                                  "--kind", "p23")
         assert code == 0
         assert payload["certificate"] == {"isolated": 3, "witness": [1]}
+
+    def test_certificate_at_order_28(self, capsys, tmp_path):
+        code, payload = run_json(capsys, "pathfactor", "--graph", no_factor_tree_28(tmp_path))
+        assert code == 0 and payload["factor"] is None
+        assert_recounts(payload["certificate"])
 
 
 class TestToughness:

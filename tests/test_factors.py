@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from boxham.errors import BudgetExceededError, HasPathFactorError
+from boxham.errors import HasPathFactorError
 from boxham.factors import (
     FactorCertificate,
     PathFactor,
@@ -10,9 +10,7 @@ from boxham.factors import (
     find_p23_factor,
     find_perfect_matching,
     one_sided_obstruction,
-    p23_factor_search,
     sufficient_conditions,
-    tree_p23_factor,
     validate_path_factor,
 )
 from boxham.graphs import (
@@ -26,12 +24,24 @@ from boxham.graphs import (
 )
 from boxham.oracle import enumerate_trees
 from boxham.toughness import removal_stats
-from helpers import random_connected_graph
+from helpers import caterpillar, random_connected_graph
 
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
 
 # two stars with 3 leaves each, centers adjacent
 DOUBLE_STAR = Graph.from_edges(8, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8)])
+
+
+def matching_tree(pairs: int, rng: random.Random) -> Graph:
+    """Randomly labelled tree with a perfect matching: matched pairs
+    joined by random edges between them."""
+    edges = [(2 * i + 1, 2 * i + 2) for i in range(pairs)]
+    for i in range(1, pairs):
+        j = rng.randrange(i)
+        edges.append((2 * i + rng.randint(1, 2), 2 * j + rng.randint(1, 2)))
+    label = list(range(1, 2 * pairs + 1))
+    rng.shuffle(label)
+    return Graph.from_edges(2 * pairs, [(label[u - 1], label[v - 1]) for u, v in edges])
 
 
 class TestPerfectMatching:
@@ -56,16 +66,41 @@ class TestPerfectMatching:
                 assert m.is_perfect_matching
                 assert validate_path_factor(g, m)
 
+    def test_large_orders(self):
+        # the greedy pass covers the path; the shuffled tree needs augmenting
+        for g in (path_graph(4000), matching_tree(1200, random.Random(11))):
+            m = find_perfect_matching(g)
+            assert m is not None and m.is_perfect_matching
+            assert validate_path_factor(g, m)
+
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(41)
+        found = 0
+        # sparse random graphs: their odd cycles force blossom contractions
+        for _ in range(300):
+            n = rng.randint(2, 80)
+            edges = {tuple(sorted(rng.sample(range(1, n + 1), 2)))
+                     for _ in range(rng.randint(n // 2, 2 * n))}
+            g = Graph.from_edges(n, edges)
+            ref = nx.Graph(edges)
+            ref.add_nodes_from(g.vertices())
+            perfect = 2 * len(nx.max_weight_matching(ref, maxcardinality=True)) == n
+            m = find_perfect_matching(g)
+            assert (m is not None) == perfect, g.edges
+            if m is not None:
+                assert validate_path_factor(g, m)
+                found += 1
+        assert found >= 10
+
 
 class TestP23Factor:
     def test_star_none(self):
         assert find_p23_factor(star_graph(3)) is None
 
     def test_t1_value(self):
-        # tree route and generic search happen to agree on this instance
         expected = ((1, 2, 6), (3, 7), (5, 4, 8))
         assert find_p23_factor(T1).components == expected
-        assert p23_factor_search(T1).components == expected
         for a, b in [(1, 2), (2, 6), (3, 7), (4, 5), (4, 8)]:
             assert T1.has_edge(a, b)
 
@@ -74,16 +109,18 @@ class TestP23Factor:
 
     def test_search_prefers_pairs(self):
         # on a 4-path both (12)(34) and (1,2,3)+nothing exist; pairs win
-        assert p23_factor_search(path_graph(4)).components == ((1, 2), (3, 4))
+        assert find_p23_factor(path_graph(4)).components == ((1, 2), (3, 4))
 
-    def test_tree_agrees_with_search_on_existence(self):
+    def test_trees_certified_dichotomy(self):
         for t in enumerate_trees(10):
-            dp = tree_p23_factor(t)
-            search = p23_factor_search(t)
-            assert (dp is None) == (search is None)
-            if dp is not None:
-                assert validate_path_factor(t, dp)
-                assert validate_path_factor(t, search)
+            factor = find_p23_factor(t)
+            cert = factor_obstruction(t)
+            assert (factor is None) != (cert is None), t.edges
+            if factor is not None:
+                assert validate_path_factor(t, factor)
+            else:
+                _, iso = removal_stats(t, cert.witness)
+                assert iso == cert.isolated_count > 2 * len(cert.witness)
 
     def test_greedy_trap_tree(self):
         # hub with three legs of length 3; a naive leaf-greedy pass fails it
@@ -117,9 +154,15 @@ class TestObstruction:
     def test_p4_none(self):
         assert factor_obstruction(path_graph(4)) is None
 
-    def test_order_cap(self):
-        with pytest.raises(BudgetExceededError):
-            factor_obstruction(path_graph(30))
+    def test_no_order_cap_with_factor(self):
+        assert factor_obstruction(path_graph(30)) is None
+
+    def test_no_order_cap_witness(self):
+        g = caterpillar(6, 4)
+        assert g.order == 30
+        cert = factor_obstruction(g)
+        _, iso = removal_stats(g, cert.witness)
+        assert iso == cert.isolated_count > 2 * len(cert.witness)
 
     def test_dichotomy_small(self):
         rng = random.Random(23)
@@ -138,7 +181,7 @@ class TestObstruction:
 
     def test_witness_is_minimum_and_lex_least(self):
         # two stars joined by an edge between their centers, no factor;
-        # both centers violate alone, vertex 1 is the lexicographic choice
+        # both centers violate alone, and the search stalls at center 1
         cert = factor_obstruction(DOUBLE_STAR)
         assert cert.witness == {1}
 
