@@ -8,6 +8,11 @@ vertical (within-column) edge per side, so the construction keeps exact
 per-column edge counts that :func:`verify_column_contract` checks
 independently.
 
+The cycle under construction lives in one place: two neighbour slots per
+product id ``(layer - 1) * base_order + v``.  A column cycle fills slots,
+a splice replaces four of them in place, and one walk from the smallest
+id reads the finished cycle off.
+
 Column conventions, for n layers and base vertex v:
 
 * index i in 1..n-1 names the vertical edge between layers i and i+1;
@@ -19,6 +24,7 @@ Column conventions, for n layers and base vertex v:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -65,6 +71,13 @@ _ROLE_RESIDUES: dict[Role, tuple[int, ...]] = {
 
 # degree of a vertex inside its own factor component, by role
 ROLE_COMPONENT_DEGREE: dict[Role, int] = {"pair": 1, "left": 1, "mid": 2, "right": 1}
+
+# roles by position inside a canonical factor component (pairs sorted,
+# triples stored end, middle, end with the smaller end first)
+_COMPONENT_ROLES: dict[int, tuple[Role, ...]] = {
+    2: ("pair", "pair"),
+    3: ("left", "mid", "right"),
+}
 
 
 def used_column_indices(role: Role, n: int) -> frozenset[int]:
@@ -187,16 +200,8 @@ class RoleAssignment:
 
 
 def assign_roles(factor: PathFactor) -> RoleAssignment:
-    roles: list[tuple[int, Role]] = []
-    for comp in factor.components:
-        if len(comp) == 2:
-            roles.append((comp[0], "pair"))
-            roles.append((comp[1], "pair"))
-        else:
-            a, m, b = comp
-            roles.append((a, "left"))
-            roles.append((m, "mid"))
-            roles.append((b, "right"))
+    roles = [(v, role) for comp in factor.components
+             for v, role in zip(comp, _COMPONENT_ROLES[len(comp)])]
     return RoleAssignment(factor, tuple(sorted(roles)))
 
 
@@ -218,11 +223,8 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
     if not validate_path_factor(tree, factor):
         raise InvalidFactorError("factor does not cover the tree")
     comps = factor.components
-    owner: dict[int, int] = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            owner[v] = idx
-    adj: dict[int, set[int]] = {i: set() for i in range(len(comps))}
+    owner = {v: idx for idx, comp in enumerate(comps) for v in comp}
+    adj: list[set[int]] = [set() for _ in comps]
     edges: set[tuple[int, int]] = set()
     for u, v in tree.edges:
         a, b = owner[u], owner[v]
@@ -233,82 +235,84 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
     # contracting connected pieces of a tree yields a tree
     assert len(edges) == len(comps) - 1, "contracted component graph is not a tree"
 
-    remaining = set(range(len(comps)))
+    # current leaves keyed on their first vertex; a component enters the
+    # heap once, as a leaf at the start or when it is down to one neighbour
+    heap = [(comp[0], i) for i, comp in enumerate(comps) if len(adj[i]) <= 1]
+    heapq.heapify(heap)
     order: list[int] = []
-    while remaining:
-        leaves = [i for i in remaining if len(adj[i]) <= 1]
-        pick = min(leaves, key=lambda i: comps[i][0])
+    while heap:
+        _, pick = heapq.heappop(heap)
         order.append(pick)
-        remaining.remove(pick)
         for j in adj[pick]:
             adj[j].discard(pick)
-        adj[pick] = set()
+            if len(adj[j]) == 1:
+                heapq.heappush(heap, (comps[j][0], j))
     return PeelOrder(tuple(comps[i] for i in order), tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------
-# column cycles
+# column cycles on neighbour slots
 
-LabelEdge = tuple[Label, Label]
-
-
-def _edge(a: Label, b: Label) -> LabelEdge:
-    return (a, b) if a < b else (b, a)
+Slots = list[list[int]]  # product id -> its cycle neighbours; index 0 unused
 
 
-def _vertical(i: int, v: int) -> LabelEdge:
-    return ((i, v), (i + 1, v))
+def _link(slots: Slots, a: int, b: int) -> None:
+    slots[a].append(b)
+    slots[b].append(a)
 
 
-def _two_column_edges(n: int, u: int, w: int) -> set[LabelEdge]:
-    edges = {_edge((1, u), (1, w)), _edge((n, u), (n, w))}
-    for i in range(1, n):
-        edges.add(_vertical(i, u))
-        edges.add(_vertical(i, w))
-    return edges
+def _relink(slots: Slots, a: int, old: int, new: int) -> None:
+    s = slots[a]
+    s[s.index(old)] = new
 
 
-def _three_column_edges(n: int, u: int, v: int, w: int) -> set[LabelEdge]:
-    edges: set[LabelEdge] = set()
-    for i in used_column_indices("left", n):
-        edges.add(_vertical(i, u))
-    for i in used_column_indices("mid", n):
-        edges.add(_vertical(i, v))
-    for i in used_column_indices("right", n):
-        edges.add(_vertical(i, w))
-    # crossings between the columns; the explicit boundary edges overlap
-    # the residue families at some layer counts and the union dedupes
-    uv = {1, n} | {i for i in range(1, n + 1) if i % 4 in (2, 3)}
-    vw = {n} | {i for i in range(1, n + 1) if i % 4 in (0, 1)}
-    for i in uv:
-        edges.add(_edge((i, u), (i, v)))
-    for i in vw:
-        edges.add(_edge((i, v), (i, w)))
-    return edges
+def _add_column_cycle(slots: Slots, n: int, k: int, comp: tuple[int, ...]) -> None:
+    """Link the column cycle of one factor component on base order k.
+
+    Each column gets the vertical edges of its role pattern, and
+    neighbouring columns cross at layers 1 and n (a pair) or along the
+    snake of a triple.  At n = 1 a pair's two crossings are the doubled
+    edge of the degenerate two-vertex cycle.
+    """
+    for v, role in zip(comp, _COMPONENT_ROLES[len(comp)]):
+        for i in used_column_indices(role, n):
+            _link(slots, (i - 1) * k + v, i * k + v)
+    if len(comp) == 2:
+        crossings = [(1, n)]
+    else:
+        # the boundary layers overlap the residue families at some layer
+        # counts; the sets keep one crossing per layer
+        crossings = [{1, n} | {i for i in range(1, n + 1) if i % 4 in (2, 3)},
+                     {n} | {i for i in range(1, n + 1) if i % 4 in (0, 1)}]
+    for (x, y), layers in zip(zip(comp, comp[1:]), crossings):
+        for i in layers:
+            _link(slots, (i - 1) * k + x, (i - 1) * k + y)
 
 
-def _trace_cycle(edges: set[LabelEdge], n: int, base_order: int) -> HamCycle:
-    """Walk an edge set that should be a single cycle into a HamCycle."""
-    adj: dict[Label, list[Label]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for v, ns in adj.items():
-        assert len(ns) == 2, f"vertex {v} has degree {len(ns)} in the assembled cycle"
-        ns.sort()
-    start = min(adj)
+def _walk(slots: Slots, n: int, k: int) -> HamCycle:
+    """Walk slots that should hold a single cycle into a HamCycle, from the
+    smallest linked id towards its smaller neighbour."""
+    linked = [x for x, s in enumerate(slots) if s]
+    for x in linked:
+        assert len(slots[x]) == 2, f"vertex {x} has degree {len(slots[x])} in the assembled cycle"
+    start = linked[0]
     seq = [start]
-    prev: Label | None = None
-    cur = start
-    while True:
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            break
-        seq.append(nxt)
-        prev, cur = cur, nxt
-    assert len(seq) == len(adj), "assembled edges are not a single cycle"
-    ids = tuple(product_id(i, v, base_order) for i, v in seq)
-    return HamCycle(n, base_order, ids)
+    prev, cur = start, min(slots[start])
+    while cur != start:
+        seq.append(cur)
+        a, b = slots[cur]
+        prev, cur = cur, (b if a == prev else a)
+    assert len(seq) == len(linked), "assembled edges are not a single cycle"
+    return HamCycle(n, k, tuple(seq))
+
+
+def _column_cycle(n: int, comp: tuple[int, ...], base_order: int | None) -> HamCycle:
+    k = base_order if base_order is not None else max(comp)
+    if not all(1 <= v <= k for v in comp):
+        raise ValueError("columns must lie in 1..base_order")
+    slots: Slots = [[] for _ in range(n * k + 1)]
+    _add_column_cycle(slots, n, k, comp)
+    return _walk(slots, n, k)
 
 
 def two_column_cycle(n: int, u: int = 1, w: int = 2,
@@ -322,8 +326,7 @@ def two_column_cycle(n: int, u: int = 1, w: int = 2,
         raise TooFewLayersError("two-column cycle needs at least 2 layers")
     if u == w:
         raise ValueError("columns must differ")
-    base = base_order if base_order is not None else max(u, w)
-    return _trace_cycle(_two_column_edges(n, u, w), n, base)
+    return _column_cycle(n, (u, w), base_order)
 
 
 def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
@@ -341,8 +344,7 @@ def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
         raise TooFewLayersError("three-column cycle needs at least 4 layers")
     if len({u, v, w}) != 3:
         raise ValueError("columns must differ")
-    base = base_order if base_order is not None else max(u, v, w)
-    return _trace_cycle(_three_column_edges(n, u, v, w), n, base)
+    return _column_cycle(n, (u, v, w), base_order)
 
 
 # ---------------------------------------------------------------------------
@@ -358,46 +360,30 @@ class BuildResult:
     column_counts: dict[int, int]
 
 
-def _component_edges(n: int, comp: tuple[int, ...]) -> set[LabelEdge]:
-    if len(comp) == 2:
-        return _two_column_edges(n, comp[0], comp[1])
-    a, m, b = comp
-    return _three_column_edges(n, a, m, b)
-
-
 def _assemble(n: int, tree: Graph, roles: RoleAssignment, mode: str) -> BuildResult:
-    peel = component_peel_order(tree, roles.factor)
-    stock: dict[int, set[int]] = {}
-    edges: set[LabelEdge] = set()
+    k = tree.order
+    slots: Slots = [[] for _ in range(n * k + 1)]
     placed: set[int] = set()
-
-    def add_fresh(comp: tuple[int, ...]) -> None:
-        edges.update(_component_edges(n, comp))
-        for col in comp:
-            stock[col] = set(used_column_indices(roles.role_of(col), n))
+    for comp in reversed(component_peel_order(tree, roles.factor).components):
+        _add_column_cycle(slots, n, k, comp)
+        if placed:
+            links = [(x, y) for x in comp for y in tree.neighbors(x) if y in placed]
+            assert len(links) == 1, "peeled component must touch the rest by one tree edge"
+            u1, u2 = links[0]
+            # the first index of u1's pattern still linked in column u2
+            j = next((j for j in sorted(used_column_indices(roles.role_of(u1), n))
+                      if j * k + u2 in slots[(j - 1) * k + u2]), None)
+            assert j is not None, "splice stock ran dry; layer bound accounting is wrong"
+            # swap the two vertical edges at index j for the two crossings
+            p, q = (j - 1) * k + u1, (j - 1) * k + u2
+            _relink(slots, p, p + k, q)
+            _relink(slots, q, q + k, p)
+            _relink(slots, p + k, p, q + k)
+            _relink(slots, q + k, q, p + k)
         placed.update(comp)
-
-    for comp in reversed(peel.components):
-        if not placed:
-            add_fresh(comp)
-            continue
-        links = [(x, y) for x in comp for y in tree.neighbors(x) if y in placed]
-        assert len(links) == 1, "peeled component must touch the rest by one tree edge"
-        u1, u2 = links[0]
-        add_fresh(comp)
-        allowed = stock[u2] & used_column_indices(roles.role_of(u1), n)
-        assert allowed, "splice stock ran dry; layer bound accounting is wrong"
-        j = min(allowed)
-        edges.remove(_vertical(j, u1))
-        edges.remove(_vertical(j, u2))
-        edges.add(_edge((j, u1), (j, u2)))
-        edges.add(_edge((j + 1, u1), (j + 1, u2)))
-        stock[u1].discard(j)
-        stock[u2].discard(j)
-
-    cycle = _trace_cycle(edges, n, tree.order)
-    counts = {v: len(stock[v]) for v in tree.vertices()}
-    return BuildResult(cycle, tree, roles, mode, counts)
+    counts = {v: sum(i * k + v in slots[(i - 1) * k + v] for i in range(1, n))
+              for v in tree.vertices()}
+    return BuildResult(_walk(slots, n, k), tree, roles, mode, counts)
 
 
 def build_cycle_matching(n: int, tree: Graph,
@@ -419,15 +405,8 @@ def build_cycle_matching(n: int, tree: Graph,
     dmax = degree_stats(tree).maximum
     if n < dmax:
         raise TooFewLayersError(f"need at least {dmax} layers, got {n}")
-    if n == 1:
-        # single layer over a single edge: the degenerate two-vertex cycle
-        u, w = matching.components[0]
-        seq = (product_id(1, u, tree.order), product_id(1, w, tree.order))
-        cycle = HamCycle(1, tree.order, seq)
-        counts = {v: 0 for v in tree.vertices()}
-        return BuildResult(cycle, tree, assign_roles(matching), "matching", counts)
     result = _assemble(n, tree, assign_roles(matching), "matching")
-    assert verify_column_contract(result.cycle, tree, result.roles, n, "matching")
+    assert verify_column_contract(result.cycle, tree, result.roles, n)
     return result
 
 
@@ -453,7 +432,7 @@ def build_cycle_path_factor(n: int, tree: Graph,
     if n < need:
         raise TooFewLayersError(f"need at least {need} layers, got {n}")
     result = _assemble(n, tree, assign_roles(factor), "pathfactor")
-    assert verify_column_contract(result.cycle, tree, result.roles, n, "pathfactor")
+    assert verify_column_contract(result.cycle, tree, result.roles, n)
     return result
 
 
@@ -471,17 +450,13 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
         raise DisconnectedError("base graph must be connected")
     dmax = degree_stats(base).maximum
 
-    matching = find_perfect_matching(base) if mode in ("auto", "matching") else None
-    if mode == "matching" and matching is None:
+    factor = find_perfect_matching(base) if mode in ("auto", "matching") else None
+    if mode == "matching" and factor is None:
         raise NoFactorError("no perfect matching", factor_obstruction(base))
-    if matching is not None:
-        if n >= dmax:
-            tree = spanning_tree_containing(base, matching.components)
-            result = build_cycle_matching(n, tree, matching)
-        elif mode == "matching":
+    if factor is not None:
+        if n < dmax:
             raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)
-        else:
-            raise LayerBoundError(f"need n >= {dmax} for this base graph", dmax)
+        builder = build_cycle_matching
     else:
         factor = find_p23_factor(base)
         if factor is None:
@@ -491,9 +466,10 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
             raise OddLayersError(f"path-factor route needs even n >= {need}")
         if n < need:
             raise LayerBoundError(f"path-factor route needs n >= {need}", need)
-        tree = spanning_tree_containing(base, [(c[0], c[1]) for c in factor.components]
-                                        + [(c[1], c[2]) for c in factor.components if len(c) == 3])
-        result = build_cycle_path_factor(n, tree, factor)
+        builder = build_cycle_path_factor
+    tree = spanning_tree_containing(
+        base, [e for c in factor.components for e in zip(c, c[1:])])
+    result = builder(n, tree, factor)
 
     product_order = n * base.order
     assert len(result.cycle.seq) == product_order
@@ -525,13 +501,12 @@ def verify_cycle(product: Graph, cycle: HamCycle) -> bool:
 
 
 def verify_column_contract(cycle: HamCycle, tree: Graph, roles: RoleAssignment,
-                           n: int, mode: str) -> bool:
+                           n: int) -> bool:
     """Check the per-column vertical-edge budget of a constructed cycle.
 
-    matching mode: column v holds exactly n - degree(v) vertical edges.
-    pathfactor mode: the vertical edges lie inside the column's role
-    pattern and number |pattern| - degree(v) + (degree of v inside its own
-    component).
+    The vertical edges of column v lie inside its role pattern and number
+    |pattern| - degree(v) + (degree of v inside its own component).  For a
+    pair the pattern is all of 1..n-1, so the count is n - degree(v).
     """
     used: dict[int, set[int]] = {v: set() for v in tree.vertices()}
     base = cycle.base_order
@@ -540,18 +515,14 @@ def verify_column_contract(cycle: HamCycle, tree: Graph, roles: RoleAssignment,
         (ib, vb) = (b - 1) // base + 1, (b - 1) % base + 1
         if va == vb and ib == ia + 1:
             used[va].add(ia)
+    patterns = {role: used_column_indices(role, n) for role in _ROLE_RESIDUES}
     for v in tree.vertices():
-        deg = tree.degree(v)
-        if mode == "matching":
-            if len(used[v]) != n - deg:
-                return False
-        else:
-            role = roles.role_of(v)
-            pattern = used_column_indices(role, n)
-            if not used[v] <= pattern:
-                return False
-            if len(used[v]) != len(pattern) - deg + ROLE_COMPONENT_DEGREE[role]:
-                return False
+        role = roles.role_of(v)
+        pattern = patterns[role]
+        if not used[v] <= pattern:
+            return False
+        if len(used[v]) != len(pattern) - tree.degree(v) + ROLE_COMPONENT_DEGREE[role]:
+            return False
     return True
 
 

@@ -5,25 +5,21 @@ the scattering branch-and-bound behind the 1-toughness decision, and the
 exact toughness subset scan) exist twice: compiled Cython in
 ``boxham._ckernels`` and pure Python in ``boxham._pykernels``.  The
 compiled core is used when it imported and the instance fits in 64-bit
-masks; everything else runs on the pure fallback.  Set BOXHAM_PURE_KERNELS
-to force the fallback.
+masks; everything else runs on the pure fallback.  The parity tests and
+``benchmarks/bench_kernels.py`` call ``_pykernels`` directly.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from . import _pykernels
 from .graphs import Graph
 
-if os.environ.get("BOXHAM_PURE_KERNELS"):
+try:
+    from . import _ckernels as _fast
+except ImportError:
     _fast = None
-else:
-    try:
-        from . import _ckernels as _fast  # type: ignore[no-redef]
-    except ImportError:
-        _fast = None
 
 BACKEND = "compiled" if _fast is not None else "pure"
 

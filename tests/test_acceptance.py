@@ -69,7 +69,7 @@ def test_criterion_01_matching_builder_sweep():
             res = build_cycle_matching(n, t, matching)
             prod = product_over(n, t)
             assert verify_cycle(prod, res.cycle), (t.edges, n)
-            assert verify_column_contract(res.cycle, t, res.roles, n, "matching"), \
+            assert verify_column_contract(res.cycle, t, res.roles, n), \
                 (t.edges, n)
             for v in t.vertices():
                 assert res.column_counts[v] == n - t.degree(v)
@@ -91,7 +91,7 @@ def test_criterion_02_path_factor_builder_sweep():
             res = build_cycle_path_factor(n, t, factor)
             prod = product_over(n, t)
             assert verify_cycle(prod, res.cycle), (t.edges, n)
-            assert verify_column_contract(res.cycle, t, res.roles, n, "pathfactor"), \
+            assert verify_column_contract(res.cycle, t, res.roles, n), \
                 (t.edges, n)
             built += 1
     ok(2, f"path-factor builder: {built} (tree, layers) instances, zero failures")

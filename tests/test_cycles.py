@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from boxham.cycles import (
@@ -93,6 +96,14 @@ class TestTwoColumnCycle:
     def test_rejects_single_layer(self):
         with pytest.raises(TooFewLayersError):
             two_column_cycle(1)
+
+    def test_rejects_columns_outside_base(self):
+        # ids of out-of-range columns would collide with other columns' ids
+        for u, w, base in ((1, 3, 2), (0, 2, 2)):
+            with pytest.raises(ValueError):
+                two_column_cycle(3, u, w, base_order=base)
+        with pytest.raises(ValueError):
+            three_column_cycle(4, 1, 2, 5, base_order=3)
 
 
 class TestThreeColumnCycle:
@@ -194,7 +205,7 @@ class TestMatchingBuilder:
         res = build_cycle_matching(3, t)
         assert verify_cycle(product_over(3, t), res.cycle)
         assert res.column_counts[1] == 0
-        assert verify_column_contract(res.cycle, t, res.roles, 3, "matching")
+        assert verify_column_contract(res.cycle, t, res.roles, 3)
 
     def test_degenerate_single_layer(self):
         res = build_cycle_matching(1, path_graph(2))
@@ -215,7 +226,7 @@ class TestMatchingBuilder:
             for n in range(max(dmax, 2), dmax + 3):
                 res = build_cycle_matching(n, t, m)
                 assert verify_cycle(product_over(n, t), res.cycle)
-                assert verify_column_contract(res.cycle, t, res.roles, n, "matching")
+                assert verify_column_contract(res.cycle, t, res.roles, n)
 
     def test_determinism(self):
         a = build_cycle_matching(4, T1_pm_tree())
@@ -243,7 +254,7 @@ class TestPathFactorBuilder:
         res = build_cycle_path_factor(10, T1)
         assert len(res.cycle.seq) == 80
         assert verify_cycle(product_over(10, T1), res.cycle)
-        assert verify_column_contract(res.cycle, T1, res.roles, 10, "pathfactor")
+        assert verify_column_contract(res.cycle, T1, res.roles, 10)
 
     def test_odd_layers(self):
         with pytest.raises(OddLayersError):
@@ -262,7 +273,7 @@ class TestPathFactorBuilder:
             for n in (4 * dmax - 2, 4 * dmax):
                 res = build_cycle_path_factor(n, t, f)
                 assert verify_cycle(product_over(n, t), res.cycle)
-                assert verify_column_contract(res.cycle, t, res.roles, n, "pathfactor")
+                assert verify_column_contract(res.cycle, t, res.roles, n)
 
 
 class TestBuildPipeline:
@@ -316,7 +327,7 @@ class TestValidators:
         c = two_column_cycle(5)
         fake_roles = assign_roles(PathFactor(((1, 2, 3),)))
         t = path_graph(3)
-        assert not verify_column_contract(c, t, fake_roles, 5, "pathfactor")
+        assert not verify_column_contract(c, t, fake_roles, 5)
 
     def test_roundtrip_cycle_file(self):
         c = three_column_cycle(6)
@@ -351,3 +362,96 @@ class TestValidators:
         a = build_cycle_path_factor(10, T1)
         b = build_cycle_path_factor(10, T1)
         assert a.cycle == b.cycle and a.column_counts == b.column_counts
+
+
+def spine_tree(m):
+    # vertex v >= 2 hangs off one of the three vertices before it; plain
+    # arithmetic, so the pinned digests below do not depend on `random`
+    return [(v - 1 - (v * 7919) % min(v - 1, 3), v) for v in range(2, m + 1)]
+
+
+def shuffled(order, edges):
+    # a fixed relabelling; 1237 is prime and divides neither 2000 nor 2001
+    def perm(x):
+        return (x - 1) * 1237 % order + 1
+    return Graph.from_edges(order, [(perm(u), perm(v)) for u, v in edges])
+
+
+def matching_tree_2000():
+    """A 1000-vertex spine tree with a leaf on every vertex."""
+    return shuffled(2000, spine_tree(1000) + [(v, 1000 + v) for v in range(1, 1001)])
+
+
+def p23_tree_2001():
+    """A 667-vertex spine tree with a pendant 2-path on each odd vertex and
+    two leaves on each even one: odd order, so no perfect matching."""
+    m = 667
+    edges = spine_tree(m)
+    for v in range(1, m + 1):
+        a, b = m + 2 * v - 1, m + 2 * v
+        edges += [(v, a), (a, b)] if v % 2 else [(v, a), (v, b)]
+    return shuffled(3 * m, edges)
+
+
+def naive_peel_order(tree, factor):
+    """Second opinion: rescan every remaining component for leaves at each
+    step and peel the one with the smallest first vertex."""
+    comps = factor.components
+    owner = {v: i for i, comp in enumerate(comps) for v in comp}
+    adj = {i: set() for i in range(len(comps))}
+    for u, v in tree.edges:
+        if owner[u] != owner[v]:
+            adj[owner[u]].add(owner[v])
+            adj[owner[v]].add(owner[u])
+    remaining = set(range(len(comps)))
+    order = []
+    while remaining:
+        pick = min((i for i in remaining if len(adj[i]) <= 1), key=lambda i: comps[i][0])
+        order.append(pick)
+        remaining.remove(pick)
+        for j in adj[pick]:
+            adj[j].discard(pick)
+    return tuple(comps[i] for i in order)
+
+
+def digest(cycle):
+    return hashlib.sha256(format_cycle(cycle).encode()).hexdigest()
+
+
+class TestBuildersAtScale:
+    # The pinned digests are the format_cycle output of the builder that kept
+    # the cycle as a set of (layer, base) label edges, before the slot form.
+
+    def test_matching_tree_2000(self):
+        t = matching_tree_2000()
+        n = degree_stats(t).maximum
+        res = build_cycle_matching(n, t)
+        assert verify_cycle(product_over(n, t), res.cycle)
+        for v in t.vertices():
+            assert res.column_counts[v] == n - t.degree(v)
+        assert digest(res.cycle) == \
+            "ae64a4158e2db1a6efe6c820af0291fc2b3a34abcec5e1bb6c6bc0b0ed3f8ba9"
+
+    def test_p23_tree_2001(self):
+        t = p23_tree_2001()
+        assert find_perfect_matching(t) is None
+        n = 4 * degree_stats(t).maximum - 2
+        res = build_cycle_path_factor(n, t)
+        assert {len(c) for c in res.roles.factor.components} == {2, 3}
+        assert verify_cycle(product_over(n, t), res.cycle)
+        assert digest(res.cycle) == \
+            "dfb81c81079055f929f1533ef6c3fd7857a6f3dd826ea6f74836008f0ea08524"
+
+    def test_peel_order_matches_naive(self):
+        rng = random.Random(4242)
+        checked = 0
+        while checked < 200:
+            order = rng.randint(2, 40)
+            labels = rng.sample(range(1, order + 1), order)
+            t = Graph.from_edges(order, [(labels[rng.randint(0, v - 1)], labels[v])
+                                         for v in range(1, order)])
+            for factor in (find_perfect_matching(t), find_p23_factor(t)):
+                if factor is not None:
+                    assert (component_peel_order(t, factor).components
+                            == naive_peel_order(t, factor)), t.edges
+                    checked += 1

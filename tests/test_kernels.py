@@ -1,7 +1,9 @@
 """Backend parity: the compiled extension must match the pure kernels
 bit for bit, node counts included."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +110,16 @@ class TestWrappers:
         from boxham.graphs import star_graph
         status, val, cut, _ = kernels.scattering_max(star_graph(3))
         assert status == "complete" and val == 2 and cut == {1}
+
+
+def test_generated_c_matches_pyx():
+    # _ckernels.c is generated from _ckernels.pyx and tracked; the hash of
+    # the .pyx it was generated from is recorded next to it
+    src = Path(__file__).resolve().parents[1] / "src" / "boxham"
+    recorded = (src / "_ckernels.pyx.sha256").read_text().split()[0]
+    actual = hashlib.sha256((src / "_ckernels.pyx").read_bytes()).hexdigest()
+    assert recorded == actual, (
+        "_ckernels.pyx changed since _ckernels.c was generated: regenerate "
+        "src/boxham/_ckernels.c (python setup.py build_ext --inplace with Cython "
+        "installed), then run `sha256sum _ckernels.pyx > _ckernels.pyx.sha256` "
+        "in src/boxham")
