@@ -2,7 +2,10 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Both backends run the same searches with identical node counts, so the
-table is a clean apples-to-apples timing comparison.
+table is a clean apples-to-apples timing comparison.  A second table
+shows how ``is_one_tough`` decides the products of 3 and 5 layers (and 4
+with --full) over the 8-vertex caterpillar, with its deterministic node
+counts.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the 32-vertex
@@ -14,6 +17,7 @@ import time
 
 from boxham import _pykernels, kernels
 from boxham.graphs import Graph, cartesian_product, path_graph
+from boxham.toughness import is_one_tough
 
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
 FIG4 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
@@ -72,6 +76,20 @@ def main():
         speedup = t_pure / t_fast if t_fast > 0 else float("inf")
         print(f"{kind:<15} {label:<38} {t_pure:>8.3f}s {t_fast:>8.3f}s {speedup:>7.1f}x")
     print("\nresults identical across backends (including node counts)")
+
+    # the 4-layer flagship is the one that reaches the branch and bound
+    layers = (3, 4, 5) if args.full else (3, 5)
+    header = f"{'is_one_tough':<28} {'verdict':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"
+    print("\n" + header)
+    print("-" * len(header))
+    for n in layers:
+        g = cartesian_product(path_graph(n), T1)
+        start = time.perf_counter()
+        res = is_one_tough(g)
+        elapsed = time.perf_counter() - start
+        label = f"P{n} x caterpillar8 ({g.order})"
+        print(f"{label:<28} {res.verdict:>7} {res.decided_by:>20} {res.nodes:>10} "
+              f"{elapsed:>8.3f}s")
 
 
 if __name__ == "__main__":

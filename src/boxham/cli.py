@@ -116,20 +116,19 @@ def _cmd_hamcycle(args):
 def _cmd_pathfactor(args):
     g = _read_graph(args.graph)
     if args.kind == "pm":
-        factor = factors.find_perfect_matching(g)
+        found = factors.find_perfect_matching(g) or factors.factor_obstruction(g)
     else:
-        factor = factors.find_p23_factor(g)
-    if factor is not None:
-        comps = [list(c) for c in factor.components]
+        found = factors.p23_factor_or_obstruction(g)
+    if isinstance(found, factors.PathFactor):
+        comps = [list(c) for c in found.components]
         payload = {"kind": args.kind, "factor": comps}
-        human = ["factor: " + " ".join("-".join(map(str, c)) for c in factor.components)]
+        human = ["factor: " + " ".join("-".join(map(str, c)) for c in found.components)]
         return payload, human, EXIT_OK
     payload = {"kind": args.kind, "factor": None}
     human = [f"no {'perfect matching' if args.kind == 'pm' else 'path factor'}"]
-    cert = factors.factor_obstruction(g)
-    if cert is not None:
-        payload["certificate"] = _factor_cert_json(cert)
-        human.append(cert.format())
+    if found is not None:
+        payload["certificate"] = _factor_cert_json(found)
+        human.append(found.format())
     return payload, human, EXIT_OK
 
 
@@ -138,8 +137,8 @@ def _cmd_toughness(args):
     payload: dict = {"order": g.order, "one_tough_only": bool(args.one_tough)}
     if args.one_tough:
         res = toughness.is_one_tough(g, budget_seconds=args.budget_seconds)
-        payload["verdict"] = res.verdict
-        human = [f"1-tough: {res.verdict}"]
+        payload.update(verdict=res.verdict, decided_by=res.decided_by, nodes=res.nodes)
+        human = [f"1-tough: {res.verdict} (decided by {res.decided_by}, {res.nodes} nodes)"]
         if res.witness is not None:
             payload["witness"] = _cut_witness_json(res.witness)
             human.append(res.witness.format())

@@ -42,10 +42,12 @@ from .errors import (
     TooFewLayersError,
 )
 from .factors import (
+    FactorCertificate,
     PathFactor,
     factor_obstruction,
     find_p23_factor,
     find_perfect_matching,
+    p23_factor_or_obstruction,
     validate_path_factor,
 )
 from .graphs import (
@@ -458,9 +460,9 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
             raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)
         builder = build_cycle_matching
     else:
-        factor = find_p23_factor(base)
-        if factor is None:
-            raise NoFactorError("no path factor", factor_obstruction(base))
+        factor = p23_factor_or_obstruction(base)
+        if isinstance(factor, FactorCertificate):
+            raise NoFactorError("no path factor", factor)
         need = max(4 * dmax - 2, 2)
         if n % 2:
             raise OddLayersError(f"path-factor route needs even n >= {need}")
@@ -510,11 +512,12 @@ def verify_column_contract(cycle: HamCycle, tree: Graph, roles: RoleAssignment,
     """
     used: dict[int, set[int]] = {v: set() for v in tree.vertices()}
     base = cycle.base_order
-    for a, b in cycle.edge_set:
-        (ia, va) = (a - 1) // base + 1, (a - 1) % base + 1
-        (ib, vb) = (b - 1) // base + 1, (b - 1) % base + 1
-        if va == vb and ib == ia + 1:
-            used[va].add(ia)
+    seq = cycle.seq
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        # ids one base_order apart: same column, adjacent layers
+        if abs(a - b) == base:
+            low = min(a, b) - 1
+            used[low % base + 1].add(low // base + 1)
     patterns = {role: used_column_indices(role, n) for role in _ROLE_RESIDUES}
     for v in tree.vertices():
         role = roles.role_of(v)

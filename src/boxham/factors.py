@@ -300,10 +300,8 @@ def _cut_run(run: list[int]) -> list[Component]:
 
 def find_p23_factor(g: Graph) -> PathFactor | None:
     """Factor into paths of 2 or 3 vertices, or None when none exists."""
-    pick, stuck = _pick_map(g)
-    if stuck is not None:
-        return None
-    return _factor_from_picks(g, pick)
+    found = p23_factor_or_obstruction(g)
+    return found if isinstance(found, PathFactor) else None
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +309,23 @@ def find_p23_factor(g: Graph) -> PathFactor | None:
 
 
 def factor_obstruction(g: Graph) -> FactorCertificate | None:
-    """A witness that no factor exists, or None when one does.
+    """A witness that no factor exists, or None when one does."""
+    found = p23_factor_or_obstruction(g)
+    return found if isinstance(found, FactorCertificate) else None
 
-    The pick-map search that fails reaches a set X with |X| > 2|N(X)|.
-    Then S = N(X) - X isolates every vertex of X - N(X), which is more
-    than 2|S| vertices.  S need not be a minimum witness; its count is
-    taken afresh by the kernel.
+
+def p23_factor_or_obstruction(g: Graph) -> PathFactor | FactorCertificate:
+    """One pick-map search, giving either a 2/3-path factor or a witness
+    that none exists.
+
+    The search that fails reaches a set X with |X| > 2|N(X)|.  Then
+    S = N(X) - X isolates every vertex of X - N(X), which is more than
+    2|S| vertices.  S need not be a minimum witness; its count is taken
+    afresh by the kernel.
     """
-    _, stuck = _pick_map(g)
+    pick, stuck = _pick_map(g)
     if stuck is None:
-        return None
+        return _factor_from_picks(g, pick)
     s = frozenset(w for v in stuck for w in g.neighbors(v)) - set(stuck)
     iso = count_isolated_after(g, s)
     if iso <= 2 * len(s):
@@ -372,6 +377,7 @@ __all__ = [
     "find_p23_factor",
     "find_perfect_matching",
     "one_sided_obstruction",
+    "p23_factor_or_obstruction",
     "sufficient_conditions",
     "validate_path_factor",
 ]

@@ -186,8 +186,7 @@ def bipartition(g: Graph) -> Bipartition:
             continue
         color[root] = 0
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:
             for w in g.neighbors(u):
                 if w not in color:
                     color[w] = 1 - color[u]

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import kernels
 from .cycles import HamCycle, verify_cycle
-from .errors import BudgetExceededError, PreconditionFailedError
+from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
 from .factors import find_p23_factor
 from .graphs import (
     Graph,
@@ -47,6 +47,15 @@ class PathResult:
     nodes: int
 
 
+def _side_gap(g: Graph) -> int:
+    """Size difference of the bipartition sides; 0 for a non-bipartite graph."""
+    try:
+        bip = bipartition(g)
+    except NotBipartiteError:
+        return 0
+    return abs(len(bip.side_a) - len(bip.side_b))
+
+
 def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
                            max_nodes: int | None = None) -> OracleResult:
     """Exhaustive Hamiltonian cycle oracle.
@@ -55,10 +64,8 @@ def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
     graph with unequal sides.  A lone edge counts as the degenerate
     two-vertex cycle, matching the validators.
     """
-    if g.order >= 3 and is_bipartite(g):
-        bip = bipartition(g)
-        if len(bip.side_a) != len(bip.side_b):
-            return OracleResult("none", None, 0)
+    if g.order >= 3 and _side_gap(g) > 0:
+        return OracleResult("none", None, 0)
     status, seq, nodes = kernels.ham_cycle(
         g, max_nodes=max_nodes, budget_seconds=budget_seconds)
     cycle = HamCycle(1, g.order, seq) if seq is not None else None
@@ -68,10 +75,8 @@ def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
 def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
                        max_nodes: int | None = None) -> PathResult:
     """Exhaustive spanning path oracle (traceability)."""
-    if g.order >= 3 and is_bipartite(g):
-        bip = bipartition(g)
-        if abs(len(bip.side_a) - len(bip.side_b)) > 1:
-            return PathResult("none", None, 0)
+    if g.order >= 3 and _side_gap(g) > 1:
+        return PathResult("none", None, 0)
     status, seq, nodes = kernels.ham_path(
         g, max_nodes=max_nodes, budget_seconds=budget_seconds)
     return PathResult(status, seq, nodes)
@@ -371,8 +376,6 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
     })
     instances = []
     for g in _candidate_bases(max_h_order, bipartite_only=True):
-        if not is_bipartite(g):
-            continue
         bip = bipartition(g)
         if len(bip.side_a) != len(bip.side_b):
             continue

@@ -3,9 +3,18 @@
 Toughness is the minimum of |S| / c(G - S) over cut sets S (sets whose
 removal leaves at least two components), kept as an exact Fraction so the
 t >= 1 boundary is crisp; complete graphs have no cut set and report an
-infinite value.  The 1-toughness decision avoids the full subset scan by
-maximizing c(G - S) - |S| with a branch-and-bound search, which is what
-makes 32-vertex flagship instances tractable.
+infinite value.
+
+The 1-toughness decision tries two certificates before any search.  A
+bipartite graph with unequal sides is not 1-tough: removing the smaller
+side isolates every vertex of the larger one.  A Hamiltonian graph is
+1-tough (Chvatal 1973): a cycle minus |S| vertices falls into at most |S|
+paths.  So an imbalance cut answers "no" with no search, and a cycle found
+by a short, capped search and re-checked by ``verify_cycle`` answers
+"yes".  Everything else goes to the exact branch-and-bound search that
+maximizes c(G - S) - |S|, which is what makes 32-vertex flagship instances
+tractable; recognizing tough graphs is NP-hard in general, so the search
+stays exact.
 
 The module also builds the two explicit non-1-tough witnesses the cycle
 pipeline is contrasted against: products over a bipartite base without a
@@ -14,11 +23,13 @@ path factor, and products whose base tree out-degrees the path factor.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import BudgetExceededError, PreconditionFailedError
+from .cycles import HamCycle, verify_cycle
+from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
 from .factors import one_sided_obstruction
 from .graphs import (
     Graph,
@@ -60,6 +71,13 @@ class OneToughResult:
     verdict: str  # "yes" | "no" | "unknown"
     witness: CutWitness | None
     nodes: int
+    # "trivial" | "bipartite_imbalance" | "hamiltonian_cycle" | "search"
+    decided_by: str
+
+
+# Node cap of the Hamiltonian cycle pre-check.  On the products the
+# decision is sized for, a cycle, when found, takes a few hundred nodes.
+_CYCLE_PRECHECK_MAX_NODES = 4096
 
 
 def removal_stats(g: Graph, s) -> tuple[int, int]:
@@ -96,27 +114,68 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
                  max_nodes: int | None = None) -> OneToughResult:
     """Decide |S| >= c(G - S) for every cut set S.
 
-    Runs the scattering branch-and-bound with the pruning floor at zero:
-    any cut reaching c - |S| >= 1 settles "no" immediately, and exhausting
-    the space settles "yes".  "unknown" only appears when a budget is set
-    and runs out.
+    Disconnected and complete graphs are settled outright ("trivial").
+    Then two certificates are tried: a bipartite graph with unequal sides
+    gets the smaller side as its cut ("bipartite_imbalance", 0 nodes), and
+    a Hamiltonian cycle found within a fixed node cap and re-checked by
+    ``verify_cycle`` settles "yes" ("hamiltonian_cycle").  Otherwise the
+    scattering branch-and-bound runs with the pruning floor at zero
+    ("search"): any cut reaching c - |S| >= 1 settles "no" immediately,
+    and exhausting the space settles "yes".
+
+    ``max_nodes`` and ``budget_seconds`` bound the cycle search and the
+    branch-and-bound together, and ``nodes`` is their sum.  "unknown" only
+    appears when a budget is set and runs out.
     """
     if not is_connected(g):
         # the empty set already separates the graph
         comps = kernels.count_components_after(g, frozenset())
-        return OneToughResult("no", CutWitness(frozenset(), comps), 0)
+        return OneToughResult("no", CutWitness(frozenset(), comps), 0, "trivial")
     if is_complete(g):
-        return OneToughResult("yes", None, 0)
+        return OneToughResult("yes", None, 0, "trivial")
+    try:
+        bip = bipartition(g)
+    except NotBipartiteError:
+        bip = None
+    if bip is not None and len(bip.side_a) != len(bip.side_b):
+        cut = min(bip.side_a, bip.side_b, key=len)
+        comps = kernels.count_components_after(g, cut)
+        if comps <= len(cut):
+            raise AssertionError("imbalance cut failed its recount")
+        return OneToughResult("no", CutWitness(cut, comps), 0, "bipartite_imbalance")
+
+    start = time.monotonic()
+    cap = _CYCLE_PRECHECK_MAX_NODES
+    if max_nodes is not None:
+        cap = min(cap, max_nodes)
+    try:
+        status, seq, cycle_nodes = kernels.ham_cycle(
+            g, max_nodes=cap, budget_seconds=budget_seconds)
+    except RecursionError:
+        # the pure kernel recurses once per path vertex, so a path through
+        # about a thousand vertices overflows the stack; the certificate is
+        # optional, so the search is given up and its nodes go uncounted
+        status, seq, cycle_nodes = "unknown", None, 0
+    if status == "found":
+        if not verify_cycle(g, HamCycle(1, g.order, seq)):
+            raise AssertionError("cycle pre-check failed independent verification")
+        return OneToughResult("yes", None, cycle_nodes, "hamiltonian_cycle")
+
+    if max_nodes is not None:
+        max_nodes = max(0, max_nodes - cycle_nodes)
+    if budget_seconds is not None:
+        budget_seconds -= time.monotonic() - start
     status, value, cut, nodes = kernels.scattering_max(
         g, prune_at=0, stop_above=0,
         max_nodes=max_nodes, budget_seconds=budget_seconds)
+    nodes += cycle_nodes
     if status == "unknown":
-        return OneToughResult("unknown", None, nodes)
+        return OneToughResult("unknown", None, nodes, "search")
     if value is not None and value > 0:
         comps = kernels.count_components_after(g, cut)
         assert comps - len(cut) == value
-        return OneToughResult("no", CutWitness(cut, comps), nodes)
-    return OneToughResult("yes", None, nodes)
+        return OneToughResult("no", CutWitness(cut, comps), nodes, "search")
+    return OneToughResult("yes", None, nodes, "search")
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,17 @@ class TestPathfactor:
         assert code == 0 and payload["factor"] is None
         assert_recounts(payload["certificate"])
 
+    def test_no_factor_runs_one_pick_map_search(self, capsys, tmp_path, monkeypatch):
+        from boxham import factors
+        calls = []
+        original = factors._pick_map
+        monkeypatch.setattr(factors, "_pick_map",
+                            lambda g: calls.append(g) or original(g))
+        code, payload = run_json(capsys, "pathfactor", "--graph", no_factor_tree_28(tmp_path))
+        assert code == 0 and payload["factor"] is None
+        assert_recounts(payload["certificate"])
+        assert len(calls) == 1
+
 
 class TestToughness:
     def test_p3(self, capsys, files):
@@ -162,6 +173,23 @@ class TestToughness:
         code, payload = run_json(capsys, "toughness", "--graph", str(big),
                                  "--one-tough")
         assert code == 0 and payload["verdict"] == "yes"
+
+    def test_one_tough_reports_decider_and_nodes(self, capsys, files, tmp_path):
+        from boxham.graphs import cartesian_product
+        ham = tmp_path / "p6t1.el"
+        ham.write_text(format_graph(cartesian_product(path_graph(6), fixtures().t1)))
+        expect = [(files["k4"], "yes", "trivial"),
+                  (files["p3"], "no", "bipartite_imbalance"),
+                  (str(ham), "yes", "hamiltonian_cycle"),
+                  (files["fig1"], "yes", "search")]
+        for path, verdict, decider in expect:
+            code, payload = run_json(capsys, "toughness", "--graph", path, "--one-tough")
+            assert code == 0
+            assert (payload["verdict"], payload["decided_by"]) == (verdict, decider)
+            assert isinstance(payload["nodes"], int)
+            assert "cycle" not in payload
+        code, payload = run_json(capsys, "toughness", "--graph", files["p3"], "--one-tough")
+        assert payload["nodes"] == 0 and payload["witness"] == {"cut": [2], "components": 2}
 
 
 class TestCheckVerify:

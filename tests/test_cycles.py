@@ -294,6 +294,16 @@ class TestBuildPipeline:
             build_cycle(4, star_graph(3))
         assert exc.value.certificate.witness == {1}
 
+    def test_star_no_factor_runs_one_pick_map_search(self, monkeypatch):
+        from boxham import factors
+        calls = []
+        original = factors._pick_map
+        monkeypatch.setattr(factors, "_pick_map",
+                            lambda g: calls.append(g) or original(g))
+        with pytest.raises(NoFactorError):
+            build_cycle(4, star_graph(3))
+        assert len(calls) == 1
+
     def test_layer_bound_reports_minimum(self):
         with pytest.raises(LayerBoundError) as exc:
             build_cycle(2, complete_graph(4), "matching")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from boxham import kernels
 from boxham.errors import (
     BudgetExceededError,
     HasPathFactorError,
@@ -11,6 +12,7 @@ from boxham.errors import (
 from boxham.factors import find_p23_factor
 from boxham.graphs import (
     Graph,
+    bipartition,
     cartesian_product,
     complete_bipartite,
     complete_graph,
@@ -28,7 +30,11 @@ from boxham.toughness import (
     removal_stats,
     toughness_exact,
 )
-from helpers import connected_bipartite_up_to_iso, random_connected_graph
+from helpers import (
+    connected_bipartite_up_to_iso,
+    random_connected_bipartite,
+    random_connected_graph,
+)
 
 
 class TestRemovalStats:
@@ -135,6 +141,77 @@ class TestIsOneTough:
                 seen += 1
                 assert is_one_tough(g).verdict == "yes"
         assert seen >= 10
+
+
+class TestOneToughPrechecks:
+    def test_unbalanced_bipartite_products_need_no_search(self):
+        for n in (3, 5):
+            prod = cartesian_product(path_graph(n), fixtures().t1)
+            res = is_one_tough(prod)
+            assert (res.verdict, res.decided_by, res.nodes) == \
+                ("no", "bipartite_imbalance", 0)
+            bip = bipartition(prod)
+            assert res.witness.cut == min(bip.side_a, bip.side_b, key=len)
+            comps, _ = removal_stats(prod, res.witness.cut)
+            assert comps == res.witness.components > len(res.witness.cut)
+
+    def test_tough_non_hamiltonian_goes_to_search(self):
+        res = is_one_tough(fixtures().fig1)
+        assert (res.verdict, res.decided_by) == ("yes", "search")
+        petersen = Graph.from_edges(10, [
+            (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8),
+            (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)])
+        res = is_one_tough(petersen)
+        assert (res.verdict, res.decided_by) == ("yes", "search")
+        # the node count adds the failed cycle search to the branch and bound
+        _, _, cycle_nodes = kernels.ham_cycle(petersen)
+        *_, search_nodes = kernels.scattering_max(petersen, prune_at=0, stop_above=0)
+        assert cycle_nodes > 0
+        assert res.nodes == cycle_nodes + search_nodes
+
+    def test_hamiltonian_graph_decided_by_cycle(self):
+        prod = cartesian_product(path_graph(6), fixtures().t1)
+        res = is_one_tough(prod)
+        assert (res.verdict, res.decided_by, res.witness) == \
+            ("yes", "hamiltonian_cycle", None)
+        assert 0 < res.nodes <= 4096
+
+    def test_trivial_cases(self):
+        assert is_one_tough(complete_graph(4)).decided_by == "trivial"
+        disconnected = Graph.from_edges(4, [(1, 2), (3, 4)])
+        assert is_one_tough(disconnected).decided_by == "trivial"
+
+    def test_budget_spans_both_searches(self):
+        # 50 nodes run out inside the cycle search, which needs 408 here
+        big = cartesian_product(path_graph(4), fixtures().t1)
+        res = is_one_tough(big, max_nodes=50)
+        assert (res.verdict, res.decided_by) == ("unknown", "search")
+        # each search that runs out reports one node past its cap
+        assert res.nodes <= 52
+
+    def test_cycle_search_too_deep_for_the_stack_falls_through(self):
+        # the pure kernel would recurse 1200 deep, past the default limit
+        res = is_one_tough(cycle_graph(1200), max_nodes=1500)
+        assert (res.verdict, res.decided_by) == ("unknown", "search")
+
+    def test_agrees_with_direct_search(self):
+        rng = random.Random(2024)
+        deciders = set()
+        for i in range(200):
+            if i % 2:
+                g = random_connected_bipartite(rng, 2, 12)
+            else:
+                g = random_connected_graph(rng, 2, 12)
+            res = is_one_tough(g)
+            _, value, _, _ = kernels.scattering_max(g, prune_at=0, stop_above=0)
+            want = "no" if value is not None and value > 0 else "yes"
+            assert res.verdict == want, g.edges
+            deciders.add(res.decided_by)
+            if res.witness is not None:
+                comps, _ = removal_stats(g, res.witness.cut)
+                assert comps == res.witness.components > len(res.witness.cut)
+        assert deciders == {"trivial", "bipartite_imbalance", "hamiltonian_cycle",
+                            "search"}
 
 
 class TestBipartiteProductCut:
