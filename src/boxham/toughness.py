@@ -5,16 +5,13 @@ removal leaves at least two components), kept as an exact Fraction so the
 t >= 1 boundary is crisp; complete graphs have no cut set and report an
 infinite value.
 
-The 1-toughness decision tries two certificates before any search.  A
-bipartite graph with unequal sides is not 1-tough: removing the smaller
-side isolates every vertex of the larger one.  A Hamiltonian graph is
-1-tough (Chvatal 1973): a cycle minus |S| vertices falls into at most |S|
-paths.  So an imbalance cut answers "no" with no search, and a cycle found
-by a short, capped search and re-checked by ``verify_cycle`` answers
-"yes".  Everything else goes to the exact branch-and-bound search that
-maximizes c(G - S) - |S|, which is what makes 32-vertex flagship instances
-tractable; recognizing tough graphs is NP-hard in general, so the search
-stays exact.
+The 1-toughness decision tries one certificate before any search: a
+bipartite graph with unequal sides is not 1-tough, because removing the
+smaller side isolates every vertex of the larger one, so that side answers
+"no" with no search.  Everything else goes to the exact branch-and-bound
+search that maximizes c(G - S) - |S|, which is what makes 32-vertex
+flagship instances tractable; recognizing tough graphs is NP-hard in
+general, so the search stays exact.
 
 The module also builds the two explicit non-1-tough witnesses the cycle
 pipeline is contrasted against: products over a bipartite base without a
@@ -23,12 +20,10 @@ path factor, and products whose base tree out-degrees the path factor.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .cycles import HamCycle, verify_cycle
 from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
 from .factors import one_sided_obstruction
 from .graphs import (
@@ -71,13 +66,8 @@ class OneToughResult:
     verdict: str  # "yes" | "no" | "unknown"
     witness: CutWitness | None
     nodes: int
-    # "trivial" | "bipartite_imbalance" | "hamiltonian_cycle" | "search"
+    # "trivial" | "bipartite_imbalance" | "search"
     decided_by: str
-
-
-# Node cap of the Hamiltonian cycle pre-check.  On the products the
-# decision is sized for, a cycle, when found, takes a few hundred nodes.
-_CYCLE_PRECHECK_MAX_NODES = 4096
 
 
 def removal_stats(g: Graph, s) -> tuple[int, int]:
@@ -115,17 +105,12 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     """Decide |S| >= c(G - S) for every cut set S.
 
     Disconnected and complete graphs are settled outright ("trivial").
-    Then two certificates are tried: a bipartite graph with unequal sides
-    gets the smaller side as its cut ("bipartite_imbalance", 0 nodes), and
-    a Hamiltonian cycle found within a fixed node cap and re-checked by
-    ``verify_cycle`` settles "yes" ("hamiltonian_cycle").  Otherwise the
-    scattering branch-and-bound runs with the pruning floor at zero
-    ("search"): any cut reaching c - |S| >= 1 settles "no" immediately,
-    and exhausting the space settles "yes".
-
-    ``max_nodes`` and ``budget_seconds`` bound the cycle search and the
-    branch-and-bound together, and ``nodes`` is their sum.  "unknown" only
-    appears when a budget is set and runs out.
+    A bipartite graph with unequal sides gets the smaller side as its cut
+    ("bipartite_imbalance", 0 nodes).  Otherwise the scattering
+    branch-and-bound runs with the pruning floor at zero ("search"): any
+    cut reaching c - |S| >= 1 settles "no" immediately, and exhausting the
+    space settles "yes".  "unknown" only appears when a budget is set and
+    runs out.
     """
     if not is_connected(g):
         # the empty set already separates the graph
@@ -143,32 +128,9 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
         if comps <= len(cut):
             raise AssertionError("imbalance cut failed its recount")
         return OneToughResult("no", CutWitness(cut, comps), 0, "bipartite_imbalance")
-
-    start = time.monotonic()
-    cap = _CYCLE_PRECHECK_MAX_NODES
-    if max_nodes is not None:
-        cap = min(cap, max_nodes)
-    try:
-        status, seq, cycle_nodes = kernels.ham_cycle(
-            g, max_nodes=cap, budget_seconds=budget_seconds)
-    except RecursionError:
-        # the pure kernel recurses once per path vertex, so a path through
-        # about a thousand vertices overflows the stack; the certificate is
-        # optional, so the search is given up and its nodes go uncounted
-        status, seq, cycle_nodes = "unknown", None, 0
-    if status == "found":
-        if not verify_cycle(g, HamCycle(1, g.order, seq)):
-            raise AssertionError("cycle pre-check failed independent verification")
-        return OneToughResult("yes", None, cycle_nodes, "hamiltonian_cycle")
-
-    if max_nodes is not None:
-        max_nodes = max(0, max_nodes - cycle_nodes)
-    if budget_seconds is not None:
-        budget_seconds -= time.monotonic() - start
     status, value, cut, nodes = kernels.scattering_max(
         g, prune_at=0, stop_above=0,
         max_nodes=max_nodes, budget_seconds=budget_seconds)
-    nodes += cycle_nodes
     if status == "unknown":
         return OneToughResult("unknown", None, nodes, "search")
     if value is not None and value > 0:

@@ -174,13 +174,9 @@ class TestToughness:
                                  "--one-tough")
         assert code == 0 and payload["verdict"] == "yes"
 
-    def test_one_tough_reports_decider_and_nodes(self, capsys, files, tmp_path):
-        from boxham.graphs import cartesian_product
-        ham = tmp_path / "p6t1.el"
-        ham.write_text(format_graph(cartesian_product(path_graph(6), fixtures().t1)))
+    def test_one_tough_reports_decider_and_nodes(self, capsys, files):
         expect = [(files["k4"], "yes", "trivial"),
                   (files["p3"], "no", "bipartite_imbalance"),
-                  (str(ham), "yes", "hamiltonian_cycle"),
                   (files["fig1"], "yes", "search")]
         for path, verdict, decider in expect:
             code, payload = run_json(capsys, "toughness", "--graph", path, "--one-tough")

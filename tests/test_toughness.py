@@ -163,34 +163,30 @@ class TestOneToughPrechecks:
             (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)])
         res = is_one_tough(petersen)
         assert (res.verdict, res.decided_by) == ("yes", "search")
-        # the node count adds the failed cycle search to the branch and bound
-        _, _, cycle_nodes = kernels.ham_cycle(petersen)
         *_, search_nodes = kernels.scattering_max(petersen, prune_at=0, stop_above=0)
-        assert cycle_nodes > 0
-        assert res.nodes == cycle_nodes + search_nodes
+        assert res.nodes == search_nodes > 0
 
-    def test_hamiltonian_graph_decided_by_cycle(self):
-        prod = cartesian_product(path_graph(6), fixtures().t1)
-        res = is_one_tough(prod)
-        assert (res.verdict, res.decided_by, res.witness) == \
-            ("yes", "hamiltonian_cycle", None)
-        assert 0 < res.nodes <= 4096
+    def test_balanced_bipartite_goes_to_search(self):
+        res = is_one_tough(cycle_graph(6))
+        assert (res.verdict, res.decided_by, res.witness) == ("yes", "search", None)
+        res = is_one_tough(path_graph(4))
+        assert (res.verdict, res.decided_by) == ("no", "search")
+        comps, _ = removal_stats(path_graph(4), res.witness.cut)
+        assert comps == res.witness.components > len(res.witness.cut)
 
     def test_trivial_cases(self):
         assert is_one_tough(complete_graph(4)).decided_by == "trivial"
         disconnected = Graph.from_edges(4, [(1, 2), (3, 4)])
         assert is_one_tough(disconnected).decided_by == "trivial"
 
-    def test_budget_spans_both_searches(self):
-        # 50 nodes run out inside the cycle search, which needs 408 here
+    def test_budget_runs_out_in_search(self):
         big = cartesian_product(path_graph(4), fixtures().t1)
         res = is_one_tough(big, max_nodes=50)
         assert (res.verdict, res.decided_by) == ("unknown", "search")
-        # each search that runs out reports one node past its cap
-        assert res.nodes <= 52
+        # a search that runs out reports one node past its cap
+        assert res.nodes <= 51
 
-    def test_cycle_search_too_deep_for_the_stack_falls_through(self):
-        # the pure kernel would recurse 1200 deep, past the default limit
+    def test_long_cycle_under_budget_is_unknown(self):
         res = is_one_tough(cycle_graph(1200), max_nodes=1500)
         assert (res.verdict, res.decided_by) == ("unknown", "search")
 
@@ -210,8 +206,7 @@ class TestOneToughPrechecks:
             if res.witness is not None:
                 comps, _ = removal_stats(g, res.witness.cut)
                 assert comps == res.witness.components > len(res.witness.cut)
-        assert deciders == {"trivial", "bipartite_imbalance", "hamiltonian_cycle",
-                            "search"}
+        assert deciders == {"trivial", "bipartite_imbalance", "search"}
 
 
 class TestBipartiteProductCut:
