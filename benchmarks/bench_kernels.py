@@ -3,8 +3,8 @@
 
 Both backends run the same searches with identical node counts, so the
 table is a clean apples-to-apples timing comparison.  A second table
-shows how ``is_one_tough`` decides the products of 3 and 5 layers (and 4
-with --full) over the 8-vertex caterpillar, with its deterministic node
+shows how ``is_one_tough`` decides one instance per stage that can decide
+it (and the 32-vertex flagship with --full), with its deterministic node
 counts.
 
     python benchmarks/bench_kernels.py            # quick set
@@ -16,11 +16,12 @@ import argparse
 import time
 
 from boxham import _pykernels, kernels
-from boxham.graphs import Graph, cartesian_product, path_graph
+from boxham.graphs import Graph, cartesian_product, complete_graph, path_graph, star_graph
 from boxham.toughness import is_one_tough
 
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
 FIG4 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
+CRICKET = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
 
 
 def instances(full):
@@ -41,6 +42,18 @@ def instances(full):
     if full:
         yield ("scattering", "P4 x caterpillar8 flagship (32 vertices)",
                cartesian_product(path_graph(4), T1), "scattering_max", (0, 0))
+
+
+def one_tough_instances(full):
+    """(label, graph, the stage expected to decide it)."""
+    yield "K4 (4)", complete_graph(4), "trivial"
+    yield ("P5 x caterpillar8 (40)", cartesian_product(path_graph(5), T1),
+           "bipartite_imbalance")
+    yield "P3 x cricket (15)", cartesian_product(path_graph(3), CRICKET), "matching_barrier"
+    yield "P2 x star3 (8)", cartesian_product(path_graph(2), star_graph(3)), "small_cut"
+    yield "P3 x caterpillar6 (18)", cartesian_product(path_graph(3), FIG4), "search"
+    if full:
+        yield "P4 x caterpillar8 (32)", cartesian_product(path_graph(4), T1), "search"
 
 
 def run_one(impl, func, g, extra):
@@ -77,20 +90,16 @@ def main():
         print(f"{kind:<15} {label:<38} {t_pure:>8.3f}s {t_fast:>8.3f}s {speedup:>7.1f}x")
     print("\nresults identical across backends (including node counts)")
 
-    # the 4-layer flagship is the one that reaches the branch and bound
-    layers = (3, 4, 5) if args.full else (3, 5)
     header = f"{'is_one_tough':<28} {'verdict':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"
     print("\n" + header)
     print("-" * len(header))
-    for n in layers:
-        g = cartesian_product(path_graph(n), T1)
+    for label, g, decider in one_tough_instances(args.full):
         start = time.perf_counter()
         res = is_one_tough(g)
         elapsed = time.perf_counter() - start
-        label = f"P{n} x caterpillar8 ({g.order})"
+        assert res.decided_by == decider, f"{label} decided by {res.decided_by}"
         print(f"{label:<28} {res.verdict:>7} {res.decided_by:>20} {res.nodes:>10} "
               f"{elapsed:>8.3f}s")
-
 
 if __name__ == "__main__":
     main()

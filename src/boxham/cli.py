@@ -58,7 +58,9 @@ def _write(path: str | None, text: str, payload: dict, key: str):
         payload[key] = text
 
 
-def _factor_cert_json(cert: factors.FactorCertificate) -> dict:
+def _factor_cert_json(cert: factors.FactorCertificate | factors.MatchingBarrier) -> dict:
+    if isinstance(cert, factors.MatchingBarrier):
+        return {"witness": sorted(cert.witness), "odd_components": cert.odd_components}
     return {"witness": sorted(cert.witness), "isolated": cert.isolated_count}
 
 
@@ -116,7 +118,7 @@ def _cmd_hamcycle(args):
 def _cmd_pathfactor(args):
     g = _read_graph(args.graph)
     if args.kind == "pm":
-        found = factors.find_perfect_matching(g) or factors.factor_obstruction(g)
+        found = factors.perfect_matching_or_barrier(g)
     else:
         found = factors.p23_factor_or_obstruction(g)
     if isinstance(found, factors.PathFactor):
@@ -124,11 +126,9 @@ def _cmd_pathfactor(args):
         payload = {"kind": args.kind, "factor": comps}
         human = ["factor: " + " ".join("-".join(map(str, c)) for c in found.components)]
         return payload, human, EXIT_OK
-    payload = {"kind": args.kind, "factor": None}
-    human = [f"no {'perfect matching' if args.kind == 'pm' else 'path factor'}"]
-    if found is not None:
-        payload["certificate"] = _factor_cert_json(found)
-        human.append(found.format())
+    payload = {"kind": args.kind, "factor": None, "certificate": _factor_cert_json(found)}
+    human = [f"no {'perfect matching' if args.kind == 'pm' else 'path factor'}",
+             found.format()]
     return payload, human, EXIT_OK
 
 

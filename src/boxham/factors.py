@@ -13,7 +13,10 @@ algorithms, for graphs of any order:
 When no factor exists the obstruction is a vertex set S whose removal
 isolates more than 2|S| vertices (Amahashi-Kano); the pick-map search
 that fails yields one directly.  For bipartite graphs such a set can
-always be pushed into a single side.
+always be pushed into a single side.  When no perfect matching exists
+the blossom search that fails yields a *barrier*: a set S whose removal
+leaves more than |S| components of odd order (Tutte).  With S non-empty
+that is also a cut showing the graph is not 1-tough.
 """
 
 from __future__ import annotations
@@ -59,6 +62,19 @@ class FactorCertificate:
 
 
 @dataclass(frozen=True)
+class MatchingBarrier:
+    """Witness that no perfect matching exists: removing S leaves more
+    components of odd order than |S| (Tutte)."""
+
+    witness: frozenset[int]
+    odd_components: int
+
+    def format(self) -> str:
+        inner = ",".join(str(v) for v in sorted(self.witness))
+        return f"S = {{{inner}}}; odd(G-S) = {self.odd_components}; |S| = {len(self.witness)}"
+
+
+@dataclass(frozen=True)
 class ConditionReport:
     """Degree-based sufficient conditions for factor existence."""
 
@@ -100,15 +116,47 @@ def validate_path_factor(g: Graph, factor: PathFactor) -> bool:
 
 
 def find_perfect_matching(g: Graph) -> PathFactor | None:
-    """Perfect matching by Edmonds' blossom algorithm, or None.
+    """Perfect matching by Edmonds' blossom algorithm, or None."""
+    if g.order % 2:
+        return None
+    mate, barrier = _matching_search(g)
+    return None if barrier is not None else _matching_factor(g, mate)
+
+
+def perfect_matching_or_barrier(g: Graph) -> PathFactor | MatchingBarrier:
+    """One blossom search, giving either a perfect matching or a witness
+    that none exists.
+
+    The search that fails leaves a frustrated alternating tree.  Each of
+    its even blossoms is a whole odd component of G - A, where A is the
+    set of the tree's odd vertices, and there is one blossom more than
+    there are odd vertices, so odd(G - A) > |A| (Tutte).  On odd order A
+    may be empty.  The count is taken afresh, by a search that does not
+    read the blossom state.
+    """
+    mate, barrier = _matching_search(g)
+    if barrier is None:
+        return _matching_factor(g, mate)
+    odd = _odd_components_after(g, barrier)
+    if odd <= len(barrier):
+        raise AssertionError("failed blossom search without a barrier")
+    return MatchingBarrier(barrier, odd)
+
+
+def _matching_factor(g: Graph, mate: list[int]) -> PathFactor:
+    return _canon_factor((v, mate[v]) for v in g.vertices() if v < mate[v])
+
+
+def _matching_search(g: Graph) -> tuple[list[int], frozenset[int] | None]:
+    """Edmonds' search for a perfect matching.
 
     A greedy pass pairs each vertex, ascending, with its smallest free
     neighbor; then one augmenting search runs from every vertex still
     free.  A perfect matching would give every free vertex an augmenting
-    path, so the first root without one ends the search.
+    path, so the first root without one ends the search.  Returns
+    ``(mate, None)`` when the matching is perfect, else the partial
+    matching and the odd vertex set of the tree that failed.
     """
-    if g.order % 2:
-        return None
     mate = [0] * (g.order + 1)  # 0: free
     for v in g.vertices():
         if not mate[v]:
@@ -117,14 +165,37 @@ def find_perfect_matching(g: Graph) -> PathFactor | None:
                     mate[v], mate[w] = w, v
                     break
     for root in g.vertices():
-        if not mate[root] and not _augment_matching(g, mate, root):
-            return None
-    return _canon_factor((v, mate[v]) for v in g.vertices() if v < mate[v])
+        if not mate[root]:
+            odd = _augment_matching(g, mate, root)
+            if odd is not None:
+                return mate, odd
+    return mate, None
 
 
-def _augment_matching(g: Graph, mate: list[int], root: int) -> bool:
+def _odd_components_after(g: Graph, removed: frozenset[int]) -> int:
+    """Components of odd order left by removing the set, by plain BFS."""
+    seen = [False] * (g.order + 1)
+    for v in removed:
+        seen[v] = True
+    odd = 0
+    for root in g.vertices():
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for u in queue:
+            for w in g.neighbors(u):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        odd += len(queue) % 2
+    return odd
+
+
+def _augment_matching(g: Graph, mate: list[int], root: int) -> frozenset[int] | None:
     """Grow an alternating tree from a free root, contracting blossoms,
-    and flip the first augmenting path found.  False when there is none.
+    and flip the first augmenting path found: return None.  When there
+    is none, return the tree's odd vertices.
 
     ``parent`` links each odd vertex to the even vertex that reached it;
     ``base`` maps each vertex to the base of its contracted blossom.
@@ -179,10 +250,11 @@ def _augment_matching(g: Graph, mate: list[int], root: int) -> bool:
                         nxt = mate[u]
                         mate[w], mate[u] = u, w
                         w = nxt
-                    return True
+                    return None
                 even[mate[w]] = True
                 queue.append(mate[w])
-    return False
+    # frustrated: blossom vertices got a parent too, but they are even
+    return frozenset(x for x in g.vertices() if parent[x] and not even[x])
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +444,14 @@ def sufficient_conditions(g: Graph) -> ConditionReport:
 __all__ = [
     "ConditionReport",
     "FactorCertificate",
+    "MatchingBarrier",
     "PathFactor",
     "factor_obstruction",
     "find_p23_factor",
     "find_perfect_matching",
     "one_sided_obstruction",
     "p23_factor_or_obstruction",
+    "perfect_matching_or_barrier",
     "sufficient_conditions",
     "validate_path_factor",
 ]

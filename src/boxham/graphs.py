@@ -208,37 +208,64 @@ def is_bipartite(g: Graph) -> bool:
 
 def bridges(g: Graph) -> tuple[Edge, ...]:
     """Cut-edges, found with the usual DFS lowpoint sweep."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    return tuple(sorted(_lowpoint_sweep(g, 0)[0]))
+
+
+def split_counts(g: Graph, without: int = 0) -> list[int]:
+    """For each vertex v of G - without, the number of components that
+    v's component of G - without falls into when v is removed as well.
+
+    Indexed by vertex; entry 0 and the entry of ``without`` (0 for none)
+    are 0.  A cut vertex of a connected graph has a count of at least 2,
+    and a pair {u, v} leaves ``split_counts(g, u)[v]`` components of a
+    graph that stays connected without u.
+    """
+    return _lowpoint_sweep(g, without)[1]
+
+
+def _lowpoint_sweep(g: Graph, skip: int) -> tuple[list[Edge], list[int]]:
+    """One iterative DFS lowpoint sweep over the graph minus vertex
+    ``skip`` (0 for none): its cut-edges and its per-vertex split counts.
+
+    A vertex splits into the DFS children whose subtrees cannot climb
+    above it, plus, unless it is a root, the part that holds its parent.
+    """
+    disc = [0] * (g.order + 1)  # 0: not yet reached; times start at 1
+    low = [0] * (g.order + 1)
+    pieces = [0] * (g.order + 1)
     out: list[Edge] = []
     counter = 0
     for root in g.vertices():
-        if root in disc:
+        if disc[root] or root == skip:
             continue
         # iterative DFS; (vertex, parent, neighbor iterator)
-        stack = [(root, 0, iter(g.neighbors(root)))]
-        disc[root] = low[root] = counter
         counter += 1
+        disc[root] = low[root] = counter
+        stack = [(root, 0, iter(g.neighbors(root)))]
         while stack:
             u, parent, it = stack[-1]
-            advanced = False
             for w in it:
-                if w not in disc:
-                    disc[w] = low[w] = counter
+                if w == skip:
+                    continue
+                if not disc[w]:
                     counter += 1
+                    disc[w] = low[w] = counter
+                    pieces[w] = 1  # the part above w
                     stack.append((w, u, iter(g.neighbors(w))))
-                    advanced = True
                     break
-                if w != parent:
-                    low[u] = min(low[u], disc[w])
-            if not advanced:
+                if w != parent and disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] > disc[p]:
-                        out.append(canon_edge(p, u))
-    return tuple(sorted(out))
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] >= disc[p]:
+                        pieces[p] += 1
+                        if low[u] > disc[p]:
+                            out.append(canon_edge(p, u))
+    return out, pieces
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +507,7 @@ __all__ = [
     "product_id",
     "product_label",
     "spanning_tree_containing",
+    "split_counts",
     "star_graph",
     "to_dot",
 ]

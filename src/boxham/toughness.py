@@ -5,13 +5,22 @@ removal leaves at least two components), kept as an exact Fraction so the
 t >= 1 boundary is crisp; complete graphs have no cut set and report an
 infinite value.
 
-The 1-toughness decision tries one certificate before any search: a
-bipartite graph with unequal sides is not 1-tough, because removing the
-smaller side isolates every vertex of the larger one, so that side answers
-"no" with no search.  Everything else goes to the exact branch-and-bound
-search that maximizes c(G - S) - |S|, which is what makes 32-vertex
-flagship instances tractable; recognizing tough graphs is NP-hard in
-general, so the search stays exact.
+The 1-toughness decision tries three polynomial certificates before any
+search, each a cut S with c(G - S) > |S| that answers "no" with no search:
+
+* a bipartite graph with unequal sides: removing the smaller side
+  isolates every vertex of the larger one;
+* a graph without a perfect matching: the failed blossom search leaves a
+  barrier S with more than |S| odd components in G - S (Tutte), which is
+  a cut whenever S is not empty (Chvatal: a 1-tough graph of even order
+  has a perfect matching);
+* a cut vertex, or a pair of vertices leaving three components, found by
+  DFS lowpoint sweeps.
+
+Everything else goes to the exact branch-and-bound search that maximizes
+c(G - S) - |S|, which is what makes 32-vertex flagship instances
+tractable; recognizing tough graphs is NP-hard in general, so the search
+stays exact.
 
 The module also builds the two explicit non-1-tough witnesses the cycle
 pipeline is contrasted against: products over a bipartite base without a
@@ -20,12 +29,13 @@ path factor, and products whose base tree out-degrees the path factor.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
 from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
-from .factors import one_sided_obstruction
+from .factors import MatchingBarrier, one_sided_obstruction, perfect_matching_or_barrier
 from .graphs import (
     Graph,
     bipartition,
@@ -34,6 +44,7 @@ from .graphs import (
     is_connected,
     path_graph,
     product_id,
+    split_counts,
 )
 
 
@@ -66,7 +77,8 @@ class OneToughResult:
     verdict: str  # "yes" | "no" | "unknown"
     witness: CutWitness | None
     nodes: int
-    # "trivial" | "bipartite_imbalance" | "search"
+    # "trivial" | "bipartite_imbalance" | "matching_barrier" | "small_cut"
+    # | "search"
     decided_by: str
 
 
@@ -105,12 +117,20 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     """Decide |S| >= c(G - S) for every cut set S.
 
     Disconnected and complete graphs are settled outright ("trivial").
-    A bipartite graph with unequal sides gets the smaller side as its cut
-    ("bipartite_imbalance", 0 nodes).  Otherwise the scattering
-    branch-and-bound runs with the pruning floor at zero ("search"): any
-    cut reaching c - |S| >= 1 settles "no" immediately, and exhausting the
-    space settles "yes".  "unknown" only appears when a budget is set and
-    runs out.
+    Three polynomial pre-checks can then answer "no" with 0 nodes, each
+    with a cut recounted by the kernel:
+
+    * "bipartite_imbalance": the smaller side of an unbalanced bipartition;
+    * "matching_barrier": the odd vertices of the frustrated tree left by
+      a failed perfect-matching search, when there are any;
+    * "small_cut": a cut vertex, or a pair leaving three components.
+
+    Otherwise the scattering branch-and-bound runs with the pruning floor
+    at zero ("search"): any cut reaching c - |S| >= 1 settles "no"
+    immediately, and exhausting the space settles "yes".  "unknown" only
+    appears when a budget is set and runs out; the pair pass of
+    "small_cut" checks ``budget_seconds`` too, and the search does not
+    start once it is spent.
     """
     if not is_connected(g):
         # the empty set already separates the graph
@@ -118,16 +138,24 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
         return OneToughResult("no", CutWitness(frozenset(), comps), 0, "trivial")
     if is_complete(g):
         return OneToughResult("yes", None, 0, "trivial")
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     try:
         bip = bipartition(g)
     except NotBipartiteError:
         bip = None
     if bip is not None and len(bip.side_a) != len(bip.side_b):
-        cut = min(bip.side_a, bip.side_b, key=len)
-        comps = kernels.count_components_after(g, cut)
-        if comps <= len(cut):
-            raise AssertionError("imbalance cut failed its recount")
-        return OneToughResult("no", CutWitness(cut, comps), 0, "bipartite_imbalance")
+        return _certified_no(g, min(bip.side_a, bip.side_b, key=len),
+                             "bipartite_imbalance")
+    found = perfect_matching_or_barrier(g)
+    if isinstance(found, MatchingBarrier) and found.witness:
+        return _certified_no(g, found.witness, "matching_barrier")
+    cut = _small_cut(g, deadline)
+    if cut is not None:
+        return _certified_no(g, cut, "small_cut")
+    if deadline is not None:
+        budget_seconds = deadline - time.monotonic()
+        if budget_seconds <= 0:
+            return OneToughResult("unknown", None, 0, "search")
     status, value, cut, nodes = kernels.scattering_max(
         g, prune_at=0, stop_above=0,
         max_nodes=max_nodes, budget_seconds=budget_seconds)
@@ -138,6 +166,38 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
         assert comps - len(cut) == value
         return OneToughResult("no", CutWitness(cut, comps), nodes, "search")
     return OneToughResult("yes", None, nodes, "search")
+
+
+def _certified_no(g: Graph, cut: frozenset[int], decided_by: str) -> OneToughResult:
+    comps = kernels.count_components_after(g, cut)
+    if comps <= len(cut):
+        raise AssertionError(f"{decided_by} cut failed its recount")
+    return OneToughResult("no", CutWitness(cut, comps), 0, decided_by)
+
+
+def _small_cut(g: Graph, deadline: float | None) -> frozenset[int] | None:
+    """A cut vertex of the connected graph, else a pair {u, v} with
+    c(G - {u, v}) >= 3, else None; also None once ``deadline`` passes.
+
+    Without a cut vertex, each of three components left by a pair is
+    joined to both ends of it, so both ends have degree at least 3: the
+    pair pass sweeps G - u only for those u, and a pair is met from its
+    smaller end.
+    """
+    pieces = split_counts(g)
+    for v in g.vertices():
+        if pieces[v] >= 2:
+            return frozenset((v,))
+    for u in g.vertices():
+        if g.degree(u) < 3:
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        pieces = split_counts(g, u)
+        for v in range(u + 1, g.order + 1):
+            if pieces[v] >= 3:
+                return frozenset((u, v))
+    return None
 
 
 # ---------------------------------------------------------------------------

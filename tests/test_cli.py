@@ -4,6 +4,7 @@ import pytest
 
 from boxham.cli import main
 from boxham.graphs import (
+    Graph,
     complete_graph,
     format_graph,
     parse_graph,
@@ -126,6 +127,24 @@ class TestPathfactor:
         code, payload = run_json(capsys, "pathfactor", "--graph", files["p3"],
                                  "--kind", "pm")
         assert code == 0 and payload["factor"] is None
+        assert payload["certificate"] == {"witness": [2], "odd_components": 2}
+
+    def test_pm_barrier_with_a_path_factor(self, capsys, tmp_path, monkeypatch):
+        # 1-2-3-4-5 with 2-6 has a {P2,P3}-factor but no perfect matching
+        from boxham import factors
+        calls = {"_pick_map": 0, "_matching_search": 0}
+        for name in calls:
+            original = getattr(factors, name)
+            monkeypatch.setattr(factors, name, lambda g, name=name, original=original:
+                                calls.__setitem__(name, calls[name] + 1) or original(g))
+        tree = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+        path = tmp_path / "tree6.el"
+        path.write_text(format_graph(tree))
+        code, payload = run_json(capsys, "pathfactor", "--graph", str(path), "--kind", "pm")
+        assert code == 0 and payload["factor"] is None
+        # removing 2 and 4 leaves the four single vertices 1, 3, 5 and 6
+        assert payload["certificate"] == {"witness": [2, 4], "odd_components": 4}
+        assert calls == {"_pick_map": 0, "_matching_search": 1}
 
     def test_k13_certificate(self, capsys, files):
         code, payload = run_json(capsys, "pathfactor", "--graph", files["k13"],
@@ -175,8 +194,12 @@ class TestToughness:
         assert code == 0 and payload["verdict"] == "yes"
 
     def test_one_tough_reports_decider_and_nodes(self, capsys, files):
+        p4 = files["dir"] / "p4.el"
+        p4.write_text(format_graph(path_graph(4)))
         expect = [(files["k4"], "yes", "trivial"),
                   (files["p3"], "no", "bipartite_imbalance"),
+                  (files["fig4"], "no", "matching_barrier"),
+                  (str(p4), "no", "small_cut"),
                   (files["fig1"], "yes", "search")]
         for path, verdict, decider in expect:
             code, payload = run_json(capsys, "toughness", "--graph", path, "--one-tough")

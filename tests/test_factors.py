@@ -5,11 +5,13 @@ import pytest
 from boxham.errors import HasPathFactorError
 from boxham.factors import (
     FactorCertificate,
+    MatchingBarrier,
     PathFactor,
     factor_obstruction,
     find_p23_factor,
     find_perfect_matching,
     one_sided_obstruction,
+    perfect_matching_or_barrier,
     sufficient_conditions,
     validate_path_factor,
 )
@@ -56,6 +58,7 @@ class TestPerfectMatching:
 
     def test_star_has_none(self):
         assert find_perfect_matching(star_graph(3)) is None
+        assert perfect_matching_or_barrier(star_graph(3)) == MatchingBarrier(frozenset({1}), 3)
 
     def test_every_result_validates(self):
         rng = random.Random(5)
@@ -91,7 +94,19 @@ class TestPerfectMatching:
             if m is not None:
                 assert validate_path_factor(g, m)
                 found += 1
+            barrier = perfect_matching_or_barrier(g)
+            assert (barrier == m) if perfect else isinstance(barrier, MatchingBarrier)
+            if not perfect:
+                ref.remove_nodes_from(barrier.witness)
+                odd = sum(len(c) % 2 for c in nx.connected_components(ref))
+                assert odd == barrier.odd_components > len(barrier.witness), g.edges
         assert found >= 10
+
+    def test_barrier_of_a_long_odd_path(self):
+        # the failed tree grows along the whole path: every even vertex is odd in it
+        found = perfect_matching_or_barrier(path_graph(2001))
+        assert found.witness == frozenset(range(2, 2001, 2))
+        assert found.odd_components == 1001
 
 
 class TestP23Factor:

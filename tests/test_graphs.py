@@ -28,6 +28,7 @@ from boxham.graphs import (
     product_id,
     product_label,
     spanning_tree_containing,
+    split_counts,
     star_graph,
     to_dot,
 )
@@ -150,6 +151,12 @@ class TestPredicates:
         assert bridges(path_graph(4)) == ((1, 2), (2, 3), (3, 4))
         assert bridges(cycle_graph(5)) == ()
         assert bridges(complete_graph(4)) == ()
+
+    def test_split_counts(self):
+        assert split_counts(star_graph(3)) == [0, 3, 1, 1, 1]
+        # without the centre the leaves stand alone: nothing left to split
+        assert split_counts(star_graph(3), 1) == [0, 0, 0, 0, 0]
+        assert split_counts(cycle_graph(4), 1) == [0, 0, 1, 2, 1]
 
 
 class TestSpanningTree:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from boxham.errors import (
     HasPathFactorError,
     PreconditionFailedError,
 )
-from boxham.factors import find_p23_factor
+from boxham.factors import MatchingBarrier, find_p23_factor, perfect_matching_or_barrier
 from boxham.graphs import (
     Graph,
     bipartition,
@@ -19,10 +21,12 @@ from boxham.graphs import (
     cycle_graph,
     degree_stats,
     path_graph,
+    split_counts,
     star_graph,
 )
 from boxham.oracle import find_hamiltonian_cycle, fixtures
 from boxham.toughness import (
+    _small_cut,
     is_complete,
     is_one_tough,
     product_cut_from_bipartite,
@@ -169,10 +173,78 @@ class TestOneToughPrechecks:
     def test_balanced_bipartite_goes_to_search(self):
         res = is_one_tough(cycle_graph(6))
         assert (res.verdict, res.decided_by, res.witness) == ("yes", "search", None)
-        res = is_one_tough(path_graph(4))
-        assert (res.verdict, res.decided_by) == ("no", "search")
-        comps, _ = removal_stats(path_graph(4), res.witness.cut)
+        # balanced, with a perfect matching and no cut of one or two vertices
+        prod = cartesian_product(path_graph(4), star_graph(3))
+        res = is_one_tough(prod)
+        assert (res.verdict, res.decided_by) == ("no", "search") and res.nodes > 0
+        comps, _ = removal_stats(prod, res.witness.cut)
         assert comps == res.witness.components > len(res.witness.cut)
+
+    def test_odd_product_decided_by_matching_barrier(self):
+        # the cricket: a triangle with two pendants at one vertex; its
+        # 15-vertex product is 2-connected and has no pair leaving 3 parts
+        cricket = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
+        prod = cartesian_product(path_graph(3), cricket)
+        res = is_one_tough(prod)
+        assert (res.verdict, res.decided_by, res.nodes) == ("no", "matching_barrier", 0)
+        assert res.witness.cut == perfect_matching_or_barrier(prod).witness
+        comps, _ = removal_stats(prod, res.witness.cut)
+        assert comps == res.witness.components > len(res.witness.cut)
+
+    def test_column_pair_decided_by_small_cut(self):
+        # P2 x K_{1,3} is balanced with a perfect matching; the centre's
+        # column leaves the three leaf columns apart
+        prod = cartesian_product(path_graph(2), star_graph(3))
+        res = is_one_tough(prod)
+        assert (res.verdict, res.decided_by, res.nodes) == ("no", "small_cut", 0)
+        assert res.witness.cut == {1, 5}
+        assert removal_stats(prod, res.witness.cut)[0] == res.witness.components == 3
+
+    def test_long_path_decided_by_cut_vertex(self):
+        res = is_one_tough(path_graph(2000), max_nodes=1000)
+        assert (res.verdict, res.decided_by, res.nodes) == ("no", "small_cut", 0)
+        assert res.witness.cut == {2}
+        assert removal_stats(path_graph(2000), {2})[0] == res.witness.components == 2
+
+    def test_budget_stops_the_pair_pass(self):
+        # cubic and 3-connected on 3000 vertices: the pair pass alone takes
+        # seconds, and it must give way to the budget
+        prism = cartesian_product(path_graph(2), cycle_graph(1500))
+        start = time.monotonic()
+        res = is_one_tough(prism, budget_seconds=0.3)
+        assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "search", 0)
+        assert time.monotonic() - start < 2.0
+
+    def test_prechecks_agree_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        barriers = pairs = 0
+        for _ in range(320):
+            g = random_connected_graph(rng, 2, 14)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(g.vertices())
+            nxg.add_edges_from(g.edges)
+            pieces = split_counts(g)
+            cut_vertices = {v for v in g.vertices() if pieces[v] >= 2}
+            assert cut_vertices == set(nx.articulation_points(nxg)), g.edges
+            matching = nx.max_weight_matching(nxg, maxcardinality=True)
+            found = perfect_matching_or_barrier(g)
+            assert isinstance(found, MatchingBarrier) == (2 * len(matching) < g.order)
+            if isinstance(found, MatchingBarrier):
+                barriers += 1
+                rest = nxg.subgraph(set(g.vertices()) - found.witness)
+                odd = sum(len(c) % 2 for c in nx.connected_components(rest))
+                assert odd == found.odd_components > len(found.witness), g.edges
+            # the pair pass against every pair, counted by networkx
+            if cut_vertices:
+                want = frozenset((min(cut_vertices),))
+            else:
+                want = next((frozenset(p) for p in itertools.combinations(g.vertices(), 2)
+                             if nx.number_connected_components(
+                                 nxg.subgraph(set(g.vertices()) - set(p))) >= 3), None)
+            assert _small_cut(g, None) == want, g.edges
+            pairs += want is not None and len(want) == 2
+        assert barriers >= 30 and pairs >= 5
 
     def test_trivial_cases(self):
         assert is_one_tough(complete_graph(4)).decided_by == "trivial"
@@ -206,7 +278,8 @@ class TestOneToughPrechecks:
             if res.witness is not None:
                 comps, _ = removal_stats(g, res.witness.cut)
                 assert comps == res.witness.components > len(res.witness.cut)
-        assert deciders == {"trivial", "bipartite_imbalance", "search"}
+        assert deciders == {"trivial", "bipartite_imbalance", "matching_barrier",
+                            "small_cut", "search"}
 
 
 class TestBipartiteProductCut:
