@@ -4,19 +4,26 @@
 Both backends run the same searches with identical node counts, so the
 table is a clean apples-to-apples timing comparison.  A second table
 shows how ``is_one_tough`` decides one instance per stage that can decide
-it (and the 32-vertex flagship with --full), with its deterministic node
-counts.
+it, the 32-vertex flagship included, with its deterministic node counts
+(states for the frontier DP).
 
     python benchmarks/bench_kernels.py            # quick set
-    python benchmarks/bench_kernels.py --full     # adds the 32-vertex
-                                                  # 1-toughness flagship
+    python benchmarks/bench_kernels.py --full     # adds the flagship's
+                                                  # branch and bound
 """
 
 import argparse
 import time
 
 from boxham import _pykernels, kernels
-from boxham.graphs import Graph, cartesian_product, complete_graph, path_graph, star_graph
+from boxham.graphs import (
+    Graph,
+    cartesian_product,
+    complete_bipartite,
+    complete_graph,
+    path_graph,
+    star_graph,
+)
 from boxham.toughness import is_one_tough
 
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
@@ -44,16 +51,17 @@ def instances(full):
                cartesian_product(path_graph(4), T1), "scattering_max", (0, 0))
 
 
-def one_tough_instances(full):
+def one_tough_instances():
     """(label, graph, the stage expected to decide it)."""
     yield "K4 (4)", complete_graph(4), "trivial"
     yield ("P5 x caterpillar8 (40)", cartesian_product(path_graph(5), T1),
            "bipartite_imbalance")
     yield "P3 x cricket (15)", cartesian_product(path_graph(3), CRICKET), "matching_barrier"
     yield "P2 x star3 (8)", cartesian_product(path_graph(2), star_graph(3)), "small_cut"
-    yield "P3 x caterpillar6 (18)", cartesian_product(path_graph(3), FIG4), "search"
-    if full:
-        yield "P4 x caterpillar8 (32)", cartesian_product(path_graph(4), T1), "search"
+    yield "P3 x caterpillar6 (18)", cartesian_product(path_graph(3), FIG4), "frontier_dp"
+    yield "P4 x caterpillar8 (32)", cartesian_product(path_graph(4), T1), "frontier_dp"
+    # frontier width 10 under both orders, past the DP's cap
+    yield "K10,10 (20)", complete_bipartite(10, 10), "search"
 
 
 def run_one(impl, func, g, extra):
@@ -71,7 +79,7 @@ def run_one(impl, func, g, extra):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--full", action="store_true",
-                        help="include the long pure-Python flagship run")
+                        help="include the long pure-Python flagship branch and bound")
     args = parser.parse_args()
 
     if kernels.BACKEND != "compiled":
@@ -93,7 +101,7 @@ def main():
     header = f"{'is_one_tough':<28} {'verdict':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"
     print("\n" + header)
     print("-" * len(header))
-    for label, g, decider in one_tough_instances(args.full):
+    for label, g, decider in one_tough_instances():
         start = time.perf_counter()
         res = is_one_tough(g)
         elapsed = time.perf_counter() - start

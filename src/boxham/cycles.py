@@ -43,11 +43,12 @@ from .errors import (
 )
 from .factors import (
     FactorCertificate,
+    MatchingBarrier,
     PathFactor,
-    factor_obstruction,
     find_p23_factor,
     find_perfect_matching,
     p23_factor_or_obstruction,
+    perfect_matching_or_barrier,
     validate_path_factor,
 )
 from .graphs import (
@@ -444,7 +445,8 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     validate the result before returning it.
 
     ``auto`` prefers the matching route (its layer requirement is weaker)
-    and falls back to the path-factor route.
+    and falls back to the path-factor route.  ``matching`` without a
+    perfect matching raises NoFactorError with a Tutte barrier.
     """
     if mode not in ("auto", "matching", "pathfactor"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -452,9 +454,13 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
         raise DisconnectedError("base graph must be connected")
     dmax = degree_stats(base).maximum
 
-    factor = find_perfect_matching(base) if mode in ("auto", "matching") else None
-    if mode == "matching" and factor is None:
-        raise NoFactorError("no perfect matching", factor_obstruction(base))
+    factor = None
+    if mode == "matching":
+        factor = perfect_matching_or_barrier(base)
+        if isinstance(factor, MatchingBarrier):
+            raise NoFactorError("no perfect matching", factor)
+    elif mode == "auto":
+        factor = find_perfect_matching(base)
     if factor is not None:
         if n < dmax:
             raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)

@@ -69,9 +69,8 @@ class PreconditionFailedError(BoxhamError):
 class NoFactorError(BoxhamError):
     """The cycle pipeline found no usable factor in the base graph.
 
-    Carries the obstruction certificate when one exists (there is none
-    when only a perfect matching was required and a longer path factor
-    still exists).
+    Carries the certificate: a Tutte barrier when a perfect matching was
+    required, else the {P2,P3}-factor obstruction.
     """
 
     def __init__(self, message, certificate=None):

@@ -42,6 +42,14 @@ def backend_name() -> str:
     return BACKEND
 
 
+def _expanded(status, nodes, max_nodes):
+    """Nodes a search expanded: one that ran out of ``max_nodes`` charged
+    the node past its cap before it stopped, and never expanded it."""
+    if status == "unknown" and max_nodes is not None:
+        return min(nodes, max_nodes)
+    return nodes
+
+
 def ham_cycle(g: Graph, *, max_nodes=None, budget_seconds=None):
     """(status, vertex tuple or None, nodes) on 1-indexed vertices."""
     impl = _impl_for(g.order)
@@ -50,7 +58,7 @@ def ham_cycle(g: Graph, *, max_nodes=None, budget_seconds=None):
         max_nodes, _deadline(budget_seconds))
     if order is not None:
         order = tuple(v + 1 for v in order)
-    return status, order, nodes
+    return status, order, _expanded(status, nodes, max_nodes)
 
 
 def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
@@ -60,7 +68,7 @@ def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
         max_nodes, _deadline(budget_seconds))
     if order is not None:
         order = tuple(v + 1 for v in order)
-    return status, order, nodes
+    return status, order, _expanded(status, nodes, max_nodes)
 
 
 def scattering_max(g: Graph, *, prune_at=None, stop_above=None,
@@ -71,7 +79,7 @@ def scattering_max(g: Graph, *, prune_at=None, stop_above=None,
         g.order, list(g.adjacency_masks),
         prune_at, stop_above, max_nodes, _deadline(budget_seconds))
     cut = None if mask is None else _mask_to_set(mask)
-    return status, val, cut, nodes
+    return status, val, cut, _expanded(status, nodes, max_nodes)
 
 
 def toughness_scan(g: Graph):

@@ -17,10 +17,14 @@ search, each a cut S with c(G - S) > |S| that answers "no" with no search:
 * a cut vertex, or a pair of vertices leaving three components, found by
   DFS lowpoint sweeps.
 
-Everything else goes to the exact branch-and-bound search that maximizes
-c(G - S) - |S|, which is what makes 32-vertex flagship instances
-tractable; recognizing tough graphs is NP-hard in general, so the search
-stays exact.
+Everything else is decided exactly by maximizing c(G - S) - |S|.  A
+dynamic program walks a vertex order and keeps states over its frontier
+(the processed vertices with an unprocessed neighbour); its cost is linear
+in the order and exponential only in the frontier width.  In layer-major
+ids the n-layer product over G has width at most |G|, so the 32-vertex
+flagship takes a fraction of a second.  Graphs with no narrow order among
+the two tried go to the branch-and-bound search; recognizing tough graphs
+is NP-hard in general, so both stay exact.
 
 The module also builds the two explicit non-1-tough witnesses the cycle
 pipeline is contrasted against: products over a bipartite base without a
@@ -46,6 +50,11 @@ from .graphs import (
     product_id,
     split_counts,
 )
+
+# The frontier DP decides 1-toughness up to this frontier width, past which
+# its state count (about Bell(width + 1)) hands over to the branch and
+# bound: the flagship P4 □ T1 has width 8, K_{10,10} width 10.
+_FRONTIER_MAX_WIDTH = 9
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class OneToughResult:
     witness: CutWitness | None
     nodes: int
     # "trivial" | "bipartite_imbalance" | "matching_barrier" | "small_cut"
-    # | "search"
+    # | "frontier_dp" | "search"
     decided_by: str
 
 
@@ -125,12 +134,20 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
       a failed perfect-matching search, when there are any;
     * "small_cut": a cut vertex, or a pair leaving three components.
 
-    Otherwise the scattering branch-and-bound runs with the pruning floor
-    at zero ("search"): any cut reaching c - |S| >= 1 settles "no"
-    immediately, and exhausting the space settles "yes".  "unknown" only
-    appears when a budget is set and runs out; the pair pass of
-    "small_cut" checks ``budget_seconds`` too, and the search does not
-    start once it is spent.
+    Otherwise c - |S| is maximized exactly, and a cut reaching
+    c - |S| >= 1 answers "no" with that cut recounted:
+
+    * "frontier_dp": the frontier DP, along the identity order or the BFS
+      order from vertex 1, whichever is narrower (identity on a tie), when
+      that width is at most ``_FRONTIER_MAX_WIDTH``; ``nodes`` counts the
+      states it expanded;
+    * "search": the scattering branch-and-bound with the pruning floor at
+      zero, for wider graphs; ``nodes`` counts its search nodes.
+
+    "unknown" only appears when a budget is set and runs out: ``max_nodes``
+    caps the states or nodes of the stage that runs, and ``budget_seconds``
+    covers the pair pass of "small_cut" too.  A budget spent before the
+    exact stage starts gives "unknown" via "search" at 0 nodes.
     """
     if not is_connected(g):
         # the empty set already separates the graph
@@ -156,23 +173,31 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
         budget_seconds = deadline - time.monotonic()
         if budget_seconds <= 0:
             return OneToughResult("unknown", None, 0, "search")
-    status, value, cut, nodes = kernels.scattering_max(
-        g, prune_at=0, stop_above=0,
-        max_nodes=max_nodes, budget_seconds=budget_seconds)
+    order, width = _narrow_order(g)
+    if width <= _FRONTIER_MAX_WIDTH:
+        decided_by = "frontier_dp"
+        status, value, cut, nodes = frontier_scattering(
+            g, order, max_nodes=max_nodes, budget_seconds=budget_seconds)
+    else:
+        decided_by = "search"
+        status, value, cut, nodes = kernels.scattering_max(
+            g, prune_at=0, stop_above=0,
+            max_nodes=max_nodes, budget_seconds=budget_seconds)
     if status == "unknown":
-        return OneToughResult("unknown", None, nodes, "search")
+        return OneToughResult("unknown", None, nodes, decided_by)
     if value is not None and value > 0:
-        comps = kernels.count_components_after(g, cut)
-        assert comps - len(cut) == value
-        return OneToughResult("no", CutWitness(cut, comps), nodes, "search")
-    return OneToughResult("yes", None, nodes, "search")
+        return _certified_no(g, cut, decided_by, nodes, value)
+    return OneToughResult("yes", None, nodes, decided_by)
 
 
-def _certified_no(g: Graph, cut: frozenset[int], decided_by: str) -> OneToughResult:
+def _certified_no(g: Graph, cut: frozenset[int], decided_by: str,
+                  nodes: int = 0, value: int | None = None) -> OneToughResult:
+    """A "no" whose cut is recounted by the kernel; ``value``, when given,
+    is the c(G - S) - |S| that the deciding stage claims for the cut."""
     comps = kernels.count_components_after(g, cut)
-    if comps <= len(cut):
+    if comps <= len(cut) or value not in (None, comps - len(cut)):
         raise AssertionError(f"{decided_by} cut failed its recount")
-    return OneToughResult("no", CutWitness(cut, comps), 0, decided_by)
+    return OneToughResult("no", CutWitness(cut, comps), nodes, decided_by)
 
 
 def _small_cut(g: Graph, deadline: float | None) -> frozenset[int] | None:
@@ -198,6 +223,139 @@ def _small_cut(g: Graph, deadline: float | None) -> frozenset[int] | None:
             if pieces[v] >= 3:
                 return frozenset((u, v))
     return None
+
+
+# ---------------------------------------------------------------------------
+# frontier dynamic program
+
+
+def frontier_width(g: Graph, order) -> int:
+    """The most vertices that, after some step of ``order``, are processed
+    and still have an unprocessed neighbour."""
+    last = _last_steps(g, order)
+    leaving = [0] * g.order  # leaving[t]: frontier vertices whose last neighbour is order[t]
+    width = live = 0
+    for t, v in enumerate(order):
+        if last[v] > t:
+            live += 1
+            leaving[last[v]] += 1
+        live -= leaving[t]
+        width = max(width, live)
+    return width
+
+
+def _last_steps(g: Graph, order) -> list[int]:
+    """Per vertex, the step of ``order`` that processes its last neighbour,
+    or the vertex itself when that comes later."""
+    if sorted(order) != list(g.vertices()):
+        raise ValueError("order must list every vertex exactly once")
+    pos = [0] * (g.order + 1)
+    for t, v in enumerate(order):
+        pos[v] = t
+    return [0] + [max([pos[v]] + [pos[u] for u in g.neighbors(v)]) for v in g.vertices()]
+
+
+def _bfs_order(g: Graph) -> list[int]:
+    """Breadth-first order from vertex 1, neighbours in ascending order; it
+    lists every vertex of a connected graph."""
+    seen = [False] * (g.order + 1)
+    seen[1] = True
+    out = [1]
+    for v in out:
+        for u in g.neighbors(v):
+            if not seen[u]:
+                seen[u] = True
+                out.append(u)
+    return out
+
+
+def _narrow_order(g: Graph) -> tuple[list[int], int]:
+    """The identity order or the BFS order of a connected graph, whichever
+    has the smaller frontier width (identity on a tie), with that width."""
+    identity = list(g.vertices())
+    bfs = _bfs_order(g)
+    identity_width, bfs_width = frontier_width(g, identity), frontier_width(g, bfs)
+    return (bfs, bfs_width) if bfs_width < identity_width else (identity, identity_width)
+
+
+def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
+                        budget_seconds: float | None = None):
+    """Maximize c(G - S) - |S| over non-empty S by a dynamic program along
+    ``order``; exact whenever the maximum exceeds 0.
+
+    The frontier after a step is the processed vertices that still have an
+    unprocessed neighbour.  A state gives each frontier vertex a label, 0
+    for "in S" or the canonical number of its block of kept vertices
+    connected so far, plus a flag saying whether S is non-empty; its value
+    is the closed components (blocks with no member left on the frontier)
+    minus |S|, maximized per state.  A state is dropped once value + open
+    blocks + unprocessed vertices <= 0, as no completion can then exceed 0.
+    One parent map per step rebuilds S.  The cost grows linearly in the
+    order and about as Bell(width + 1) in the frontier width.
+
+    Returns (status, value, cut, states).  ``status`` is "complete", or
+    "unknown" when ``max_nodes`` states have been expanded and another is
+    due, or when ``budget_seconds`` (checked between vertices) has run
+    out.  ``value`` and ``cut`` are the maximum and a set attaining it, or
+    None when no non-empty S exceeds 0.  ``states`` counts the states
+    expanded, so it never passes ``max_nodes``.
+    """
+    last = _last_steps(g, order)
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    frontier: list[int] = []
+    layer = {(False, ()): 0}
+    parents = []
+    nodes = 0
+    for t, v in enumerate(order):
+        if deadline is not None and time.monotonic() > deadline:
+            return "unknown", None, None, nodes
+        adjacent = set(g.neighbors(v))
+        slots = [i for i, u in enumerate(frontier) if u in adjacent]
+        frontier.append(v)
+        stays = [i for i, u in enumerate(frontier) if last[u] > t]
+        leaves = [i for i, u in enumerate(frontier) if last[u] <= t]
+        frontier = [frontier[i] for i in stays]
+        unprocessed = g.order - t - 1
+        nxt: dict = {}
+        back: dict = {}
+        for key, value in layer.items():
+            if nodes == max_nodes:
+                return "unknown", None, None, nodes
+            nodes += 1
+            flag, labels = key
+            joined = {labels[i] for i in slots}
+            joined.discard(0)
+            if joined:
+                b = min(joined)
+                grown = tuple([b if x in joined else x for x in labels]) + (b,)
+            else:
+                grown = labels + (max(labels, default=0) + 1,)
+            for in_s, ext, val in ((True, labels + (0,), value - 1), (False, grown, value)):
+                kept = [ext[i] for i in stays]
+                if leaves:
+                    closed = {ext[i] for i in leaves}.difference(kept)
+                    closed.discard(0)
+                    val += len(closed)
+                relabel = {0: 0}
+                canon = tuple([relabel.setdefault(b, len(relabel)) for b in kept])
+                if val + len(relabel) - 1 + unprocessed <= 0:
+                    continue
+                new = (flag or in_s, canon)
+                if new not in nxt or val > nxt[new]:
+                    nxt[new] = val
+                    back[new] = (key, in_s)
+        layer = nxt
+        parents.append(back)
+    key = (True, ())
+    if key not in layer:
+        return "complete", None, None, nodes
+    value = layer[key]
+    cut = set()
+    for t in range(g.order - 1, -1, -1):
+        key, in_s = parents[t][key]
+        if in_s:
+            cut.add(order[t])
+    return "complete", value, frozenset(cut), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +434,8 @@ __all__ = [
     "CutWitness",
     "OneToughResult",
     "ToughnessResult",
+    "frontier_scattering",
+    "frontier_width",
     "is_complete",
     "is_one_tough",
     "product_cut_from_bipartite",

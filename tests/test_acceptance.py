@@ -142,7 +142,7 @@ def test_criterion_04_flagship_not_hamiltonian():
 
 @pytest.mark.slow
 def test_criterion_05_flagship_is_one_tough():
-    """The same 32-vertex product is 1-tough; the branch-and-bound must
+    """The same 32-vertex product is 1-tough; the exact decision must
     finish inside 30 minutes, and unknown counts as failure."""
     prod = product_over(4, fixtures().t1)
     start = time.monotonic()

@@ -103,6 +103,16 @@ class TestHamcycle:
         assert code == 4 and payload["error"]["kind"] == "no-factor"
         assert_recounts(payload["error"]["certificate"])
 
+    def test_matching_mode_certificate(self, capsys, tmp_path):
+        # 1-2-3-4-5 with 2-6 has a {P2,P3}-factor but no perfect matching
+        tree = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+        path = tmp_path / "tree6.el"
+        path.write_text(format_graph(tree))
+        code, payload = run_json(capsys, "hamcycle", "--n", "3", "--graph", str(path),
+                                 "--mode", "matching")
+        assert code == 4 and payload["error"]["kind"] == "no-factor"
+        assert payload["error"]["certificate"] == {"witness": [2, 4], "odd_components": 4}
+
     def test_layer_bound_exit(self, capsys, files):
         code, payload = run_json(capsys, "hamcycle", "--n", "2", "--graph", files["k4"],
                                  "--mode", "matching")
@@ -200,7 +210,7 @@ class TestToughness:
                   (files["p3"], "no", "bipartite_imbalance"),
                   (files["fig4"], "no", "matching_barrier"),
                   (str(p4), "no", "small_cut"),
-                  (files["fig1"], "yes", "search")]
+                  (files["fig1"], "yes", "frontier_dp")]
         for path, verdict, decider in expect:
             code, payload = run_json(capsys, "toughness", "--graph", path, "--one-tough")
             assert code == 0

@@ -106,6 +106,19 @@ class TestWrappers:
         assert status == "found"
         assert sorted(order) == list(range(1, 81))
 
+    def test_capped_search_reports_its_cap(self):
+        from boxham.oracle import fixtures
+        flagship = cartesian_product(path_graph(4), fixtures().t1)
+        adj = list(flagship.adjacency_masks)
+        # the backends charge the node past the cap before they stop
+        assert _pykernels.ham_cycle(32, adj, 10, None)[2] == 11
+        for search in (kernels.ham_cycle, kernels.ham_path):
+            status, _, nodes = search(flagship, max_nodes=10)
+            assert (status, nodes) == ("unknown", 10)
+        status, *_, nodes = kernels.scattering_max(flagship, prune_at=0, stop_above=0,
+                                                   max_nodes=10)
+        assert (status, nodes) == ("unknown", 10)
+
     def test_scattering_cut_translation(self):
         from boxham.graphs import star_graph
         status, val, cut, _ = kernels.scattering_max(star_graph(3))

@@ -26,7 +26,10 @@ from boxham.graphs import (
 )
 from boxham.oracle import find_hamiltonian_cycle, fixtures
 from boxham.toughness import (
+    _bfs_order,
     _small_cut,
+    frontier_scattering,
+    frontier_width,
     is_complete,
     is_one_tough,
     product_cut_from_bipartite,
@@ -122,7 +125,8 @@ class TestIsOneTough:
     def test_budget_unknown(self):
         big = cartesian_product(path_graph(4), fixtures().t1)
         res = is_one_tough(big, max_nodes=50)
-        assert res.verdict == "unknown"
+        # the frontier DP stops at exactly its state cap
+        assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 50)
 
     def test_agrees_with_exact(self):
         rng = random.Random(123)
@@ -159,24 +163,25 @@ class TestOneToughPrechecks:
             comps, _ = removal_stats(prod, res.witness.cut)
             assert comps == res.witness.components > len(res.witness.cut)
 
-    def test_tough_non_hamiltonian_goes_to_search(self):
+    def test_tough_non_hamiltonian_goes_to_frontier_dp(self):
         res = is_one_tough(fixtures().fig1)
-        assert (res.verdict, res.decided_by) == ("yes", "search")
+        assert (res.verdict, res.decided_by) == ("yes", "frontier_dp")
         petersen = Graph.from_edges(10, [
             (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8),
             (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)])
         res = is_one_tough(petersen)
-        assert (res.verdict, res.decided_by) == ("yes", "search")
-        *_, search_nodes = kernels.scattering_max(petersen, prune_at=0, stop_above=0)
-        assert res.nodes == search_nodes > 0
+        assert (res.verdict, res.decided_by) == ("yes", "frontier_dp") and res.nodes > 0
+        status, value, _, search_nodes = kernels.scattering_max(
+            petersen, prune_at=0, stop_above=0)
+        assert status == "complete" and value <= 0 and search_nodes > 0
 
-    def test_balanced_bipartite_goes_to_search(self):
+    def test_balanced_bipartite_goes_to_frontier_dp(self):
         res = is_one_tough(cycle_graph(6))
-        assert (res.verdict, res.decided_by, res.witness) == ("yes", "search", None)
+        assert (res.verdict, res.decided_by, res.witness) == ("yes", "frontier_dp", None)
         # balanced, with a perfect matching and no cut of one or two vertices
         prod = cartesian_product(path_graph(4), star_graph(3))
         res = is_one_tough(prod)
-        assert (res.verdict, res.decided_by) == ("no", "search") and res.nodes > 0
+        assert (res.verdict, res.decided_by) == ("no", "frontier_dp") and res.nodes > 0
         comps, _ = removal_stats(prod, res.witness.cut)
         assert comps == res.witness.components > len(res.witness.cut)
 
@@ -215,6 +220,14 @@ class TestOneToughPrechecks:
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "search", 0)
         assert time.monotonic() - start < 2.0
 
+    def test_prism_decided_without_recursion(self):
+        # cubic and 3-connected on 3000 vertices; the BFS order from vertex
+        # 1 walks both cycles in step, with a frontier of a few vertices
+        prism = cartesian_product(path_graph(2), cycle_graph(1500))
+        assert frontier_width(prism, _bfs_order(prism)) == 5
+        res = is_one_tough(prism)
+        assert (res.verdict, res.decided_by, res.witness) == ("yes", "frontier_dp", None)
+
     def test_prechecks_agree_with_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(31)
@@ -252,15 +265,15 @@ class TestOneToughPrechecks:
         assert is_one_tough(disconnected).decided_by == "trivial"
 
     def test_budget_runs_out_in_search(self):
-        big = cartesian_product(path_graph(4), fixtures().t1)
-        res = is_one_tough(big, max_nodes=50)
+        # K_{10,10} has frontier width 10 under both orders: too wide for the DP
+        res = is_one_tough(complete_bipartite(10, 10), max_nodes=50)
         assert (res.verdict, res.decided_by) == ("unknown", "search")
-        # a search that runs out reports one node past its cap
-        assert res.nodes <= 51
+        assert res.nodes == 50
 
     def test_long_cycle_under_budget_is_unknown(self):
+        # width 2, but about five states a vertex: 1200 vertices outrun 1500
         res = is_one_tough(cycle_graph(1200), max_nodes=1500)
-        assert (res.verdict, res.decided_by) == ("unknown", "search")
+        assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 1500)
 
     def test_agrees_with_direct_search(self):
         rng = random.Random(2024)
@@ -278,8 +291,64 @@ class TestOneToughPrechecks:
             if res.witness is not None:
                 comps, _ = removal_stats(g, res.witness.cut)
                 assert comps == res.witness.components > len(res.witness.cut)
+        # too wide for the DP: the branch and bound decides it
+        k = complete_bipartite(10, 10)
+        res = is_one_tough(k)
+        *_, search_nodes = kernels.scattering_max(k, prune_at=0, stop_above=0)
+        assert res.verdict == "yes" and res.nodes == search_nodes > 0
+        deciders.add(res.decided_by)
         assert deciders == {"trivial", "bipartite_imbalance", "matching_barrier",
-                            "small_cut", "search"}
+                            "small_cut", "frontier_dp", "search"}
+
+
+class TestFrontierDP:
+    def test_no_witnesses_recount(self):
+        rng = random.Random(606)
+        seen = 0
+        for i in range(150):
+            g = (random_connected_bipartite if i % 2 else random_connected_graph)(rng, 2, 14)
+            order = list(g.vertices())
+            rng.shuffle(order)
+            status, value, cut, states = frontier_scattering(g, order)
+            assert status == "complete" and states > 0
+            if value is not None:
+                seen += 1
+                assert cut
+                comps, _ = removal_stats(g, cut)
+                assert comps - len(cut) == value > 0, g.edges
+        assert seen >= 50
+
+    def test_shuffled_flagship_takes_the_bfs_order(self):
+        flagship = cartesian_product(path_graph(4), fixtures().t1)
+        assert frontier_width(flagship, list(flagship.vertices())) == 8
+        perm = list(flagship.vertices())
+        random.Random(1).shuffle(perm)
+        shuffled = Graph.from_edges(32, [(perm[u - 1], perm[v - 1]) for u, v in flagship.edges])
+        assert frontier_width(shuffled, list(shuffled.vertices())) == 16
+        assert frontier_width(shuffled, _bfs_order(shuffled)) == 7
+        res = is_one_tough(shuffled)
+        assert (res.verdict, res.decided_by, res.witness) == ("yes", "frontier_dp", None)
+
+    def test_time_budget_between_vertices(self):
+        prism = cartesian_product(path_graph(2), cycle_graph(1500))
+        start = time.monotonic()
+        status, value, cut, _ = frontier_scattering(prism, _bfs_order(prism),
+                                                    budget_seconds=0.05)
+        assert (status, value, cut) == ("unknown", None, None)
+        assert time.monotonic() - start < 1.0
+
+    def test_isolated_vertices(self):
+        assert frontier_width(Graph(1), [1]) == 0
+        assert frontier_scattering(Graph(1), [1]) == ("complete", None, None, 1)
+        # the edge 1-2 and the lone vertex 3: removing either end leaves two parts
+        g = Graph.from_edges(3, [(1, 2)])
+        assert frontier_scattering(g, [3, 2, 1])[:3] == ("complete", 1, frozenset({2}))
+
+    def test_order_must_be_a_permutation(self):
+        with pytest.raises(ValueError):
+            frontier_scattering(path_graph(3), [1, 2, 2])
+        with pytest.raises(ValueError):
+            frontier_width(path_graph(3), [1, 2])
 
 
 class TestBipartiteProductCut:

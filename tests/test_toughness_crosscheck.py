@@ -1,6 +1,7 @@
 """Second-opinion toughness: a from-scratch subset enumeration with
 union-find components must reproduce toughness_exact (value, witness,
-and tie-breaks) and the exact scattering maximum."""
+and tie-breaks), the exact scattering maximum, and the frontier DP's
+maximum whenever it exceeds 0."""
 
 import itertools
 import random
@@ -8,8 +9,8 @@ from fractions import Fraction
 
 from boxham.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, star_graph
 from boxham.kernels import scattering_max
-from boxham.toughness import toughness_exact
-from helpers import random_connected_graph
+from boxham.toughness import frontier_scattering, toughness_exact
+from helpers import random_connected_bipartite, random_connected_graph
 
 
 def components_union_find(g, removed):
@@ -91,3 +92,26 @@ def test_scattering_matches_naive_enumeration():
         if cut is not None:
             c = components_union_find(g, set(cut))
             assert c - len(cut) == val
+
+
+def test_frontier_dp_matches_naive_enumeration():
+    rng = random.Random(4242)
+    positive = 0
+    for i in range(320):
+        make = random_connected_bipartite if i % 2 else random_connected_graph
+        g = make(rng, 2, 12)
+        order = list(g.vertices())
+        if i % 4 >= 2:
+            rng.shuffle(order)
+        status, value, cut, states = frontier_scattering(g, order)
+        assert status == "complete" and states > 0
+        naive = scattering_naive(g)
+        if naive is not None and naive > 0:
+            positive += 1
+            assert value == naive, g.edges
+            assert components_union_find(g, set(cut)) - len(cut) == value
+        else:
+            assert value is None and cut is None, g.edges
+        _, bb_value, _, _ = scattering_max(g, prune_at=0, stop_above=0)
+        assert (value is not None) == (bb_value is not None and bb_value > 0), g.edges
+    assert 100 <= positive <= 270
