@@ -29,6 +29,16 @@ from boxham.toughness import is_one_tough
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
 FIG4 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
 CRICKET = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
+# a degree-3 tree of order 8 from the scan 1 --k 3 family
+SCAN8 = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])
+
+# deterministic search nodes of the ham_cycle rows, the same on both backends
+HAM_CYCLE_NODES = {
+    "P5 x caterpillar6 (found)": 34,
+    "P4 x caterpillar8 (none)": 408,
+    "P6 x caterpillar8 (found)": 1_174,
+    "P8 x scan tree8 (64, found)": 83_687,
+}
 
 
 def instances(full):
@@ -38,6 +48,8 @@ def instances(full):
            cartesian_product(path_graph(4), T1), "ham_cycle", ())
     yield ("ham_cycle", "P6 x caterpillar8 (found)",
            cartesian_product(path_graph(6), T1), "ham_cycle", ())
+    yield ("ham_cycle", "P8 x scan tree8 (64, found)",
+           cartesian_product(path_graph(8), SCAN8), "ham_cycle", ())
     yield ("ham_path", "P4 x caterpillar8",
            cartesian_product(path_graph(4), T1), "ham_path", ())
     yield ("scattering", "P3 x caterpillar8 (24 vertices)",
@@ -94,6 +106,8 @@ def main():
         t_fast, nodes2, r_fast = run_one(fast, func, g, extra)
         assert r_pure == r_fast, f"backend mismatch on {label}"
         assert nodes == nodes2
+        if func == "ham_cycle":
+            assert nodes == HAM_CYCLE_NODES[label], f"{label}: {nodes} nodes"
         speedup = t_pure / t_fast if t_fast > 0 else float("inf")
         print(f"{kind:<15} {label:<38} {t_pure:>8.3f}s {t_fast:>8.3f}s {speedup:>7.1f}x")
     print("\nresults identical across backends (including node counts)")

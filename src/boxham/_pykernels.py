@@ -20,19 +20,18 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _lowest(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _connected_within(adj, region: int, start_bit: int) -> bool:
-    """True when every bit of ``region`` is reachable from start_bit inside region."""
+def _reaches_all(adj, region: int, start_bit: int, targets: int) -> bool:
+    """True when a BFS from start_bit inside region reaches every bit of
+    ``targets``; it stops as soon as they are all seen."""
     seen = start_bit
     frontier = start_bit
-    while frontier:
+    while targets & ~seen:
+        if not frontier:
+            return False
         nxt = 0
         m = frontier
         while m:
@@ -41,7 +40,12 @@ def _connected_within(adj, region: int, start_bit: int) -> bool:
             nxt |= adj[b.bit_length() - 1]
         frontier = nxt & region & ~seen
         seen |= frontier
-    return seen & region == region
+    return True
+
+
+def _connected_within(adj, region: int, start_bit: int) -> bool:
+    """True when every bit of ``region`` is reachable from start_bit inside region."""
+    return _reaches_all(adj, region, start_bit, region)
 
 
 def count_components(adj, alive: int) -> int:
@@ -106,9 +110,24 @@ def ham_cycle(n, adj, max_nodes=None, deadline=None):
     A 2-vertex graph with an edge counts as the degenerate closed walk
     [0, 1]; callers that reject it must do so themselves.
 
-    Pruning: every unvisited vertex must keep two usable connections, the
-    unvisited region must stay connected through the path head, and edges
-    forced by degree-2 vertices must be respected.
+    Pruning: every unvisited vertex must keep two usable connections (to
+    the unvisited region, the path head or the start vertex), the start
+    vertex must keep an unvisited neighbour, the unvisited region must
+    stay connected through the path head, and edges forced by degree-2
+    vertices must be respected.  Candidates are tried in ascending order
+    and every node is charged to the budget before it is pruned.
+
+    The root checks the first two conditions on every vertex and the
+    region by one full BFS; below it both checks are incremental and
+    exact.  Moving the head from u to w removes w from the unvisited
+    region and makes w the head, so the usable connections of an
+    unvisited vertex v drop by one exactly when v is adjacent to u, and
+    only the unvisited neighbours of u are rechecked.  The new region is
+    the parent's connected region minus u, and each of its components
+    holds a neighbour of u; it is connected exactly when the BFS from w
+    reaches every neighbour of u in it, so that BFS stops once they are
+    all seen.  The search keeps an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     if n == 1:
         return ("none", None, 0)
@@ -116,8 +135,7 @@ def ham_cycle(n, adj, max_nodes=None, deadline=None):
         if adj[0] & 2:
             return ("found", (0, 1), 0)
         return ("none", None, 0)
-    full = (1 << n) - 1
-    deg = [_popcount(a) for a in adj]
+    deg = [a.bit_count() for a in adj]
     if min(deg) < 2:
         return ("none", None, 0)
     # forced[v]: neighbors of v of degree 2; both of a degree-2 vertex's
@@ -131,59 +149,83 @@ def ham_cycle(n, adj, max_nodes=None, deadline=None):
             m ^= b
             if deg[b.bit_length() - 1] == 2:
                 f |= b
-        if _popcount(f) > 2:
+        if f.bit_count() > 2:
             return ("none", None, 0)
         forced[v] = f
 
     budget = _Budget(max_nodes, deadline)
-    path = [0]
-
-    def extend(u: int, visited: int, prev: int) -> bool:
-        budget.charge()
-        rest = full & ~visited
-        if not rest:
-            if not adj[u] & 1:
-                return False
-            if forced[u] & ~((1 << prev) | 1):
-                return False
-            if forced[0] & ~((1 << path[1]) | (1 << u)):
-                return False
-            return True
-        # each unvisited vertex needs >= 2 connections among the unvisited
-        # region, the path head, and the start vertex
-        m = rest
-        while m:
-            b = m & -m
-            m ^= b
-            aw = adj[b.bit_length() - 1]
-            avail = _popcount(aw & rest) + ((aw >> u) & 1) + (aw & 1)
-            if avail < 2:
-                return False
-        if not adj[0] & rest:
-            return False
-        if not _connected_within(adj, rest | (1 << u), 1 << u):
-            return False
-        cands = adj[u] & rest
-        pbit = (1 << prev) if prev >= 0 else 0
-        while cands:
-            b = cands & -cands
-            cands ^= b
-            if prev >= 0 and forced[u] & ~(pbit | b):
-                continue
-            w = b.bit_length() - 1
-            path.append(w)
-            if extend(w, visited | b, u):
-                return True
-            path.pop()
-        return False
-
     try:
-        found = extend(0, 1, -1)
+        path = _cycle_search(n, adj, forced, budget.charge)
     except _OutOfBudget:
         return ("unknown", None, budget.nodes)
-    if found:
-        return ("found", tuple(path), budget.nodes)
-    return ("none", None, budget.nodes)
+    if path is None:
+        return ("none", None, budget.nodes)
+    return ("found", tuple(path), budget.nodes)
+
+
+def _cycle_search(n, adj, forced, charge):
+    """The search of ``ham_cycle`` for n >= 3: the cycle as a vertex list,
+    or None when there is none."""
+    full = (1 << n) - 1
+    charge()
+    rest = full & ~1
+    m = rest
+    while m:
+        b = m & -m
+        m ^= b
+        aw = adj[b.bit_length() - 1]
+        # at the root the head is the start vertex, counted twice
+        if (aw & rest).bit_count() + 2 * (aw & 1) < 2:
+            return None
+    # vertex 0 has degree >= 2, so it keeps an unvisited neighbour here
+    if not _connected_within(adj, full, 1):
+        return None
+    # one frame per path vertex: its visited set and untried candidates
+    path = [0]
+    visited_at = [1]
+    untried = [adj[0] & rest]
+    start_adj = adj[0]
+    while path:
+        cands = untried[-1]
+        if not cands:
+            path.pop()
+            visited_at.pop()
+            untried.pop()
+            continue
+        b = cands & -cands
+        untried[-1] = cands ^ b
+        u = path[-1]
+        w = b.bit_length() - 1
+        charge()
+        visited = visited_at[-1] | b
+        rest = full & ~visited
+        aw = adj[w]
+        if not rest:
+            if (aw & 1 and not forced[w] & ~((1 << u) | 1)
+                    and not forced[0] & ~((1 << path[1]) | b)):
+                path.append(w)
+                return path
+            continue
+        if not start_adj & rest:
+            continue
+        near = adj[u] & rest
+        m = near
+        while m:
+            c = m & -m
+            av = adj[c.bit_length() - 1]
+            if (av & rest).bit_count() + ((av >> w) & 1) + (av & 1) < 2:
+                break
+            m ^= c
+        if m or not _reaches_all(adj, rest, b, near):
+            continue
+        cands = aw & rest
+        need = forced[w] & ~(1 << u)
+        if need:
+            cands &= need if not need & (need - 1) else 0
+        path.append(w)
+        visited_at.append(visited)
+        untried.append(cands)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +241,7 @@ def ham_path(n, adj, max_nodes=None, deadline=None):
     if n == 1:
         return ("found", (0,), 0)
     full = (1 << n) - 1
-    deg = [_popcount(a) for a in adj]
+    deg = [a.bit_count() for a in adj]
     if min(deg) == 0:
         return ("none", None, 0)
     ones = [v for v in range(n) if deg[v] == 1]
@@ -223,7 +265,7 @@ def ham_path(n, adj, max_nodes=None, deadline=None):
             b = m & -m
             m ^= b
             aw = adj[b.bit_length() - 1]
-            avail = _popcount(aw & rest) + ((aw >> u) & 1)
+            avail = (aw & rest).bit_count() + ((aw >> u) & 1)
             if avail == 0:
                 return False
             if avail == 1:
@@ -301,7 +343,7 @@ def scattering_max(n, adj, prune_at=None, stop_above=None,
         if idx == n:
             c = count_components(adj, kept)
             if c >= 2:
-                val = c - _popcount(s_mask)
+                val = c - s_mask.bit_count()
                 if best_val is None or val > best_val:
                     best_val = val
                     best_mask = s_mask
@@ -310,8 +352,8 @@ def scattering_max(n, adj, prune_at=None, stop_above=None,
             return
         undecided = full & ~((1 << idx) - 1)
         ub = (count_components(adj, kept)
-              + _popcount(undecided) - _greedy_matching(adj, undecided)
-              - _popcount(s_mask))
+              + undecided.bit_count() - _greedy_matching(adj, undecided)
+              - s_mask.bit_count())
         floor = prune_at
         if best_val is not None and (floor is None or best_val > floor):
             floor = best_val
@@ -362,7 +404,7 @@ def toughness_scan(n, adj):
         c = count_components(adj, alive)
         if c < 2:
             continue
-        size = _popcount(mask)
+        size = mask.bit_count()
         if best is None:
             best = (size, c, mask)
             continue

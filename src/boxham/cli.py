@@ -322,8 +322,20 @@ def _classify(exc: Exception) -> str:
     return "precondition"
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later ``main``
+    call in the process; parsing leaves it unchanged."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "scan" and args.conjecture == 1 and (args.k is None or args.k < 3):
         parser.error("scan 1 needs --k at least 3")

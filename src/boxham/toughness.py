@@ -147,7 +147,8 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     "unknown" only appears when a budget is set and runs out: ``max_nodes``
     caps the states or nodes of the stage that runs, and ``budget_seconds``
     covers the pair pass of "small_cut" too.  A budget spent before the
-    exact stage starts gives "unknown" via "search" at 0 nodes.
+    exact stage starts gives "unknown" at 0 nodes, labelled with the stage
+    that would have run next.
     """
     if not is_connected(g):
         # the empty set already separates the graph
@@ -169,17 +170,16 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     cut = _small_cut(g, deadline)
     if cut is not None:
         return _certified_no(g, cut, "small_cut")
+    order, width = _narrow_order(g)
+    decided_by = "frontier_dp" if width <= _FRONTIER_MAX_WIDTH else "search"
     if deadline is not None:
         budget_seconds = deadline - time.monotonic()
         if budget_seconds <= 0:
-            return OneToughResult("unknown", None, 0, "search")
-    order, width = _narrow_order(g)
-    if width <= _FRONTIER_MAX_WIDTH:
-        decided_by = "frontier_dp"
+            return OneToughResult("unknown", None, 0, decided_by)
+    if decided_by == "frontier_dp":
         status, value, cut, nodes = frontier_scattering(
             g, order, max_nodes=max_nodes, budget_seconds=budget_seconds)
     else:
-        decided_by = "search"
         status, value, cut, nodes = kernels.scattering_max(
             g, prune_at=0, stop_above=0,
             max_nodes=max_nodes, budget_seconds=budget_seconds)

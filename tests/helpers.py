@@ -6,6 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
+from boxham._pykernels import _Budget, _OutOfBudget
 from boxham.graphs import Graph, is_connected, isomorphic
 
 
@@ -99,3 +100,73 @@ def connected_bipartite_up_to_iso(max_order: int) -> tuple[Graph, ...]:
 
 def all_pairs(items):
     return itertools.combinations(items, 2)
+
+
+def _bits(mask):
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b
+
+
+def recursive_ham_cycle(n, adj, max_nodes=None, deadline=None):
+    """Reference for ``_pykernels.ham_cycle``: the same search written as
+    plain recursion that rescans every unvisited vertex and BFSes the whole
+    unvisited region at each node.  It must give the same (status, order,
+    nodes) on every input; its depth grows with the path, so keep inputs
+    well under the recursion limit."""
+    if n == 1:
+        return ("none", None, 0)
+    if n == 2:
+        if adj[0] & 2:
+            return ("found", (0, 1), 0)
+        return ("none", None, 0)
+    full = (1 << n) - 1
+    deg = [a.bit_count() for a in adj]
+    if min(deg) < 2:
+        return ("none", None, 0)
+    # forced[v]: neighbors of v of degree 2, whose edges every cycle uses
+    forced = [sum(b for b in _bits(a) if deg[b.bit_length() - 1] == 2) for a in adj]
+    if max(f.bit_count() for f in forced) > 2:
+        return ("none", None, 0)
+
+    def connected(region, start_bit):
+        seen = frontier = start_bit
+        while frontier:
+            nxt = 0
+            for b in _bits(frontier):
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & region & ~seen
+            seen |= frontier
+        return seen & region == region
+
+    budget = _Budget(max_nodes, deadline)
+    path = [0]
+
+    def extend(u, visited, prev):
+        budget.charge()
+        rest = full & ~visited
+        if not rest:
+            return bool(adj[u] & 1
+                        and not forced[u] & ~((1 << prev) | 1)
+                        and not forced[0] & ~((1 << path[1]) | (1 << u)))
+        for b in _bits(rest):
+            aw = adj[b.bit_length() - 1]
+            if (aw & rest).bit_count() + ((aw >> u) & 1) + (aw & 1) < 2:
+                return False
+        if not adj[0] & rest or not connected(rest | (1 << u), 1 << u):
+            return False
+        for b in _bits(adj[u] & rest):
+            if prev >= 0 and forced[u] & ~((1 << prev) | b):
+                continue
+            path.append(b.bit_length() - 1)
+            if extend(b.bit_length() - 1, visited | b, u):
+                return True
+            path.pop()
+        return False
+
+    try:
+        found = extend(0, 1, -1)
+    except _OutOfBudget:
+        return ("unknown", None, budget.nodes)
+    return ("found", tuple(path), budget.nodes) if found else ("none", None, budget.nodes)

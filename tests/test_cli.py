@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from boxham import cli
 from boxham.cli import main
+from boxham.cycles import parse_cycle, verify_cycle
 from boxham.graphs import (
     Graph,
+    cartesian_product,
     complete_graph,
     format_graph,
     parse_graph,
@@ -255,6 +258,50 @@ class TestCheckVerify:
         code, payload = run_json(capsys, "check", "--n", "4", "--graph", files["t1"],
                                  "--max-nodes", "3")
         assert code == 5 and payload["verdict"] == "unknown"
+
+    def test_check_on_the_ladder(self, capsys, tmp_path):
+        # P600 x K2 under layer-major ids: 1200 vertices, far past the
+        # recursion limit for a search that recursed once per path vertex
+        ladder = cartesian_product(path_graph(600), path_graph(2))
+        path = tmp_path / "ladder.el"
+        path.write_text(format_graph(ladder))
+        code, payload = run_json(capsys, "check", "--graph", str(path))
+        assert (code, payload["verdict"]) == (0, "hamiltonian")
+        assert verify_cycle(ladder, parse_cycle(payload["cycle"]))
+
+
+class TestParserReuse:
+    def test_built_once_and_stateless(self, capsys, files, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        calls = [("check", "--n", "3", "--graph", files["p2"], "--json"),
+                 ("check", "--n", "3", "--json"),  # no --graph: usage error
+                 ("check", "--graph", files["fig1"], "--json")]
+        reused = [outcome(argv) for argv in calls]
+        assert len(built) == 1
+        assert [code for code, _ in reused] == [0, 1, 0]
+        assert json.loads(reused[0][1])["verdict"] == "hamiltonian"
+        assert json.loads(reused[2][1])["verdict"] == "non_hamiltonian"
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(outcome(argv))
+        assert len(built) == 1 + len(calls)
+        assert fresh == reused
 
 
 class TestScan:

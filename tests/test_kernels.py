@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from boxham import _pykernels, kernels
-from boxham.graphs import Graph, cartesian_product, path_graph
+from boxham import _pykernels, kernels, oracle
+from boxham.graphs import Graph, cartesian_product, cycle_graph, path_graph
+from helpers import recursive_ham_cycle
 
 compiled = pytest.mark.skipif(kernels.BACKEND != "compiled",
                               reason="compiled extension not built")
@@ -91,6 +92,45 @@ class TestParity:
                     == _pykernels.scattering_max(n, adj, 0, 0, None, None))
             assert (kernels._fast.toughness_scan(n, adj)
                     == _pykernels.toughness_scan(n, adj))
+
+
+class TestPureHamCycle:
+    """The iterative pure search against its recursive reference: the same
+    search tree, so the same cycle and node count, capped or not."""
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(106)
+        outcomes = set()
+        for _ in range(1000):
+            n = rng.randint(1, 14)
+            p = rng.uniform(0.2, 0.8)
+            edges = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)
+                     if rng.random() < p]
+            adj = list(Graph.from_edges(n, edges).adjacency_masks)
+            for cap in (None, 0, 1, 10, 300):
+                got = _pykernels.ham_cycle(n, adj, cap, None)
+                assert got == recursive_ham_cycle(n, adj, cap, None), (n, edges, cap)
+                outcomes.add(got[0])
+        assert outcomes == {"found", "none", "unknown"}
+
+    def test_matches_reference_on_scan_products(self):
+        # the scanner's degree-3 bases of order 6..8 under 8 layers
+        bases = [g for g in oracle._candidate_bases(8, degree=3) if g.order >= 6]
+        assert len(bases) >= 60
+        outcomes = set()
+        for base in bases:
+            prod = cartesian_product(path_graph(8), base)
+            adj = list(prod.adjacency_masks)
+            got = _pykernels.ham_cycle(prod.order, adj, 1000, None)
+            assert got == recursive_ham_cycle(prod.order, adj, 1000, None), base.edges
+            outcomes.add(got[0])
+        assert {"found", "unknown"} <= outcomes
+
+    def test_long_cycle_without_recursion(self):
+        # one search node per vertex, far past the interpreter's recursion limit
+        status, order, nodes = kernels.ham_cycle(cycle_graph(3000))
+        assert (status, nodes) == ("found", 3000)
+        assert order == tuple(range(1, 3001))
 
 
 class TestWrappers:
