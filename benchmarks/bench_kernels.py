@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled C kernels against the pure-Python kernels.
 
 Both backends run the same searches with identical node counts, so the
-table is a clean apples-to-apples timing comparison.  A second table
+table is a clean apples-to-apples timing comparison; build the compiled
+C module first (``python setup.py build_ext --inplace``).  A second table
 shows how ``is_one_tough`` decides one instance per stage that can decide
 it, the 32-vertex flagship included, with its deterministic node counts
 (states for the frontier DP).
@@ -95,10 +96,10 @@ def main():
     args = parser.parse_args()
 
     if kernels.BACKEND != "compiled":
-        print("warning: compiled extension not importable; comparing pure to itself")
+        print("warning: compiled C module not built; comparing pure to itself")
     fast = kernels._fast if kernels.BACKEND == "compiled" else _pykernels
 
-    header = f"{'kernel':<15} {'instance':<38} {'pure':>9} {'compiled':>9} {'speedup':>8}"
+    header = f"{'kernel':<15} {'instance':<38} {'pure':>9} {'compiled C':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for kind, label, g, func, extra in instances(args.full):
@@ -109,7 +110,7 @@ def main():
         if func == "ham_cycle":
             assert nodes == HAM_CYCLE_NODES[label], f"{label}: {nodes} nodes"
         speedup = t_pure / t_fast if t_fast > 0 else float("inf")
-        print(f"{kind:<15} {label:<38} {t_pure:>8.3f}s {t_fast:>8.3f}s {speedup:>7.1f}x")
+        print(f"{kind:<15} {label:<38} {t_pure:>8.3f}s {t_fast:>9.3f}s {speedup:>7.1f}x")
     print("\nresults identical across backends (including node counts)")
 
     header = f"{'is_one_tough':<28} {'verdict':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"

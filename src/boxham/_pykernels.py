@@ -1,7 +1,9 @@
 """Pure-Python search kernels over bitmask adjacency.
 
-This is the fallback backend; ``boxham._ckernels`` implements the same
-functions in Cython and must agree with these bit for bit.  Vertices are
+This is the reference backend, used on every graph when no compiled
+module was built and on graphs above 64 vertices always.  The C file
+``_ckernels.c`` implements the same functions on 64-bit masks and must
+agree with these bit for bit, node counts included.  Vertices are
 0-indexed bit positions here; wrappers in :mod:`boxham.kernels` translate
 from the 1-indexed Graph world.
 
@@ -237,10 +239,20 @@ def ham_path(n, adj, max_nodes=None, deadline=None):
 
     Degree-1 vertices must be path endpoints, so when any exist the search
     only starts from the smallest one.
+
+    Pruning: every unvisited vertex needs a usable connection (to the
+    unvisited region or the path head), at most one may have exactly one
+    (it must then end the path), and the unvisited region must stay
+    connected through the path head.  Every node is charged to the budget
+    before it is pruned.  As in ``ham_cycle``, the root checks all of this
+    in full and each later node incrementally: moving the head from u to
+    w leaves the usable connections of every unvisited vertex unchanged
+    except those of the neighbours of u, which lose one, and the region
+    is connected exactly when a BFS from w reaches every neighbour of u
+    in it.  The search keeps an explicit stack.
     """
     if n == 1:
         return ("found", (0,), 0)
-    full = (1 << n) - 1
     deg = [a.bit_count() for a in adj]
     if min(deg) == 0:
         return ("none", None, 0)
@@ -250,49 +262,80 @@ def ham_path(n, adj, max_nodes=None, deadline=None):
     starts = [ones[0]] if ones else list(range(n))
 
     budget = _Budget(max_nodes, deadline)
-    path: list[int] = []
-
-    def extend(u: int, visited: int) -> bool:
-        budget.charge()
-        rest = full & ~visited
-        if not rest:
-            return True
-        # every unvisited vertex needs a live connection; at most one may
-        # rely on a single connection (it must then end the path)
-        weak = 0
-        m = rest
-        while m:
-            b = m & -m
-            m ^= b
-            aw = adj[b.bit_length() - 1]
-            avail = (aw & rest).bit_count() + ((aw >> u) & 1)
-            if avail == 0:
-                return False
-            if avail == 1:
-                weak += 1
-                if weak > 1:
-                    return False
-        if not _connected_within(adj, rest | (1 << u), 1 << u):
-            return False
-        cands = adj[u] & rest
-        while cands:
-            b = cands & -cands
-            cands ^= b
-            w = b.bit_length() - 1
-            path.append(w)
-            if extend(w, visited | b):
-                return True
-            path.pop()
-        return False
-
     try:
         for s in starts:
-            path = [s]
-            if extend(s, 1 << s):
+            path = _path_search(n, adj, s, budget.charge)
+            if path is not None:
                 return ("found", tuple(path), budget.nodes)
     except _OutOfBudget:
         return ("unknown", None, budget.nodes)
     return ("none", None, budget.nodes)
+
+
+def _path_search(n, adj, s, charge):
+    """The search of ``ham_path`` from start vertex s for n >= 2: the path
+    as a vertex list, or None when no spanning path starts at s."""
+    full = (1 << n) - 1
+    charge()
+    rest = full & ~(1 << s)
+    # weak: the unvisited vertices with exactly one usable connection
+    weak = 0
+    m = rest
+    while m:
+        b = m & -m
+        m ^= b
+        aw = adj[b.bit_length() - 1]
+        avail = (aw & rest).bit_count() + ((aw >> s) & 1)
+        if avail == 0:
+            return None
+        if avail == 1:
+            weak |= b
+    if weak & (weak - 1) or not _connected_within(adj, full, 1 << s):
+        return None
+    # one frame per path vertex: its unvisited set, weak set and untried
+    # candidates
+    path = [s]
+    rest_at = [rest]
+    weak_at = [weak]
+    untried = [adj[s] & rest]
+    while path:
+        cands = untried[-1]
+        if not cands:
+            path.pop()
+            rest_at.pop()
+            weak_at.pop()
+            untried.pop()
+            continue
+        b = cands & -cands
+        untried[-1] = cands ^ b
+        u = path[-1]
+        w = b.bit_length() - 1
+        charge()
+        region = rest_at[-1]
+        rest = region ^ b
+        if not rest:
+            path.append(w)
+            return path
+        near = adj[u] & rest
+        # a weak neighbour of u has just lost its one connection: it is
+        # rechecked below with the others
+        weak = weak_at[-1] & rest
+        m = near
+        while m:
+            c = m & -m
+            avail = (adj[c.bit_length() - 1] & region).bit_count()
+            if avail == 0:
+                break
+            if avail == 1:
+                weak |= c
+            m ^= c
+        if m or weak & (weak - 1) or not _reaches_all(adj, region, b, near):
+            continue
+        path.append(w)
+        rest_at.append(rest)
+        weak_at.append(weak)
+        untried.append(adj[w] & rest)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 The hot search loops (Hamiltonian cycle and spanning-path backtracking,
 the scattering branch-and-bound behind the 1-toughness decision, and the
-exact toughness subset scan) exist twice: compiled Cython in
-``boxham._ckernels`` and pure Python in ``boxham._pykernels``.  The
-compiled core is used when it imported and the instance fits in 64-bit
-masks; everything else runs on the pure fallback.  The parity tests and
-``benchmarks/bench_kernels.py`` call ``_pykernels`` directly.
+exact toughness subset scan) exist twice: hand-written C in
+``boxham._ckernels`` (``_ckernels.c``, built by ``setup.py`` when a C
+compiler is present) and pure Python in ``boxham._pykernels``.  Both walk
+the same search trees, node counts included.  The compiled module is used
+when it imported and the instance fits in 64-bit masks; everything else
+runs on the pure kernels, and ``backend_name()`` is ``"pure"`` when no
+module was built.  The parity tests build the C from source and compare
+it with ``_pykernels`` directly.
 """
 
 from __future__ import annotations
