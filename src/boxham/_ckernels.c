@@ -475,6 +475,10 @@ static inline int lex_smaller(u64 a, u64 b)
     return a != b && (a & lowbit(a ^ b)) != 0;
 }
 
+/* Sets S by increasing |S|, each size in Gosper's numeric order; no set of
+   size s or more beats s / (n - s), since c(G - S) <= n - |S|, so the scan
+   stops before the first size with s * best_c >= best_s * (n - s).  Ties go
+   to the smaller |S| (found first), then to lex order. */
 static PyObject *py_toughness_scan(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", NULL};
@@ -484,29 +488,35 @@ static PyObject *py_toughness_scan(PyObject *self, PyObject *args, PyObject *kw)
     if (!PyArg_ParseTupleAndKeywords(args, kw, "nO", kwlist, &n, &adj_list)
         || read_adj(n, adj_list, adj) < 0)
         return NULL;
-    u64 full = full_mask(n), best_mask = 0;
+    u64 full = full_mask(n), best_mask = 0, subsets = 0;
     int have = 0, best_size = 0, best_c = 0;
-    for (u64 mask = 0;; mask++) {
-        u64 alive = full & ~mask;
-        int c = alive ? components(adj, alive) : 0;
-        if (c >= 2) {
-            int size = popcount(mask);
-            /* size/c < best_size/best_c, then smaller |S|, then lex order */
+    for (int size = 0; size < n; size++) {  /* S = V leaves nothing to count */
+        if (have && (long long)size * best_c >= (long long)best_size * (n - size))
+            break;
+        /* the last set of this size holds the top size bits */
+        u64 mask = full_mask(size), last = full & ~full_mask(n - size);
+        for (;;) {
+            subsets++;
+            int c = components(adj, full & ~mask);
+            /* size/c < best_size/best_c, then lex order within the size */
             long long lhs = (long long)size * best_c, rhs = (long long)best_size * c;
-            if (!have || lhs < rhs || (lhs == rhs && (size < best_size
-                    || (size == best_size && lex_smaller(mask, best_mask))))) {
+            if (c >= 2 && (!have || lhs < rhs
+                           || (lhs == rhs && size == best_size && lex_smaller(mask, best_mask)))) {
                 best_size = size;
                 best_c = c;
                 best_mask = mask;
                 have = 1;
             }
+            if (mask == last)
+                break;
+            /* Gosper: the next larger mask with the same popcount */
+            u64 low = lowbit(mask), ripple = mask + low;
+            mask = (((ripple ^ mask) >> 2) / low) | ripple;
         }
-        if (mask == full)
-            break;
     }
     if (!have)
         Py_RETURN_NONE;
-    return Py_BuildValue("iiK", best_size, best_c, best_mask);
+    return Py_BuildValue("iiKK", best_size, best_c, best_mask, subsets);
 }
 
 /* ------------------------------------------------------------------------
@@ -529,7 +539,7 @@ static PyMethodDef methods[] = {
                            "max_nodes=None, deadline=None)",
            "(status, best value, best mask, nodes) maximizing c(G - S) - |S|."),
     KERNEL(toughness_scan, "($module, n, adj)",
-           "(size, components, mask) minimizing |S| / c(G - S), or None."),
+           "(size, components, mask, subsets counted) minimizing |S| / c(G - S), or None."),
     {NULL, NULL, 0, NULL},
 };
 

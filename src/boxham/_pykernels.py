@@ -14,6 +14,7 @@ order and budgets are checked at fixed points.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 
 _TIME_CHECK_STRIDE = 4096
 
@@ -424,37 +425,34 @@ def scattering_max(n, adj, prune_at=None, stop_above=None,
 # exact toughness scan
 
 
-def _lex_smaller(a: int, b: int) -> bool:
-    """Order on equal-size vertex sets: ascending-tuple lexicographic."""
-    if a == b:
-        return False
-    diff = a ^ b
-    return bool(a & (diff & -diff))
-
-
 def toughness_scan(n, adj):
-    """Minimize |S| / c(G - S) over all cut sets by full subset scan.
+    """Minimize |S| / c(G - S) over the cut sets S, by increasing |S|.
 
-    Returns (size, components, mask) for the best cut, preferring smaller
-    |S| and then the lexicographically least set on ties; None when no cut
-    set exists.
+    Since c(G - S) <= n - |S|, no set of size s or more can beat the ratio
+    s / (n - s), which only grows with s; the scan stops before the first
+    size s with s * best_c >= best_s * (n - s).  Within one size the sets
+    come in ascending-tuple lexicographic order and only a strictly
+    smaller ratio replaces the best, so ties go to the smaller |S| and
+    then to the lexicographically least set.
+
+    Returns (size, components, mask, subsets) for the best cut, where
+    subsets is the number of sets S whose components were counted; None
+    when no cut set exists.
     """
+    full = (1 << n) - 1
+    bits = [1 << v for v in range(n)]
     best = None  # (size, comps, mask)
-    for mask in range(1 << n):
-        alive = ((1 << n) - 1) & ~mask
-        if not alive:
-            continue
-        c = count_components(adj, alive)
-        if c < 2:
-            continue
-        size = mask.bit_count()
-        if best is None:
-            best = (size, c, mask)
-            continue
-        bs, bc, bm = best
-        # size/c < bs/bc  <=>  size*bc < bs*c
-        lhs = size * bc
-        rhs = bs * c
-        if lhs < rhs or (lhs == rhs and (size < bs or (size == bs and _lex_smaller(mask, bm)))):
-            best = (size, c, mask)
-    return best
+    subsets = 0
+    for size in range(n):  # S = V leaves nothing to count
+        if best is not None and size * best[1] >= best[0] * (n - size):
+            break
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            subsets += 1
+            c = count_components(adj, full & ~mask)
+            # size/c < bs/bc  <=>  size*bc < bs*c
+            if c >= 2 and (best is None or size * best[1] < best[0] * c):
+                best = (size, c, mask)
+    if best is None:
+        return None
+    return (*best, subsets)

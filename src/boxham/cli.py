@@ -149,13 +149,14 @@ def _cmd_toughness(args):
         payload["verdict"] = "unknown"
         payload["reason"] = str(exc)
         return payload, [f"toughness: unknown ({exc}); try --one-tough"], EXIT_OK
+    payload["nodes"] = res.nodes
     if res.is_infinite:
         payload["toughness"] = "infinite"
         human = ["toughness: infinite (complete graph)"]
     else:
         payload["toughness"] = f"{res.value.numerator}/{res.value.denominator}"
         payload["witness"] = _cut_witness_json(res.witness)
-        human = [f"toughness: {res.value}", res.witness.format()]
+        human = [f"toughness: {res.value} ({res.nodes} subsets)", res.witness.format()]
     return payload, human, EXIT_OK
 
 

@@ -2,14 +2,15 @@
 
 The hot search loops (Hamiltonian cycle and spanning-path backtracking,
 the scattering branch-and-bound behind the 1-toughness decision, and the
-exact toughness subset scan) exist twice: hand-written C in
-``boxham._ckernels`` (``_ckernels.c``, built by ``setup.py`` when a C
-compiler is present) and pure Python in ``boxham._pykernels``.  Both walk
-the same search trees, node counts included.  The compiled module is used
-when it imported and the instance fits in 64-bit masks; everything else
-runs on the pure kernels, and ``backend_name()`` is ``"pure"`` when no
-module was built.  The parity tests build the C from source and compare
-it with ``_pykernels`` directly.
+exact toughness scan over vertex sets by increasing size, which stops at
+the ratio bound) exist twice: hand-written C in ``boxham._ckernels``
+(``_ckernels.c``, built by ``setup.py`` when a C compiler is present) and
+pure Python in ``boxham._pykernels``.  Both walk the same search trees,
+node counts included.  The compiled module is used when it imported and
+the instance fits in 64-bit masks; everything else runs on the pure
+kernels, and ``backend_name()`` is ``"pure"`` when no module was built.
+The parity tests build the C from source and compare it with
+``_pykernels`` directly.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ def scattering_max(g: Graph, *, prune_at=None, stop_above=None,
 
 
 def toughness_scan(g: Graph):
-    """(size, component count, cut frozenset) of the toughness minimizer, or None."""
+    """(size, component count, cut frozenset, subsets counted) of the
+    toughness minimizer, or None when the graph has no cut set."""
     impl = _impl_for(g.order)
     best = impl.toughness_scan(g.order, list(g.adjacency_masks))
     if best is None:
         return None
-    size, comps, mask = best
-    return size, comps, _mask_to_set(mask)
+    size, comps, mask, subsets = best
+    return size, comps, _mask_to_set(mask), subsets
 
 
 def count_components_after(g: Graph, removed: frozenset[int] | set[int]) -> int:

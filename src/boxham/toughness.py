@@ -71,10 +71,15 @@ class CutWitness:
 
 @dataclass(frozen=True)
 class ToughnessResult:
-    """Exact toughness; ``value`` is None exactly for complete graphs."""
+    """Exact toughness; ``value`` is None exactly for complete graphs.
+
+    ``nodes`` is the number of vertex sets whose components the scan
+    counted (0 for complete graphs, which are not scanned).
+    """
 
     value: Fraction | None
     witness: CutWitness | None
+    nodes: int
 
     @property
     def is_infinite(self) -> bool:
@@ -106,7 +111,13 @@ def is_complete(g: Graph) -> bool:
 
 
 def toughness_exact(g: Graph, max_order: int = 20) -> ToughnessResult:
-    """Exact toughness by full subset scan; capped because it is 2^n.
+    """Exact toughness by a scan over vertex sets S by increasing |S|.
+
+    The scan stops before the first size s at which s / (n - s), a lower
+    bound on the ratio of every set of size s or more, reaches the best
+    ratio found; on a graph of low toughness that is after a few sizes.
+    Capped at ``max_order`` because the worst case is still exponential:
+    on a 1-tough graph the scan visits about half of the 2^n subsets.
 
     The witness is the lexicographically least minimizer of smallest
     cardinality.
@@ -114,11 +125,11 @@ def toughness_exact(g: Graph, max_order: int = 20) -> ToughnessResult:
     if g.order > max_order:
         raise BudgetExceededError(f"order {g.order} above the scan cap {max_order}")
     if is_complete(g):
-        return ToughnessResult(None, None)
+        return ToughnessResult(None, None, 0)
     best = kernels.toughness_scan(g)
     assert best is not None, "non-complete graph must have a cut set"
-    size, comps, cut = best
-    return ToughnessResult(Fraction(size, comps), CutWitness(cut, comps))
+    size, comps, cut, subsets = best
+    return ToughnessResult(Fraction(size, comps), CutWitness(cut, comps), subsets)
 
 
 def is_one_tough(g: Graph, budget_seconds: float | None = None,

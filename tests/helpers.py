@@ -6,7 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from boxham._pykernels import _Budget, _OutOfBudget
+from boxham._pykernels import _Budget, _OutOfBudget, count_components
 from boxham.graphs import Graph, is_connected, isomorphic
 
 
@@ -234,3 +234,37 @@ def recursive_ham_path(n, adj, max_nodes=None, deadline=None):
     except _OutOfBudget:
         return ("unknown", None, budget.nodes)
     return ("none", None, budget.nodes)
+
+
+def _lex_smaller(a: int, b: int) -> bool:
+    """Order on equal-size vertex sets: ascending-tuple lexicographic."""
+    if a == b:
+        return False
+    diff = a ^ b
+    return bool(a & (diff & -diff))
+
+
+def full_toughness_scan(n, adj):
+    """Reference for ``_pykernels.toughness_scan``: every one of the 2^n
+    subsets in numeric order, with no stop.  Returns (size, components,
+    mask) for the best cut, preferring smaller |S| and then the
+    lexicographically least set on ties; None when no cut set exists."""
+    best = None  # (size, comps, mask)
+    for mask in range(1 << n):
+        alive = ((1 << n) - 1) & ~mask
+        if not alive:
+            continue
+        c = count_components(adj, alive)
+        if c < 2:
+            continue
+        size = mask.bit_count()
+        if best is None:
+            best = (size, c, mask)
+            continue
+        bs, bc, bm = best
+        # size/c < bs/bc  <=>  size*bc < bs*c
+        lhs = size * bc
+        rhs = bs * c
+        if lhs < rhs or (lhs == rhs and (size < bs or (size == bs and _lex_smaller(mask, bm)))):
+            best = (size, c, mask)
+    return best

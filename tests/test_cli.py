@@ -190,10 +190,17 @@ class TestToughness:
     def test_k4_infinite(self, capsys, files):
         code, payload = run_json(capsys, "toughness", "--graph", files["k4"])
         assert payload["toughness"] == "infinite"
+        assert payload["nodes"] == 0
 
     def test_fig1(self, capsys, files):
         code, payload = run_json(capsys, "toughness", "--graph", files["fig1"])
         assert payload["toughness"] == "1/1"
+
+    def test_exact_reports_subsets_counted(self, capsys, files):
+        code, payload = run_json(capsys, "toughness", "--graph", files["fig1"])
+        assert code == 0 and payload["nodes"] == 64
+        code, out, _ = run(capsys, "toughness", "--graph", files["fig1"])
+        assert code == 0 and out.splitlines()[0] == "toughness: 1 (64 subsets)"
 
     def test_one_tough_budget_unknown_is_ok_exit(self, capsys, files, tmp_path):
         big = tmp_path / "big.el"

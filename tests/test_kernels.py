@@ -7,15 +7,60 @@ import random
 import pytest
 
 from boxham import _pykernels, kernels, oracle
-from boxham.graphs import Graph, cartesian_product, cycle_graph, path_graph
-from helpers import recursive_ham_cycle, recursive_ham_path
+from boxham.graphs import (
+    Graph,
+    cartesian_product,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
+from helpers import full_toughness_scan, recursive_ham_cycle, recursive_ham_path
 
 
-def random_masks(rng, max_order=9):
+def random_masks(rng, max_order=9, density=0.45):
     n = rng.randint(1, max_order)
     edges = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)
-             if rng.random() < 0.45]
+             if rng.random() < density]
     return n, list(Graph.from_edges(n, edges).adjacency_masks)
+
+
+def no_factor_bases(rng):
+    """Bases of order 8..16 with no {P2,P3}-factor, shaped like the
+    certify workload's: s hubs share 2s + 1 pendants, so removing the hubs
+    isolates more than 2s vertices; the hubs and the other vertices form a
+    random tree, plus up to two chords, and the labels are shuffled."""
+    out = []
+    for order in range(8, 17):
+        for s in (1, 2, 3):
+            if 3 * s + 1 >= order:
+                continue
+            pendants = range(s + 1, 3 * s + 2)
+            edges = {(1 + i % s, p) for i, p in enumerate(pendants)}
+            core = [v for v in range(1, order + 1) if v <= s or v > 3 * s + 1]
+            for i, v in enumerate(core[1:], 1):
+                edges.add((core[rng.randrange(i)], v))
+            for _ in range(rng.randint(0, 2)):
+                u, v = rng.sample(core, 2)
+                edges.add((min(u, v), max(u, v)))
+            perm = list(range(1, order + 1))
+            rng.shuffle(perm)
+            out.append(Graph.from_edges(
+                order, [(perm[u - 1], perm[v - 1]) for u, v in edges]))
+    return out
+
+
+def toughness_population():
+    """Scan inputs of order 1..16: seeded random masks at densities
+    0.1-0.8 (disconnected ones included), complete graphs, C16, K_{8,8}
+    and the no-factor bases."""
+    rng = random.Random(109)
+    out = [random_masks(rng, 16, rng.uniform(0.1, 0.8)) for _ in range(600)]
+    graphs = [complete_graph(k) for k in (1, 2, 5, 16)]
+    graphs += [cycle_graph(16), complete_bipartite(8, 8)]
+    graphs += no_factor_bases(random.Random(110))
+    return out + [(g.order, list(g.adjacency_masks)) for g in graphs]
 
 
 def scan_products():
@@ -54,6 +99,9 @@ class TestParity:
             n, adj = random_masks(rng)
             assert (ckernels.toughness_scan(n, adj)
                     == _pykernels.toughness_scan(n, adj))
+        for n, adj in toughness_population():
+            assert (ckernels.toughness_scan(n, adj)
+                    == _pykernels.toughness_scan(n, adj)), (n, adj)
 
     def test_component_counts(self, ckernels):
         rng = random.Random(107)
@@ -89,6 +137,11 @@ class TestParity:
         assert fast == pure and fast[0] == "found"
         assert (ckernels.scattering_max(64, adj, 0, 0, 100_000, None)
                 == _pykernels.scattering_max(64, adj, 0, 0, 100_000, None))
+        # K_{2,62} with its hubs on the top bits: the scan runs every set of
+        # size 1 and 2 up to the last one, which ends in bit 63, and stops
+        adj = list(complete_bipartite(62, 2).adjacency_masks)
+        want = (2, 62, 3 << 62, 1 + 64 + 64 * 63 // 2)
+        assert ckernels.toughness_scan(64, adj) == _pykernels.toughness_scan(64, adj) == want
 
     def test_product_instances(self, ckernels):
         # mid-size real instances, not just random soup
@@ -106,6 +159,12 @@ class TestParity:
                     == _pykernels.scattering_max(n, adj, 0, 0, None, None))
             assert (ckernels.toughness_scan(n, adj)
                     == _pykernels.toughness_scan(n, adj))
+        # the toughness scan also on the orders 8..16 of the certify bases
+        rng = random.Random(111)
+        for g in [cycle_graph(16), complete_bipartite(8, 8), *no_factor_bases(rng)]:
+            n, adj = g.order, list(g.adjacency_masks)
+            assert (ckernels.toughness_scan(n, adj)
+                    == _pykernels.toughness_scan(n, adj)), g.edges
 
     def test_scan_products(self, ckernels):
         outcomes = set()
@@ -199,6 +258,33 @@ class TestPureHamPath:
         assert all(ladder.has_edge(u, v) for u, v in zip(res.path, res.path[1:]))
 
 
+class TestPureToughnessScan:
+    """The size-ordered scan that stops at the ratio bound against the full
+    2^n scan it replaced: the same best cut and tie-break everywhere."""
+
+    def test_matches_full_scan(self):
+        outcomes = set()
+        for n, adj in toughness_population():
+            got = _pykernels.toughness_scan(n, adj)
+            want = full_toughness_scan(n, adj)
+            assert (got if got is None else got[:3]) == want, (n, adj)
+            outcomes.add("no cut" if got is None
+                         else "disconnected" if got[0] == 0 else "cut")
+        assert outcomes == {"no cut", "disconnected", "cut"}
+
+    def test_stops_at_the_ratio_bound(self):
+        # P5: the sets of size 0 and 1 give 1/2, and 2 / (5 - 2) >= 1/2
+        n, adj = 5, list(path_graph(5).adjacency_masks)
+        assert _pykernels.toughness_scan(n, adj) == (1, 2, 0b10, 1 + 5)
+        # K_{8,8}: only a whole side is a cut, so every set of size at most
+        # 8 is counted (the sum of C(16, s) for s <= 8), and 9 / 7 >= 8 / 8
+        # stops the scan; the side 1..8 is the lex-least of the best sets
+        n, adj = 16, list(complete_bipartite(8, 8).adjacency_masks)
+        assert _pykernels.toughness_scan(n, adj) == (8, 8, 0xFF, 39_203)
+        # a complete graph has no cut: every proper subset is counted
+        assert _pykernels.toughness_scan(6, list(complete_graph(6).adjacency_masks)) is None
+
+
 class CallCounter:
     """A kernel module whose function calls are counted."""
 
@@ -270,8 +356,12 @@ class TestWrappers:
                                                        max_nodes=10)
             assert (status, nodes) == ("unknown", 10)
 
+    def test_toughness_scan_translation(self, backends):
+        for _ in backends():
+            assert kernels.toughness_scan(star_graph(3)) == (1, 3, {1}, 5)
+            assert kernels.toughness_scan(complete_graph(3)) is None
+
     def test_scattering_cut_translation(self, backends):
-        from boxham.graphs import star_graph
         for _ in backends():
             status, val, cut, _ = kernels.scattering_max(star_graph(3))
             assert status == "complete" and val == 2 and cut == {1}

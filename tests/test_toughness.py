@@ -89,6 +89,17 @@ class TestToughnessExact:
         assert res.value == Fraction(1, 3)
         assert res.witness.cut == {1}
 
+    def test_subsets_counted(self):
+        # the scan stops before the first size s with s / (n - s) at or
+        # above the best ratio; a complete graph is not scanned at all
+        assert toughness_exact(complete_graph(4)).nodes == 0
+        assert toughness_exact(path_graph(5)).nodes == 6
+        assert toughness_exact(star_graph(3)).nodes == 5
+        assert toughness_exact(fixtures().fig1).nodes == 64
+        assert toughness_exact(cycle_graph(16)).nodes == 26_333
+        res = toughness_exact(complete_bipartite(8, 8))
+        assert (res.value, res.nodes) == (1, 39_203)
+
     def test_order_cap(self):
         with pytest.raises(BudgetExceededError):
             toughness_exact(cartesian_product(path_graph(4), fixtures().t1))
