@@ -17,6 +17,7 @@ from .cycles import (
     two_column_cycle,
     verify_column_contract,
     verify_cycle,
+    verify_product_cycle,
 )
 from .factors import (
     FactorCertificate,
@@ -89,4 +90,5 @@ __all__ = [
     "two_column_cycle",
     "verify_column_contract",
     "verify_cycle",
+    "verify_product_cycle",
 ]

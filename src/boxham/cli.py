@@ -101,7 +101,8 @@ def _cmd_hamcycle(args):
         "cycle_order": cyc.order,
         "column_counts": {str(v): c for v, c in sorted(result.column_counts.items())},
     }
-    _write(args.out, cycles.format_cycle(cyc), payload, "cycle")
+    text = cycles.format_cycle(cyc)
+    _write(args.out, text, payload, "cycle")
     if args.dot:
         prod = graphs.cartesian_product(graphs.path_graph(args.n), base)
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -111,7 +112,7 @@ def _cmd_hamcycle(args):
     if args.out:
         human.append(f"wrote {args.out}")
     else:
-        human.append(cycles.format_cycle(cyc).rstrip("\n"))
+        human.append(text.rstrip("\n"))
     return payload, human, EXIT_OK
 
 
@@ -179,10 +180,17 @@ def _cmd_check(args):
 
 
 def _cmd_verify(args):
-    g = _input_graph(args)
+    """With --n the cycle is checked against the product by coordinate
+    arithmetic, so the product graph is never built."""
+    g = _read_graph(args.graph)
+    if args.n is not None and args.n < 0:
+        raise ValueError("layer count must be positive")
     with open(args.cycle, "r", encoding="utf-8") as fh:
         cyc = cycles.parse_cycle(fh.read())
-    ok = cycles.verify_cycle(g, cyc)
+    if args.n:
+        ok = cycles.verify_product_cycle(g, args.n, cyc)
+    else:
+        ok = cycles.verify_cycle(g, cyc)
     payload = {"valid": ok}
     return payload, [f"cycle valid: {'true' if ok else 'false'}"], EXIT_OK
 

@@ -9,9 +9,10 @@ per-column edge counts that :func:`verify_column_contract` checks
 independently.
 
 The cycle under construction lives in one place: two neighbour slots per
-product id ``(layer - 1) * base_order + v``.  A column cycle fills slots,
-a splice replaces four of them in place, and one walk from the smallest
-id reads the finished cycle off.
+product id ``(layer - 1) * base_order + v``.  A column cycle fills slots
+from a template of its shape, made once per build; a splice replaces four
+slots in place, and one walk from the smallest id reads the finished
+cycle off.
 
 Column conventions, for n layers and base vertex v:
 
@@ -25,9 +26,10 @@ Column conventions, for n layers and base vertex v:
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import (
     DisconnectedError,
@@ -55,7 +57,6 @@ from .graphs import (
     Graph,
     canon_edge,
     degree_stats,
-    format_label,
     is_connected,
     is_tree,
     parse_label,
@@ -87,6 +88,68 @@ def used_column_indices(role: Role, n: int) -> frozenset[int]:
     """Vertical indices (subset of 1..n-1) a column of the given role may use."""
     residues = _ROLE_RESIDUES[role]
     return frozenset(i for i in range(1, n) if i % 4 in residues)
+
+
+_Template = tuple[tuple[int, int, int, int, int, int], ...]
+
+
+class _LayerPlan(NamedTuple):
+    """What depends on the layer count and the base order alone, computed
+    once per build.
+
+    ``patterns`` holds each role's vertical indices in ascending order.
+    ``columns`` holds the column cycle of a component of 2 and of 3
+    columns, one entry per vertex: the vertex and its two cycle
+    neighbours, each as an id offset and a position in the component.
+    The product id is offset + component[position].
+    """
+
+    patterns: dict[Role, tuple[int, ...]]
+    columns: dict[int, _Template]
+
+
+def _layer_plan(n: int, k: int) -> _LayerPlan:
+    patterns = {role: tuple(sorted(used_column_indices(role, n))) for role in _ROLE_RESIDUES}
+    # the snake of a triple closes only at an even n of at least 4
+    sizes = (2, 3) if n % 2 == 0 and n >= 4 else (2,)
+    return _LayerPlan(patterns, {size: _column_template(n, k, size, patterns)
+                                 for size in sizes})
+
+
+def _column_template(n: int, k: int, size: int,
+                     patterns: dict[Role, tuple[int, ...]]) -> _Template:
+    """The column cycle of a component of ``size`` columns on base order k.
+
+    Each column gets the vertical edges of its role pattern, and
+    neighbouring columns cross at layers 1 and n (a pair) or along the
+    snake of a triple.  At n = 1 a pair's two crossings are the doubled
+    edge of the degenerate two-vertex cycle.
+    """
+    if size == 2:
+        crossings = [(1, n)]
+    else:
+        # the boundary layers overlap the residue families at some layer
+        # counts; the sets keep one crossing per layer
+        crossings = [{1, n} | {i for i in range(1, n + 1) if i % 4 in (2, 3)},
+                     {n} | {i for i in range(1, n + 1) if i % 4 in (0, 1)}]
+    nbrs: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+
+    def link(a: tuple[int, int], b: tuple[int, int]) -> None:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    # vertices are (layer - 1, position in the component)
+    for pos, role in enumerate(_COMPONENT_ROLES[size]):
+        for i in patterns[role]:
+            link((i - 1, pos), (i, pos))
+    for pos, layers in enumerate(crossings):
+        for i in layers:
+            link((i - 1, pos), (i - 1, pos + 1))
+    if len(nbrs) != n * size or any(len(ends) != 2 for ends in nbrs.values()):
+        raise AssertionError(f"the {size}-column cycle at n = {n} leaves a vertex "
+                             "without two neighbours")
+    return tuple((layer * k, pos, a * k, pa, b * k, pb)
+                 for (layer, pos), ((a, pa), (b, pb)) in sorted(nbrs.items()))
 
 
 def pattern_overlap_counts(n: int) -> tuple[int, int, int]:
@@ -148,8 +211,20 @@ class HamCycle:
 
 
 def format_cycle(cycle: HamCycle) -> str:
-    """Cycle file: header "layers order", then the label tokens i_v."""
-    tokens = " ".join(format_label(i, v) for i, v in cycle.labels())
+    """Cycle file: header "layers order", then the label tokens i_v.
+
+    The tokens come from a table of every label of the shape, indexed by
+    product id, so each label is built once and no id is decoded.
+    """
+    seq = cycle.seq
+    if seq and not (1 <= min(seq) and max(seq) <= cycle.order):
+        raise ValueError("cycle ids must lie in 1..layers * base_order")
+    columns = ["_" + str(v) for v in range(1, cycle.base_order + 1)]
+    table = [""]  # index 0 unused: ids start at 1
+    for i in range(1, cycle.layers + 1):
+        layer = str(i)
+        table += [layer + c for c in columns]
+    tokens = " ".join(map(table.__getitem__, seq))
     return f"{cycle.layers} {cycle.order}\n{tokens}\n"
 
 
@@ -221,9 +296,19 @@ class PeelOrder:
 
 
 def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
-    if not is_tree(tree):
-        raise NotTreeError("peel order needs a tree")
+    """Peel order of the factor's components; checks the tree and the factor.
+
+    With order - 1 edges and a valid factor, whose components are connected,
+    the input is a tree exactly when the contracted component graph is one:
+    it has one edge fewer than components and peels down to nothing.  So
+    the contraction stands in for a separate connectivity search.
+    """
+    if tree.size != tree.order - 1:
+        raise NotTreeError("not a tree")
     if not validate_path_factor(tree, factor):
+        # a graph that is no tree is reported as such, whatever the factor
+        if not is_tree(tree):
+            raise NotTreeError("not a tree")
         raise InvalidFactorError("factor does not cover the tree")
     comps = factor.components
     owner = {v: idx for idx, comp in enumerate(comps) for v in comp}
@@ -235,8 +320,6 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
             adj[a].add(b)
             adj[b].add(a)
             edges.add(canon_edge(a, b))
-    # contracting connected pieces of a tree yields a tree
-    assert len(edges) == len(comps) - 1, "contracted component graph is not a tree"
 
     # current leaves keyed on their first vertex; a component enters the
     # heap once, as a leaf at the start or when it is down to one neighbour
@@ -250,62 +333,62 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
             adj[j].discard(pick)
             if len(adj[j]) == 1:
                 heapq.heappush(heap, (comps[j][0], j))
+    if len(edges) != len(comps) - 1 or len(order) != len(comps):
+        raise NotTreeError("not a tree")
     return PeelOrder(tuple(comps[i] for i in order), tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------
 # column cycles on neighbour slots
 
-Slots = list[list[int]]  # product id -> its cycle neighbours; index 0 unused
+class Slots(NamedTuple):
+    """The two cycle neighbours of every product id, 0 for none; index 0
+    is unused."""
+
+    first: list[int]
+    second: list[int]
 
 
-def _link(slots: Slots, a: int, b: int) -> None:
-    slots[a].append(b)
-    slots[b].append(a)
+def _empty_slots(size: int) -> Slots:
+    return Slots([0] * (size + 1), [0] * (size + 1))
 
 
 def _relink(slots: Slots, a: int, old: int, new: int) -> None:
-    s = slots[a]
-    s[s.index(old)] = new
-
-
-def _add_column_cycle(slots: Slots, n: int, k: int, comp: tuple[int, ...]) -> None:
-    """Link the column cycle of one factor component on base order k.
-
-    Each column gets the vertical edges of its role pattern, and
-    neighbouring columns cross at layers 1 and n (a pair) or along the
-    snake of a triple.  At n = 1 a pair's two crossings are the doubled
-    edge of the degenerate two-vertex cycle.
-    """
-    for v, role in zip(comp, _COMPONENT_ROLES[len(comp)]):
-        for i in used_column_indices(role, n):
-            _link(slots, (i - 1) * k + v, i * k + v)
-    if len(comp) == 2:
-        crossings = [(1, n)]
+    first, second = slots
+    if first[a] == old:
+        first[a] = new
+    elif second[a] == old:
+        second[a] = new
     else:
-        # the boundary layers overlap the residue families at some layer
-        # counts; the sets keep one crossing per layer
-        crossings = [{1, n} | {i for i in range(1, n + 1) if i % 4 in (2, 3)},
-                     {n} | {i for i in range(1, n + 1) if i % 4 in (0, 1)}]
-    for (x, y), layers in zip(zip(comp, comp[1:]), crossings):
-        for i in layers:
-            _link(slots, (i - 1) * k + x, (i - 1) * k + y)
+        raise AssertionError(f"{old} is not a cycle neighbour of {a}")
+
+
+def _add_column_cycle(slots: Slots, comp: tuple[int, ...], plan: _LayerPlan) -> None:
+    """Link the column cycle of one factor component from its template."""
+    first, second = slots
+    for offset, pos, a, pa, b, pb in plan.columns[len(comp)]:
+        x = offset + comp[pos]
+        first[x] = a + comp[pa]
+        second[x] = b + comp[pb]
 
 
 def _walk(slots: Slots, n: int, k: int) -> HamCycle:
     """Walk slots that should hold a single cycle into a HamCycle, from the
     smallest linked id towards its smaller neighbour."""
-    linked = [x for x, s in enumerate(slots) if s]
-    for x in linked:
-        assert len(slots[x]) == 2, f"vertex {x} has degree {len(slots[x])} in the assembled cycle"
-    start = linked[0]
+    first, second = slots
+    linked = list(map(bool, first))
+    if linked != list(map(bool, second)):
+        x = next(x for x, (a, b) in enumerate(zip(first, second)) if bool(a) != bool(b))
+        raise AssertionError(f"vertex {x} has degree 1 in the assembled cycle")
+    start = linked.index(True)
     seq = [start]
-    prev, cur = start, min(slots[start])
+    prev, cur = start, min(first[start], second[start])
     while cur != start:
         seq.append(cur)
-        a, b = slots[cur]
-        prev, cur = cur, (b if a == prev else a)
-    assert len(seq) == len(linked), "assembled edges are not a single cycle"
+        a = first[cur]
+        prev, cur = cur, (second[cur] if a == prev else a)
+    if len(seq) != linked.count(True):
+        raise AssertionError("assembled edges are not a single cycle")
     return HamCycle(n, k, tuple(seq))
 
 
@@ -313,8 +396,8 @@ def _column_cycle(n: int, comp: tuple[int, ...], base_order: int | None) -> HamC
     k = base_order if base_order is not None else max(comp)
     if not all(1 <= v <= k for v in comp):
         raise ValueError("columns must lie in 1..base_order")
-    slots: Slots = [[] for _ in range(n * k + 1)]
-    _add_column_cycle(slots, n, k, comp)
+    slots = _empty_slots(n * k)
+    _add_column_cycle(slots, comp, _layer_plan(n, k))
     return _walk(slots, n, k)
 
 
@@ -363,30 +446,48 @@ class BuildResult:
     column_counts: dict[int, int]
 
 
-def _assemble(n: int, tree: Graph, roles: RoleAssignment, mode: str) -> BuildResult:
+def _assemble(n: int, tree: Graph, roles: RoleAssignment, peel: PeelOrder,
+              plan: _LayerPlan) -> HamCycle:
     k = tree.order
-    slots: Slots = [[] for _ in range(n * k + 1)]
-    placed: set[int] = set()
-    for comp in reversed(component_peel_order(tree, roles.factor).components):
-        _add_column_cycle(slots, n, k, comp)
-        if placed:
-            links = [(x, y) for x in comp for y in tree.neighbors(x) if y in placed]
-            assert len(links) == 1, "peeled component must touch the rest by one tree edge"
+    slots = _empty_slots(n * k)
+    placed = [False] * (k + 1)
+    for step, comp in enumerate(reversed(peel.components)):
+        _add_column_cycle(slots, comp, plan)
+        if step:
+            links = [(x, y) for x in comp for y in tree.neighbors(x) if placed[y]]
+            if len(links) != 1:
+                raise AssertionError("peeled component must touch the rest by one tree edge")
             u1, u2 = links[0]
             # the first index of u1's pattern still linked in column u2
-            j = next((j for j in sorted(used_column_indices(roles.role_of(u1), n))
-                      if j * k + u2 in slots[(j - 1) * k + u2]), None)
-            assert j is not None, "splice stock ran dry; layer bound accounting is wrong"
+            for j in plan.patterns[roles.role_of(u1)]:
+                q = (j - 1) * k + u2
+                if q + k in (slots.first[q], slots.second[q]):
+                    break
+            else:
+                raise AssertionError("splice stock ran dry; layer bound accounting is wrong")
             # swap the two vertical edges at index j for the two crossings
-            p, q = (j - 1) * k + u1, (j - 1) * k + u2
+            p = (j - 1) * k + u1
             _relink(slots, p, p + k, q)
             _relink(slots, q, q + k, p)
             _relink(slots, p + k, p, q + k)
             _relink(slots, q + k, q, p + k)
-        placed.update(comp)
-    counts = {v: sum(i * k + v in slots[(i - 1) * k + v] for i in range(1, n))
-              for v in tree.vertices()}
-    return BuildResult(_walk(slots, n, k), tree, roles, mode, counts)
+        for x in comp:
+            placed[x] = True
+    return _walk(slots, n, k)
+
+
+def _build(n: int, tree: Graph, factor: PathFactor, peel: PeelOrder,
+           mode: str) -> BuildResult:
+    """Assemble the cycle, check its per-column contract, and read the
+    column counts off the contract formula that was just checked."""
+    roles = assign_roles(factor)
+    plan = _layer_plan(n, tree.order)
+    cycle = _assemble(n, tree, roles, peel, plan)
+    if not verify_column_contract(cycle, tree, roles, n):
+        raise AssertionError("constructed cycle breaks its per-column contract")
+    counts = {v: len(plan.patterns[role]) - tree.degree(v) + ROLE_COMPONENT_DEGREE[role]
+              for v, role in roles.roles}
+    return BuildResult(cycle, tree, roles, mode, counts)
 
 
 def build_cycle_matching(n: int, tree: Graph,
@@ -396,21 +497,19 @@ def build_cycle_matching(n: int, tree: Graph,
     Works for any n at least the maximum degree of the tree; the cycle
     uses exactly n - degree(v) vertical edges in every column v.
     """
-    if not is_tree(tree):
-        raise NotTreeError("matching construction needs a tree")
     if matching is None:
+        if not is_tree(tree):
+            raise NotTreeError("matching construction needs a tree")
         matching = find_perfect_matching(tree)
         if matching is None:
             raise NoPerfectMatchingError("tree has no perfect matching")
-    else:
-        if not (validate_path_factor(tree, matching) and matching.is_perfect_matching):
-            raise InvalidFactorError("not a perfect matching of the tree")
+    peel = component_peel_order(tree, matching)
+    if not matching.is_perfect_matching:
+        raise InvalidFactorError("not a perfect matching of the tree")
     dmax = degree_stats(tree).maximum
     if n < dmax:
         raise TooFewLayersError(f"need at least {dmax} layers, got {n}")
-    result = _assemble(n, tree, assign_roles(matching), "matching")
-    assert verify_column_contract(result.cycle, tree, result.roles, n)
-    return result
+    return _build(n, tree, matching, peel, "matching")
 
 
 def build_cycle_path_factor(n: int, tree: Graph,
@@ -420,23 +519,20 @@ def build_cycle_path_factor(n: int, tree: Graph,
     Needs an even n of at least 4 * max_degree - 2: that slack is what
     keeps a compatible vertical index available at every splice.
     """
-    if not is_tree(tree):
-        raise NotTreeError("path-factor construction needs a tree")
     if factor is None:
+        if not is_tree(tree):
+            raise NotTreeError("path-factor construction needs a tree")
         factor = find_p23_factor(tree)
         if factor is None:
             raise NoP23FactorError("tree has no factor into 2- and 3-paths")
-    elif not validate_path_factor(tree, factor):
-        raise InvalidFactorError("not a valid factor of the tree")
+    peel = component_peel_order(tree, factor)
     if n % 2:
         raise OddLayersError("path-factor construction needs an even layer count")
     dmax = degree_stats(tree).maximum
     need = max(4 * dmax - 2, 2)
     if n < need:
         raise TooFewLayersError(f"need at least {need} layers, got {n}")
-    result = _assemble(n, tree, assign_roles(factor), "pathfactor")
-    assert verify_column_contract(result.cycle, tree, result.roles, n)
-    return result
+    return _build(n, tree, factor, peel, "pathfactor")
 
 
 def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
@@ -446,7 +542,9 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
 
     ``auto`` prefers the matching route (its layer requirement is weaker)
     and falls back to the path-factor route.  ``matching`` without a
-    perfect matching raises NoFactorError with a Tutte barrier.
+    perfect matching raises NoFactorError with a Tutte barrier.  The base
+    is searched for connectivity once; the spanning tree and the factor
+    are checked once each, by the peel order inside the builder.
     """
     if mode not in ("auto", "matching", "pathfactor"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -479,8 +577,8 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
         base, [e for c in factor.components for e in zip(c, c[1:])])
     result = builder(n, tree, factor)
 
-    product_order = n * base.order
-    assert len(result.cycle.seq) == product_order
+    if len(result.cycle.seq) != n * base.order:
+        raise AssertionError("constructed cycle does not cover the product")
     return result
 
 
@@ -504,6 +602,36 @@ def verify_cycle(product: Graph, cycle: HamCycle) -> bool:
         return False
     for a, b in zip(seq, seq[1:] + seq[:1]):
         if not product.has_edge(a, b):
+            return False
+    return True
+
+
+def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
+    """The check of :func:`verify_cycle` on the n-layer product over
+    ``base``, without building the product.
+
+    Product id x sits at layer (x - 1) // k + 1 and column (x - 1) % k + 1
+    for base order k.  A step of the cycle is a product edge when its ends
+    share a layer and their columns are adjacent in the base, or share a
+    column in adjacent layers, which makes their ids exactly k apart.
+    """
+    if n < 1:
+        raise ValueError("layer count must be positive")
+    k = base.order
+    total = n * k
+    seq = cycle.seq
+    if len(seq) != total or cycle.order != total:
+        return False
+    if len(set(seq)) != total or min(seq) < 1 or max(seq) > total:
+        return False
+    columns_adjacent = set(base.edges)
+    columns_adjacent.update((v, u) for u, v in base.edges)
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        if a - b == k or b - a == k:
+            continue
+        layer_a, column_a = divmod(a - 1, k)
+        layer_b, column_b = divmod(b - 1, k)
+        if layer_a != layer_b or (column_a + 1, column_b + 1) not in columns_adjacent:
             return False
     return True
 
@@ -555,4 +683,5 @@ __all__ = [
     "used_column_indices",
     "verify_column_contract",
     "verify_cycle",
+    "verify_product_cycle",
 ]

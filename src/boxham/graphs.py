@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -343,15 +344,17 @@ def spanning_tree_containing(g: Graph, seed: Iterable[tuple[int, int]]) -> Graph
             raise CyclicSeedError("seed edges contain a cycle")
         parent[ru] = rv
         chosen.add((u, v))
-    if not is_connected(g):
-        raise DisconnectedError("cannot span a disconnected graph")
-    for u, v in sorted(g.edges, key=lambda e: (e[1], e[0])):
+    for u, v in sorted(g.edges, key=itemgetter(1, 0)):
         if len(chosen) == g.order - 1:
             break
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
             chosen.add((u, v))
+    # the scan takes every edge that joins two union-find classes, so the
+    # forest spans g exactly when it reaches order - 1 edges
+    if len(chosen) != g.order - 1:
+        raise DisconnectedError("cannot span a disconnected graph")
     return Graph.from_edges(g.order, chosen)
 
 

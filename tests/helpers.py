@@ -7,7 +7,7 @@ import random
 from functools import lru_cache
 
 from boxham._pykernels import _Budget, _OutOfBudget, count_components
-from boxham.graphs import Graph, is_connected, isomorphic
+from boxham.graphs import Graph, format_label, is_connected, isomorphic
 
 
 def random_connected_graph(rng: random.Random, min_order: int = 2,
@@ -96,6 +96,13 @@ def connected_bipartite_up_to_iso(max_order: int) -> tuple[Graph, ...]:
                 bucket.append(g)
                 found.append(g)
     return tuple(found)
+
+
+def reference_format_cycle(cycle) -> str:
+    """Reference for ``cycles.format_cycle``: decode every id of the
+    sequence to its (layer, base) label and format the labels one by one."""
+    tokens = " ".join(format_label(i, v) for i, v in cycle.labels())
+    return f"{cycle.layers} {cycle.order}\n{tokens}\n"
 
 
 def all_pairs(items):

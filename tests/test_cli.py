@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boxham import cli
+from boxham import cli, graphs
 from boxham.cli import main
 from boxham.cycles import parse_cycle, verify_cycle
 from boxham.graphs import (
@@ -254,6 +254,26 @@ class TestCheckVerify:
         code, payload = run_json(capsys, "verify", "--n", "5", "--graph", files["p2"],
                                  "--cycle", str(bad))
         assert code == 0 and payload["valid"] is False
+
+    def test_verify_n_builds_no_product(self, capsys, files, tmp_path, monkeypatch):
+        out = tmp_path / "t1.cycle"
+        code, _ = run_json(capsys, "hamcycle", "--n", "10", "--graph", files["t1"],
+                           "--out", str(out))
+        assert code == 0
+
+        def no_product(*args):
+            raise AssertionError("verify --n built the product graph")
+
+        monkeypatch.setattr(graphs, "cartesian_product", no_product)
+        code, payload = run_json(capsys, "verify", "--n", "10", "--graph", files["t1"],
+                                 "--cycle", str(out))
+        assert code == 0 and payload["valid"] is True
+        code, payload = run_json(capsys, "verify", "--n", "8", "--graph", files["t1"],
+                                 "--cycle", str(out))
+        assert code == 0 and payload["valid"] is False
+        code, payload = run_json(capsys, "verify", "--n", "-1", "--graph", files["t1"],
+                                 "--cycle", str(out))
+        assert code == 3 and payload["error"]["kind"] == "precondition"
 
     def test_parse_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"

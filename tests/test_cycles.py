@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +22,10 @@ from boxham.cycles import (
     used_column_indices,
     verify_column_contract,
     verify_cycle,
+    verify_product_cycle,
 )
 from boxham.errors import (
+    DisconnectedError,
     LayerBoundError,
     NoFactorError,
     NotTreeError,
@@ -34,9 +40,11 @@ from boxham.graphs import (
     cycle_graph,
     degree_stats,
     path_graph,
+    spanning_tree_containing,
     star_graph,
 )
 from boxham.oracle import enumerate_trees, fixtures
+from helpers import reference_format_cycle
 
 T1 = fixtures().t1
 
@@ -465,3 +473,153 @@ class TestBuildersAtScale:
                     assert (component_peel_order(t, factor).components
                             == naive_peel_order(t, factor)), t.edges
                     checked += 1
+
+
+class TestProductFreeVerifier:
+    """``verify_product_cycle`` against the product-graph validator."""
+
+    @pytest.mark.parametrize("make, builder", [
+        (matching_tree_2000, build_cycle_matching),
+        (p23_tree_2001, build_cycle_path_factor),
+    ])
+    def test_agrees_with_product_validator(self, make, builder):
+        t = make()
+        dmax = degree_stats(t).maximum
+        n = dmax if builder is build_cycle_matching else 4 * dmax - 2
+        prod = product_over(n, t)
+        good = builder(n, t).cycle.seq
+
+        def agree(seq, layers=n, base_order=t.order):
+            c = HamCycle(layers, base_order, tuple(seq))
+            verdict = verify_product_cycle(t, n, c)
+            assert verdict == verify_cycle(prod, c)
+            return verdict
+
+        assert agree(good)
+        assert agree(good, 1, len(good))  # the oracle's shape of the same cycle
+        assert agree(good[::-1]) and agree(good[5:] + good[:5])
+        rng = random.Random(11)
+        for _ in range(40):
+            seq = list(good)
+            i, j = rng.sample(range(len(seq)), 2)
+            seq[i], seq[j] = seq[j], seq[i]  # swap two vertices
+            assert not agree(seq)
+            seq = list(good)
+            i = rng.randrange(len(seq) - 1)
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]  # reverse one edge
+            assert not agree(seq)
+            seq = list(good)
+            i = rng.randrange(len(seq) - 1)
+            j = rng.randrange(i + 2, i + 40)
+            seq[i:j] = seq[i:j][::-1]  # reverse a run
+            agree(seq)
+        for seq in (good[:-1], good + good[:1], good[:-1] + good[:1], ()):
+            assert not agree(seq, 1, max(len(seq), 1))
+            if len(seq) % t.order == 0 and seq:
+                assert not agree(seq, len(seq) // t.order)
+        for bad in (0, len(good) + 1):
+            assert not agree((bad,) + good[1:])
+
+    def test_small_shapes(self):
+        for base in (path_graph(1), path_graph(2), cycle_graph(5), star_graph(3)):
+            for n in (1, 2, 3):
+                prod = product_over(n, base)
+                ids = tuple(range(1, n * base.order + 1))
+                rng = random.Random(n * 31 + base.order)
+                for seq in (ids, ids[::-1], tuple(rng.sample(ids, len(ids)))):
+                    c = HamCycle(n, base.order, seq)
+                    assert verify_product_cycle(base, n, c) == verify_cycle(prod, c)
+
+    def test_rejects_nonpositive_layers(self):
+        with pytest.raises(ValueError):
+            verify_product_cycle(path_graph(2), 0, two_column_cycle(2))
+
+
+class TestCycleText:
+    def test_matches_reference_and_roundtrips(self):
+        rng = random.Random(2024)
+        shapes = [(1, k) for k in (1, 2, 7)] + [(m, 1) for m in (1, 2, 9)]
+        shapes += [(rng.randint(1, 12), rng.randint(1, 15)) for _ in range(60)]
+        for layers, base_order in shapes:
+            seq = rng.sample(range(1, layers * base_order + 1), layers * base_order)
+            c = HamCycle(layers, base_order, tuple(seq))
+            assert format_cycle(c) == reference_format_cycle(c)
+            assert parse_cycle(format_cycle(c)) == c
+
+    def test_builder_cycles_match_reference(self):
+        t = matching_tree_2000()
+        c = build_cycle_matching(degree_stats(t).maximum, t).cycle
+        assert format_cycle(c) == reference_format_cycle(c)
+        c = build_cycle(1, path_graph(2)).cycle
+        assert format_cycle(c) == reference_format_cycle(c)
+
+    def test_ids_out_of_range(self):
+        for seq in ((0, 1, 2, 3), (1, 2, 3, 5)):
+            with pytest.raises(ValueError):
+                format_cycle(HamCycle(2, 2, seq))
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap every module binding of the named functions with a counter."""
+    from boxham import cycles, factors, graphs
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (graphs, factors, cycles):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+class TestChecksRunOnce:
+    @pytest.mark.parametrize("base, n, mode", [
+        (T1_pm_tree(), 3, "matching"),
+        (T1, 10, "pathfactor"),
+    ])
+    def test_build_cycle(self, monkeypatch, base, n, mode):
+        calls = _count_calls(monkeypatch, ("is_connected", "validate_path_factor"))
+        res = build_cycle(n, base)
+        assert res.mode == mode
+        assert calls["is_connected"] <= 2
+        assert calls["validate_path_factor"] == 1
+
+    def test_spanning_tree_still_rejects_a_forest(self):
+        forest = Graph.from_edges(5, [(1, 2), (2, 3), (4, 5)])
+        for seed in ([(1, 2)], [(4, 5)], [(1, 2), (4, 5)]):
+            with pytest.raises(DisconnectedError):
+                spanning_tree_containing(forest, seed)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_UNDER_O = """
+import boxham.cycles as c
+from boxham.graphs import path_graph
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError:
+        return "raised"
+    return "returned"
+
+c.verify_column_contract = lambda *args: False
+print(outcome(c.build_cycle_matching, 3, path_graph(2)))
+print(outcome(c.build_cycle_path_factor, 6, path_graph(3)))
+print(outcome(c._walk, c.Slots([0, 2, 1], [0, 0, 0]), 1, 2))  # degree 1
+print(outcome(c._walk, c.Slots([0, 2, 1, 4, 3], [0, 2, 1, 4, 3]), 1, 4))  # two cycles
+"""
+
+
+def test_builder_checks_survive_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["raised"] * 4
