@@ -19,7 +19,6 @@ builder gives the same cycle and that ``verify_cycle`` on the product
 graph accepts it too.
 
     PYTHONPATH=src python benchmarks/bench_builder.py          # writes BENCH_builder.json
-    PYTHONPATH=src python benchmarks/bench_builder.py --max-vertices 100000 --out b.json
 """
 
 import argparse
@@ -102,7 +101,12 @@ def row(kind: str, target: int) -> dict:
     seed_edges = [e for c in factor.components for e in zip(c, c[1:])]
     t = timed(stages, "spanning_tree", spanning_tree_containing, base, seed_edges)
     peel = timed(stages, "peel_order", cycles.component_peel_order, t, factor)
-    # the builder's private assembly step, timed apart from its checks
+    # This bench is deliberately tied to the private steps of cycles._build
+    # (assign_roles, _layer_plan, _assemble, verify_column_contract): the
+    # assembly has no public entry point that leaves out the checks, and
+    # it is the stage this file exists to time.  The public builder is run
+    # below on the same input and must give the same cycle, so a refactor
+    # of _build that changes what it does makes this bench fail, not drift.
     roles = cycles.assign_roles(factor)
     cycle = timed(stages, "assembly", cycles._assemble, n, t, roles, peel,
                   cycles._layer_plan(n, t.order))
@@ -124,8 +128,9 @@ def row(kind: str, target: int) -> dict:
         "peak_rss_mb": peak_rss_mb,
         "contract_ok": ok_contract,
         "verify_product_cycle_ok": ok_product_free,
-        "same_as_builder": builder(n, t, factor).cycle == cycle,
     }
+    if builder(n, t, factor).cycle != cycle:
+        raise SystemExit(f"{kind} {target}: the stages no longer give the builder's cycle")
     start = time.perf_counter()
     out["verify_cycle_ok"] = cycles.verify_cycle(cartesian_product(path_graph(n), base), cycle)
     out["verify_cycle_with_product_s"] = round(time.perf_counter() - start, 4)
@@ -134,8 +139,6 @@ def row(kind: str, target: int) -> dict:
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--max-vertices", type=int, default=TARGETS[-1],
-                        help="largest product size to run")
     parser.add_argument("--out", default="BENCH_builder.json")
     parser.add_argument("--row", nargs=2, metavar=("KIND", "TARGET"), help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -145,7 +148,7 @@ def main():
         return
 
     rows = []
-    for target in (t for t in TARGETS if t <= args.max_vertices):
+    for target in TARGETS:
         for kind in KINDS:
             cmd = [sys.executable, os.path.abspath(__file__), "--row", kind, str(target)]
             done = subprocess.run(cmd, check=True, capture_output=True, text=True)

@@ -624,14 +624,12 @@ def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
         return False
     if len(set(seq)) != total or min(seq) < 1 or max(seq) > total:
         return False
-    columns_adjacent = set(base.edges)
-    columns_adjacent.update((v, u) for u, v in base.edges)
     for a, b in zip(seq, seq[1:] + seq[:1]):
         if a - b == k or b - a == k:
             continue
         layer_a, column_a = divmod(a - 1, k)
         layer_b, column_b = divmod(b - 1, k)
-        if layer_a != layer_b or (column_a + 1, column_b + 1) not in columns_adjacent:
+        if layer_a != layer_b or not base.has_edge(column_a + 1, column_b + 1):
             return False
     return True
 

@@ -586,7 +586,7 @@ class TestChecksRunOnce:
         calls = _count_calls(monkeypatch, ("is_connected", "validate_path_factor"))
         res = build_cycle(n, base)
         assert res.mode == mode
-        assert calls["is_connected"] <= 2
+        assert calls["is_connected"] == 1
         assert calls["validate_path_factor"] == 1
 
     def test_spanning_tree_still_rejects_a_forest(self):
