@@ -20,7 +20,6 @@ from boxham import _pykernels, kernels
 from boxham.graphs import (
     Graph,
     cartesian_product,
-    complete_bipartite,
     complete_graph,
     path_graph,
     star_graph,
@@ -32,6 +31,15 @@ FIG4 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
 CRICKET = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
 # a degree-3 tree of order 8 from the scan 1 --k 3 family
 SCAN8 = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])
+
+# the Petersen graph minus its edge 1-2 on ids 1..10 and K11 on ids 11..21,
+# joined by the edges 1-11 and 2-21: a Hamiltonian cycle would cross that
+# 2-edge cut twice and hold a Hamiltonian 1-2 path of the fragment, which
+# the Petersen graph has not
+K11_FRAGMENT = Graph.from_edges(21, [
+    (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
+    (6, 8), (8, 10), (10, 7), (7, 9), (9, 6), (1, 11), (2, 21),
+    *((u, v) for u in range(11, 22) for v in range(u + 1, 22))])
 
 # deterministic nodes of the ham_cycle rows and subsets of the
 # toughness_scan rows, the same on both backends
@@ -74,10 +82,14 @@ def one_tough_instances():
            "bipartite_imbalance")
     yield "P3 x cricket (15)", cartesian_product(path_graph(3), CRICKET), "matching_barrier"
     yield "P2 x star3 (8)", cartesian_product(path_graph(2), star_graph(3)), "small_cut"
+    # a cycle at node 1,174 of the search, within its cap of 32 * 48
+    yield ("P6 x caterpillar8 (48)", cartesian_product(path_graph(6), T1),
+           "hamiltonian_cycle")
     yield "P3 x caterpillar6 (18)", cartesian_product(path_graph(3), FIG4), "frontier_dp"
     yield "P4 x caterpillar8 (32)", cartesian_product(path_graph(4), T1), "frontier_dp"
-    # frontier width 10 under both orders, past the DP's cap
-    yield "K10,10 (20)", complete_bipartite(10, 10), "search"
+    # frontier width 11 and 14 under the two orders, past the DP's cap, and
+    # no Hamiltonian cycle for the cycle stage to find
+    yield "K11 + Petersen fragment (21)", K11_FRAGMENT, "search"
 
 
 def run_one(impl, func, g, extra):

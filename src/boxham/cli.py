@@ -140,6 +140,8 @@ def _cmd_toughness(args):
         res = toughness.is_one_tough(g, budget_seconds=args.budget_seconds)
         payload.update(verdict=res.verdict, decided_by=res.decided_by, nodes=res.nodes)
         human = [f"1-tough: {res.verdict} (decided by {res.decided_by}, {res.nodes} nodes)"]
+        if res.cycle is not None:
+            payload["cycle"] = list(res.cycle)
         if res.witness is not None:
             payload["witness"] = _cut_witness_json(res.witness)
             human.append(res.witness.format())

@@ -156,17 +156,23 @@ def _matching_search(g: Graph) -> tuple[list[int], frozenset[int] | None]:
     path, so the first root without one ends the search.  Returns
     ``(mate, None)`` when the matching is perfect, else the partial
     matching and the odd vertex set of the tree that failed.
+
+    The tree arrays are allocated once here and shared by every root:
+    each search leaves them clean, so a short augmenting path costs time
+    in proportion to its own tree, not to the order.
     """
-    mate = [0] * (g.order + 1)  # 0: free
+    n = g.order
+    mate = [0] * (n + 1)  # 0: free
     for v in g.vertices():
         if not mate[v]:
             for w in g.neighbors(v):
                 if not mate[w]:
                     mate[v], mate[w] = w, v
                     break
+    tree = ([0] * (n + 1), list(range(n + 1)), [False] * (n + 1), [False] * (n + 1))
     for root in g.vertices():
         if not mate[root]:
-            odd = _augment_matching(g, mate, root)
+            odd = _augment_matching(g, mate, root, tree)
             if odd is not None:
                 return mate, odd
     return mate, None
@@ -192,39 +198,51 @@ def _odd_components_after(g: Graph, removed: frozenset[int]) -> int:
     return odd
 
 
-def _augment_matching(g: Graph, mate: list[int], root: int) -> frozenset[int] | None:
+def _augment_matching(g: Graph, mate: list[int], root: int,
+                      tree: tuple[list[int], list[int], list[bool], list[bool]]
+                      ) -> frozenset[int] | None:
     """Grow an alternating tree from a free root, contracting blossoms,
     and flip the first augmenting path found: return None.  When there
     is none, return the tree's odd vertices.
 
-    ``parent`` links each odd vertex to the even vertex that reached it;
-    ``base`` maps each vertex to the base of its contracted blossom.
+    ``tree`` holds four arrays over the vertices, clean on entry and left
+    clean on return.  ``parent`` links each odd vertex to the even vertex
+    that reached it; ``base`` maps each vertex to the base of its
+    contracted blossom (clean: itself); ``even`` marks the even vertices;
+    ``flag`` is scratch for the walk to the root and the blossom bases.
+    Only vertices of the tree change, and ``reached`` lists them.
     """
-    n = g.order
-    parent = [0] * (n + 1)
-    base = list(range(n + 1))
-    even = [False] * (n + 1)
+    parent, base, even, flag = tree
     even[root] = True
     queue = [root]
+    reached = [root]
 
     def lca(a: int, b: int) -> int:
-        on_path = [False] * (n + 1)
+        on_path = []
         while True:
             a = base[a]
-            on_path[a] = True
+            flag[a] = True
+            on_path.append(a)
             if a == root:
                 break
             a = parent[mate[a]]
-        while not on_path[base[b]]:
+        while not flag[base[b]]:
             b = parent[mate[base[b]]]
+        for x in on_path:
+            flag[x] = False
         return base[b]
 
-    def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+    def mark(v: int, top: int, child: int, bases: list[int]) -> None:
         while base[v] != top:
-            blossom[base[v]] = blossom[base[mate[v]]] = True
+            bases += (base[v], base[mate[v]])
             parent[v] = child
             child = mate[v]
             v = parent[child]
+
+    def finish(result: frozenset[int] | None) -> frozenset[int] | None:
+        for x in reached:
+            parent[x], base[x], even[x] = 0, x, False
+        return result
 
     for v in queue:
         for w in g.neighbors(v):
@@ -233,28 +251,35 @@ def _augment_matching(g: Graph, mate: list[int], root: int) -> frozenset[int] | 
             if w == root or (mate[w] and parent[mate[w]]):
                 # w is even too: the edge closes an odd cycle
                 top = lca(v, w)
-                blossom = [False] * (n + 1)
-                mark(v, top, w, blossom)
-                mark(w, top, v, blossom)
-                for x in g.vertices():
-                    if blossom[base[x]]:
-                        base[x] = top
-                        if not even[x]:
-                            even[x] = True
-                            queue.append(x)
+                bases: list[int] = []
+                mark(v, top, w, bases)
+                mark(w, top, v, bases)
+                for x in bases:
+                    flag[x] = True
+                # ascending, so the queue grows in vertex order
+                members = sorted(x for x in reached if flag[base[x]])
+                for x in bases:
+                    flag[x] = False
+                for x in members:
+                    base[x] = top
+                    if not even[x]:
+                        even[x] = True
+                        queue.append(x)
             elif not parent[w]:
                 parent[w] = v
+                reached.append(w)
                 if not mate[w]:
                     while w:
                         u = parent[w]
                         nxt = mate[u]
                         mate[w], mate[u] = u, w
                         w = nxt
-                    return None
+                    return finish(None)
                 even[mate[w]] = True
                 queue.append(mate[w])
+                reached.append(mate[w])
     # frustrated: blossom vertices got a parent too, but they are even
-    return frozenset(x for x in g.vertices() if parent[x] and not even[x])
+    return finish(frozenset(x for x in reached if parent[x] and not even[x]))
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,8 @@ def _judge_instance(args) -> tuple[str, int, str]:
     product = cartesian_product(path_graph(layers), base)
     res = find_hamiltonian_cycle(product, max_nodes=max_nodes)
     if res.status == "found":
-        assert verify_cycle(product, res.cycle)
+        if not verify_cycle(product, res.cycle):
+            raise AssertionError(f"search cycle on {layers} layers failed its check")
         return (_graph_key(base), layers, "hamiltonian")
     if res.status == "none":
         return (_graph_key(base), layers, "non_hamiltonian")

@@ -5,8 +5,8 @@ removal leaves at least two components), kept as an exact Fraction so the
 t >= 1 boundary is crisp; complete graphs have no cut set and report an
 infinite value.
 
-The 1-toughness decision tries three polynomial certificates before any
-search, each a cut S with c(G - S) > |S| that answers "no" with no search:
+The 1-toughness decision tries polynomial certificates before any
+search.  Three of them are cuts S with c(G - S) > |S| that answer "no":
 
 * a bipartite graph with unequal sides: removing the smaller side
   isolates every vertex of the larger one;
@@ -16,6 +16,11 @@ search, each a cut S with c(G - S) > |S| that answers "no" with no search:
   has a perfect matching);
 * a cut vertex, or a pair of vertices leaving three components, found by
   DFS lowpoint sweeps.
+
+Between the cut-vertex sweep and the pair pass, a Hamiltonian cycle
+found by a node-capped search answers "yes": a Hamiltonian graph is
+1-tough, as removing S cuts the cycle into at most |S| arcs.  The cycle
+is checked by ``cycles.verify_cycle`` before it is trusted.
 
 Everything else is decided exactly by maximizing c(G - S) - |S|.  A
 dynamic program walks a vertex order and keeps states over its frontier
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
+from .cycles import HamCycle, verify_cycle
 from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
 from .factors import MatchingBarrier, one_sided_obstruction, perfect_matching_or_barrier
 from .graphs import (
@@ -55,6 +61,11 @@ from .graphs import (
 # its state count (about Bell(width + 1)) hands over to the branch and
 # bound: the flagship P4 □ T1 has width 8, K_{10,10} width 10.
 _FRONTIER_MAX_WIDTH = 9
+
+# The Hamiltonian-cycle stage searches at most this many nodes per vertex.
+# On random products of 10-21 vertices it finds a cycle in almost every
+# Hamiltonian one; a graph it misses goes on to the exact stages.
+_CYCLE_NODES_PER_VERTEX = 32
 
 
 @dataclass(frozen=True)
@@ -92,8 +103,11 @@ class OneToughResult:
     witness: CutWitness | None
     nodes: int
     # "trivial" | "bipartite_imbalance" | "matching_barrier" | "small_cut"
-    # | "frontier_dp" | "search"
+    # | "hamiltonian_cycle" | "frontier_dp" | "search"
     decided_by: str
+    # the verified Hamiltonian cycle, as a vertex tuple, exactly when
+    # decided_by is "hamiltonian_cycle"
+    cycle: tuple[int, ...] | None = None
 
 
 def removal_stats(g: Graph, s) -> tuple[int, int]:
@@ -127,7 +141,8 @@ def toughness_exact(g: Graph, max_order: int = 20) -> ToughnessResult:
     if is_complete(g):
         return ToughnessResult(None, None, 0)
     best = kernels.toughness_scan(g)
-    assert best is not None, "non-complete graph must have a cut set"
+    if best is None:
+        raise AssertionError("non-complete graph must have a cut set")
     size, comps, cut, subsets = best
     return ToughnessResult(Fraction(size, comps), CutWitness(cut, comps), subsets)
 
@@ -137,13 +152,17 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     """Decide |S| >= c(G - S) for every cut set S.
 
     Disconnected and complete graphs are settled outright ("trivial").
-    Three polynomial pre-checks can then answer "no" with 0 nodes, each
-    with a cut recounted by the kernel:
+    The stages below then run in turn, each at most once; each "no" among
+    them comes at 0 nodes with a cut recounted by the kernel:
 
     * "bipartite_imbalance": the smaller side of an unbalanced bipartition;
     * "matching_barrier": the odd vertices of the frustrated tree left by
       a failed perfect-matching search, when there are any;
-    * "small_cut": a cut vertex, or a pair leaving three components.
+    * "small_cut": a cut vertex;
+    * "hamiltonian_cycle": "yes" with a Hamiltonian cycle, found by
+      ``kernels.ham_cycle`` within ``_CYCLE_NODES_PER_VERTEX`` nodes per
+      vertex and accepted by ``cycles.verify_cycle``; ``cycle`` holds it;
+    * "small_cut": a pair of vertices leaving three components.
 
     Otherwise c - |S| is maximized exactly, and a cut reaching
     c - |S| >= 1 answers "no" with that cut recounted:
@@ -155,11 +174,12 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     * "search": the scattering branch-and-bound with the pruning floor at
       zero, for wider graphs; ``nodes`` counts its search nodes.
 
-    "unknown" only appears when a budget is set and runs out: ``max_nodes``
-    caps the states or nodes of the stage that runs, and ``budget_seconds``
-    covers the pair pass of "small_cut" too.  A budget spent before the
-    exact stage starts gives "unknown" at 0 nodes, labelled with the stage
-    that would have run next.
+    ``nodes`` is the count of the stage that decided.  "unknown" only
+    appears when a budget is set and runs out: ``max_nodes`` caps the
+    nodes of the cycle search (below its own cap) and the states or nodes
+    of the exact stage, and ``budget_seconds`` is one deadline for every
+    stage.  A budget spent before the exact stage starts gives "unknown"
+    at 0 nodes, labelled with the stage that would have run next.
     """
     if not is_connected(g):
         # the empty set already separates the graph
@@ -178,7 +198,18 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     found = perfect_matching_or_barrier(g)
     if isinstance(found, MatchingBarrier) and found.witness:
         return _certified_no(g, found.witness, "matching_barrier")
-    cut = _small_cut(g, deadline)
+    cut = _cut_vertex(g)
+    if cut is not None:
+        return _certified_no(g, cut, "small_cut")
+    cap = _CYCLE_NODES_PER_VERTEX * g.order
+    status, seq, nodes = kernels.ham_cycle(
+        g, max_nodes=cap if max_nodes is None else min(cap, max_nodes),
+        budget_seconds=None if deadline is None else deadline - time.monotonic())
+    if status == "found":
+        if not verify_cycle(g, HamCycle(1, g.order, seq)):
+            raise AssertionError("hamiltonian_cycle cycle failed its check")
+        return OneToughResult("yes", None, nodes, "hamiltonian_cycle", seq)
+    cut = _separating_pair(g, deadline)
     if cut is not None:
         return _certified_no(g, cut, "small_cut")
     order, width = _narrow_order(g)
@@ -211,19 +242,24 @@ def _certified_no(g: Graph, cut: frozenset[int], decided_by: str,
     return OneToughResult("no", CutWitness(cut, comps), nodes, decided_by)
 
 
-def _small_cut(g: Graph, deadline: float | None) -> frozenset[int] | None:
-    """A cut vertex of the connected graph, else a pair {u, v} with
-    c(G - {u, v}) >= 3, else None; also None once ``deadline`` passes.
-
-    Without a cut vertex, each of three components left by a pair is
-    joined to both ends of it, so both ends have degree at least 3: the
-    pair pass sweeps G - u only for those u, and a pair is met from its
-    smaller end.
-    """
+def _cut_vertex(g: Graph) -> frozenset[int] | None:
+    """The smallest cut vertex of the connected graph, or None."""
     pieces = split_counts(g)
     for v in g.vertices():
         if pieces[v] >= 2:
             return frozenset((v,))
+    return None
+
+
+def _separating_pair(g: Graph, deadline: float | None) -> frozenset[int] | None:
+    """A pair {u, v} with c(G - {u, v}) >= 3 in a graph with no cut
+    vertex, the first by (u, v), else None; also None once ``deadline``
+    passes.
+
+    Each of three components left by such a pair is joined to both ends
+    of it, so both ends have degree at least 3: the pass sweeps G - u only
+    for those u, and a pair is met from its smaller end.
+    """
     for u in g.vertices():
         if g.degree(u) < 3:
             continue
@@ -412,7 +448,8 @@ def product_cut_from_bipartite(n: int, h: Graph) -> CutWitness:
                  if v not in cert.witness and not set(h.neighbors(v)) - cert.witness]
         i_layer1 = frozenset(product_id(1, v, h.order) for v in iso_h)
         y = side_a if s_layer1 <= side_a else side_b
-        assert s_layer1 <= y, "one-sided witness split across product sides"
+        if not s_layer1 <= y:
+            raise AssertionError("one-sided witness split across product sides")
         x = side_b if y is side_a else side_a
         cut = frozenset((x | s_layer1) - i_layer1)
     else:
@@ -437,7 +474,8 @@ def product_cut_from_high_degree(g1: Graph, t: Graph) -> CutWitness:
     product = cartesian_product(g1, t)
     cut = frozenset(product_id(i, v, t.order) for i in g1.vertices())
     witness = _verify_witness(product, cut)
-    assert witness.components == stats.maximum
+    if witness.components != stats.maximum:
+        raise AssertionError("column cut left a component count other than the degree")
     return witness
 
 

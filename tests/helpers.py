@@ -59,6 +59,37 @@ def random_connected_bipartite(rng: random.Random, min_order: int = 2,
     return g
 
 
+PETERSEN_EDGES = (
+    (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8),
+    (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6))
+
+
+def petersen_necklace(m: int) -> Graph:
+    """m copies of the Petersen graph minus its edge 1-2, ids 10i+1..10i+10,
+    with vertex 2 of each copy joined to vertex 1 of the next, cyclically.
+
+    Cubic, 1-tough, and non-Hamiltonian: a cycle crosses each copy's two
+    outside edges once each, so it would hold a Hamiltonian 1-2 path of
+    the copy, which with the edge 1-2 would be a Hamiltonian cycle of the
+    Petersen graph.  The identity order has frontier width 7.
+    """
+    edges = []
+    for i in range(m):
+        edges += [(u + 10 * i, v + 10 * i) for u, v in PETERSEN_EDGES[1:]]
+        edges.append((2 + 10 * i, 1 + 10 * ((i + 1) % m)))
+    return Graph.from_edges(10 * m, edges)
+
+
+def with_petersen_fragment(g: Graph, a: int, b: int) -> Graph:
+    """The Petersen graph minus its edge 1-2 on ids 1..10, and ``g`` on ids
+    11 on, joined by the edges 1 - (a + 10) and 2 - (b + 10).
+
+    No Hamiltonian cycle, for the reason given at ``petersen_necklace``.
+    """
+    edges = list(PETERSEN_EDGES[1:]) + [(u + 10, v + 10) for u, v in g.edges]
+    return Graph.from_edges(10 + g.order, edges + [(1, a + 10), (2, b + 10)])
+
+
 def _degree_profile(g: Graph) -> tuple:
     degs = {v: g.degree(v) for v in g.vertices()}
     return tuple(sorted(
@@ -275,3 +306,78 @@ def full_toughness_scan(n, adj):
         if lhs < rhs or (lhs == rhs and (size < bs or (size == bs and _lex_smaller(mask, bm)))):
             best = (size, c, mask)
     return best
+
+
+def reference_matching_search(g: Graph):
+    """Reference for ``factors._matching_search``: the same greedy pass and
+    blossom searches, with fresh tree arrays of the whole order for every
+    free root.  Returns (mate, odd vertex set of the failed tree or None)."""
+    mate = [0] * (g.order + 1)
+    for v in g.vertices():
+        if not mate[v]:
+            for w in g.neighbors(v):
+                if not mate[w]:
+                    mate[v], mate[w] = w, v
+                    break
+    for root in g.vertices():
+        if not mate[root]:
+            odd = _reference_augment(g, mate, root)
+            if odd is not None:
+                return mate, odd
+    return mate, None
+
+
+def _reference_augment(g: Graph, mate: list[int], root: int):
+    n = g.order
+    parent = [0] * (n + 1)
+    base = list(range(n + 1))
+    even = [False] * (n + 1)
+    even[root] = True
+    queue = [root]
+
+    def lca(a, b):
+        on_path = [False] * (n + 1)
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if a == root:
+                break
+            a = parent[mate[a]]
+        while not on_path[base[b]]:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v, top, child, blossom):
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for w in g.neighbors(v):
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] and parent[mate[w]]):
+                top = lca(v, w)
+                blossom = [False] * (n + 1)
+                mark(v, top, w, blossom)
+                mark(w, top, v, blossom)
+                for x in g.vertices():
+                    if blossom[base[x]]:
+                        base[x] = top
+                        if not even[x]:
+                            even[x] = True
+                            queue.append(x)
+            elif not parent[w]:
+                parent[w] = v
+                if not mate[w]:
+                    while w:
+                        u = parent[w]
+                        nxt = mate[u]
+                        mate[w], mate[u] = u, w
+                        w = nxt
+                    return None
+                even[mate[w]] = True
+                queue.append(mate[w])
+    return frozenset(x for x in g.vertices() if parent[x] and not even[x])

@@ -9,6 +9,7 @@ from boxham.graphs import (
     Graph,
     cartesian_product,
     complete_graph,
+    cycle_graph,
     format_graph,
     parse_graph,
     path_graph,
@@ -216,17 +217,24 @@ class TestToughness:
     def test_one_tough_reports_decider_and_nodes(self, capsys, files):
         p4 = files["dir"] / "p4.el"
         p4.write_text(format_graph(path_graph(4)))
+        c6 = files["dir"] / "c6.el"
+        c6.write_text(format_graph(cycle_graph(6)))
         expect = [(files["k4"], "yes", "trivial"),
                   (files["p3"], "no", "bipartite_imbalance"),
                   (files["fig4"], "no", "matching_barrier"),
                   (str(p4), "no", "small_cut"),
+                  (str(c6), "yes", "hamiltonian_cycle"),
                   (files["fig1"], "yes", "frontier_dp")]
         for path, verdict, decider in expect:
             code, payload = run_json(capsys, "toughness", "--graph", path, "--one-tough")
             assert code == 0
             assert (payload["verdict"], payload["decided_by"]) == (verdict, decider)
             assert isinstance(payload["nodes"], int)
-            assert "cycle" not in payload
+            # the cycle appears exactly when it decided the answer
+            assert ("cycle" in payload) == (decider == "hamiltonian_cycle")
+        code, payload = run_json(capsys, "toughness", "--graph", str(c6), "--one-tough")
+        assert payload["cycle"] == [1, 2, 3, 4, 5, 6] and payload["nodes"] == 6
+        assert "witness" not in payload
         code, payload = run_json(capsys, "toughness", "--graph", files["p3"], "--one-tough")
         assert payload["nodes"] == 0 and payload["witness"] == {"cut": [2], "components": 2}
 

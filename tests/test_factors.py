@@ -5,6 +5,7 @@ import pytest
 from boxham.errors import HasPathFactorError
 from boxham.factors import (
     FactorCertificate,
+    _matching_search,
     MatchingBarrier,
     PathFactor,
     factor_obstruction,
@@ -26,7 +27,7 @@ from boxham.graphs import (
 )
 from boxham.oracle import enumerate_trees
 from boxham.toughness import removal_stats
-from helpers import caterpillar, random_connected_graph
+from helpers import caterpillar, random_connected_graph, reference_matching_search
 
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
 
@@ -75,6 +76,24 @@ class TestPerfectMatching:
             m = find_perfect_matching(g)
             assert m is not None and m.is_perfect_matching
             assert validate_path_factor(g, m)
+
+    def test_same_search_as_fresh_arrays_per_root(self):
+        # the tree arrays are shared across roots and reset by each search;
+        # the matchings and barriers are those of fresh arrays per root
+        rng = random.Random(43)
+        barriers = 0
+        for _ in range(400):
+            n = rng.randint(2, 40)
+            edges = {tuple(sorted(rng.sample(range(1, n + 1), 2)))
+                     for _ in range(rng.randint(n // 2, 2 * n))}
+            g = Graph.from_edges(n, edges)
+            got = _matching_search(g)
+            assert got == reference_matching_search(g), g.edges
+            barriers += got[1] is not None
+        assert barriers >= 100
+        g = matching_tree(10_000, random.Random(12))
+        got = _matching_search(g)
+        assert got[1] is None and got == reference_matching_search(g)
 
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")

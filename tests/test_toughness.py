@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from boxham import kernels
+from boxham import kernels, toughness
+from boxham.cycles import HamCycle, verify_cycle
 from boxham.errors import (
     BudgetExceededError,
     HasPathFactorError,
@@ -27,7 +32,9 @@ from boxham.graphs import (
 from boxham.oracle import find_hamiltonian_cycle, fixtures
 from boxham.toughness import (
     _bfs_order,
-    _small_cut,
+    _cut_vertex,
+    _narrow_order,
+    _separating_pair,
     frontier_scattering,
     frontier_width,
     is_complete,
@@ -38,10 +45,21 @@ from boxham.toughness import (
     toughness_exact,
 )
 from helpers import (
+    PETERSEN_EDGES,
     connected_bipartite_up_to_iso,
+    petersen_necklace,
     random_connected_bipartite,
     random_connected_graph,
+    with_petersen_fragment,
 )
+
+# the spider with legs of 2, 2, 1 and 1 vertices: its 4-layer product is
+# balanced, 1-tough and non-Hamiltonian, like the flagship over T1
+SPIDER = Graph.from_edges(7, [(1, 4), (1, 5), (1, 6), (1, 7), (2, 5), (3, 4)])
+
+# too wide for the frontier DP under both orders (11 and 14), 1-tough, and
+# with no Hamiltonian cycle; the branch and bound decides it in 40,407 nodes
+WIDE = with_petersen_fragment(complete_graph(11), 1, 11)
 
 
 class TestRemovalStats:
@@ -177,9 +195,7 @@ class TestOneToughPrechecks:
     def test_tough_non_hamiltonian_goes_to_frontier_dp(self):
         res = is_one_tough(fixtures().fig1)
         assert (res.verdict, res.decided_by) == ("yes", "frontier_dp")
-        petersen = Graph.from_edges(10, [
-            (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8),
-            (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)])
+        petersen = Graph.from_edges(10, PETERSEN_EDGES)
         res = is_one_tough(petersen)
         assert (res.verdict, res.decided_by) == ("yes", "frontier_dp") and res.nodes > 0
         status, value, _, search_nodes = kernels.scattering_max(
@@ -187,7 +203,8 @@ class TestOneToughPrechecks:
         assert status == "complete" and value <= 0 and search_nodes > 0
 
     def test_balanced_bipartite_goes_to_frontier_dp(self):
-        res = is_one_tough(cycle_graph(6))
+        prod = cartesian_product(path_graph(4), SPIDER)
+        res = is_one_tough(prod)
         assert (res.verdict, res.decided_by, res.witness) == ("yes", "frontier_dp", None)
         # balanced, with a perfect matching and no cut of one or two vertices
         prod = cartesian_product(path_graph(4), star_graph(3))
@@ -223,22 +240,25 @@ class TestOneToughPrechecks:
         assert removal_stats(path_graph(2000), {2})[0] == res.witness.components == 2
 
     def test_budget_stops_the_pair_pass(self):
-        # cubic and 3-connected on 3000 vertices: the pair pass alone takes
+        # cubic and 2-connected on 3000 vertices, with no Hamiltonian cycle
+        # (the cycle search says so in 150 nodes): the pair pass alone takes
         # seconds, and it must give way to the budget
-        prism = cartesian_product(path_graph(2), cycle_graph(1500))
+        necklace = petersen_necklace(300)
+        assert kernels.ham_cycle(necklace)[::2] == ("none", 150)
         start = time.monotonic()
-        res = is_one_tough(prism, budget_seconds=0.3)
-        # labelled with the stage the budget kept from running: the prism's
-        # BFS width is 5, so the frontier DP
+        res = is_one_tough(necklace, budget_seconds=0.3)
+        # labelled with the stage the budget kept from running: the
+        # necklace's BFS width is 6, so the frontier DP
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 0)
         assert time.monotonic() - start < 2.0
 
-    def test_prism_decided_without_recursion(self):
-        # cubic and 3-connected on 3000 vertices; the BFS order from vertex
-        # 1 walks both cycles in step, with a frontier of a few vertices
-        prism = cartesian_product(path_graph(2), cycle_graph(1500))
-        assert frontier_width(prism, _bfs_order(prism)) == 5
-        res = is_one_tough(prism)
+    def test_large_cubic_graph_decided_without_recursion(self):
+        # cubic on 1200 vertices, more than the interpreter's recursion
+        # limit, and non-Hamiltonian; the BFS order from vertex 1 walks the
+        # ring both ways, with a frontier of a few vertices
+        necklace = petersen_necklace(120)
+        assert frontier_width(necklace, _bfs_order(necklace)) == 6
+        res = is_one_tough(necklace)
         assert (res.verdict, res.decided_by, res.witness) == ("yes", "frontier_dp", None)
 
     def test_prechecks_agree_with_networkx(self):
@@ -268,7 +288,7 @@ class TestOneToughPrechecks:
                 want = next((frozenset(p) for p in itertools.combinations(g.vertices(), 2)
                              if nx.number_connected_components(
                                  nxg.subgraph(set(g.vertices()) - set(p))) >= 3), None)
-            assert _small_cut(g, None) == want, g.edges
+            assert (_cut_vertex(g) or _separating_pair(g, None)) == want, g.edges
             pairs += want is not None and len(want) == 2
         assert barriers >= 30 and pairs >= 5
 
@@ -278,14 +298,15 @@ class TestOneToughPrechecks:
         assert is_one_tough(disconnected).decided_by == "trivial"
 
     def test_budget_runs_out_in_search(self):
-        # K_{10,10} has frontier width 10 under both orders: too wide for the DP
-        res = is_one_tough(complete_bipartite(10, 10), max_nodes=50)
+        # too wide for the DP, and its cycle search stops at the cap too
+        assert _narrow_order(WIDE)[1] == 11
+        res = is_one_tough(WIDE, max_nodes=50)
         assert (res.verdict, res.decided_by) == ("unknown", "search")
         assert res.nodes == 50
 
-    def test_long_cycle_under_budget_is_unknown(self):
-        # width 2, but about five states a vertex: 1200 vertices outrun 1500
-        res = is_one_tough(cycle_graph(1200), max_nodes=1500)
+    def test_long_ring_under_budget_is_unknown(self):
+        # width 6, but about 78 states a vertex: 1200 vertices outrun 1500
+        res = is_one_tough(petersen_necklace(120), max_nodes=1500)
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 1500)
 
     def test_agrees_with_direct_search(self):
@@ -304,14 +325,145 @@ class TestOneToughPrechecks:
             if res.witness is not None:
                 comps, _ = removal_stats(g, res.witness.cut)
                 assert comps == res.witness.components > len(res.witness.cut)
+        # non-Hamiltonian and narrow: the frontier DP decides it
+        petersen = Graph.from_edges(10, PETERSEN_EDGES)
+        res = is_one_tough(petersen)
+        _, value, _, _ = kernels.scattering_max(petersen, prune_at=0, stop_above=0)
+        assert res.verdict == "yes" and value <= 0
+        deciders.add(res.decided_by)
         # too wide for the DP: the branch and bound decides it
-        k = complete_bipartite(10, 10)
-        res = is_one_tough(k)
-        *_, search_nodes = kernels.scattering_max(k, prune_at=0, stop_above=0)
+        res = is_one_tough(WIDE)
+        *_, search_nodes = kernels.scattering_max(WIDE, prune_at=0, stop_above=0)
         assert res.verdict == "yes" and res.nodes == search_nodes > 0
         deciders.add(res.decided_by)
         assert deciders == {"trivial", "bipartite_imbalance", "matching_barrier",
-                            "small_cut", "frontier_dp", "search"}
+                            "small_cut", "hamiltonian_cycle", "frontier_dp", "search"}
+
+
+class TestCycleStage:
+    def test_cycle_yes_agrees_with_frontier_dp(self):
+        rng = random.Random(808)
+        seen = 0
+        for _ in range(150):
+            base = random_connected_graph(rng, 3, 7)
+            n = rng.randint(2, max(2, 21 // base.order))
+            g = cartesian_product(path_graph(n), base)
+            res = is_one_tough(g)
+            if res.decided_by != "hamiltonian_cycle":
+                assert res.cycle is None
+                continue
+            seen += 1
+            assert (res.verdict, res.witness) == ("yes", None)
+            assert 0 < res.nodes <= 32 * g.order
+            assert verify_cycle(g, HamCycle(1, g.order, res.cycle)), g.edges
+            order, width = _narrow_order(g)
+            assert width <= 9
+            assert frontier_scattering(g, order)[:3] == ("complete", None, None), g.edges
+        assert seen >= 40
+
+    def test_prism_and_long_product_decided_by_their_cycles(self):
+        # 3000 and 1200 vertices: each cycle is found in about one node a vertex
+        for g in (cartesian_product(path_graph(2), cycle_graph(1500)),
+                  cartesian_product(path_graph(120), complete_bipartite(5, 5))):
+            res = is_one_tough(g)
+            assert (res.verdict, res.decided_by, res.witness) == ("yes", "hamiltonian_cycle", None)
+            assert verify_cycle(g, HamCycle(1, g.order, res.cycle))
+
+    def test_flagship_has_no_cycle_and_stays_frontier_dp(self):
+        flagship = cartesian_product(path_graph(4), fixtures().t1)
+        res = is_one_tough(flagship)
+        assert (res.verdict, res.decided_by, res.nodes, res.cycle) == \
+            ("yes", "frontier_dp", 22_651, None)
+
+    def test_max_nodes_caps_the_cycle_search(self):
+        # P6 x T1 has a cycle at node 1,174 of the search, under 32 * 48
+        g = cartesian_product(path_graph(6), fixtures().t1)
+        res = is_one_tough(g, max_nodes=1174)
+        assert (res.verdict, res.decided_by, res.nodes) == ("yes", "hamiltonian_cycle", 1174)
+        res = is_one_tough(g, max_nodes=1173)
+        # the DP that runs next then stops at the same cap
+        assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 1173)
+        assert res.cycle is None
+
+    def test_cycle_past_the_stage_cap_goes_to_the_dp(self):
+        # Hamiltonian, but the search meets its cycle at node 758, past
+        # 32 * 18 = 576; a larger max_nodes does not lift that cap
+        base = Graph.from_edges(6, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (2, 6),
+                                    (3, 4), (4, 5)])
+        g = cartesian_product(path_graph(3), base)
+        assert kernels.ham_cycle(g)[::2] == ("found", 758)
+        for cap in (None, 10**6):
+            res = is_one_tough(g, max_nodes=cap)
+            assert (res.verdict, res.decided_by, res.nodes) == ("yes", "frontier_dp", 1365)
+
+    def test_cycle_stage_cap_and_deadline(self, monkeypatch):
+        calls = []
+        real = kernels.ham_cycle
+
+        def slow(g, *, max_nodes, budget_seconds):
+            calls.append((max_nodes, budget_seconds))
+            time.sleep(0.1)
+            return real(g, max_nodes=max_nodes, budget_seconds=budget_seconds)
+
+        monkeypatch.setattr(toughness.kernels, "ham_cycle", slow)
+        petersen = Graph.from_edges(10, PETERSEN_EDGES)
+        assert is_one_tough(petersen).decided_by == "frontier_dp"
+        assert is_one_tough(petersen, max_nodes=7).decided_by == "frontier_dp"
+        assert calls[0] == (320, None) and calls[1] == (7, None)
+        # one deadline for every stage: what the cycle stage spends, the
+        # exact stage does not get
+        res = is_one_tough(petersen, budget_seconds=0.05)
+        assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 0)
+        assert calls[2][0] == 320 and 0 < calls[2][1] <= 0.05
+
+    def test_forged_cycle_raises(self, monkeypatch):
+        monkeypatch.setattr(toughness.kernels, "ham_cycle",
+                            lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1))
+        with pytest.raises(AssertionError, match="hamiltonian_cycle"):
+            is_one_tough(Graph.from_edges(10, PETERSEN_EDGES))
+
+
+# Run under ``python -O``, which strips ``assert`` statements: every check
+# below must still raise.
+OPTIMIZED_CHECKS = """
+from boxham import kernels, oracle, toughness
+from boxham.graphs import Graph, cycle_graph, path_graph, star_graph
+from boxham.oracle import OracleResult
+from boxham.cycles import HamCycle
+assert False, "assert statements must be stripped"
+failed = []
+
+def expect_raise(label, call):
+    try:
+        call()
+    except AssertionError:
+        return
+    failed.append(label)
+
+petersen = Graph.from_edges(10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7),
+    (3, 8), (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)])
+kernels.ham_cycle = lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1)
+expect_raise("is_one_tough", lambda: toughness.is_one_tough(petersen))
+oracle.find_hamiltonian_cycle = lambda g, **_: OracleResult(
+    "found", HamCycle(1, g.order, tuple(range(1, g.order + 1))), 1)
+expect_raise("_judge_instance", lambda: oracle._judge_instance((4, ((1, 2), (2, 3), (3, 4)), 2, None)))
+kernels.toughness_scan = lambda g: None
+expect_raise("toughness_exact", lambda: toughness.toughness_exact(cycle_graph(5)))
+toughness._verify_witness = lambda product, cut: toughness.CutWitness(cut, 1)
+expect_raise("product_cut_from_high_degree",
+             lambda: toughness.product_cut_from_high_degree(path_graph(2), star_graph(3)))
+expect_raise("_certified_no", lambda: toughness._certified_no(cycle_graph(5), frozenset({1}), "x"))
+print(" ".join(failed) or "all raised")
+"""
+
+
+def test_checks_survive_optimized_mode():
+    src = str(Path(toughness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "all raised"
 
 
 class TestFrontierDP:
