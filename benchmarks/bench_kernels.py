@@ -118,10 +118,10 @@ def main():
     for kind, label, g, func, extra in instances(args.full):
         t_pure, nodes, r_pure = run_one(_pykernels, func, g, extra)
         t_fast, nodes2, r_fast = run_one(fast, func, g, extra)
-        assert r_pure == r_fast, f"backend mismatch on {label}"
-        assert nodes == nodes2
-        if label in PINNED_NODES:
-            assert nodes == PINNED_NODES[label], f"{label}: {nodes} nodes"
+        if (r_pure, nodes) != (r_fast, nodes2):
+            raise SystemExit(f"backend mismatch on {label}")
+        if nodes != PINNED_NODES.get(label, nodes):
+            raise SystemExit(f"{label}: {nodes} nodes, pinned {PINNED_NODES[label]}")
         speedup = t_pure / t_fast if t_fast > 0 else float("inf")
         print(f"{kind:<15} {label:<38} {t_pure:>8.3f}s {t_fast:>9.3f}s {speedup:>7.1f}x")
     print("\nresults identical across backends (including node counts)")
@@ -133,7 +133,8 @@ def main():
         start = time.perf_counter()
         res = is_one_tough(g)
         elapsed = time.perf_counter() - start
-        assert res.decided_by == decider, f"{label} decided by {res.decided_by}"
+        if res.decided_by != decider:
+            raise SystemExit(f"{label} decided by {res.decided_by}, expected {decider}")
         print(f"{label:<28} {res.verdict:>7} {res.decided_by:>20} {res.nodes:>10} "
               f"{elapsed:>8.3f}s")
 

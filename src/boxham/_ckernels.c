@@ -106,13 +106,13 @@ static int init_budget(Budget *b, PyObject *max_nodes, PyObject *deadline)
     return read_optional_ll(max_nodes, &b->has_cap, &b->max_nodes);
 }
 
-/* Count one search node; nonzero when the budget ran out.  The node past
-   the cap is counted before the search stops. */
+/* Count one search node; nonzero when the budget ran out.  A count at the
+   cap stops the search first, so a capped search reports exactly its cap. */
 static inline int charge(Budget *b)
 {
-    b->nodes++;
-    if (b->has_cap && b->nodes > b->max_nodes)
+    if (b->has_cap && b->nodes >= b->max_nodes)
         return 1;
+    b->nodes++;
     if (b->has_deadline && b->nodes >= b->next_check) {
         b->next_check = b->nodes + TIME_CHECK_STRIDE;
         if (monotonic() > b->deadline)

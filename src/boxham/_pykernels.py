@@ -8,7 +8,9 @@ agree with these bit for bit, node counts included.  Vertices are
 from the 1-indexed Graph world.
 
 All searches are deterministic: candidates are visited in ascending bit
-order and budgets are checked at fixed points.
+order and budgets are checked at fixed points.  A search stops before it
+counts a node past ``max_nodes``, so one that the cap stops reports
+exactly the cap.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ _TIME_CHECK_STRIDE = 4096
 
 class _OutOfBudget(Exception):
     pass
-
-
-def _lowest(x: int) -> int:
-    return (x & -x).bit_length() - 1
 
 
 def _reaches_all(adj, region: int, start_bit: int, targets: int) -> bool:
@@ -93,9 +91,9 @@ class _Budget:
         self.next_check = _TIME_CHECK_STRIDE
 
     def charge(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+        if self.max_nodes is not None and self.nodes >= self.max_nodes:
             raise _OutOfBudget
+        self.nodes += 1
         if self.deadline is not None and self.nodes >= self.next_check:
             self.next_check = self.nodes + _TIME_CHECK_STRIDE
             if time.monotonic() > self.deadline:

@@ -41,9 +41,6 @@ class PathFactor:
 
     components: tuple[Component, ...]
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for comp in self.components for v in comp)
-
     @property
     def is_perfect_matching(self) -> bool:
         return all(len(c) == 2 for c in self.components)

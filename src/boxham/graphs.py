@@ -120,9 +120,6 @@ class Bipartition:
     side_a: frozenset[int]
     side_b: frozenset[int]
 
-    def side_of(self, v: int) -> str:
-        return "a" if v in self.side_a else "b"
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -407,8 +404,8 @@ def format_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def to_dot(g: Graph, *, layers: int | None = None, bold: Iterable[tuple[int, int]] = (),
-           name: str = "G") -> str:
+def to_dot(g: Graph, *, layers: int | None = None,
+           bold: Iterable[tuple[int, int]] = ()) -> str:
     """DOT text for an undirected graph.
 
     With ``layers`` set, vertices are labeled "i_v" under the fixed
@@ -427,7 +424,7 @@ def to_dot(g: Graph, *, layers: int | None = None, bold: Iterable[tuple[int, int
             return str(v)
 
     bold_set = {canon_edge(u, v) for u, v in bold}
-    out = [f"graph {name} {{"]
+    out = ["graph G {"]
     for v in g.vertices():
         out.append(f'  "{label(v)}";')
     for u, v in g.edges:

@@ -9,6 +9,8 @@ pure Python in ``boxham._pykernels``.  Both walk the same search trees,
 node counts included.  The compiled module is used when it imported and
 the instance fits in 64-bit masks; everything else runs on the pure
 kernels, and ``backend_name()`` is ``"pure"`` when no module was built.
+A search that ``max_nodes`` stops reports exactly that many nodes on
+either backend.
 The parity tests build the C from source and compare it with
 ``_pykernels`` directly.
 """
@@ -46,14 +48,6 @@ def backend_name() -> str:
     return BACKEND
 
 
-def _expanded(status, nodes, max_nodes):
-    """Nodes a search expanded: one that ran out of ``max_nodes`` charged
-    the node past its cap before it stopped, and never expanded it."""
-    if status == "unknown" and max_nodes is not None:
-        return min(nodes, max_nodes)
-    return nodes
-
-
 def ham_cycle(g: Graph, *, max_nodes=None, budget_seconds=None):
     """(status, vertex tuple or None, nodes) on 1-indexed vertices."""
     impl = _impl_for(g.order)
@@ -62,7 +56,7 @@ def ham_cycle(g: Graph, *, max_nodes=None, budget_seconds=None):
         max_nodes, _deadline(budget_seconds))
     if order is not None:
         order = tuple(v + 1 for v in order)
-    return status, order, _expanded(status, nodes, max_nodes)
+    return status, order, nodes
 
 
 def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
@@ -72,7 +66,7 @@ def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
         max_nodes, _deadline(budget_seconds))
     if order is not None:
         order = tuple(v + 1 for v in order)
-    return status, order, _expanded(status, nodes, max_nodes)
+    return status, order, nodes
 
 
 def scattering_max(g: Graph, *, prune_at=None, stop_above=None,
@@ -83,7 +77,7 @@ def scattering_max(g: Graph, *, prune_at=None, stop_above=None,
         g.order, list(g.adjacency_masks),
         prune_at, stop_above, max_nodes, _deadline(budget_seconds))
     cut = None if mask is None else _mask_to_set(mask)
-    return status, val, cut, _expanded(status, nodes, max_nodes)
+    return status, val, cut, nodes
 
 
 def toughness_scan(g: Graph):

@@ -359,21 +359,18 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
                       budget_seconds: float | None = None,
                       max_nodes_per_instance: int | None = None,
                       workers: int = 1,
-                      start_index: int = 0,
-                      include_below_bound: bool = True) -> ScanReport:
+                      start_index: int = 0) -> ScanReport:
     """Test balanced bipartite products with an odd layer count.
 
     An odd layer count keeps the product balanced exactly when the base's
     own sides are balanced, and those are the products the even-layer
     guarantee says nothing about.  Entries with at least 4*max_degree - 2
     layers are in the claimed range (a verified non-Hamiltonian one would
-    refute it); smaller odd products are exploratory and included by
-    default because they are where the interesting behavior starts.
+    refute it); smaller odd products are included as exploratory entries
+    because they are where the interesting behavior starts.
     """
     report = ScanReport("balanced_odd", {
-        "max_h_order": max_h_order, "max_n": max_n,
-        "include_below_bound": include_below_bound,
-        "start_index": start_index,
+        "max_h_order": max_h_order, "max_n": max_n, "start_index": start_index,
     })
     instances = []
     for g in _candidate_bases(max_h_order, bipartite_only=True):
@@ -381,13 +378,7 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
         if len(bip.side_a) != len(bip.side_b):
             continue
         bound = 4 * degree_stats(g).maximum - 2
-        for n in range(1, max_n + 1):
-            if n % 2 == 0 or n < 2:
-                continue
-            in_range = n >= bound
-            if not in_range and not include_below_bound:
-                continue
-            instances.append((g, n, in_range))
+        instances += [(g, n, n >= bound) for n in range(3, max_n + 1, 2)]
     instances = instances[start_index:]
     report.last_index = start_index - 1
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds

@@ -24,12 +24,13 @@ is checked by ``cycles.verify_cycle`` before it is trusted.
 
 Everything else is decided exactly by maximizing c(G - S) - |S|.  A
 dynamic program walks a vertex order and keeps states over its frontier
-(the processed vertices with an unprocessed neighbour); its cost is linear
-in the order and exponential only in the frontier width.  In layer-major
-ids the n-layer product over G has width at most |G|, so the 32-vertex
-flagship takes a fraction of a second.  Graphs with no narrow order among
-the two tried go to the branch-and-bound search; recognizing tough graphs
-is NP-hard in general, so both stay exact.
+(the processed vertices with an unprocessed neighbour), each carrying a
+cut that attains its value.  Its time is linear in the order, its memory
+follows the widest layer of states, and both are exponential only in the
+frontier width.  In layer-major ids the n-layer product over G has width
+at most |G|, so the 32-vertex flagship takes a fraction of a second.
+Graphs with no narrow order among the two tried go to the branch-and-bound
+search; recognizing tough graphs is NP-hard in general, so both stay exact.
 
 The module also builds the two explicit non-1-tough witnesses the cycle
 pipeline is contrasted against: products over a bipartite base without a
@@ -335,10 +336,12 @@ def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
     for "in S" or the canonical number of its block of kept vertices
     connected so far, plus a flag saying whether S is non-empty; its value
     is the closed components (blocks with no member left on the frontier)
-    minus |S|, maximized per state.  A state is dropped once value + open
-    blocks + unprocessed vertices <= 0, as no completion can then exceed 0.
-    One parent map per step rebuilds S.  The cost grows linearly in the
-    order and about as Bell(width + 1) in the frontier width.
+    minus |S|, maximized per state, and it carries a bitmask of an S
+    attaining that value.  A state is dropped once value + open blocks +
+    unprocessed vertices <= 0, as no completion can then exceed 0.  Only
+    the current layer of states is kept, so memory follows the widest
+    layer, not the order; time grows linearly in the order and about as
+    Bell(width + 1) in the frontier width.
 
     Returns (status, value, cut, states).  ``status`` is "complete", or
     "unknown" when ``max_nodes`` states have been expanded and another is
@@ -350,8 +353,7 @@ def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
     last = _last_steps(g, order)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     frontier: list[int] = []
-    layer = {(False, ()): 0}
-    parents = []
+    layer = {(False, ()): (0, 0)}
     nodes = 0
     for t, v in enumerate(order):
         if deadline is not None and time.monotonic() > deadline:
@@ -363,13 +365,12 @@ def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
         leaves = [i for i, u in enumerate(frontier) if last[u] <= t]
         frontier = [frontier[i] for i in stays]
         unprocessed = g.order - t - 1
+        bit = 1 << v
         nxt: dict = {}
-        back: dict = {}
-        for key, value in layer.items():
-            if nodes == max_nodes:
+        for (flag, labels), (value, cut) in layer.items():
+            if max_nodes is not None and nodes >= max_nodes:
                 return "unknown", None, None, nodes
             nodes += 1
-            flag, labels = key
             joined = {labels[i] for i in slots}
             joined.discard(0)
             if joined:
@@ -388,21 +389,13 @@ def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
                 if val + len(relabel) - 1 + unprocessed <= 0:
                     continue
                 new = (flag or in_s, canon)
-                if new not in nxt or val > nxt[new]:
-                    nxt[new] = val
-                    back[new] = (key, in_s)
+                if new not in nxt or val > nxt[new][0]:
+                    nxt[new] = (val, cut | bit if in_s else cut)
         layer = nxt
-        parents.append(back)
-    key = (True, ())
-    if key not in layer:
+    if (True, ()) not in layer:
         return "complete", None, None, nodes
-    value = layer[key]
-    cut = set()
-    for t in range(g.order - 1, -1, -1):
-        key, in_s = parents[t][key]
-        if in_s:
-            cut.add(order[t])
-    return "complete", value, frozenset(cut), nodes
+    value, cut = layer[True, ()]
+    return "complete", value, frozenset(v for v in order if cut >> v & 1), nodes
 
 
 # ---------------------------------------------------------------------------

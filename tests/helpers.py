@@ -8,6 +8,7 @@ from functools import lru_cache
 
 from boxham._pykernels import _Budget, _OutOfBudget, count_components
 from boxham.graphs import Graph, format_label, is_connected, isomorphic
+from boxham.toughness import _last_steps
 
 
 def random_connected_graph(rng: random.Random, min_order: int = 2,
@@ -381,3 +382,63 @@ def _reference_augment(g: Graph, mate: list[int], root: int):
                 even[mate[w]] = True
                 queue.append(mate[w])
     return frozenset(x for x in g.vertices() if parent[x] and not even[x])
+
+
+def reference_frontier_scattering(g: Graph, order, *, max_nodes=None):
+    """Reference for ``toughness.frontier_scattering`` without a time
+    budget: the same dynamic program, but it stores one parent map per
+    step and walks the maximizing state back through them to rebuild S.
+    It must give the same (status, value, cut, states) on every input."""
+    last = _last_steps(g, order)
+    frontier: list[int] = []
+    layer = {(False, ()): 0}
+    parents = []
+    nodes = 0
+    for t, v in enumerate(order):
+        adjacent = set(g.neighbors(v))
+        slots = [i for i, u in enumerate(frontier) if u in adjacent]
+        frontier.append(v)
+        stays = [i for i, u in enumerate(frontier) if last[u] > t]
+        leaves = [i for i, u in enumerate(frontier) if last[u] <= t]
+        frontier = [frontier[i] for i in stays]
+        unprocessed = g.order - t - 1
+        nxt: dict = {}
+        back: dict = {}
+        for key, value in layer.items():
+            if nodes == max_nodes:
+                return "unknown", None, None, nodes
+            nodes += 1
+            flag, labels = key
+            joined = {labels[i] for i in slots}
+            joined.discard(0)
+            if joined:
+                b = min(joined)
+                grown = tuple([b if x in joined else x for x in labels]) + (b,)
+            else:
+                grown = labels + (max(labels, default=0) + 1,)
+            for in_s, ext, val in ((True, labels + (0,), value - 1), (False, grown, value)):
+                kept = [ext[i] for i in stays]
+                if leaves:
+                    closed = {ext[i] for i in leaves}.difference(kept)
+                    closed.discard(0)
+                    val += len(closed)
+                relabel = {0: 0}
+                canon = tuple([relabel.setdefault(b, len(relabel)) for b in kept])
+                if val + len(relabel) - 1 + unprocessed <= 0:
+                    continue
+                new = (flag or in_s, canon)
+                if new not in nxt or val > nxt[new]:
+                    nxt[new] = val
+                    back[new] = (key, in_s)
+        layer = nxt
+        parents.append(back)
+    key = (True, ())
+    if key not in layer:
+        return "complete", None, None, nodes
+    value = layer[key]
+    cut = set()
+    for t in range(g.order - 1, -1, -1):
+        key, in_s = parents[t][key]
+        if in_s:
+            cut.add(order[t])
+    return "complete", value, frozenset(cut), nodes

@@ -362,6 +362,7 @@ class TestScan:
         text = out.read_text()
         assert "verdict=hamiltonian" in text
         assert payload["counterexamples"] == []
+        assert payload["params"] == {"max_h_order": 6, "max_n": 5, "start_index": 0}
 
 
 class TestStability:

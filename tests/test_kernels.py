@@ -16,7 +16,12 @@ from boxham.graphs import (
     path_graph,
     star_graph,
 )
-from helpers import full_toughness_scan, recursive_ham_cycle, recursive_ham_path
+from helpers import (
+    full_toughness_scan,
+    random_connected_graph,
+    recursive_ham_cycle,
+    recursive_ham_path,
+)
 
 
 def random_masks(rng, max_order=9, density=0.45):
@@ -117,7 +122,7 @@ class TestParity:
         rng = random.Random(105)
         for _ in range(50):
             n, adj = random_masks(rng, 8)
-            for cap in (1, 5, 50):
+            for cap in (0, 1, 5, 50):
                 assert (ckernels.ham_cycle(n, adj, cap, None)
                         == _pykernels.ham_cycle(n, adj, cap, None))
                 assert (ckernels.ham_path(n, adj, cap, None)
@@ -347,14 +352,38 @@ class TestWrappers:
         flagship = cartesian_product(path_graph(4), fixtures().t1)
         adj = list(flagship.adjacency_masks)
         for fast in backends():
-            # the backends charge the node past the cap before they stop
-            assert (fast or _pykernels).ham_cycle(32, adj, 10, None)[2] == 11
+            # the backends stop before they count a node past the cap
+            assert (fast or _pykernels).ham_cycle(32, adj, 10, None)[2] == 10
             for search in (kernels.ham_cycle, kernels.ham_path):
                 status, _, nodes = search(flagship, max_nodes=10)
                 assert (status, nodes) == ("unknown", 10)
             status, *_, nodes = kernels.scattering_max(flagship, prune_at=0, stop_above=0,
                                                        max_nodes=10)
             assert (status, nodes) == ("unknown", 10)
+
+    def test_every_capped_search_reports_exactly_its_cap(self, backends):
+        rng = random.Random(111)
+        graphs = [cartesian_product(path_graph(4), oracle.fixtures().t1)]
+        graphs += [random_connected_graph(rng, 6, 12) for _ in range(40)]
+        for fast in backends():
+            impl = fast or _pykernels
+            stopped = 0
+            for g in graphs:
+                adj = list(g.adjacency_masks)
+                for cap in (0, 1, 5, 50):
+                    raw = (impl.ham_cycle(g.order, adj, cap, None),
+                           impl.ham_path(g.order, adj, cap, None),
+                           impl.scattering_max(g.order, adj, 0, 0, cap, None))
+                    wrapped = (kernels.ham_cycle(g, max_nodes=cap),
+                               kernels.ham_path(g, max_nodes=cap),
+                               kernels.scattering_max(g, prune_at=0, stop_above=0,
+                                                      max_nodes=cap))
+                    for out, again in zip(raw, wrapped):
+                        assert out[-1] <= cap and out[-1] == again[-1]
+                        if out[0] == "unknown":
+                            stopped += 1
+                            assert out[-1] == cap, (g.edges, cap, out)
+            assert stopped >= 300
 
     def test_toughness_scan_translation(self, backends):
         for _ in backends():

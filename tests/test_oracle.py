@@ -256,6 +256,7 @@ class TestScans:
     def test_report_format_round(self):
         report = scan_balanced_odd(4, 3)
         text = format_scan_report(report)
-        assert text.startswith("scan balanced_odd")
+        assert text.startswith("scan balanced_odd\nparam max_h_order = 4\nparam max_n = 3\n"
+                               "param start_index = 0\ninstance ")
         assert f"examined {report.instances_examined}" in text
         assert "status complete" in text

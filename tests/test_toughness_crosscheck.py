@@ -1,16 +1,31 @@
 """Second-opinion toughness: a from-scratch subset enumeration with
 union-find components must reproduce toughness_exact (value, witness,
 and tie-breaks), the exact scattering maximum, and the frontier DP's
-maximum whenever it exceeds 0."""
+maximum whenever it exceeds 0.  The frontier DP must also give exactly
+what the parent-map version in the helpers gives, node cap included."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
-from boxham.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, star_graph
+from boxham.graphs import (
+    cartesian_product,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from boxham.kernels import scattering_max
-from boxham.toughness import frontier_scattering, toughness_exact
-from helpers import random_connected_bipartite, random_connected_graph
+from boxham.oracle import fixtures
+from boxham.toughness import _bfs_order, frontier_scattering, toughness_exact
+from helpers import (
+    petersen_necklace,
+    random_connected_bipartite,
+    random_connected_graph,
+    reference_frontier_scattering,
+)
 
 
 def components_union_find(g, removed):
@@ -115,3 +130,42 @@ def test_frontier_dp_matches_naive_enumeration():
         _, bb_value, _, _ = scattering_max(g, prune_at=0, stop_above=0)
         assert (value is not None) == (bb_value is not None and bb_value > 0), g.edges
     assert 100 <= positive <= 270
+
+
+def test_frontier_dp_matches_parent_map_reference():
+    rng = random.Random(1212)
+    capped = 0
+    for _ in range(1000):
+        g = random_connected_graph(rng, 2, 12)
+        shuffled = list(g.vertices())
+        rng.shuffle(shuffled)
+        for order in (list(g.vertices()), _bfs_order(g), shuffled):
+            for cap in (None, 0, 1, 7, 100):
+                got = frontier_scattering(g, order, max_nodes=cap)
+                assert got == reference_frontier_scattering(g, order, max_nodes=cap), \
+                    (g.edges, order, cap)
+                capped += got[0] == "unknown"
+    assert capped >= 3000
+
+
+def test_frontier_dp_matches_reference_on_the_flagship():
+    flagship = cartesian_product(path_graph(4), fixtures().t1)
+    order = list(flagship.vertices())
+    got = frontier_scattering(flagship, order)
+    assert got == reference_frontier_scattering(flagship, order) == ("complete", None, None, 22651)
+
+
+def test_frontier_dp_memory_follows_the_layer_not_the_order():
+    # 1200 vertices at width 6: the parent maps of the reference peak at
+    # about 20 MiB here, the current layer alone at a fraction of one
+    necklace = petersen_necklace(120)
+    order = _bfs_order(necklace)
+    want = reference_frontier_scattering(necklace, order)
+    tracemalloc.start()
+    try:
+        got = frontier_scattering(necklace, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == ("complete", None, None, 93833)
+    assert peak < 2 * 2**20, peak
