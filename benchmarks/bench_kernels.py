@@ -41,13 +41,20 @@ K11_FRAGMENT = Graph.from_edges(21, [
     (6, 8), (8, 10), (10, 7), (7, 9), (9, 6), (1, 11), (2, 21),
     *((u, v) for u in range(11, 22) for v in range(u + 1, 22))])
 
-# deterministic nodes of the ham_cycle rows and subsets of the
-# toughness_scan rows, the same on both backends
+# five K2 components, each joined to every vertex of S = {1, 5, 9, 14}:
+# frontier width 12 and 10 under the two orders, and S leaves 5 components
+FIVE_K2 = Graph.from_edges(14, [(2, 3), (4, 6), (7, 8), (10, 11), (12, 13)] + [
+    (s, v) for s in (1, 5, 9, 14) for v in range(1, 15) if v not in (1, 5, 9, 14)])
+
+# deterministic nodes of the search rows and subsets of the toughness_scan
+# rows, the same on both backends
 PINNED_NODES = {
     "P5 x caterpillar6 (found)": 34,
     "P4 x caterpillar8 (none)": 408,
     "P6 x caterpillar8 (found)": 1_174,
     "P8 x scan tree8 (64, found)": 83_687,
+    "P3 x caterpillar8 (24 vertices)": 251_734,
+    "P4 x caterpillar8 flagship (32 vertices)": 15_567_633,
     "P2 x caterpillar8": 14_893,
     "P3 x caterpillar6": 63_004,
 }
@@ -55,24 +62,24 @@ PINNED_NODES = {
 
 def instances(full):
     yield ("ham_cycle", "P5 x caterpillar6 (found)",
-           cartesian_product(path_graph(5), FIG4), "ham_cycle", ())
+           cartesian_product(path_graph(5), FIG4), "ham_cycle")
     yield ("ham_cycle", "P4 x caterpillar8 (none)",
-           cartesian_product(path_graph(4), T1), "ham_cycle", ())
+           cartesian_product(path_graph(4), T1), "ham_cycle")
     yield ("ham_cycle", "P6 x caterpillar8 (found)",
-           cartesian_product(path_graph(6), T1), "ham_cycle", ())
+           cartesian_product(path_graph(6), T1), "ham_cycle")
     yield ("ham_cycle", "P8 x scan tree8 (64, found)",
-           cartesian_product(path_graph(8), SCAN8), "ham_cycle", ())
+           cartesian_product(path_graph(8), SCAN8), "ham_cycle")
     yield ("ham_path", "P4 x caterpillar8",
-           cartesian_product(path_graph(4), T1), "ham_path", ())
+           cartesian_product(path_graph(4), T1), "ham_path")
     yield ("scattering", "P3 x caterpillar8 (24 vertices)",
-           cartesian_product(path_graph(3), T1), "scattering_max", (0, 0))
+           cartesian_product(path_graph(3), T1), "scattering_max")
     yield ("toughness_scan", "P2 x caterpillar8",
-           cartesian_product(path_graph(2), T1), "toughness_scan", ())
+           cartesian_product(path_graph(2), T1), "toughness_scan")
     yield ("toughness_scan", "P3 x caterpillar6",
-           cartesian_product(path_graph(3), FIG4), "toughness_scan", ())
+           cartesian_product(path_graph(3), FIG4), "toughness_scan")
     if full:
         yield ("scattering", "P4 x caterpillar8 flagship (32 vertices)",
-               cartesian_product(path_graph(4), T1), "scattering_max", (0, 0))
+               cartesian_product(path_graph(4), T1), "scattering_max")
 
 
 def one_tough_instances():
@@ -90,12 +97,14 @@ def one_tough_instances():
     # frontier width 11 and 14 under the two orders, past the DP's cap, and
     # no Hamiltonian cycle for the cycle stage to find
     yield "K11 + Petersen fragment (21)", K11_FRAGMENT, "search"
+    # not 1-tough: the branch and bound answers "no" with the cut S
+    yield "five K2 + 4-vertex cut (14)", FIVE_K2, "search"
 
 
-def run_one(impl, func, g, extra):
+def run_one(impl, func, g):
     adj = list(g.adjacency_masks)
     # the searches take a node cap and a deadline; the toughness scan does not
-    args = () if func == "toughness_scan" else (*extra, None, None)
+    args = () if func == "toughness_scan" else (None, None)
     start = time.perf_counter()
     out = getattr(impl, func)(g.order, adj, *args)
     elapsed = time.perf_counter() - start
@@ -115,9 +124,9 @@ def main():
     header = f"{'kernel':<15} {'instance':<38} {'pure':>9} {'compiled C':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
-    for kind, label, g, func, extra in instances(args.full):
-        t_pure, nodes, r_pure = run_one(_pykernels, func, g, extra)
-        t_fast, nodes2, r_fast = run_one(fast, func, g, extra)
+    for kind, label, g, func in instances(args.full):
+        t_pure, nodes, r_pure = run_one(_pykernels, func, g)
+        t_fast, nodes2, r_fast = run_one(fast, func, g)
         if (r_pure, nodes) != (r_fast, nodes2):
             raise SystemExit(f"backend mismatch on {label}")
         if nodes != PINNED_NODES.get(label, nodes):

@@ -6,7 +6,9 @@
    at most 64 vertices (boxham.kernels routes larger graphs to the pure
    backend), raises ValueError when len(adj) != n or n > 64, and clips each
    mask to the low n bits.  The searches recurse once per decided vertex,
-   so their depth is at most 64.
+   so their depth is at most 64.  The scattering branch and bound answers
+   only the 1-toughness question: it stops at the first cut set S with
+   c(G - S) - |S| > 0.
 
    Built by setup.py as the optional extension boxham._ckernels; without
    it the package runs on the pure kernels. */
@@ -368,16 +370,15 @@ static PyObject *py_ham_path(PyObject *self, PyObject *args, PyObject *kw)
 }
 
 /* ------------------------------------------------------------------------
-   scattering maximization (branch and bound) */
+   scattering branch and bound: a cut set S with c(G - S) - |S| > 0 */
 
 typedef struct {
     u64 adj[MAX_ORDER];
     int n;
     u64 full;
     Budget bud;
-    int have_best, stopped, have_prune, have_stop;
-    long long best_val, prune_at, stop_above;
-    u64 best_mask;
+    int val;                /* c(G - S) - |S| of the set found */
+    u64 mask;               /* the set S found */
 } Scatter;
 
 static int greedy_matching(const u64 *adj, u64 alive)
@@ -396,74 +397,53 @@ static int greedy_matching(const u64 *adj, u64 alive)
     return size;
 }
 
-/* 0, or OUT_OF_BUDGET */
+/* EXHAUSTED, FOUND with s->val and s->mask set, or OUT_OF_BUDGET */
 static int scat(Scatter *s, int idx, u64 s_mask, u64 kept)
 {
-    if (s->stopped)
-        return 0;
     if (charge(&s->bud))
         return OUT_OF_BUDGET;
     if (idx == s->n) {
         int c = components(s->adj, kept);
-        if (c >= 2) {
-            long long val = c - popcount(s_mask);
-            if (!s->have_best || val > s->best_val) {
-                s->best_val = val;
-                s->best_mask = s_mask;
-                s->have_best = 1;
-                if (s->have_stop && val > s->stop_above)
-                    s->stopped = 1;
-            }
-        }
-        return 0;
+        if (c < 2 || c - popcount(s_mask) <= 0)
+            return EXHAUSTED;
+        s->val = c - popcount(s_mask);
+        s->mask = s_mask;
+        return FOUND;
     }
     /* putting every undecided vertex back adds at most one component each,
        tempered by a greedy matching on them */
     u64 undecided = s->full & ~(((u64)1 << idx) - 1);
-    long long ub = components(s->adj, kept) + popcount(undecided)
-                   - greedy_matching(s->adj, undecided) - popcount(s_mask);
-    int have_floor = s->have_prune;
-    long long floor = s->prune_at;
-    if (s->have_best && (!have_floor || s->best_val > floor)) {
-        floor = s->best_val;
-        have_floor = 1;
-    }
-    if (have_floor && ub <= floor)
-        return 0;
+    if (components(s->adj, kept) + popcount(undecided)
+        - greedy_matching(s->adj, undecided) - popcount(s_mask) <= 0)
+        return EXHAUSTED;
     u64 bit = (u64)1 << idx;
     /* all neighbours already removed: keeping idx dominates removing it */
     if (!(s->adj[idx] & (s->full & ~s_mask & ~bit)))
         return scat(s, idx + 1, s_mask, kept | bit);
-    if (scat(s, idx + 1, s_mask | bit, kept))
-        return OUT_OF_BUDGET;
-    if (!s->stopped)
-        return scat(s, idx + 1, s_mask, kept | bit);
-    return 0;
+    int res = scat(s, idx + 1, s_mask | bit, kept);
+    if (res != EXHAUSTED)
+        return res;
+    return scat(s, idx + 1, s_mask, kept | bit);
 }
 
 static PyObject *py_scattering_max(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *kwlist[] = {"n", "adj", "prune_at", "stop_above",
-                             "max_nodes", "deadline", NULL};
-    PyObject *adj_list, *prune_at = Py_None, *stop_above = Py_None;
-    PyObject *max_nodes = Py_None, *deadline = Py_None;
+    static char *kwlist[] = {"n", "adj", "max_nodes", "deadline", NULL};
+    PyObject *adj_list, *max_nodes = Py_None, *deadline = Py_None;
     Py_ssize_t n;
     Scatter s = {0};
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "nO|OOOO", kwlist, &n, &adj_list,
-                                     &prune_at, &stop_above, &max_nodes, &deadline)
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "nO|OO", kwlist, &n, &adj_list,
+                                     &max_nodes, &deadline)
         || read_adj(n, adj_list, s.adj) < 0
-        || read_optional_ll(prune_at, &s.have_prune, &s.prune_at) < 0
-        || read_optional_ll(stop_above, &s.have_stop, &s.stop_above) < 0
         || init_budget(&s.bud, max_nodes, deadline) < 0)
         return NULL;
     s.n = (int)n;
     s.full = full_mask(n);
     int res = scat(&s, 0, 0, 0);
-    const char *status = res == OUT_OF_BUDGET ? "unknown"
-                         : s.stopped ? "stopped" : "complete";
-    if (!s.have_best)
-        return Py_BuildValue("sOOL", status, Py_None, Py_None, s.bud.nodes);
-    return Py_BuildValue("sLKL", status, s.best_val, s.best_mask, s.bud.nodes);
+    if (res != FOUND)
+        return Py_BuildValue("sOOL", res == OUT_OF_BUDGET ? "unknown" : "complete",
+                             Py_None, Py_None, s.bud.nodes);
+    return Py_BuildValue("siKL", "complete", s.val, s.mask, s.bud.nodes);
 }
 
 /* ------------------------------------------------------------------------
@@ -535,9 +515,9 @@ static PyMethodDef methods[] = {
            "(status, order or None, nodes) of the Hamiltonian cycle search from vertex 0."),
     KERNEL(ham_path, "($module, n, adj, max_nodes=None, deadline=None)",
            "(status, order or None, nodes) of the spanning path search."),
-    KERNEL(scattering_max, "($module, n, adj, prune_at=None, stop_above=None, "
-                           "max_nodes=None, deadline=None)",
-           "(status, best value, best mask, nodes) maximizing c(G - S) - |S|."),
+    KERNEL(scattering_max, "($module, n, adj, max_nodes=None, deadline=None)",
+           "(status, value or None, mask or None, nodes) of the first cut set S "
+           "found with c(G - S) - |S| > 0."),
     KERNEL(toughness_scan, "($module, n, adj)",
            "(size, components, mask, subsets counted) minimizing |S| / c(G - S), or None."),
     {NULL, NULL, 0, NULL},

@@ -338,7 +338,7 @@ def _path_search(n, adj, s, charge):
 
 
 # ---------------------------------------------------------------------------
-# scattering maximization (branch and bound)
+# scattering branch and bound
 
 
 def _greedy_matching(adj, alive: int) -> int:
@@ -354,69 +354,49 @@ def _greedy_matching(adj, alive: int) -> int:
     return size
 
 
-def scattering_max(n, adj, prune_at=None, stop_above=None,
-                   max_nodes=None, deadline=None):
-    """Maximize c(G - S) - |S| over cut sets S (at least 2 components).
+def scattering_max(n, adj, max_nodes=None, deadline=None):
+    """Find a cut set S with c(G - S) - |S| > 0, the 1-toughness question.
 
-    Returns (status, best_value, best_mask, nodes).  ``best_value`` is None
-    when no cut set exists (complete graphs).  Status "complete" means the
-    search space was exhausted, "stopped" that a value above ``stop_above``
-    triggered the early exit, "unknown" that the budget ran out.
+    Returns (status, value, mask, nodes).  Status "complete" means the
+    search ran to its end, "unknown" that the budget ran out.  ``value``
+    and ``mask`` are c(G - S) - |S| and S for the first such S found, or
+    None when there is none (always None on "unknown").
 
-    ``prune_at`` drops subtrees whose upper bound is at most
-    max(best_so_far, prune_at); with it the returned value is exact only
-    when above the floor, which is all a threshold decision needs.
-
-    The bound: putting every undecided vertex back can add at most one
+    Vertices are decided in ascending order, "in S" first.  A subtree is
+    dropped once its bound is at most 0, and the search stops at the
+    first leaf with at least two components and a value above 0.  The
+    bound: putting every undecided vertex back can add at most one
     component each, tempered by a greedy matching on the undecided part
     (two matched vertices cannot both open new components).
     """
     full = (1 << n) - 1
     budget = _Budget(max_nodes, deadline)
-    best_val = None
-    best_mask = None
-    stopped = False
 
     def rec(idx: int, s_mask: int, kept: int):
-        nonlocal best_val, best_mask, stopped
-        if stopped:
-            return
+        """(value, mask) of the first S found below this node, or None."""
         budget.charge()
         if idx == n:
             c = count_components(adj, kept)
-            if c >= 2:
-                val = c - s_mask.bit_count()
-                if best_val is None or val > best_val:
-                    best_val = val
-                    best_mask = s_mask
-                    if stop_above is not None and val > stop_above:
-                        stopped = True
-            return
+            val = c - s_mask.bit_count()
+            return (val, s_mask) if c >= 2 and val > 0 else None
         undecided = full & ~((1 << idx) - 1)
-        ub = (count_components(adj, kept)
-              + undecided.bit_count() - _greedy_matching(adj, undecided)
-              - s_mask.bit_count())
-        floor = prune_at
-        if best_val is not None and (floor is None or best_val > floor):
-            floor = best_val
-        if floor is not None and ub <= floor:
-            return
+        if (count_components(adj, kept)
+                + undecided.bit_count() - _greedy_matching(adj, undecided)
+                - s_mask.bit_count()) <= 0:
+            return None
         bit = 1 << idx
         if not adj[idx] & (full & ~s_mask & ~bit):
             # all neighbors already removed: keeping idx is free and adds a
             # component, so the S branch is dominated
-            rec(idx + 1, s_mask, kept | bit)
-            return
-        rec(idx + 1, s_mask | bit, kept)
-        if not stopped:
-            rec(idx + 1, s_mask, kept | bit)
+            return rec(idx + 1, s_mask, kept | bit)
+        return rec(idx + 1, s_mask | bit, kept) or rec(idx + 1, s_mask, kept | bit)
 
     try:
-        rec(0, 0, 0)
+        found = rec(0, 0, 0)
     except _OutOfBudget:
-        return ("unknown", best_val, best_mask, budget.nodes)
-    status = "stopped" if stopped else "complete"
-    return (status, best_val, best_mask, budget.nodes)
+        return ("unknown", None, None, budget.nodes)
+    value, mask = found or (None, None)
+    return ("complete", value, mask, budget.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _read_graph(path: str) -> graphs.Graph:
 def _input_graph(args) -> graphs.Graph:
     """The working graph: the file itself, or the n-layer product over it."""
     g = _read_graph(args.graph)
-    if getattr(args, "n", None):
+    if args.n is not None:
         return graphs.cartesian_product(graphs.path_graph(args.n), g)
     return g
 
@@ -172,7 +172,7 @@ def _cmd_check(args):
     human = [f"oracle: {verdict}"]
     if res.cycle is not None:
         cyc = res.cycle
-        if getattr(args, "n", None):
+        if args.n is not None:
             cyc = cyc.with_shape(args.n, g.order // args.n)
         _write(args.out, cycles.format_cycle(cyc), payload, "cycle")
         if args.out:
@@ -185,11 +185,9 @@ def _cmd_verify(args):
     """With --n the cycle is checked against the product by coordinate
     arithmetic, so the product graph is never built."""
     g = _read_graph(args.graph)
-    if args.n is not None and args.n < 0:
-        raise ValueError("layer count must be positive")
     with open(args.cycle, "r", encoding="utf-8") as fh:
         cyc = cycles.parse_cycle(fh.read())
-    if args.n:
+    if args.n is not None:
         ok = cycles.verify_product_cycle(g, args.n, cyc)
     else:
         ok = cycles.verify_cycle(g, cyc)
@@ -350,6 +348,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "scan" and args.conjecture == 1 and (args.k is None or args.k < 3):
         parser.error("scan 1 needs --k at least 3")
+    if (getattr(args, "max_nodes", None) or 0) < 0:
+        parser.error("--max-nodes must be at least 0")
     payload: dict = {"command": args.command, "status": "ok"}
     try:
         extra, human, code = args.handler(args)

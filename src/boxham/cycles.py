@@ -440,7 +440,6 @@ def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
 @dataclass(frozen=True)
 class BuildResult:
     cycle: HamCycle
-    tree: Graph
     roles: RoleAssignment
     mode: str  # "matching" | "pathfactor"
     column_counts: dict[int, int]
@@ -487,7 +486,7 @@ def _build(n: int, tree: Graph, factor: PathFactor, peel: PeelOrder,
         raise AssertionError("constructed cycle breaks its per-column contract")
     counts = {v: len(plan.patterns[role]) - tree.degree(v) + ROLE_COMPONENT_DEGREE[role]
               for v, role in roles.roles}
-    return BuildResult(cycle, tree, roles, mode, counts)
+    return BuildResult(cycle, roles, mode, counts)
 
 
 def build_cycle_matching(n: int, tree: Graph,

@@ -1,9 +1,10 @@
 """Kernel backend selection and Graph-level wrappers.
 
 The hot search loops (Hamiltonian cycle and spanning-path backtracking,
-the scattering branch-and-bound behind the 1-toughness decision, and the
-exact toughness scan over vertex sets by increasing size, which stops at
-the ratio bound) exist twice: hand-written C in ``boxham._ckernels``
+the scattering branch-and-bound, which looks for a cut set S with
+c(G - S) - |S| > 0 and stops at the first, and the exact toughness scan
+over vertex sets by increasing size, which stops at the ratio bound)
+exist twice: hand-written C in ``boxham._ckernels``
 (``_ckernels.c``, built by ``setup.py`` when a C compiler is present) and
 pure Python in ``boxham._pykernels``.  Both walk the same search trees,
 node counts included.  The compiled module is used when it imported and
@@ -69,13 +70,12 @@ def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
     return status, order, nodes
 
 
-def scattering_max(g: Graph, *, prune_at=None, stop_above=None,
-                   max_nodes=None, budget_seconds=None):
-    """(status, best value, best cut frozenset or None, nodes)."""
+def scattering_max(g: Graph, *, max_nodes=None, budget_seconds=None):
+    """(status, value, cut frozenset, nodes) of the first cut set S found
+    with c(G - S) - |S| > 0; value and cut are None when there is none."""
     impl = _impl_for(g.order)
     status, val, mask, nodes = impl.scattering_max(
-        g.order, list(g.adjacency_masks),
-        prune_at, stop_above, max_nodes, _deadline(budget_seconds))
+        g.order, list(g.adjacency_masks), max_nodes, _deadline(budget_seconds))
     cut = None if mask is None else _mask_to_set(mask)
     return status, val, cut, nodes
 

@@ -294,14 +294,17 @@ def _judge_instance(args) -> tuple[str, int, str]:
     return (_graph_key(base), layers, "unknown")
 
 
-def _run_instances(instances, workers: int, deadline, report: ScanReport,
-                   max_nodes: int | None):
-    """Judge (base, layers) instances, optionally across processes.
+def _run_instances(instances, report: ScanReport, start_index: int, workers: int,
+                   budget_seconds: float | None, max_nodes: int | None):
+    """Judge the (base, layers, in_range) instances from ``start_index``
+    on into ``report``, optionally across processes.
 
     Instances carry canonical keys and results are collected in submission
     order, so the merged report is identical whatever order the workers
-    finish in.
+    finish in.  A report that ``budget_seconds`` cuts short is "truncated".
     """
+    instances = instances[start_index:]
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     jobs = [(g.order, g.edges, layers, max_nodes) for g, layers, _ in instances]
     verdicts: list[tuple[str, int, str]] = []
     if workers > 1 and len(jobs) > 1:
@@ -309,7 +312,6 @@ def _run_instances(instances, workers: int, deadline, report: ScanReport,
             futures = [pool.submit(_judge_instance, job) for job in jobs]
             for fut in futures:
                 if deadline is not None and time.monotonic() > deadline:
-                    report.status = "truncated"
                     for rest in futures:
                         rest.cancel()
                     break
@@ -317,12 +319,13 @@ def _run_instances(instances, workers: int, deadline, report: ScanReport,
     else:
         for job in jobs:
             if deadline is not None and time.monotonic() > deadline:
-                report.status = "truncated"
                 break
             verdicts.append(_judge_instance(job))
     for (g, layers, in_range), (key, _, verdict) in zip(instances, verdicts):
         report.entries.append(ScanEntry(key, g, layers, verdict, in_range))
-        report.last_index += 1
+    report.last_index = start_index + len(verdicts) - 1
+    if len(verdicts) < len(instances):
+        report.status = "truncated"
 
 
 def scan_below_layer_bound(k: int, max_order: int, *,
@@ -345,13 +348,9 @@ def scan_below_layer_bound(k: int, max_order: int, *,
         "k": k, "layers": layers, "max_order": max_order,
         "start_index": start_index,
     })
-    bases = _candidate_bases(max_order, degree=k)
-    instances = [(g, layers, True) for g in bases][start_index:]
-    report.last_index = start_index - 1
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    _run_instances(instances, workers, deadline, report, max_nodes_per_instance)
-    if report.instances_examined < len(instances):
-        report.status = "truncated"
+    instances = [(g, layers, True) for g in _candidate_bases(max_order, degree=k)]
+    _run_instances(instances, report, start_index, workers, budget_seconds,
+                   max_nodes_per_instance)
     return report
 
 
@@ -379,12 +378,8 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
             continue
         bound = 4 * degree_stats(g).maximum - 2
         instances += [(g, n, n >= bound) for n in range(3, max_n + 1, 2)]
-    instances = instances[start_index:]
-    report.last_index = start_index - 1
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    _run_instances(instances, workers, deadline, report, max_nodes_per_instance)
-    if report.instances_examined < len(instances):
-        report.status = "truncated"
+    _run_instances(instances, report, start_index, workers, budget_seconds,
+                   max_nodes_per_instance)
     return report
 
 

@@ -22,15 +22,15 @@ found by a node-capped search answers "yes": a Hamiltonian graph is
 1-tough, as removing S cuts the cycle into at most |S| arcs.  The cycle
 is checked by ``cycles.verify_cycle`` before it is trusted.
 
-Everything else is decided exactly by maximizing c(G - S) - |S|.  A
-dynamic program walks a vertex order and keeps states over its frontier
-(the processed vertices with an unprocessed neighbour), each carrying a
-cut that attains its value.  Its time is linear in the order, its memory
-follows the widest layer of states, and both are exponential only in the
-frontier width.  In layer-major ids the n-layer product over G has width
-at most |G|, so the 32-vertex flagship takes a fraction of a second.
-Graphs with no narrow order among the two tried go to the branch-and-bound
-search; recognizing tough graphs is NP-hard in general, so both stay exact.
+Everything else is decided exactly by looking for a cut set S with
+c(G - S) - |S| > 0.  A dynamic program walks a vertex order and keeps
+states over its frontier, each carrying a cut that attains its value.
+Its time is linear in the order, its memory follows the widest layer of
+states, and both are exponential only in the frontier width.  In
+layer-major ids the n-layer product over G has width at most |G|, so
+the 32-vertex flagship takes a fraction of a second.  Wider graphs go to
+a branch and bound that stops at the first such S; recognizing tough
+graphs is NP-hard, so both stay exact.
 
 The module also builds the two explicit non-1-tough witnesses the cycle
 pipeline is contrasted against: products over a bipartite base without a
@@ -62,6 +62,8 @@ from .graphs import (
 # its state count (about Bell(width + 1)) hands over to the branch and
 # bound: the flagship P4 □ T1 has width 8, K_{10,10} width 10.
 _FRONTIER_MAX_WIDTH = 9
+
+_SCAN_MAX_ORDER = 20  # the largest order that ``toughness_exact`` scans
 
 # The Hamiltonian-cycle stage searches at most this many nodes per vertex.
 # On random products of 10-21 vertices it finds a cycle in almost every
@@ -125,20 +127,20 @@ def is_complete(g: Graph) -> bool:
     return g.size == g.order * (g.order - 1) // 2
 
 
-def toughness_exact(g: Graph, max_order: int = 20) -> ToughnessResult:
+def toughness_exact(g: Graph) -> ToughnessResult:
     """Exact toughness by a scan over vertex sets S by increasing |S|.
 
     The scan stops before the first size s at which s / (n - s), a lower
     bound on the ratio of every set of size s or more, reaches the best
     ratio found; on a graph of low toughness that is after a few sizes.
-    Capped at ``max_order`` because the worst case is still exponential:
-    on a 1-tough graph the scan visits about half of the 2^n subsets.
+    Capped at ``_SCAN_MAX_ORDER`` because on a 1-tough graph the scan
+    still visits about half of the 2^n subsets.
 
     The witness is the lexicographically least minimizer of smallest
     cardinality.
     """
-    if g.order > max_order:
-        raise BudgetExceededError(f"order {g.order} above the scan cap {max_order}")
+    if g.order > _SCAN_MAX_ORDER:
+        raise BudgetExceededError(f"order {g.order} above the scan cap {_SCAN_MAX_ORDER}")
     if is_complete(g):
         return ToughnessResult(None, None, 0)
     best = kernels.toughness_scan(g)
@@ -165,15 +167,15 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
       vertex and accepted by ``cycles.verify_cycle``; ``cycle`` holds it;
     * "small_cut": a pair of vertices leaving three components.
 
-    Otherwise c - |S| is maximized exactly, and a cut reaching
-    c - |S| >= 1 answers "no" with that cut recounted:
+    Otherwise an exact stage looks for a cut set S with c - |S| >= 1: one
+    it finds answers "no" with that cut recounted, and none answers "yes":
 
     * "frontier_dp": the frontier DP, along the identity order or the BFS
       order from vertex 1, whichever is narrower (identity on a tie), when
       that width is at most ``_FRONTIER_MAX_WIDTH``; ``nodes`` counts the
       states it expanded;
-    * "search": the scattering branch-and-bound with the pruning floor at
-      zero, for wider graphs; ``nodes`` counts its search nodes.
+    * "search": the scattering branch-and-bound, which stops at the first
+      such S, for wider graphs; ``nodes`` counts its search nodes.
 
     ``nodes`` is the count of the stage that decided.  "unknown" only
     appears when a budget is set and runs out: ``max_nodes`` caps the
@@ -224,13 +226,11 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
             g, order, max_nodes=max_nodes, budget_seconds=budget_seconds)
     else:
         status, value, cut, nodes = kernels.scattering_max(
-            g, prune_at=0, stop_above=0,
-            max_nodes=max_nodes, budget_seconds=budget_seconds)
-    if status == "unknown":
-        return OneToughResult("unknown", None, nodes, decided_by)
-    if value is not None and value > 0:
+            g, max_nodes=max_nodes, budget_seconds=budget_seconds)
+    if cut is not None:
         return _certified_no(g, cut, decided_by, nodes, value)
-    return OneToughResult("yes", None, nodes, decided_by)
+    verdict = "yes" if status == "complete" else "unknown"
+    return OneToughResult(verdict, None, nodes, decided_by)
 
 
 def _certified_no(g: Graph, cut: frozenset[int], decided_by: str,

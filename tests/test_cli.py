@@ -294,6 +294,28 @@ class TestCheckVerify:
                                  "--max-nodes", "3")
         assert code == 5 and payload["verdict"] == "unknown"
 
+    def test_negative_max_nodes_is_a_usage_error(self, capsys, files):
+        for argv in (["check", "--n", "4", "--graph", files["t1"]], ["scan", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--max-nodes", "-1", "--json"])
+            assert exc.value.code == 1
+            assert capsys.readouterr().out == ""
+        # a cap of 0 is a budget spent at once, not a usage error
+        code, payload = run_json(capsys, "check", "--n", "4", "--graph", files["t1"],
+                                 "--max-nodes", "0")
+        assert (code, payload["verdict"]) == (5, "unknown")
+
+    def test_layer_count_below_one_is_a_precondition_error(self, capsys, files, tmp_path):
+        cycle = tmp_path / "t1.cycle"
+        code, _ = run_json(capsys, "hamcycle", "--n", "10", "--graph", files["t1"],
+                           "--out", str(cycle))
+        assert code == 0
+        for argv in (["check", "--graph", files["t1"]],
+                     ["verify", "--graph", files["t1"], "--cycle", str(cycle)]):
+            for n in ("0", "-1"):
+                code, payload = run_json(capsys, *argv, "--n", n)
+                assert code == 3 and payload["error"]["kind"] == "precondition", (argv, n)
+
     def test_check_on_the_ladder(self, capsys, tmp_path):
         # P600 x K2 under layer-major ids: 1200 vertices, far past the
         # recursion limit for a search that recursed once per path vertex

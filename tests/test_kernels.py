@@ -94,9 +94,8 @@ class TestParity:
         rng = random.Random(103)
         for _ in range(250):
             n, adj = random_masks(rng)
-            for prune, stop in ((None, None), (0, 0)):
-                assert (ckernels.scattering_max(n, adj, prune, stop, None, None)
-                        == _pykernels.scattering_max(n, adj, prune, stop, None, None))
+            assert (ckernels.scattering_max(n, adj, None, None)
+                    == _pykernels.scattering_max(n, adj, None, None))
 
     def test_toughness(self, ckernels):
         rng = random.Random(104)
@@ -127,8 +126,8 @@ class TestParity:
                         == _pykernels.ham_cycle(n, adj, cap, None))
                 assert (ckernels.ham_path(n, adj, cap, None)
                         == _pykernels.ham_path(n, adj, cap, None))
-                assert (ckernels.scattering_max(n, adj, None, None, cap, None)
-                        == _pykernels.scattering_max(n, adj, None, None, cap, None))
+                assert (ckernels.scattering_max(n, adj, cap, None)
+                        == _pykernels.scattering_max(n, adj, cap, None))
 
     def test_mask_boundary_64_vertices(self, ckernels):
         # exactly 64 vertices still rides the compiled path; the full-mask
@@ -140,8 +139,8 @@ class TestParity:
         fast = ckernels.ham_cycle(64, adj, 2_000_000, None)
         pure = _pykernels.ham_cycle(64, adj, 2_000_000, None)
         assert fast == pure and fast[0] == "found"
-        assert (ckernels.scattering_max(64, adj, 0, 0, 100_000, None)
-                == _pykernels.scattering_max(64, adj, 0, 0, 100_000, None))
+        assert (ckernels.scattering_max(64, adj, 100_000, None)
+                == _pykernels.scattering_max(64, adj, 100_000, None))
         # K_{2,62} with its hubs on the top bits: the scan runs every set of
         # size 1 and 2 up to the last one, which ends in bit 63, and stops
         adj = list(complete_bipartite(62, 2).adjacency_masks)
@@ -160,8 +159,8 @@ class TestParity:
             n, adj = g.order, list(g.adjacency_masks)
             assert (ckernels.ham_cycle(n, adj, None, None)
                     == _pykernels.ham_cycle(n, adj, None, None))
-            assert (ckernels.scattering_max(n, adj, 0, 0, None, None)
-                    == _pykernels.scattering_max(n, adj, 0, 0, None, None))
+            assert (ckernels.scattering_max(n, adj, None, None)
+                    == _pykernels.scattering_max(n, adj, None, None))
             assert (ckernels.toughness_scan(n, adj)
                     == _pykernels.toughness_scan(n, adj))
         # the toughness scan also on the orders 8..16 of the certify bases
@@ -188,7 +187,7 @@ class TestParity:
         with pytest.raises(ValueError):
             ckernels.count_components([0] * 65, 1)
         with pytest.raises(ValueError):
-            ckernels.scattering_max(3, [6, 5], None, None, None, None)
+            ckernels.scattering_max(3, [6, 5], None, None)
         # alive is clipped to the order: no read past the adjacency list
         assert ckernels.count_components([0], 1 << 5) == 0
         assert ckernels.count_isolated([0], (1 << 5) | 1) == 1
@@ -357,8 +356,7 @@ class TestWrappers:
             for search in (kernels.ham_cycle, kernels.ham_path):
                 status, _, nodes = search(flagship, max_nodes=10)
                 assert (status, nodes) == ("unknown", 10)
-            status, *_, nodes = kernels.scattering_max(flagship, prune_at=0, stop_above=0,
-                                                       max_nodes=10)
+            status, *_, nodes = kernels.scattering_max(flagship, max_nodes=10)
             assert (status, nodes) == ("unknown", 10)
 
     def test_every_capped_search_reports_exactly_its_cap(self, backends):
@@ -373,11 +371,10 @@ class TestWrappers:
                 for cap in (0, 1, 5, 50):
                     raw = (impl.ham_cycle(g.order, adj, cap, None),
                            impl.ham_path(g.order, adj, cap, None),
-                           impl.scattering_max(g.order, adj, 0, 0, cap, None))
+                           impl.scattering_max(g.order, adj, cap, None))
                     wrapped = (kernels.ham_cycle(g, max_nodes=cap),
                                kernels.ham_path(g, max_nodes=cap),
-                               kernels.scattering_max(g, prune_at=0, stop_above=0,
-                                                      max_nodes=cap))
+                               kernels.scattering_max(g, max_nodes=cap))
                     for out, again in zip(raw, wrapped):
                         assert out[-1] <= cap and out[-1] == again[-1]
                         if out[0] == "unknown":

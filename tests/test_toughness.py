@@ -61,6 +61,13 @@ SPIDER = Graph.from_edges(7, [(1, 4), (1, 5), (1, 6), (1, 7), (2, 5), (3, 4)])
 # with no Hamiltonian cycle; the branch and bound decides it in 40,407 nodes
 WIDE = with_petersen_fragment(complete_graph(11), 1, 11)
 
+# five K2 components, each joined to every vertex of S = {1, 5, 9, 14}:
+# not 1-tough, as removing S leaves five components, with frontier width
+# 12 under the identity order and 10 under the BFS order
+FIVE_K2_CUT = frozenset((1, 5, 9, 14))
+FIVE_K2 = Graph.from_edges(14, [(2, 3), (4, 6), (7, 8), (10, 11), (12, 13)] + [
+    (s, v) for s in FIVE_K2_CUT for v in range(1, 15) if v not in FIVE_K2_CUT])
+
 
 class TestRemovalStats:
     def test_path_middle(self):
@@ -198,9 +205,8 @@ class TestOneToughPrechecks:
         petersen = Graph.from_edges(10, PETERSEN_EDGES)
         res = is_one_tough(petersen)
         assert (res.verdict, res.decided_by) == ("yes", "frontier_dp") and res.nodes > 0
-        status, value, _, search_nodes = kernels.scattering_max(
-            petersen, prune_at=0, stop_above=0)
-        assert status == "complete" and value <= 0 and search_nodes > 0
+        status, value, _, search_nodes = kernels.scattering_max(petersen)
+        assert status == "complete" and value is None and search_nodes > 0
 
     def test_balanced_bipartite_goes_to_frontier_dp(self):
         prod = cartesian_product(path_graph(4), SPIDER)
@@ -304,6 +310,15 @@ class TestOneToughPrechecks:
         assert (res.verdict, res.decided_by) == ("unknown", "search")
         assert res.nodes == 50
 
+    def test_wide_graph_answered_no_by_search(self, ckernels_or_none, monkeypatch):
+        assert frontier_width(FIVE_K2, list(FIVE_K2.vertices())) == 12
+        assert frontier_width(FIVE_K2, _bfs_order(FIVE_K2)) == 10
+        for fast in (None, ckernels_or_none):
+            monkeypatch.setattr(kernels, "_fast", fast)
+            res = is_one_tough(FIVE_K2)
+            assert (res.verdict, res.decided_by, res.nodes) == ("no", "search", 601)
+            assert (res.witness.cut, res.witness.components) == (FIVE_K2_CUT, 5)
+
     def test_long_ring_under_budget_is_unknown(self):
         # width 6, but about 78 states a vertex: 1200 vertices outrun 1500
         res = is_one_tough(petersen_necklace(120), max_nodes=1500)
@@ -318,8 +333,8 @@ class TestOneToughPrechecks:
             else:
                 g = random_connected_graph(rng, 2, 12)
             res = is_one_tough(g)
-            _, value, _, _ = kernels.scattering_max(g, prune_at=0, stop_above=0)
-            want = "no" if value is not None and value > 0 else "yes"
+            _, value, _, _ = kernels.scattering_max(g)
+            want = "no" if value is not None else "yes"
             assert res.verdict == want, g.edges
             deciders.add(res.decided_by)
             if res.witness is not None:
@@ -328,12 +343,12 @@ class TestOneToughPrechecks:
         # non-Hamiltonian and narrow: the frontier DP decides it
         petersen = Graph.from_edges(10, PETERSEN_EDGES)
         res = is_one_tough(petersen)
-        _, value, _, _ = kernels.scattering_max(petersen, prune_at=0, stop_above=0)
-        assert res.verdict == "yes" and value <= 0
+        _, value, _, _ = kernels.scattering_max(petersen)
+        assert res.verdict == "yes" and value is None
         deciders.add(res.decided_by)
         # too wide for the DP: the branch and bound decides it
         res = is_one_tough(WIDE)
-        *_, search_nodes = kernels.scattering_max(WIDE, prune_at=0, stop_above=0)
+        *_, search_nodes = kernels.scattering_max(WIDE)
         assert res.verdict == "yes" and res.nodes == search_nodes > 0
         deciders.add(res.decided_by)
         assert deciders == {"trivial", "bipartite_imbalance", "matching_barrier",

@@ -1,7 +1,7 @@
 """Second-opinion toughness: a from-scratch subset enumeration with
 union-find components must reproduce toughness_exact (value, witness,
-and tie-breaks), the exact scattering maximum, and the frontier DP's
-maximum whenever it exceeds 0.  The frontier DP must also give exactly
+and tie-breaks), the branch and bound's answer to whether the scattering
+maximum exceeds 0, and the frontier DP's maximum whenever it does.  The frontier DP must also give exactly
 what the parent-map version in the helpers gives, node cap included."""
 
 import itertools
@@ -99,14 +99,18 @@ def test_toughness_matches_naive_enumeration():
 
 
 def test_scattering_matches_naive_enumeration():
+    positive = 0
     for g in population():
         naive = scattering_naive(g)
         status, val, cut, _ = scattering_max(g)
         assert status == "complete"
-        assert val == naive, g.edges
+        assert (val is not None) == (naive is not None and naive > 0), g.edges
+        assert (cut is None) == (val is None)
         if cut is not None:
+            positive += 1
             c = components_union_find(g, set(cut))
-            assert c - len(cut) == val
+            assert c >= 2 and c - len(cut) == val > 0
+    assert positive >= 50
 
 
 def test_frontier_dp_matches_naive_enumeration():
@@ -127,8 +131,8 @@ def test_frontier_dp_matches_naive_enumeration():
             assert components_union_find(g, set(cut)) - len(cut) == value
         else:
             assert value is None and cut is None, g.edges
-        _, bb_value, _, _ = scattering_max(g, prune_at=0, stop_above=0)
-        assert (value is not None) == (bb_value is not None and bb_value > 0), g.edges
+        _, bb_value, _, _ = scattering_max(g)
+        assert (value is not None) == (bb_value is not None), g.edges
     assert 100 <= positive <= 270
 
 
