@@ -6,7 +6,8 @@ table is a clean apples-to-apples timing comparison; build the compiled
 C module first (``python setup.py build_ext --inplace``).  A second table
 shows how ``is_one_tough`` decides one instance per stage that can decide
 it, the 32-vertex flagship included, with its deterministic node counts
-(states for the frontier DP).
+(states for the frontier DP), and a third how ``check --n`` decides one
+product per stage of ``oracle.find_product_cycle``.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the flagship's
@@ -24,6 +25,7 @@ from boxham.graphs import (
     path_graph,
     star_graph,
 )
+from boxham.oracle import find_product_cycle
 from boxham.toughness import is_one_tough
 
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
@@ -101,6 +103,15 @@ def one_tough_instances():
     yield "five K2 + 4-vertex cut (14)", FIVE_K2, "search"
 
 
+def check_instances():
+    """(label, base, n, the stage expected to decide it, its nodes)."""
+    yield "P3 x caterpillar8 (24)", T1, 3, "bipartite_imbalance", 0
+    # two layers below the proven bound 4 * 3 - 2
+    yield "P8 x scan tree8 (64)", SCAN8, 8, "splice", 0
+    # the flagship: below the splice gate n >= 4 * 3 - 4
+    yield "P4 x caterpillar8 (32)", T1, 4, "search", 408
+
+
 def run_one(impl, func, g):
     adj = list(g.adjacency_masks)
     # the searches take a node cap and a deadline; the toughness scan does not
@@ -145,6 +156,19 @@ def main():
         if res.decided_by != decider:
             raise SystemExit(f"{label} decided by {res.decided_by}, expected {decider}")
         print(f"{label:<28} {res.verdict:>7} {res.decided_by:>20} {res.nodes:>10} "
+              f"{elapsed:>8.3f}s")
+
+    header = f"{'check --n':<28} {'status':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"
+    print("\n" + header)
+    print("-" * len(header))
+    for label, base, n, stage, pinned in check_instances():
+        start = time.perf_counter()
+        res = find_product_cycle(base, n, cartesian_product(path_graph(n), base))
+        elapsed = time.perf_counter() - start
+        if (res.decided_by, res.nodes) != (stage, pinned):
+            raise SystemExit(f"{label} decided by {res.decided_by} in {res.nodes} nodes, "
+                             f"expected {stage} in {pinned}")
+        print(f"{label:<28} {res.status:>7} {res.decided_by:>20} {res.nodes:>10} "
               f"{elapsed:>8.3f}s")
 
 if __name__ == "__main__":

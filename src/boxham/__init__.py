@@ -39,6 +39,7 @@ from .kernels import backend_name
 from .oracle import (
     enumerate_trees,
     find_hamiltonian_cycle,
+    find_product_cycle,
     find_spanning_path,
     fixtures,
     scan_balanced_odd,
@@ -73,6 +74,7 @@ __all__ = [
     "find_hamiltonian_cycle",
     "find_p23_factor",
     "find_perfect_matching",
+    "find_product_cycle",
     "find_spanning_path",
     "fixtures",
     "format_graph",

@@ -41,14 +41,6 @@ def _read_graph(path: str) -> graphs.Graph:
         return graphs.parse_graph(fh.read())
 
 
-def _input_graph(args) -> graphs.Graph:
-    """The working graph: the file itself, or the n-layer product over it."""
-    g = _read_graph(args.graph)
-    if args.n is not None:
-        return graphs.cartesian_product(graphs.path_graph(args.n), g)
-    return g
-
-
 def _write(path: str | None, text: str, payload: dict, key: str):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -164,17 +156,22 @@ def _cmd_toughness(args):
 
 
 def _cmd_check(args):
-    g = _input_graph(args)
-    res = oracle.find_hamiltonian_cycle(g, budget_seconds=args.budget_seconds,
-                                        max_nodes=args.max_nodes)
+    """With --n the product entry may answer from the splice builder;
+    without it the graph itself goes to the exhaustive search."""
+    base = _read_graph(args.graph)
+    caps = {"budget_seconds": args.budget_seconds, "max_nodes": args.max_nodes}
+    if args.n is None:
+        g = base
+        res = oracle.find_hamiltonian_cycle(g, **caps)
+    else:
+        g = graphs.cartesian_product(graphs.path_graph(args.n), base)
+        res = oracle.find_product_cycle(base, args.n, g, **caps)
     verdict = {"found": "hamiltonian", "none": "non_hamiltonian"}.get(res.status, "unknown")
-    payload = {"order": g.order, "verdict": verdict}
-    human = [f"oracle: {verdict}"]
+    payload = {"order": g.order, "verdict": verdict,
+               "decided_by": res.decided_by, "nodes": res.nodes}
+    human = [f"oracle: {verdict} (decided by {res.decided_by}, {res.nodes} nodes)"]
     if res.cycle is not None:
-        cyc = res.cycle
-        if args.n is not None:
-            cyc = cyc.with_shape(args.n, g.order // args.n)
-        _write(args.out, cycles.format_cycle(cyc), payload, "cycle")
+        _write(args.out, cycles.format_cycle(res.cycle), payload, "cycle")
         if args.out:
             human.append(f"wrote {args.out}")
     code = EXIT_BUDGET if verdict == "unknown" else EXIT_OK

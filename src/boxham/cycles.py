@@ -41,6 +41,7 @@ from .errors import (
     NoPerfectMatchingError,
     NotTreeError,
     OddLayersError,
+    SpliceStockError,
     TooFewLayersError,
 )
 from .factors import (
@@ -203,11 +204,6 @@ class HamCycle:
     def labels(self) -> tuple[Label, ...]:
         k = self.base_order
         return tuple(((v - 1) // k + 1, (v - 1) % k + 1) for v in self.seq)
-
-    def with_shape(self, layers: int, base_order: int) -> "HamCycle":
-        if layers * base_order != len(self.seq):
-            raise ValueError("shape does not match the sequence length")
-        return HamCycle(layers, base_order, self.seq)
 
 
 def format_cycle(cycle: HamCycle) -> str:
@@ -463,7 +459,7 @@ def _assemble(n: int, tree: Graph, roles: RoleAssignment, peel: PeelOrder,
                 if q + k in (slots.first[q], slots.second[q]):
                     break
             else:
-                raise AssertionError("splice stock ran dry; layer bound accounting is wrong")
+                raise SpliceStockError(f"splice stock ran dry at tree edge {u1}-{u2}")
             # swap the two vertical edges at index j for the two crossings
             p = (j - 1) * k + u1
             _relink(slots, p, p + k, q)
@@ -534,6 +530,27 @@ def build_cycle_path_factor(n: int, tree: Graph,
     return _build(n, tree, factor, peel, "pathfactor")
 
 
+def _route(base: Graph, mode: str) -> tuple[str, PathFactor, Graph]:
+    """The route ("matching" or "pathfactor"), factor and spanning tree
+    that :func:`build_cycle` splices along."""
+    if not is_connected(base):
+        raise DisconnectedError("base graph must be connected")
+    factor = None
+    if mode == "matching":
+        factor = perfect_matching_or_barrier(base)
+        if isinstance(factor, MatchingBarrier):
+            raise NoFactorError("no perfect matching", factor)
+    elif mode == "auto":
+        factor = find_perfect_matching(base)
+    route = "pathfactor" if factor is None else "matching"
+    if factor is None:
+        factor = p23_factor_or_obstruction(base)
+        if isinstance(factor, FactorCertificate):
+            raise NoFactorError("no path factor", factor)
+    seed = [e for c in factor.components for e in zip(c, c[1:])]
+    return route, factor, spanning_tree_containing(base, seed)
+
+
 def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     """Full pipeline: factor the base graph, extend the factor to a
     spanning tree, dispatch to the matching or path-factor assembly, and
@@ -547,38 +564,18 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     """
     if mode not in ("auto", "matching", "pathfactor"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not is_connected(base):
-        raise DisconnectedError("base graph must be connected")
+    route, factor, tree = _route(base, mode)
     dmax = degree_stats(base).maximum
-
-    factor = None
-    if mode == "matching":
-        factor = perfect_matching_or_barrier(base)
-        if isinstance(factor, MatchingBarrier):
-            raise NoFactorError("no perfect matching", factor)
-    elif mode == "auto":
-        factor = find_perfect_matching(base)
-    if factor is not None:
+    if route == "matching":
         if n < dmax:
             raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)
-        builder = build_cycle_matching
-    else:
-        factor = p23_factor_or_obstruction(base)
-        if isinstance(factor, FactorCertificate):
-            raise NoFactorError("no path factor", factor)
-        need = max(4 * dmax - 2, 2)
-        if n % 2:
-            raise OddLayersError(f"path-factor route needs even n >= {need}")
-        if n < need:
-            raise LayerBoundError(f"path-factor route needs n >= {need}", need)
-        builder = build_cycle_path_factor
-    tree = spanning_tree_containing(
-        base, [e for c in factor.components for e in zip(c, c[1:])])
-    result = builder(n, tree, factor)
-
-    if len(result.cycle.seq) != n * base.order:
-        raise AssertionError("constructed cycle does not cover the product")
-    return result
+        return build_cycle_matching(n, tree, factor)
+    need = max(4 * dmax - 2, 2)
+    if n % 2:
+        raise OddLayersError(f"path-factor route needs even n >= {need}")
+    if n < need:
+        raise LayerBoundError(f"path-factor route needs n >= {need}", need)
+    return build_cycle_path_factor(n, tree, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -84,3 +84,11 @@ class LayerBoundError(BoxhamError):
     def __init__(self, message, minimum_layers):
         super().__init__(message)
         self.minimum_layers = minimum_layers
+
+
+class SpliceStockError(AssertionError):
+    """The splice found no vertical edge left to trade at a tree edge.
+
+    At or above the proven layer bound this is a fault of the builder;
+    below it, the construction simply does not reach that layer count.
+    """

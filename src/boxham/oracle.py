@@ -1,9 +1,12 @@
-"""Brute-force oracles, named fixtures, tree enumeration, and scanners.
+"""Brute-force oracles, the product entry, named fixtures, tree
+enumeration, and scanners.
 
-Everything the constructive pipeline claims is cross-checked here by
-search that shares no code with the builders: exhaustive Hamiltonicity
-and traceability with pruning, plus instance generators for the property
-suites and the two long-running scans.
+The exhaustive Hamiltonicity and traceability searches share no code with
+the builders, so they cross-check everything the constructive pipeline
+claims.  The product entry :func:`find_product_cycle`, which ``check --n``
+and both scanners use, may answer from the splice builder instead, run
+below its proven layer bound; such a cycle counts only once
+:func:`~boxham.cycles.verify_cycle` accepts it on the product.
 """
 
 from __future__ import annotations
@@ -14,8 +17,15 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import kernels
-from .cycles import HamCycle, verify_cycle
-from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
+from .cycles import HamCycle, _build, _route, component_peel_order, verify_cycle
+from .errors import (
+    BudgetExceededError,
+    DisconnectedError,
+    NoFactorError,
+    NotBipartiteError,
+    PreconditionFailedError,
+    SpliceStockError,
+)
 from .factors import find_p23_factor
 from .graphs import (
     Graph,
@@ -34,6 +44,7 @@ class OracleResult:
     status: str  # "found" | "none" | "unknown"
     cycle: HamCycle | None
     nodes: int
+    decided_by: str = "search"  # or "bipartite_imbalance" | "splice"
 
     @property
     def found(self) -> bool:
@@ -65,11 +76,66 @@ def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
     two-vertex cycle, matching the validators.
     """
     if g.order >= 3 and _side_gap(g) > 0:
-        return OracleResult("none", None, 0)
+        return OracleResult("none", None, 0, "bipartite_imbalance")
+    return _search(g, 1, g.order, budget_seconds, max_nodes)
+
+
+def _search(g: Graph, layers: int, base_order: int, budget_seconds: float | None,
+            max_nodes: int | None) -> OracleResult:
     status, seq, nodes = kernels.ham_cycle(
         g, max_nodes=max_nodes, budget_seconds=budget_seconds)
-    cycle = HamCycle(1, g.order, seq) if seq is not None else None
+    cycle = HamCycle(layers, base_order, seq) if seq is not None else None
     return OracleResult(status, cycle, nodes)
+
+
+def splice_attempt(base: Graph, n: int) -> HamCycle | None:
+    """The cycle of ``build_cycle(n, base)`` with no layer bound, or None.
+
+    None when the base is disconnected or has no factor, when a triple
+    meets an odd n or n < 4 (its snake does not close), or when the
+    splice stock runs dry, which below the proven bound is no fault.
+    Every other builder check still raises.
+    """
+    try:
+        route, factor, tree = _route(base, "auto")
+    except (DisconnectedError, NoFactorError):
+        return None
+    if route == "pathfactor" and (n % 2 or n < 4):
+        return None
+    try:
+        return _build(n, tree, factor, component_peel_order(tree, factor), route).cycle
+    except SpliceStockError:
+        return None
+
+
+# products below this order go straight to the search: on random connected
+# bases of order 4-8, at 16-23 product vertices, its median time is 0.16 ms
+# against 0.20 ms for a splice attempt (pure backend)
+_SPLICE_MIN_ORDER = 24
+
+
+def find_product_cycle(base: Graph, n: int, product: Graph, *,
+                       budget_seconds: float | None = None,
+                       max_nodes: int | None = None) -> OracleResult:
+    """Hamiltonian cycle of ``product``, the n-layer product over ``base``.
+
+    Three stages, each named in ``decided_by``: a bipartite product with
+    unequal sides has none; from 24 vertices on, a splice attempt at n
+    when n >= 4 and n >= 4 * max_degree - 4, two layers below the proven
+    bound, answers "found" at 0 nodes once :func:`verify_cycle` accepts
+    its cycle; otherwise the exhaustive search under the caps.  Cycles
+    come in the product's shape.
+    """
+    if product.order >= 3 and _side_gap(product) > 0:
+        return OracleResult("none", None, 0, "bipartite_imbalance")
+    if (product.order >= _SPLICE_MIN_ORDER and n >= 4
+            and n >= 4 * degree_stats(base).maximum - 4):
+        cycle = splice_attempt(base, n)
+        if cycle is not None:
+            if not verify_cycle(product, cycle):
+                raise AssertionError(f"splice cycle on {n} layers failed its check")
+            return OracleResult("found", cycle, 0, "splice")
+    return _search(product, n, base.order, budget_seconds, max_nodes)
 
 
 def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
@@ -284,9 +350,10 @@ def _judge_instance(args) -> tuple[str, int, str]:
     order, edges, layers, max_nodes = args
     base = Graph(order, edges)
     product = cartesian_product(path_graph(layers), base)
-    res = find_hamiltonian_cycle(product, max_nodes=max_nodes)
+    res = find_product_cycle(base, layers, product, max_nodes=max_nodes)
     if res.status == "found":
-        if not verify_cycle(product, res.cycle):
+        # the product entry has already checked a splice cycle
+        if res.decided_by == "search" and not verify_cycle(product, res.cycle):
             raise AssertionError(f"search cycle on {layers} layers failed its check")
         return (_graph_key(base), layers, "hamiltonian")
     if res.status == "none":
@@ -406,10 +473,12 @@ __all__ = [
     "ScanReport",
     "enumerate_trees",
     "find_hamiltonian_cycle",
+    "find_product_cycle",
     "find_spanning_path",
     "fixtures",
     "format_scan_report",
     "scan_balanced_odd",
     "scan_below_layer_bound",
+    "splice_attempt",
     "tree_canonical_form",
 ]

@@ -60,6 +60,35 @@ def random_connected_bipartite(rng: random.Random, min_order: int = 2,
     return g
 
 
+def random_scan_base(rng: random.Random, order: int, chords: int) -> Graph:
+    """Random base of the gap scanner's family: maximum degree 3 and a
+    {P2,P3}-factor.
+
+    Shuffled labels are cut into paths of 2 and 3 vertices (the factor),
+    each path after the first is joined to an earlier one by one edge,
+    and ``chords`` more edges are added; draws repeat until the maximum
+    degree is exactly 3.
+    """
+    while True:
+        labels = list(range(1, order + 1))
+        rng.shuffle(labels)
+        comps, i = [], 0
+        while i < order:
+            size = 2 if order - i in (2, 4) else rng.choice((2, 3))
+            comps.append(labels[i:i + size])
+            i += size
+        edges = {tuple(sorted(e)) for c in comps for e in zip(c, c[1:])}
+        for j in range(1, len(comps)):
+            u, v = rng.choice(comps[j]), rng.choice(comps[rng.randrange(j)])
+            edges.add(tuple(sorted((u, v))))
+        missing = [(u, v) for u in range(1, order) for v in range(u + 1, order + 1)
+                   if (u, v) not in edges]
+        edges.update(rng.sample(missing, chords))
+        g = Graph.from_edges(order, edges)
+        if max(g.degree(v) for v in g.vertices()) == 3:
+            return g
+
+
 PETERSEN_EDGES = (
     (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8),
     (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6))

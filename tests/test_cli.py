@@ -4,7 +4,7 @@ import pytest
 
 from boxham import cli, graphs
 from boxham.cli import main
-from boxham.cycles import parse_cycle, verify_cycle
+from boxham.cycles import parse_cycle, verify_cycle, verify_product_cycle
 from boxham.graphs import (
     Graph,
     cartesian_product,
@@ -244,6 +244,29 @@ class TestCheckVerify:
         code, payload = run_json(capsys, "check", "--n", "4", "--graph", files["t1"],
                                  "--budget-seconds", "120")
         assert code == 0 and payload["verdict"] == "non_hamiltonian"
+
+    def test_check_reports_the_deciding_stage(self, capsys, files):
+        # a degree-3 tree of order 8 from the scan 1 --k 3 family
+        tree = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])
+        path = files["dir"] / "tree8.el"
+        path.write_text(format_graph(tree))
+        cases = [(str(path), "8", "hamiltonian", "splice", 0),
+                 (files["t1"], "3", "non_hamiltonian", "bipartite_imbalance", 0),
+                 (files["t1"], "4", "non_hamiltonian", "search", 408)]
+        for graph, n, verdict, stage, nodes in cases:
+            code, payload = run_json(capsys, "check", "--n", n, "--graph", graph)
+            assert code == 0
+            assert (payload["verdict"], payload["decided_by"], payload["nodes"]) == (
+                verdict, stage, nodes)
+            code, out, _ = run(capsys, "check", "--n", n, "--graph", graph)
+            assert out.splitlines()[0] == (
+                f"oracle: {verdict} (decided by {stage}, {nodes} nodes)")
+        code, payload = run_json(capsys, "check", "--n", "8", "--graph", str(path))
+        assert verify_product_cycle(tree, 8, parse_cycle(payload["cycle"]))
+        # the builder keeps its proven bound: 4 * 3 - 2 layers
+        code, payload = run_json(capsys, "hamcycle", "--n", "8", "--graph", files["t1"])
+        assert code == 3 and payload["error"]["kind"] == "precondition"
+        assert payload["error"]["message"] == "path-factor route needs n >= 10"
 
     def test_check_fig1(self, capsys, files):
         code, payload = run_json(capsys, "check", "--graph", files["fig1"])

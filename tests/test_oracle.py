@@ -2,8 +2,20 @@ import random
 
 import pytest
 
-from boxham.cycles import build_cycle, verify_cycle
-from boxham.errors import BudgetExceededError, NoFactorError, PreconditionFailedError
+from boxham import cycles, oracle
+from boxham.cycles import (
+    HamCycle,
+    build_cycle,
+    component_peel_order,
+    verify_cycle,
+    verify_product_cycle,
+)
+from boxham.errors import (
+    BudgetExceededError,
+    NoFactorError,
+    PreconditionFailedError,
+    SpliceStockError,
+)
 from boxham.factors import find_perfect_matching
 from boxham.graphs import (
     Graph,
@@ -18,15 +30,17 @@ from boxham.graphs import (
 from boxham.oracle import (
     enumerate_trees,
     find_hamiltonian_cycle,
+    find_product_cycle,
     find_spanning_path,
     fixtures,
     format_scan_report,
     scan_balanced_odd,
     scan_below_layer_bound,
+    splice_attempt,
     tree_canonical_form,
 )
 from boxham.toughness import is_one_tough
-from helpers import all_pairs, random_connected_graph
+from helpers import all_pairs, random_connected_graph, random_scan_base
 
 
 class TestHamOracle:
@@ -200,6 +214,106 @@ class TestOracleBuilderAgreement:
                     assert find_hamiltonian_cycle(prod).found, (t.edges, n)
 
 
+def product(n, g):
+    return cartesian_product(path_graph(n), g)
+
+
+class TestSpliceAttempt:
+    """The splice builder run below its proven bound of 4 * max_degree - 2
+    layers."""
+
+    def test_flagship_is_none_at_four_layers(self):
+        # P4 x T1 is the paper's 1-tough non-Hamiltonian product
+        assert splice_attempt(fixtures().t1, 4) is None
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_flagship_below_the_bound(self, n):
+        t1 = fixtures().t1
+        cycle = splice_attempt(t1, n)
+        assert cycle is not None and verify_product_cycle(t1, n, cycle)
+
+    def test_stock_exhaustion_has_its_own_class(self):
+        t1 = fixtures().t1
+        route, factor, tree = cycles._route(t1, "auto")
+        with pytest.raises(SpliceStockError):
+            cycles._build(4, tree, factor, component_peel_order(tree, factor), route)
+        assert issubclass(SpliceStockError, AssertionError)
+
+    def test_other_builder_faults_propagate(self, monkeypatch):
+        monkeypatch.setattr(cycles, "verify_column_contract", lambda *args: False)
+        with pytest.raises(AssertionError) as exc:
+            splice_attempt(fixtures().t1, 8)
+        assert not isinstance(exc.value, SpliceStockError)
+
+    def test_no_factor_odd_layers_and_disconnected_are_none(self):
+        assert splice_attempt(star_graph(3), 8) is None
+        assert splice_attempt(fixtures().t1, 7) is None  # a triple at odd n
+        assert splice_attempt(Graph.from_edges(4, [(1, 2), (3, 4)]), 4) is None
+        # a perfect matching closes at odd n too
+        cycle = splice_attempt(path_graph(4), 5)
+        assert verify_product_cycle(path_graph(4), 5, cycle)
+
+    def test_exhaustive_search_never_refutes_a_splice_cycle(self):
+        # seeded bases of the gap scanner's family, orders 6-8 and 0-2
+        # chords, at the gap layer count 8 and below it
+        rng = random.Random(14)
+        checked = found = 0
+        for i in range(36):
+            base = random_scan_base(rng, 6 + i % 3, i % 3)
+            for n in (4, 6, 8):
+                cycle = splice_attempt(base, n)
+                if cycle is None:
+                    continue
+                prod = product(n, base)
+                assert verify_cycle(prod, cycle) and verify_product_cycle(base, n, cycle)
+                res = find_hamiltonian_cycle(prod, max_nodes=20000)
+                assert res.status != "none", (base.edges, n)
+                checked += 1
+                found += res.found
+        assert checked >= 100 and found >= 0.9 * checked
+
+
+class TestProductEntry:
+    def test_stages_on_the_caterpillar(self):
+        t1 = fixtures().t1
+        stages = {n: find_product_cycle(t1, n, product(n, t1)) for n in (3, 4, 8)}
+        assert [(r.status, r.decided_by, r.nodes) for r in stages.values()] == [
+            ("none", "bipartite_imbalance", 0), ("none", "search", 408),
+            ("found", "splice", 0)]
+        cycle = stages[8].cycle
+        assert (cycle.layers, cycle.base_order) == (8, 8)
+        assert verify_product_cycle(t1, 8, cycle)
+
+    def test_search_cycles_come_in_the_product_shape(self):
+        res = find_product_cycle(path_graph(4), 5, product(5, path_graph(4)))
+        assert (res.decided_by, res.cycle.layers, res.cycle.base_order) == ("search", 5, 4)
+
+    def test_gate_keeps_small_products_and_high_degree_off_the_attempt(self, monkeypatch):
+        def no_attempt(base, n):
+            raise AssertionError("splice attempted")
+
+        monkeypatch.setattr(oracle, "splice_attempt", no_attempt)
+        # 20 vertices: below the order gate
+        assert find_product_cycle(path_graph(4), 5, product(5, path_graph(4))).found
+        # max degree 3 needs n >= 8
+        t1 = fixtures().t1
+        assert find_product_cycle(t1, 6, product(6, t1), max_nodes=0).status == "unknown"
+
+    def test_failed_attempt_falls_back_to_the_search(self):
+        # no {P2,P3}-factor; the search sees the centre's layer-1 vertex
+        # forced onto three cycle edges
+        star = star_graph(3)
+        res = find_product_cycle(star, 8, product(8, star))
+        assert (res.status, res.decided_by) == ("none", "search")
+
+    def test_a_splice_cycle_that_fails_its_check_raises(self, monkeypatch):
+        t1 = fixtures().t1
+        monkeypatch.setattr(oracle, "splice_attempt",
+                            lambda base, n: HamCycle(n, base.order, tuple(range(1, 65))))
+        with pytest.raises(AssertionError, match="failed its check"):
+            find_product_cycle(t1, 8, product(8, t1))
+
+
 class TestScans:
     def test_scan1_rejects_small_k(self):
         with pytest.raises(PreconditionFailedError):
@@ -207,12 +321,10 @@ class TestScans:
 
     def test_scan1_k3_includes_t1(self):
         report = scan_below_layer_bound(3, 8, max_nodes_per_instance=200000)
-        t1key = None
-        for e in report.entries:
-            if e.base.order == 8 and isomorphic(e.base, fixtures().t1):
-                t1key = e.key
-                assert e.layers == 8
-        assert t1key is not None
+        t1_entries = [e for e in report.entries
+                      if e.base.order == 8 and isomorphic(e.base, fixtures().t1)]
+        assert [(e.layers, e.verdict) for e in t1_entries] == [(8, "hamiltonian")]
+        assert not [e.key for e in report.entries if e.verdict == "unknown"]
         assert report.params["layers"] == 8
 
     def test_scan1_small_complete(self):
