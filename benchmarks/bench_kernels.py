@@ -7,7 +7,8 @@ C module first (``python setup.py build_ext --inplace``).  A second table
 shows how ``is_one_tough`` decides one instance per stage that can decide
 it, the 32-vertex flagship included, with its deterministic node counts
 (states for the frontier DP), and a third how ``check --n`` decides one
-product per stage of ``oracle.find_product_cycle``.
+product per stage of ``oracle.find_product_cycle``, timed as ``check``
+pays for it: the product graph is built inside, by the search stage only.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the flagship's
@@ -163,7 +164,7 @@ def main():
     print("-" * len(header))
     for label, base, n, stage, pinned in check_instances():
         start = time.perf_counter()
-        res = find_product_cycle(base, n, cartesian_product(path_graph(n), base))
+        res = find_product_cycle(base, n)
         elapsed = time.perf_counter() - start
         if (res.decided_by, res.nodes) != (stage, pinned):
             raise SystemExit(f"{label} decided by {res.decided_by} in {res.nodes} nodes, "

@@ -367,36 +367,39 @@ def scattering_max(n, adj, max_nodes=None, deadline=None):
     first leaf with at least two components and a value above 0.  The
     bound: putting every undecided vertex back can add at most one
     component each, tempered by a greedy matching on the undecided part
-    (two matched vertices cannot both open new components).
+    (two matched vertices cannot both open new components).  The search
+    keeps an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     full = (1 << n) - 1
     budget = _Budget(max_nodes, deadline)
-
-    def rec(idx: int, s_mask: int, kept: int):
-        """(value, mask) of the first S found below this node, or None."""
-        budget.charge()
-        if idx == n:
-            c = count_components(adj, kept)
-            val = c - s_mask.bit_count()
-            return (val, s_mask) if c >= 2 and val > 0 else None
-        undecided = full & ~((1 << idx) - 1)
-        if (count_components(adj, kept)
-                + undecided.bit_count() - _greedy_matching(adj, undecided)
-                - s_mask.bit_count()) <= 0:
-            return None
-        bit = 1 << idx
-        if not adj[idx] & (full & ~s_mask & ~bit):
-            # all neighbors already removed: keeping idx is free and adds a
-            # component, so the S branch is dominated
-            return rec(idx + 1, s_mask, kept | bit)
-        return rec(idx + 1, s_mask | bit, kept) or rec(idx + 1, s_mask, kept | bit)
-
+    # pending nodes (idx, s_mask, kept); the S branch is pushed last, so
+    # nodes come off in the preorder of the recursive search
+    stack = [(0, 0, 0)]
     try:
-        found = rec(0, 0, 0)
+        while stack:
+            idx, s_mask, kept = stack.pop()
+            budget.charge()
+            if idx == n:
+                c = count_components(adj, kept)
+                val = c - s_mask.bit_count()
+                if c >= 2 and val > 0:
+                    return ("complete", val, s_mask, budget.nodes)
+                continue
+            undecided = full & ~((1 << idx) - 1)
+            if (count_components(adj, kept)
+                    + undecided.bit_count() - _greedy_matching(adj, undecided)
+                    - s_mask.bit_count()) <= 0:
+                continue
+            bit = 1 << idx
+            stack.append((idx + 1, s_mask, kept | bit))
+            # with all its neighbors already removed, keeping idx is free
+            # and adds a component, so the S branch is dominated
+            if adj[idx] & (full & ~s_mask & ~bit):
+                stack.append((idx + 1, s_mask | bit, kept))
     except _OutOfBudget:
         return ("unknown", None, None, budget.nodes)
-    value, mask = found or (None, None)
-    return ("complete", value, mask, budget.nodes)
+    return ("complete", None, None, budget.nodes)
 
 
 # ---------------------------------------------------------------------------

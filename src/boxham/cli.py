@@ -156,18 +156,18 @@ def _cmd_toughness(args):
 
 
 def _cmd_check(args):
-    """With --n the product entry may answer from the splice builder;
-    without it the graph itself goes to the exhaustive search."""
+    """With --n the product entry may answer from the splice builder and
+    builds the product only for its search; without it the graph itself
+    goes to the exhaustive search."""
     base = _read_graph(args.graph)
     caps = {"budget_seconds": args.budget_seconds, "max_nodes": args.max_nodes}
     if args.n is None:
-        g = base
-        res = oracle.find_hamiltonian_cycle(g, **caps)
+        res = oracle.find_hamiltonian_cycle(base, **caps)
     else:
-        g = graphs.cartesian_product(graphs.path_graph(args.n), base)
-        res = oracle.find_product_cycle(base, args.n, g, **caps)
+        res = oracle.find_product_cycle(base, args.n, **caps)
+    order = base.order if args.n is None else args.n * base.order
     verdict = {"found": "hamiltonian", "none": "non_hamiltonian"}.get(res.status, "unknown")
-    payload = {"order": g.order, "verdict": verdict,
+    payload = {"order": order, "verdict": verdict,
                "decided_by": res.decided_by, "nodes": res.nodes}
     human = [f"oracle: {verdict} (decided by {res.decided_by}, {res.nodes} nodes)"]
     if res.cycle is not None:

@@ -95,24 +95,23 @@ _Template = tuple[tuple[int, int, int, int, int, int], ...]
 
 
 class _LayerPlan(NamedTuple):
-    """What depends on the layer count and the base order alone, computed
-    once per build.
+    """What depends on n, the base order and the factor's component sizes,
+    computed once per build.
 
-    ``patterns`` holds each role's vertical indices in ascending order.
-    ``columns`` holds the column cycle of a component of 2 and of 3
-    columns, one entry per vertex: the vertex and its two cycle
-    neighbours, each as an id offset and a position in the component.
-    The product id is offset + component[position].
+    ``patterns`` holds the vertical indices of those sizes' roles, sorted.
+    ``columns`` holds the column cycle of a component of each size, one
+    entry per vertex: the vertex and its two cycle neighbours, each as an
+    id offset and a position in the component.  The product id is
+    offset + component[position].
     """
 
     patterns: dict[Role, tuple[int, ...]]
     columns: dict[int, _Template]
 
 
-def _layer_plan(n: int, k: int) -> _LayerPlan:
-    patterns = {role: tuple(sorted(used_column_indices(role, n))) for role in _ROLE_RESIDUES}
-    # the snake of a triple closes only at an even n of at least 4
-    sizes = (2, 3) if n % 2 == 0 and n >= 4 else (2,)
+def _layer_plan(n: int, k: int, sizes: set[int]) -> _LayerPlan:
+    patterns = {role: tuple(sorted(used_column_indices(role, n)))
+                for size in sizes for role in _COMPONENT_ROLES[size]}
     return _LayerPlan(patterns, {size: _column_template(n, k, size, patterns)
                                  for size in sizes})
 
@@ -393,7 +392,7 @@ def _column_cycle(n: int, comp: tuple[int, ...], base_order: int | None) -> HamC
     if not all(1 <= v <= k for v in comp):
         raise ValueError("columns must lie in 1..base_order")
     slots = _empty_slots(n * k)
-    _add_column_cycle(slots, comp, _layer_plan(n, k))
+    _add_column_cycle(slots, comp, _layer_plan(n, k, {len(comp)}))
     return _walk(slots, n, k)
 
 
@@ -476,7 +475,7 @@ def _build(n: int, tree: Graph, factor: PathFactor, peel: PeelOrder,
     """Assemble the cycle, check its per-column contract, and read the
     column counts off the contract formula that was just checked."""
     roles = assign_roles(factor)
-    plan = _layer_plan(n, tree.order)
+    plan = _layer_plan(n, tree.order, {len(c) for c in factor.components})
     cycle = _assemble(n, tree, roles, peel, plan)
     if not verify_column_contract(cycle, tree, roles, n):
         raise AssertionError("constructed cycle breaks its per-column contract")

@@ -6,7 +6,9 @@ the builders, so they cross-check everything the constructive pipeline
 claims.  The product entry :func:`find_product_cycle`, which ``check --n``
 and both scanners use, may answer from the splice builder instead, run
 below its proven layer bound; such a cycle counts only once
-:func:`~boxham.cycles.verify_cycle` accepts it on the product.
+:func:`~boxham.cycles.verify_product_cycle` accepts it.  That check, and
+the bipartite-imbalance answer, work from the base alone: the product
+graph is built only when the exhaustive search runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import kernels
-from .cycles import HamCycle, _build, _route, component_peel_order, verify_cycle
+from .cycles import (
+    HamCycle,
+    _build,
+    _route,
+    component_peel_order,
+    verify_product_cycle,
+)
 from .errors import (
     BudgetExceededError,
     DisconnectedError,
@@ -33,7 +41,6 @@ from .graphs import (
     cartesian_product,
     degree_stats,
     is_bipartite,
-    is_connected,
     path_graph,
 )
 from .toughness import toughness_exact
@@ -65,6 +72,13 @@ def _side_gap(g: Graph) -> int:
     except NotBipartiteError:
         return 0
     return abs(len(bip.side_a) - len(bip.side_b))
+
+
+def _product_side_gap(base: Graph, n: int) -> int:
+    """:func:`_side_gap` of the n-layer product over ``base``, from the
+    base alone: the layers alternate colours, so the product's sides
+    differ by the base's when n is odd and not at all when n is even."""
+    return _side_gap(base) if n % 2 else 0
 
 
 def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
@@ -114,27 +128,32 @@ def splice_attempt(base: Graph, n: int) -> HamCycle | None:
 _SPLICE_MIN_ORDER = 24
 
 
-def find_product_cycle(base: Graph, n: int, product: Graph, *,
+def find_product_cycle(base: Graph, n: int, *,
                        budget_seconds: float | None = None,
                        max_nodes: int | None = None) -> OracleResult:
-    """Hamiltonian cycle of ``product``, the n-layer product over ``base``.
+    """Hamiltonian cycle of the n-layer product over ``base``.
 
     Three stages, each named in ``decided_by``: a bipartite product with
     unequal sides has none; from 24 vertices on, a splice attempt at n
     when n >= 4 and n >= 4 * max_degree - 4, two layers below the proven
-    bound, answers "found" at 0 nodes once :func:`verify_cycle` accepts
-    its cycle; otherwise the exhaustive search under the caps.  Cycles
-    come in the product's shape.
+    bound, answers "found" at 0 nodes once :func:`verify_product_cycle`
+    accepts its cycle; otherwise the exhaustive search under the caps.
+    The first two stages work from the base; only the search builds the
+    product graph.  Cycles come in the product's shape.
     """
-    if product.order >= 3 and _side_gap(product) > 0:
+    if n < 1:
+        raise ValueError("layer count must be positive")
+    order = n * base.order
+    if order >= 3 and _product_side_gap(base, n) > 0:
         return OracleResult("none", None, 0, "bipartite_imbalance")
-    if (product.order >= _SPLICE_MIN_ORDER and n >= 4
+    if (order >= _SPLICE_MIN_ORDER and n >= 4
             and n >= 4 * degree_stats(base).maximum - 4):
         cycle = splice_attempt(base, n)
         if cycle is not None:
-            if not verify_cycle(product, cycle):
+            if not verify_product_cycle(base, n, cycle):
                 raise AssertionError(f"splice cycle on {n} layers failed its check")
             return OracleResult("found", cycle, 0, "splice")
+    product = cartesian_product(path_graph(n), base)
     return _search(product, n, base.order, budget_seconds, max_nodes)
 
 
@@ -349,11 +368,11 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
 def _judge_instance(args) -> tuple[str, int, str]:
     order, edges, layers, max_nodes = args
     base = Graph(order, edges)
-    product = cartesian_product(path_graph(layers), base)
-    res = find_product_cycle(base, layers, product, max_nodes=max_nodes)
+    res = find_product_cycle(base, layers, max_nodes=max_nodes)
     if res.status == "found":
         # the product entry has already checked a splice cycle
-        if res.decided_by == "search" and not verify_cycle(product, res.cycle):
+        if (res.decided_by == "search"
+                and not verify_product_cycle(base, layers, res.cycle)):
             raise AssertionError(f"search cycle on {layers} layers failed its check")
         return (_graph_key(base), layers, "hamiltonian")
     if res.status == "none":

@@ -6,7 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from boxham._pykernels import _Budget, _OutOfBudget, count_components
+from boxham._pykernels import _Budget, _OutOfBudget, _greedy_matching, count_components
 from boxham.graphs import Graph, format_label, is_connected, isomorphic
 from boxham.toughness import _last_steps
 
@@ -302,6 +302,38 @@ def recursive_ham_path(n, adj, max_nodes=None, deadline=None):
     except _OutOfBudget:
         return ("unknown", None, budget.nodes)
     return ("none", None, budget.nodes)
+
+
+def recursive_scattering_max(n, adj, max_nodes=None, deadline=None):
+    """Reference for ``_pykernels.scattering_max``: the same branch and
+    bound written as plain recursion.  It must give the same (status,
+    value, mask, nodes) on every input; its depth grows with n, so keep
+    inputs well under the recursion limit."""
+    full = (1 << n) - 1
+    budget = _Budget(max_nodes, deadline)
+
+    def rec(idx, s_mask, kept):
+        budget.charge()
+        if idx == n:
+            c = count_components(adj, kept)
+            val = c - s_mask.bit_count()
+            return (val, s_mask) if c >= 2 and val > 0 else None
+        undecided = full & ~((1 << idx) - 1)
+        if (count_components(adj, kept)
+                + undecided.bit_count() - _greedy_matching(adj, undecided)
+                - s_mask.bit_count()) <= 0:
+            return None
+        bit = 1 << idx
+        if not adj[idx] & (full & ~s_mask & ~bit):
+            return rec(idx + 1, s_mask, kept | bit)
+        return rec(idx + 1, s_mask | bit, kept) or rec(idx + 1, s_mask, kept | bit)
+
+    try:
+        found = rec(0, 0, 0)
+    except _OutOfBudget:
+        return ("unknown", None, None, budget.nodes)
+    value, mask = found or (None, None)
+    return ("complete", value, mask, budget.nodes)
 
 
 def _lex_smaller(a: int, b: int) -> bool:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boxham import cli, graphs
+from boxham import cli, graphs, oracle
 from boxham.cli import main
 from boxham.cycles import parse_cycle, verify_cycle, verify_product_cycle
 from boxham.graphs import (
@@ -305,6 +305,24 @@ class TestCheckVerify:
         code, payload = run_json(capsys, "verify", "--n", "-1", "--graph", files["t1"],
                                  "--cycle", str(out))
         assert code == 3 and payload["error"]["kind"] == "precondition"
+
+    def test_check_n_builds_no_product_when_the_splice_answers(self, capsys, files,
+                                                                monkeypatch):
+        # a degree-3 tree of order 8 from the scan 1 --k 3 family
+        tree = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])
+        path = files["dir"] / "tree8.el"
+        path.write_text(format_graph(tree))
+
+        def no_product(*args):
+            raise AssertionError("check --n built the product graph")
+
+        monkeypatch.setattr(graphs, "cartesian_product", no_product)
+        monkeypatch.setattr(oracle, "cartesian_product", no_product)
+        code, payload = run_json(capsys, "check", "--n", "8", "--graph", str(path))
+        assert code == 0
+        assert (payload["order"], payload["verdict"], payload["decided_by"]) == (
+            64, "hamiltonian", "splice")
+        assert verify_product_cycle(tree, 8, parse_cycle(payload["cycle"]))
 
     def test_parse_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"

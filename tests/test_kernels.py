@@ -21,6 +21,7 @@ from helpers import (
     random_connected_graph,
     recursive_ham_cycle,
     recursive_ham_path,
+    recursive_scattering_max,
 )
 
 
@@ -260,6 +261,30 @@ class TestPureHamPath:
         assert res.status == "found"
         assert sorted(res.path) == list(range(1, 1201))
         assert all(ladder.has_edge(u, v) for u, v in zip(res.path, res.path[1:]))
+
+
+class TestPureScattering:
+    """The iterative pure branch and bound against its recursive
+    reference, as for the cycle search: the same cut and node count,
+    capped or not."""
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(112)
+        outcomes = set()
+        for _ in range(600):
+            n, adj = random_masks(rng, 14, rng.uniform(0.1, 0.8))
+            for cap in (None, 0, 1, 10, 300):
+                got = _pykernels.scattering_max(n, adj, cap, None)
+                assert got == recursive_scattering_max(n, adj, cap, None), (n, adj, cap)
+                outcomes.add("cut" if got[1] is not None else got[0])
+        assert outcomes == {"cut", "complete", "unknown"}
+
+    def test_star_without_recursion(self):
+        # 1500 vertices, one search node per vertex and the leaf, far past
+        # the interpreter's recursion limit; the cut is the centre
+        star = star_graph(1499)
+        got = _pykernels.scattering_max(star.order, list(star.adjacency_masks))
+        assert got == ("complete", 1498, 1, 1501)
 
 
 class TestPureToughnessScan:

@@ -40,7 +40,12 @@ from boxham.oracle import (
     tree_canonical_form,
 )
 from boxham.toughness import is_one_tough
-from helpers import all_pairs, random_connected_graph, random_scan_base
+from helpers import (
+    all_pairs,
+    random_connected_bipartite,
+    random_connected_graph,
+    random_scan_base,
+)
 
 
 class TestHamOracle:
@@ -276,7 +281,7 @@ class TestSpliceAttempt:
 class TestProductEntry:
     def test_stages_on_the_caterpillar(self):
         t1 = fixtures().t1
-        stages = {n: find_product_cycle(t1, n, product(n, t1)) for n in (3, 4, 8)}
+        stages = {n: find_product_cycle(t1, n) for n in (3, 4, 8)}
         assert [(r.status, r.decided_by, r.nodes) for r in stages.values()] == [
             ("none", "bipartite_imbalance", 0), ("none", "search", 408),
             ("found", "splice", 0)]
@@ -285,7 +290,7 @@ class TestProductEntry:
         assert verify_product_cycle(t1, 8, cycle)
 
     def test_search_cycles_come_in_the_product_shape(self):
-        res = find_product_cycle(path_graph(4), 5, product(5, path_graph(4)))
+        res = find_product_cycle(path_graph(4), 5)
         assert (res.decided_by, res.cycle.layers, res.cycle.base_order) == ("search", 5, 4)
 
     def test_gate_keeps_small_products_and_high_degree_off_the_attempt(self, monkeypatch):
@@ -294,24 +299,58 @@ class TestProductEntry:
 
         monkeypatch.setattr(oracle, "splice_attempt", no_attempt)
         # 20 vertices: below the order gate
-        assert find_product_cycle(path_graph(4), 5, product(5, path_graph(4))).found
+        assert find_product_cycle(path_graph(4), 5).found
         # max degree 3 needs n >= 8
         t1 = fixtures().t1
-        assert find_product_cycle(t1, 6, product(6, t1), max_nodes=0).status == "unknown"
+        assert find_product_cycle(t1, 6, max_nodes=0).status == "unknown"
 
     def test_failed_attempt_falls_back_to_the_search(self):
         # no {P2,P3}-factor; the search sees the centre's layer-1 vertex
         # forced onto three cycle edges
         star = star_graph(3)
-        res = find_product_cycle(star, 8, product(8, star))
+        res = find_product_cycle(star, 8)
         assert (res.status, res.decided_by) == ("none", "search")
+
+    def test_product_side_gap_needs_no_product(self):
+        rng = random.Random(15)
+        bases = list(enumerate_trees(8))
+        bases += [random_connected_graph(rng, 2, 9) for _ in range(40)]
+        bases += [random_connected_bipartite(rng, 2, 9) for _ in range(40)]
+        # disconnected: two random connected graphs side by side
+        for _ in range(20):
+            a, b = random_connected_graph(rng, 1, 5), random_connected_graph(rng, 1, 5)
+            bases.append(Graph.from_edges(a.order + b.order, list(a.edges) + [
+                (u + a.order, v + a.order) for u, v in b.edges]))
+        gaps = set()
+        for base in bases:
+            for n in range(1, 10):
+                gap = oracle._side_gap(product(n, base))
+                assert oracle._product_side_gap(base, n) == gap, (base.edges, n)
+                gaps.add(gap > 0)
+        assert gaps == {True, False}
+
+    def test_imbalance_and_splice_build_no_product(self, monkeypatch):
+        def no_product(*args):
+            raise AssertionError("the product graph was built")
+
+        monkeypatch.setattr(oracle, "cartesian_product", no_product)
+        t1 = fixtures().t1
+        assert find_product_cycle(t1, 3).decided_by == "bipartite_imbalance"
+        assert find_product_cycle(t1, 8).decided_by == "splice"
+        with pytest.raises(AssertionError, match="was built"):
+            find_product_cycle(t1, 4)
+
+    def test_layer_count_below_one_is_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="layer count"):
+                find_product_cycle(fixtures().t1, n)
 
     def test_a_splice_cycle_that_fails_its_check_raises(self, monkeypatch):
         t1 = fixtures().t1
         monkeypatch.setattr(oracle, "splice_attempt",
                             lambda base, n: HamCycle(n, base.order, tuple(range(1, 65))))
         with pytest.raises(AssertionError, match="failed its check"):
-            find_product_cycle(t1, 8, product(8, t1))
+            find_product_cycle(t1, 8)
 
 
 class TestScans:

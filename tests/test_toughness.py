@@ -442,7 +442,7 @@ class TestCycleStage:
 # below must still raise.
 OPTIMIZED_CHECKS = """
 from boxham import kernels, oracle, toughness
-from boxham.graphs import Graph, cartesian_product, cycle_graph, path_graph, star_graph
+from boxham.graphs import Graph, cycle_graph, path_graph, star_graph
 from boxham.cycles import HamCycle
 assert False, "assert statements must be stripped"
 failed = []
@@ -460,8 +460,7 @@ kernels.ham_cycle = lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1)
 expect_raise("is_one_tough", lambda: toughness.is_one_tough(petersen))
 expect_raise("_judge_instance", lambda: oracle._judge_instance((4, ((1, 2), (2, 3), (3, 4)), 2, None)))
 oracle.splice_attempt = lambda base, n: HamCycle(n, base.order, tuple(range(1, n * base.order + 1)))
-expect_raise("find_product_cycle", lambda: oracle.find_product_cycle(
-    path_graph(4), 8, cartesian_product(path_graph(8), path_graph(4))))
+expect_raise("find_product_cycle", lambda: oracle.find_product_cycle(path_graph(4), 8))
 kernels.toughness_scan = lambda g: None
 expect_raise("toughness_exact", lambda: toughness.toughness_exact(cycle_graph(5)))
 toughness._verify_witness = lambda product, cut: toughness.CutWitness(cut, 1)
