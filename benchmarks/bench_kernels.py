@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled C kernels against the pure-Python kernels.
+"""Time the search kernels and pin their deterministic node counts.
 
-Both backends run the same searches with identical node counts, so the
-table is a clean apples-to-apples timing comparison; build the compiled
-C module first (``python setup.py build_ext --inplace``).  A second table
-shows how ``is_one_tough`` decides one instance per stage that can decide
-it, the 32-vertex flagship included, with its deterministic node counts
-(states for the frontier DP), and a third how ``check --n`` decides one
-product per stage of ``oracle.find_product_cycle``, timed as ``check``
-pays for it: the product graph is built inside, by the search stage only.
+The first table times each kernel of ``boxham._pykernels`` on one
+instance and stops with an error when a node count (subsets for the
+toughness scan) differs from ``PINNED_NODES``.  A second table shows how
+``is_one_tough`` decides one instance per stage that can decide it, the
+32-vertex flagship included, with its deterministic node counts (states
+for the frontier DP), and a third how ``check --n`` decides one product
+per stage of ``oracle.find_product_cycle``, timed as ``check`` pays for
+it: the product graph is built inside, by the search stage only.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the flagship's
@@ -18,7 +18,7 @@ pays for it: the product graph is built inside, by the search stage only.
 import argparse
 import time
 
-from boxham import _pykernels, kernels
+from boxham import _pykernels
 from boxham.graphs import (
     Graph,
     cartesian_product,
@@ -50,12 +50,13 @@ FIVE_K2 = Graph.from_edges(14, [(2, 3), (4, 6), (7, 8), (10, 11), (12, 13)] + [
     (s, v) for s in (1, 5, 9, 14) for v in range(1, 15) if v not in (1, 5, 9, 14)])
 
 # deterministic nodes of the search rows and subsets of the toughness_scan
-# rows, the same on both backends
+# rows
 PINNED_NODES = {
     "P5 x caterpillar6 (found)": 34,
     "P4 x caterpillar8 (none)": 408,
     "P6 x caterpillar8 (found)": 1_174,
     "P8 x scan tree8 (64, found)": 83_687,
+    "P4 x caterpillar8": 252,
     "P3 x caterpillar8 (24 vertices)": 251_734,
     "P4 x caterpillar8 flagship (32 vertices)": 15_567_633,
     "P2 x caterpillar8": 14_893,
@@ -113,39 +114,28 @@ def check_instances():
     yield "P4 x caterpillar8 (32)", T1, 4, "search", 408
 
 
-def run_one(impl, func, g):
-    adj = list(g.adjacency_masks)
+def run_one(func, g):
     # the searches take a node cap and a deadline; the toughness scan does not
     args = () if func == "toughness_scan" else (None, None)
     start = time.perf_counter()
-    out = getattr(impl, func)(g.order, adj, *args)
-    elapsed = time.perf_counter() - start
-    return elapsed, out[-1], out[:-1]
+    out = getattr(_pykernels, func)(g.order, g.adjacency_masks, *args)
+    return time.perf_counter() - start, out[-1]
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--full", action="store_true",
-                        help="include the long pure-Python flagship branch and bound")
+                        help="include the long flagship branch and bound")
     args = parser.parse_args()
 
-    if kernels.BACKEND != "compiled":
-        print("warning: compiled C module not built; comparing pure to itself")
-    fast = kernels._fast if kernels.BACKEND == "compiled" else _pykernels
-
-    header = f"{'kernel':<15} {'instance':<38} {'pure':>9} {'compiled C':>10} {'speedup':>8}"
+    header = f"{'kernel':<15} {'instance':<38} {'nodes':>10} {'time':>9}"
     print(header)
     print("-" * len(header))
     for kind, label, g, func in instances(args.full):
-        t_pure, nodes, r_pure = run_one(_pykernels, func, g)
-        t_fast, nodes2, r_fast = run_one(fast, func, g)
-        if (r_pure, nodes) != (r_fast, nodes2):
-            raise SystemExit(f"backend mismatch on {label}")
-        if nodes != PINNED_NODES.get(label, nodes):
+        elapsed, nodes = run_one(func, g)
+        if nodes != PINNED_NODES[label]:
             raise SystemExit(f"{label}: {nodes} nodes, pinned {PINNED_NODES[label]}")
-        speedup = t_pure / t_fast if t_fast > 0 else float("inf")
-        print(f"{kind:<15} {label:<38} {t_pure:>8.3f}s {t_fast:>9.3f}s {speedup:>7.1f}x")
-    print("\nresults identical across backends (including node counts)")
+        print(f"{kind:<15} {label:<38} {nodes:>10} {elapsed:>8.3f}s")
 
     header = f"{'is_one_tough':<28} {'verdict':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"
     print("\n" + header)
@@ -171,6 +161,7 @@ def main():
                              f"expected {stage} in {pinned}")
         print(f"{label:<28} {res.status:>7} {res.decided_by:>20} {res.nodes:>10} "
               f"{elapsed:>8.3f}s")
+
 
 if __name__ == "__main__":
     main()

@@ -1,9 +1,6 @@
 """Pure-Python search kernels over bitmask adjacency.
 
-This is the reference backend, used on every graph when no compiled
-module was built and on graphs above 64 vertices always.  The C file
-``_ckernels.c`` implements the same functions on 64-bit masks and must
-agree with these bit for bit, node counts included.  Vertices are
+This is the only implementation of every search.  Vertices are
 0-indexed bit positions here; wrappers in :mod:`boxham.kernels` translate
 from the 1-indexed Graph world.
 

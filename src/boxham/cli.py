@@ -193,20 +193,12 @@ def _cmd_verify(args):
 
 
 def _cmd_scan(args):
+    caps = {"budget_seconds": args.budget_seconds,
+            "max_nodes_per_instance": args.max_nodes, "workers": args.workers}
     if args.conjecture == 1:
-        if args.k is None:
-            raise MalformedGraphError("scan 1 needs --k")
-        report = oracle.scan_below_layer_bound(
-            args.k, args.max_order,
-            budget_seconds=args.budget_seconds,
-            max_nodes_per_instance=args.max_nodes,
-            workers=args.workers)
+        report = oracle.scan_below_layer_bound(args.k, args.max_order, **caps)
     else:
-        report = oracle.scan_balanced_odd(
-            args.max_h, args.max_n,
-            budget_seconds=args.budget_seconds,
-            max_nodes_per_instance=args.max_nodes,
-            workers=args.workers)
+        report = oracle.scan_balanced_odd(args.max_h, args.max_n, **caps)
     text = oracle.format_scan_report(report)
     payload = {
         "kind": report.kind,
@@ -347,6 +339,8 @@ def main(argv=None) -> int:
         parser.error("scan 1 needs --k at least 3")
     if (getattr(args, "max_nodes", None) or 0) < 0:
         parser.error("--max-nodes must be at least 0")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be at least 1")
     payload: dict = {"command": args.command, "status": "ok"}
     try:
         extra, human, code = args.handler(args)

@@ -153,12 +153,9 @@ def _column_template(n: int, k: int, size: int,
 
 
 def pattern_overlap_counts(n: int) -> tuple[int, int, int]:
-    """Sizes of (left & right, right & mid, left & mid) index sets.
-
-    Computed by direct enumeration over 1..n-1; the chain inequality and
-    the closed form ceil((n-4)/4) for the last entry are checked in tests,
-    not assumed here.
-    """
+    """Sizes of (left & right, right & mid, left & mid) index sets, by
+    direct enumeration over 1..n-1; tests check the chain inequality and
+    the closed form ceil((n-4)/4) of the last entry."""
     if n % 2:
         raise OddLayersError("overlap counts are defined for even layer counts")
     if n < 4:
@@ -195,10 +192,7 @@ class HamCycle:
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for a, b in zip(self.seq, self.seq[1:] + self.seq[:1]):
-            out.add(canon_edge(a, b))
-        return frozenset(out)
+        return frozenset(map(canon_edge, self.seq, self.seq[1:] + self.seq[:1]))
 
     def labels(self) -> tuple[Label, ...]:
         k = self.base_order
@@ -506,13 +500,16 @@ def build_cycle_matching(n: int, tree: Graph,
     return _build(n, tree, matching, peel, "matching")
 
 
+def path_factor_min_layers(dmax: int) -> int:
+    """The path-factor route's layer bound 4 * dmax - 2: that slack keeps
+    a compatible vertical index available at every splice."""
+    return max(4 * dmax - 2, 2)
+
+
 def build_cycle_path_factor(n: int, tree: Graph,
                             factor: PathFactor | None = None) -> BuildResult:
-    """Cycle in the n-layer product over a tree with a 2/3-path factor.
-
-    Needs an even n of at least 4 * max_degree - 2: that slack is what
-    keeps a compatible vertical index available at every splice.
-    """
+    """Cycle in the n-layer product over a tree with a 2/3-path factor,
+    for an even n of at least :func:`path_factor_min_layers`."""
     if factor is None:
         if not is_tree(tree):
             raise NotTreeError("path-factor construction needs a tree")
@@ -522,8 +519,7 @@ def build_cycle_path_factor(n: int, tree: Graph,
     peel = component_peel_order(tree, factor)
     if n % 2:
         raise OddLayersError("path-factor construction needs an even layer count")
-    dmax = degree_stats(tree).maximum
-    need = max(4 * dmax - 2, 2)
+    need = path_factor_min_layers(degree_stats(tree).maximum)
     if n < need:
         raise TooFewLayersError(f"need at least {need} layers, got {n}")
     return _build(n, tree, factor, peel, "pathfactor")
@@ -569,7 +565,7 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
         if n < dmax:
             raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)
         return build_cycle_matching(n, tree, factor)
-    need = max(4 * dmax - 2, 2)
+    need = path_factor_min_layers(dmax)
     if n % 2:
         raise OddLayersError(f"path-factor route needs even n >= {need}")
     if n < need:
@@ -595,10 +591,7 @@ def verify_cycle(product: Graph, cycle: HamCycle) -> bool:
         return False
     if any(not (1 <= v <= product.order) for v in seq):
         return False
-    for a, b in zip(seq, seq[1:] + seq[:1]):
-        if not product.has_edge(a, b):
-            return False
-    return True
+    return all(map(product.has_edge, seq, seq[1:] + seq[:1]))
 
 
 def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
@@ -670,6 +663,7 @@ __all__ = [
     "component_peel_order",
     "format_cycle",
     "parse_cycle",
+    "path_factor_min_layers",
     "pattern_overlap_counts",
     "three_column_cycle",
     "two_column_cycle",

@@ -1,19 +1,12 @@
-"""Kernel backend selection and Graph-level wrappers.
+"""Graph-level wrappers over the search kernels of ``boxham._pykernels``.
 
-The hot search loops (Hamiltonian cycle and spanning-path backtracking,
-the scattering branch-and-bound, which looks for a cut set S with
-c(G - S) - |S| > 0 and stops at the first, and the exact toughness scan
-over vertex sets by increasing size, which stops at the ratio bound)
-exist twice: hand-written C in ``boxham._ckernels``
-(``_ckernels.c``, built by ``setup.py`` when a C compiler is present) and
-pure Python in ``boxham._pykernels``.  Both walk the same search trees,
-node counts included.  The compiled module is used when it imported and
-the instance fits in 64-bit masks; everything else runs on the pure
-kernels, and ``backend_name()`` is ``"pure"`` when no module was built.
-A search that ``max_nodes`` stops reports exactly that many nodes on
-either backend.
-The parity tests build the C from source and compare it with
-``_pykernels`` directly.
+The hot search loops are the Hamiltonian cycle and spanning-path
+backtracking, the scattering branch-and-bound, which looks for a cut set
+S with c(G - S) - |S| > 0 and stops at the first, and the exact
+toughness scan over vertex sets by increasing size, which stops at the
+ratio bound.  They are pure Python, so ``backend_name()`` is always
+``"pure"``.  A search that ``max_nodes`` stops reports exactly that many
+nodes.
 """
 
 from __future__ import annotations
@@ -23,20 +16,9 @@ import time
 from . import _pykernels
 from .graphs import Graph
 
-try:
-    from . import _ckernels as _fast
-except ImportError:
-    _fast = None
-
-BACKEND = "compiled" if _fast is not None else "pure"
-
-_COMPILED_MAX_ORDER = 64
-
-
-def _impl_for(order: int):
-    if _fast is not None and order <= _COMPILED_MAX_ORDER:
-        return _fast
-    return _pykernels
+# When set, a stand-in kernel module that the four searches dispatch to:
+# perfbench reads this name, and its tracer test sets a stand-in here.
+_fast = None
 
 
 def _deadline(budget_seconds):
@@ -46,25 +28,21 @@ def _deadline(budget_seconds):
 
 
 def backend_name() -> str:
-    return BACKEND
+    return "pure"
 
 
 def ham_cycle(g: Graph, *, max_nodes=None, budget_seconds=None):
     """(status, vertex tuple or None, nodes) on 1-indexed vertices."""
-    impl = _impl_for(g.order)
-    status, order, nodes = impl.ham_cycle(
-        g.order, list(g.adjacency_masks),
-        max_nodes, _deadline(budget_seconds))
+    status, order, nodes = (_fast or _pykernels).ham_cycle(
+        g.order, g.adjacency_masks, max_nodes, _deadline(budget_seconds))
     if order is not None:
         order = tuple(v + 1 for v in order)
     return status, order, nodes
 
 
 def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
-    impl = _impl_for(g.order)
-    status, order, nodes = impl.ham_path(
-        g.order, list(g.adjacency_masks),
-        max_nodes, _deadline(budget_seconds))
+    status, order, nodes = (_fast or _pykernels).ham_path(
+        g.order, g.adjacency_masks, max_nodes, _deadline(budget_seconds))
     if order is not None:
         order = tuple(v + 1 for v in order)
     return status, order, nodes
@@ -73,9 +51,8 @@ def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
 def scattering_max(g: Graph, *, max_nodes=None, budget_seconds=None):
     """(status, value, cut frozenset, nodes) of the first cut set S found
     with c(G - S) - |S| > 0; value and cut are None when there is none."""
-    impl = _impl_for(g.order)
-    status, val, mask, nodes = impl.scattering_max(
-        g.order, list(g.adjacency_masks), max_nodes, _deadline(budget_seconds))
+    status, val, mask, nodes = (_fast or _pykernels).scattering_max(
+        g.order, g.adjacency_masks, max_nodes, _deadline(budget_seconds))
     cut = None if mask is None else _mask_to_set(mask)
     return status, val, cut, nodes
 
@@ -83,8 +60,7 @@ def scattering_max(g: Graph, *, max_nodes=None, budget_seconds=None):
 def toughness_scan(g: Graph):
     """(size, component count, cut frozenset, subsets counted) of the
     toughness minimizer, or None when the graph has no cut set."""
-    impl = _impl_for(g.order)
-    best = impl.toughness_scan(g.order, list(g.adjacency_masks))
+    best = (_fast or _pykernels).toughness_scan(g.order, g.adjacency_masks)
     if best is None:
         return None
     size, comps, mask, subsets = best
@@ -93,12 +69,12 @@ def toughness_scan(g: Graph):
 
 def count_components_after(g: Graph, removed: frozenset[int] | set[int]) -> int:
     alive = _set_to_alive_mask(g.order, removed)
-    return _pykernels.count_components(list(g.adjacency_masks), alive)
+    return _pykernels.count_components(g.adjacency_masks, alive)
 
 
 def count_isolated_after(g: Graph, removed: frozenset[int] | set[int]) -> int:
     alive = _set_to_alive_mask(g.order, removed)
-    return _pykernels.count_isolated(list(g.adjacency_masks), alive)
+    return _pykernels.count_isolated(g.adjacency_masks, alive)
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

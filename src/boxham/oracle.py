@@ -13,6 +13,7 @@ graph is built only when the exhaustive search runs.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .cycles import (
     _build,
     _route,
     component_peel_order,
+    path_factor_min_layers,
     verify_product_cycle,
 )
 from .errors import (
@@ -41,6 +43,7 @@ from .graphs import (
     cartesian_product,
     degree_stats,
     is_bipartite,
+    isomorphic,
     path_graph,
 )
 from .toughness import toughness_exact
@@ -124,7 +127,7 @@ def splice_attempt(base: Graph, n: int) -> HamCycle | None:
 
 # products below this order go straight to the search: on random connected
 # bases of order 4-8, at 16-23 product vertices, its median time is 0.16 ms
-# against 0.20 ms for a splice attempt (pure backend)
+# against 0.20 ms for a splice attempt
 _SPLICE_MIN_ORDER = 24
 
 
@@ -134,10 +137,10 @@ def find_product_cycle(base: Graph, n: int, *,
     """Hamiltonian cycle of the n-layer product over ``base``.
 
     Three stages, each named in ``decided_by``: a bipartite product with
-    unequal sides has none; from 24 vertices on, a splice attempt at n
-    when n >= 4 and n >= 4 * max_degree - 4, two layers below the proven
-    bound, answers "found" at 0 nodes once :func:`verify_product_cycle`
-    accepts its cycle; otherwise the exhaustive search under the caps.
+    unequal sides has none; from 24 vertices on, a splice attempt at
+    n >= 4, at most two layers below the proven bound, answers "found" at
+    0 nodes once :func:`verify_product_cycle` accepts its cycle; otherwise
+    the exhaustive search under the caps.
     The first two stages work from the base; only the search builds the
     product graph.  Cycles come in the product's shape.
     """
@@ -147,7 +150,7 @@ def find_product_cycle(base: Graph, n: int, *,
     if order >= 3 and _product_side_gap(base, n) > 0:
         return OracleResult("none", None, 0, "bipartite_imbalance")
     if (order >= _SPLICE_MIN_ORDER and n >= 4
-            and n >= 4 * degree_stats(base).maximum - 4):
+            and n >= path_factor_min_layers(degree_stats(base).maximum) - 2):
         cycle = splice_attempt(base, n)
         if cycle is not None:
             if not verify_product_cycle(base, n, cycle):
@@ -192,12 +195,9 @@ _FIXTURES: Fixtures | None = None
 
 
 def fixtures() -> Fixtures:
-    """Named fixture graphs, re-verified once per process.
-
-    fig1 was transcribed from a drawing, so before handing it out we
-    recheck the two claims that define it (toughness 1, no Hamiltonian
-    cycle); a bad transcription fails loudly here.
-    """
+    """Named fixture graphs, re-verified once per process: fig1 was
+    transcribed from a drawing, so the two claims that define it
+    (toughness 1, no Hamiltonian cycle) are rechecked first."""
     global _FIXTURES
     if _FIXTURES is None:
         t1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
@@ -248,9 +248,7 @@ def tree_canonical_form(g: Graph) -> str:
     if len(cs) == 1:
         return _rooted_canon(adj, cs[0], 0)
     a, b = cs
-    sa = _rooted_canon(adj, a, b)
-    sb = _rooted_canon(adj, b, a)
-    return "|".join(sorted((sa, sb)))
+    return "|".join(sorted((_rooted_canon(adj, a, b), _rooted_canon(adj, b, a))))
 
 
 def enumerate_trees(max_order: int) -> Iterator[Graph]:
@@ -330,10 +328,7 @@ def _iso_invariant(g: Graph) -> tuple:
 def _candidate_bases(max_order: int, *, degree: int | None = None,
                      bipartite_only: bool = False) -> list[Graph]:
     """Connected graphs with a 2/3-path factor: trees first, then trees
-    plus one extra edge, deduplicated up to isomorphism per degree class.
-    """
-    from .graphs import isomorphic
-
+    plus one extra edge, deduplicated up to isomorphism per degree class."""
     out: list[Graph] = []
     trees: list[Graph] = []
     for t in enumerate_trees(max_order):
@@ -365,25 +360,25 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
     return out
 
 
+_VERDICTS = {"found": "hamiltonian", "none": "non_hamiltonian", "unknown": "unknown"}
+
+
 def _judge_instance(args) -> tuple[str, int, str]:
     order, edges, layers, max_nodes = args
     base = Graph(order, edges)
     res = find_product_cycle(base, layers, max_nodes=max_nodes)
-    if res.status == "found":
-        # the product entry has already checked a splice cycle
-        if (res.decided_by == "search"
-                and not verify_product_cycle(base, layers, res.cycle)):
-            raise AssertionError(f"search cycle on {layers} layers failed its check")
-        return (_graph_key(base), layers, "hamiltonian")
-    if res.status == "none":
-        return (_graph_key(base), layers, "non_hamiltonian")
-    return (_graph_key(base), layers, "unknown")
+    # the product entry has already checked a splice cycle
+    if (res.found and res.decided_by == "search"
+            and not verify_product_cycle(base, layers, res.cycle)):
+        raise AssertionError(f"search cycle on {layers} layers failed its check")
+    return (_graph_key(base), layers, _VERDICTS[res.status])
 
 
 def _run_instances(instances, report: ScanReport, start_index: int, workers: int,
                    budget_seconds: float | None, max_nodes: int | None):
     """Judge the (base, layers, in_range) instances from ``start_index``
-    on into ``report``, optionally across processes.
+    on into ``report``, across at most ``workers`` processes, one per job
+    and CPU: a pool forks all of its processes at the first submit.
 
     Instances carry canonical keys and results are collected in submission
     order, so the merged report is identical whatever order the workers
@@ -393,7 +388,8 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     jobs = [(g.order, g.edges, layers, max_nodes) for g, layers, _ in instances]
     verdicts: list[tuple[str, int, str]] = []
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_judge_instance, job) for job in jobs]
             for fut in futures:
@@ -429,7 +425,7 @@ def scan_below_layer_bound(k: int, max_order: int, *,
     """
     if k < 3:
         raise PreconditionFailedError("the gap question starts at degree 3")
-    layers = 4 * k - 4
+    layers = path_factor_min_layers(k) - 2
     report = ScanReport("below_layer_bound", {
         "k": k, "layers": layers, "max_order": max_order,
         "start_index": start_index,
@@ -462,7 +458,7 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
         bip = bipartition(g)
         if len(bip.side_a) != len(bip.side_b):
             continue
-        bound = 4 * degree_stats(g).maximum - 2
+        bound = path_factor_min_layers(degree_stats(g).maximum)
         instances += [(g, n, n >= bound) for n in range(3, max_n + 1, 2)]
     _run_instances(instances, report, start_index, workers, budget_seconds,
                    max_nodes_per_instance)

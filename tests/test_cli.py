@@ -428,6 +428,15 @@ class TestScan:
         assert payload["params"] == {"max_h_order": 6, "max_n": 5, "start_index": 0}
 
 
+    def test_workers_below_one_is_a_usage_error(self, capsys):
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", "1", "--k", "3", "--max-order", "4",
+                      "--workers", workers, "--json"])
+            assert exc.value.code == 1
+            assert capsys.readouterr().out == ""
+
+
 class TestStability:
     def test_json_byte_identical(self, capsys, files):
         _, out1, _ = run(capsys, "toughness", "--graph", files["fig1"], "--json")

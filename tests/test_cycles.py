@@ -16,6 +16,7 @@ from boxham.cycles import (
     component_peel_order,
     format_cycle,
     parse_cycle,
+    path_factor_min_layers,
     pattern_overlap_counts,
     three_column_cycle,
     two_column_cycle,
@@ -311,6 +312,12 @@ class TestBuildPipeline:
         with pytest.raises(NoFactorError):
             build_cycle(4, star_graph(3))
         assert len(calls) == 1
+
+    def test_path_factor_layer_bound(self):
+        assert [path_factor_min_layers(d) for d in range(5)] == [2, 2, 6, 10, 14]
+        with pytest.raises(LayerBoundError) as exc:
+            build_cycle(8, fixtures().t1, "pathfactor")
+        assert exc.value.minimum_layers == path_factor_min_layers(3) == 10
 
     def test_layer_bound_reports_minimum(self):
         with pytest.raises(LayerBoundError) as exc:

@@ -1,10 +1,7 @@
-"""Backend parity: the compiled C kernels, built from source by the
-``ckernels`` fixture, must match the pure kernels bit for bit, node counts
-included; the Graph-level wrappers are tested on both backends."""
+"""The pure kernels against the references in ``tests/helpers.py`` and
+pinned literals, and the Graph-level wrappers of ``boxham.kernels``."""
 
 import random
-
-import pytest
 
 from boxham import _pykernels, kernels, oracle
 from boxham.graphs import (
@@ -76,124 +73,6 @@ def scan_products():
     return [(base, cartesian_product(path_graph(8), base)) for base in bases]
 
 
-class TestParity:
-    def test_ham_cycle(self, ckernels):
-        rng = random.Random(101)
-        for _ in range(250):
-            n, adj = random_masks(rng)
-            assert (ckernels.ham_cycle(n, adj, None, None)
-                    == _pykernels.ham_cycle(n, adj, None, None))
-
-    def test_ham_path(self, ckernels):
-        rng = random.Random(102)
-        for _ in range(250):
-            n, adj = random_masks(rng)
-            assert (ckernels.ham_path(n, adj, None, None)
-                    == _pykernels.ham_path(n, adj, None, None))
-
-    def test_scattering(self, ckernels):
-        rng = random.Random(103)
-        for _ in range(250):
-            n, adj = random_masks(rng)
-            assert (ckernels.scattering_max(n, adj, None, None)
-                    == _pykernels.scattering_max(n, adj, None, None))
-
-    def test_toughness(self, ckernels):
-        rng = random.Random(104)
-        for _ in range(200):
-            n, adj = random_masks(rng)
-            assert (ckernels.toughness_scan(n, adj)
-                    == _pykernels.toughness_scan(n, adj))
-        for n, adj in toughness_population():
-            assert (ckernels.toughness_scan(n, adj)
-                    == _pykernels.toughness_scan(n, adj)), (n, adj)
-
-    def test_component_counts(self, ckernels):
-        rng = random.Random(107)
-        for _ in range(500):
-            n, adj = random_masks(rng, 12)
-            alive = rng.getrandbits(n)
-            assert (ckernels.count_components(adj, alive)
-                    == _pykernels.count_components(adj, alive))
-            assert (ckernels.count_isolated(adj, alive)
-                    == _pykernels.count_isolated(adj, alive))
-
-    def test_budget_counts(self, ckernels):
-        rng = random.Random(105)
-        for _ in range(50):
-            n, adj = random_masks(rng, 8)
-            for cap in (0, 1, 5, 50):
-                assert (ckernels.ham_cycle(n, adj, cap, None)
-                        == _pykernels.ham_cycle(n, adj, cap, None))
-                assert (ckernels.ham_path(n, adj, cap, None)
-                        == _pykernels.ham_path(n, adj, cap, None))
-                assert (ckernels.scattering_max(n, adj, cap, None)
-                        == _pykernels.scattering_max(n, adj, cap, None))
-
-    def test_mask_boundary_64_vertices(self, ckernels):
-        # exactly 64 vertices still rides the compiled path; the full-mask
-        # computation must not shift a 64-bit word by 64
-        from boxham.oracle import fixtures
-        prod = cartesian_product(path_graph(8), fixtures().t1)
-        assert prod.order == 64
-        adj = list(prod.adjacency_masks)
-        fast = ckernels.ham_cycle(64, adj, 2_000_000, None)
-        pure = _pykernels.ham_cycle(64, adj, 2_000_000, None)
-        assert fast == pure and fast[0] == "found"
-        assert (ckernels.scattering_max(64, adj, 100_000, None)
-                == _pykernels.scattering_max(64, adj, 100_000, None))
-        # K_{2,62} with its hubs on the top bits: the scan runs every set of
-        # size 1 and 2 up to the last one, which ends in bit 63, and stops
-        adj = list(complete_bipartite(62, 2).adjacency_masks)
-        want = (2, 62, 3 << 62, 1 + 64 + 64 * 63 // 2)
-        assert ckernels.toughness_scan(64, adj) == _pykernels.toughness_scan(64, adj) == want
-
-    def test_product_instances(self, ckernels):
-        # mid-size real instances, not just random soup
-        from boxham.oracle import fixtures
-        cases = [
-            cartesian_product(path_graph(2), fixtures().t1),    # 16 vertices
-            cartesian_product(path_graph(2), fixtures().fig4),  # 12 vertices
-            cartesian_product(path_graph(3), path_graph(5)),    # 15-vertex grid
-        ]
-        for g in cases:
-            n, adj = g.order, list(g.adjacency_masks)
-            assert (ckernels.ham_cycle(n, adj, None, None)
-                    == _pykernels.ham_cycle(n, adj, None, None))
-            assert (ckernels.scattering_max(n, adj, None, None)
-                    == _pykernels.scattering_max(n, adj, None, None))
-            assert (ckernels.toughness_scan(n, adj)
-                    == _pykernels.toughness_scan(n, adj))
-        # the toughness scan also on the orders 8..16 of the certify bases
-        rng = random.Random(111)
-        for g in [cycle_graph(16), complete_bipartite(8, 8), *no_factor_bases(rng)]:
-            n, adj = g.order, list(g.adjacency_masks)
-            assert (ckernels.toughness_scan(n, adj)
-                    == _pykernels.toughness_scan(n, adj)), g.edges
-
-    def test_scan_products(self, ckernels):
-        outcomes = set()
-        for base, prod in scan_products():
-            n, adj = prod.order, list(prod.adjacency_masks)
-            for search in ("ham_cycle", "ham_path"):
-                got = getattr(ckernels, search)(n, adj, 1000, None)
-                assert got == getattr(_pykernels, search)(n, adj, 1000, None), (
-                    search, base.edges)
-                outcomes.add(got[0])
-        assert {"found", "unknown"} <= outcomes
-
-    def test_rejects_input_outside_its_window(self, ckernels):
-        with pytest.raises(ValueError):
-            ckernels.ham_cycle(65, [0] * 65, None, None)
-        with pytest.raises(ValueError):
-            ckernels.count_components([0] * 65, 1)
-        with pytest.raises(ValueError):
-            ckernels.scattering_max(3, [6, 5], None, None)
-        # alive is clipped to the order: no read past the adjacency list
-        assert ckernels.count_components([0], 1 << 5) == 0
-        assert ckernels.count_isolated([0], (1 << 5) | 1) == 1
-
-
 class TestPureHamCycle:
     """The iterative pure search against its recursive reference: the same
     search tree, so the same cycle and node count, capped or not."""
@@ -221,6 +100,10 @@ class TestPureHamCycle:
             assert got == recursive_ham_cycle(prod.order, adj, 1000, None), base.edges
             outcomes.add(got[0])
         assert {"found", "unknown"} <= outcomes
+        prod = cartesian_product(path_graph(8), oracle.fixtures().t1)
+        assert prod.order == 64
+        status, _, nodes = _pykernels.ham_cycle(64, prod.adjacency_masks, 2_000_000, None)
+        assert (status, nodes) == ("found", 2751)
 
     def test_long_cycle_without_recursion(self):
         # one search node per vertex, far past the interpreter's recursion limit
@@ -312,107 +195,88 @@ class TestPureToughnessScan:
         assert _pykernels.toughness_scan(n, adj) == (8, 8, 0xFF, 39_203)
         # a complete graph has no cut: every proper subset is counted
         assert _pykernels.toughness_scan(6, list(complete_graph(6).adjacency_masks)) is None
+        # K_{2,62} with its hubs on the top bits: the scan runs every set of
+        # size 1 and 2 up to the last one, which ends in bit 63, and stops
+        adj = complete_bipartite(62, 2).adjacency_masks
+        assert _pykernels.toughness_scan(64, adj) == (2, 62, 3 << 62, 1 + 64 + 64 * 63 // 2)
 
 
-class CallCounter:
-    """A kernel module whose function calls are counted."""
+class CallRecorder:
+    """A stand-in kernel module that records the names of the functions
+    called on it and answers with the pure kernels."""
 
-    def __init__(self, module):
-        self.module = module
-        self.calls = 0
+    def __init__(self):
+        self.calls = []
 
     def __getattr__(self, name):
-        fn = getattr(self.module, name)
+        fn = getattr(_pykernels, name)
 
-        def counted(*args):
-            self.calls += 1
+        def recorded(*args):
+            self.calls.append(name)
             return fn(*args)
-        return counted
-
-
-@pytest.fixture
-def backends(ckernels_or_none, monkeypatch):
-    """Point ``kernels._fast`` at each backend in turn: none (the pure
-    kernels), then the compiled module when a compiler exists."""
-    modules = [None] if ckernels_or_none is None else [None, ckernels_or_none]
-
-    def each():
-        for module in modules:
-            monkeypatch.setattr(kernels, "_fast", module)
-            yield module
-    return each
+        return recorded
 
 
 class TestWrappers:
-    """Each test runs once per backend, so the test ids stay one per check."""
+    def test_vertex_translation(self):
+        g = path_graph(4)
+        status, order, _ = kernels.ham_path(g)
+        assert status == "found" and order == (1, 2, 3, 4)
+        status, order, _ = kernels.ham_cycle(cycle_graph(5))
+        assert status == "found" and order == (1, 2, 3, 4, 5)
 
-    def test_vertex_translation(self, backends):
-        for _ in backends():
-            g = path_graph(4)
-            status, order, _ = kernels.ham_path(g)
-            assert status == "found" and order == (1, 2, 3, 4)
-            status, order, _ = kernels.ham_cycle(cycle_graph(5))
-            assert status == "found" and order == (1, 2, 3, 4, 5)
-
-    def test_large_instances_fall_back_to_pure(self, backends, ckernels_or_none,
-                                               monkeypatch):
-        # 80 vertices exceeds the 64-bit compiled window
-        big = cartesian_product(path_graph(10), path_graph(8))
-        for _ in backends():
-            status, order, _ = kernels.ham_cycle(big)
-            assert status == "found"
-            assert sorted(order) == list(range(1, 81))
-        # without a compiler the counter wraps the pure module, which the
-        # switch calls directly above 64 vertices all the same
-        fast = CallCounter(ckernels_or_none or _pykernels)
+    def test_searches_dispatch_through_the_stand_in_module(self, monkeypatch):
+        # the benchmark records backend_name() and swaps a stand-in into
+        # kernels._fast to replay its calls on the pure kernels
+        assert kernels.backend_name() == "pure"
+        g = star_graph(3)
+        want = (kernels.ham_cycle(g), kernels.ham_path(g),
+                kernels.scattering_max(g), kernels.toughness_scan(g))
+        fast = CallRecorder()
         monkeypatch.setattr(kernels, "_fast", fast)
-        assert kernels.ham_cycle(big)[0] == "found"
-        assert fast.calls == 0
-        assert kernels.ham_cycle(cartesian_product(path_graph(8), path_graph(8)))[0] == "found"
-        assert fast.calls == 1
+        assert (kernels.ham_cycle(g), kernels.ham_path(g),
+                kernels.scattering_max(g), kernels.toughness_scan(g)) == want
+        assert kernels.count_isolated_after(g, {1}) == 3
+        assert kernels.count_components_after(g, {1}) == 3
+        # the counters always run on the pure kernels
+        assert fast.calls == ["ham_cycle", "ham_path", "scattering_max", "toughness_scan"]
 
-    def test_capped_search_reports_its_cap(self, backends):
+    def test_capped_search_reports_its_cap(self):
         from boxham.oracle import fixtures
         flagship = cartesian_product(path_graph(4), fixtures().t1)
-        adj = list(flagship.adjacency_masks)
-        for fast in backends():
-            # the backends stop before they count a node past the cap
-            assert (fast or _pykernels).ham_cycle(32, adj, 10, None)[2] == 10
-            for search in (kernels.ham_cycle, kernels.ham_path):
-                status, _, nodes = search(flagship, max_nodes=10)
-                assert (status, nodes) == ("unknown", 10)
-            status, *_, nodes = kernels.scattering_max(flagship, max_nodes=10)
+        # the kernels stop before they count a node past the cap
+        assert _pykernels.ham_cycle(32, flagship.adjacency_masks, 10, None)[2] == 10
+        for search in (kernels.ham_cycle, kernels.ham_path):
+            status, _, nodes = search(flagship, max_nodes=10)
             assert (status, nodes) == ("unknown", 10)
+        status, *_, nodes = kernels.scattering_max(flagship, max_nodes=10)
+        assert (status, nodes) == ("unknown", 10)
 
-    def test_every_capped_search_reports_exactly_its_cap(self, backends):
+    def test_every_capped_search_reports_exactly_its_cap(self):
         rng = random.Random(111)
         graphs = [cartesian_product(path_graph(4), oracle.fixtures().t1)]
         graphs += [random_connected_graph(rng, 6, 12) for _ in range(40)]
-        for fast in backends():
-            impl = fast or _pykernels
-            stopped = 0
-            for g in graphs:
-                adj = list(g.adjacency_masks)
-                for cap in (0, 1, 5, 50):
-                    raw = (impl.ham_cycle(g.order, adj, cap, None),
-                           impl.ham_path(g.order, adj, cap, None),
-                           impl.scattering_max(g.order, adj, cap, None))
-                    wrapped = (kernels.ham_cycle(g, max_nodes=cap),
-                               kernels.ham_path(g, max_nodes=cap),
-                               kernels.scattering_max(g, max_nodes=cap))
-                    for out, again in zip(raw, wrapped):
-                        assert out[-1] <= cap and out[-1] == again[-1]
-                        if out[0] == "unknown":
-                            stopped += 1
-                            assert out[-1] == cap, (g.edges, cap, out)
-            assert stopped >= 300
+        stopped = 0
+        for g in graphs:
+            adj = g.adjacency_masks
+            for cap in (0, 1, 5, 50):
+                raw = (_pykernels.ham_cycle(g.order, adj, cap, None),
+                       _pykernels.ham_path(g.order, adj, cap, None),
+                       _pykernels.scattering_max(g.order, adj, cap, None))
+                wrapped = (kernels.ham_cycle(g, max_nodes=cap),
+                           kernels.ham_path(g, max_nodes=cap),
+                           kernels.scattering_max(g, max_nodes=cap))
+                for out, again in zip(raw, wrapped):
+                    assert out[-1] <= cap and out[-1] == again[-1]
+                    if out[0] == "unknown":
+                        stopped += 1
+                        assert out[-1] == cap, (g.edges, cap, out)
+        assert stopped >= 300
 
-    def test_toughness_scan_translation(self, backends):
-        for _ in backends():
-            assert kernels.toughness_scan(star_graph(3)) == (1, 3, {1}, 5)
-            assert kernels.toughness_scan(complete_graph(3)) is None
+    def test_toughness_scan_translation(self):
+        assert kernels.toughness_scan(star_graph(3)) == (1, 3, {1}, 5)
+        assert kernels.toughness_scan(complete_graph(3)) is None
 
-    def test_scattering_cut_translation(self, backends):
-        for _ in backends():
-            status, val, cut, _ = kernels.scattering_max(star_graph(3))
-            assert status == "complete" and val == 2 and cut == {1}
+    def test_scattering_cut_translation(self):
+        status, val, cut, _ = kernels.scattering_max(star_graph(3))
+        assert status == "complete" and val == 2 and cut == {1}

@@ -1,4 +1,6 @@
+import os
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -403,6 +405,40 @@ class TestScans:
         b = scan_balanced_odd(5, 5, workers=2)
         assert [(e.key, e.layers, e.verdict) for e in a.entries] == \
                [(e.key, e.layers, e.verdict) for e in b.entries]
+
+    def test_pool_starts_at_most_one_process_per_job_and_cpu(self, monkeypatch):
+        class Pool:
+            """Runs each job at submit and records the pool sizes asked for."""
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, arg):
+                fut = Future()
+                fut.set_result(fn(arg))
+                return fut
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", Pool)
+        serial = scan_below_layer_bound(3, 5)
+        assert serial.instances_examined == 5
+        for cpus, workers, size in ((3, 5000, 3), (3, 2, 2), (3, 1, None),
+                                    (8, 5000, 5), (None, 5000, None)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            Pool.sizes.clear()
+            report = scan_below_layer_bound(3, 5, workers=workers)
+            assert Pool.sizes == ([] if size is None else [size]), (cpus, workers)
+            assert report.entries == serial.entries
+        # a single instance is judged in this process
+        Pool.sizes.clear()
+        assert scan_below_layer_bound(3, 4, workers=5000).instances_examined == 1
+        assert Pool.sizes == []
 
     def test_report_format_round(self):
         report = scan_balanced_odd(4, 3)

@@ -310,14 +310,12 @@ class TestOneToughPrechecks:
         assert (res.verdict, res.decided_by) == ("unknown", "search")
         assert res.nodes == 50
 
-    def test_wide_graph_answered_no_by_search(self, ckernels_or_none, monkeypatch):
+    def test_wide_graph_answered_no_by_search(self):
         assert frontier_width(FIVE_K2, list(FIVE_K2.vertices())) == 12
         assert frontier_width(FIVE_K2, _bfs_order(FIVE_K2)) == 10
-        for fast in (None, ckernels_or_none):
-            monkeypatch.setattr(kernels, "_fast", fast)
-            res = is_one_tough(FIVE_K2)
-            assert (res.verdict, res.decided_by, res.nodes) == ("no", "search", 601)
-            assert (res.witness.cut, res.witness.components) == (FIVE_K2_CUT, 5)
+        res = is_one_tough(FIVE_K2)
+        assert (res.verdict, res.decided_by, res.nodes) == ("no", "search", 601)
+        assert (res.witness.cut, res.witness.components) == (FIVE_K2_CUT, 5)
 
     def test_long_ring_under_budget_is_unknown(self):
         # width 6, but about 78 states a vertex: 1200 vertices outrun 1500
