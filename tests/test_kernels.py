@@ -73,6 +73,26 @@ def scan_products():
     return [(base, cartesian_product(path_graph(8), base)) for base in bases]
 
 
+class TestParity:
+    """The pure kernels on 64-vertex inputs, whose masks fill a whole
+    64-bit word, against the recursive references and pinned literals."""
+
+    def test_mask_boundary_64_vertices(self):
+        prod = cartesian_product(path_graph(8), oracle.fixtures().t1)
+        assert prod.order == 64
+        adj = list(prod.adjacency_masks)
+        got = _pykernels.ham_cycle(64, adj, 2_000_000, None)
+        assert got == recursive_ham_cycle(64, adj, 2_000_000, None)
+        assert (got[0], got[2]) == ("found", 2751)
+        assert (_pykernels.scattering_max(64, adj, 100_000, None)
+                == recursive_scattering_max(64, adj, 100_000, None))
+        # K_{2,62} with its hubs on the top bits: the scan runs every set of
+        # size 1 and 2 up to the last one, which ends in bit 63, and stops
+        adj = list(complete_bipartite(62, 2).adjacency_masks)
+        want = (2, 62, 3 << 62, 1 + 64 + 64 * 63 // 2)
+        assert _pykernels.toughness_scan(64, adj) == want
+
+
 class TestPureHamCycle:
     """The iterative pure search against its recursive reference: the same
     search tree, so the same cycle and node count, capped or not."""
@@ -100,10 +120,6 @@ class TestPureHamCycle:
             assert got == recursive_ham_cycle(prod.order, adj, 1000, None), base.edges
             outcomes.add(got[0])
         assert {"found", "unknown"} <= outcomes
-        prod = cartesian_product(path_graph(8), oracle.fixtures().t1)
-        assert prod.order == 64
-        status, _, nodes = _pykernels.ham_cycle(64, prod.adjacency_masks, 2_000_000, None)
-        assert (status, nodes) == ("found", 2751)
 
     def test_long_cycle_without_recursion(self):
         # one search node per vertex, far past the interpreter's recursion limit
@@ -195,10 +211,6 @@ class TestPureToughnessScan:
         assert _pykernels.toughness_scan(n, adj) == (8, 8, 0xFF, 39_203)
         # a complete graph has no cut: every proper subset is counted
         assert _pykernels.toughness_scan(6, list(complete_graph(6).adjacency_masks)) is None
-        # K_{2,62} with its hubs on the top bits: the scan runs every set of
-        # size 1 and 2 up to the last one, which ends in bit 63, and stops
-        adj = complete_bipartite(62, 2).adjacency_masks
-        assert _pykernels.toughness_scan(64, adj) == (2, 62, 3 << 62, 1 + 64 + 64 * 63 // 2)
 
 
 class CallRecorder:
