@@ -109,7 +109,7 @@ def row(kind: str, target: int) -> dict:
     # of _build that changes what it does makes this bench fail, not drift.
     roles = cycles.assign_roles(factor)
     cycle = timed(stages, "assembly", cycles._assemble, n, t, roles, peel,
-                  cycles._layer_plan(n, t.order))
+                  cycles._layer_plan(n, t.order, {len(c) for c in factor.components}))
     ok_contract = timed(stages, "contract_check", cycles.verify_column_contract,
                         cycle, t, roles, n)
     timed(stages, "format_cycle", cycles.format_cycle, cycle)

@@ -115,8 +115,9 @@ def ham_cycle(n, adj, max_nodes=None, deadline=None):
     vertices must be respected.  Candidates are tried in ascending order
     and every node is charged to the budget before it is pruned.
 
-    The root checks the first two conditions on every vertex and the
-    region by one full BFS; below it both checks are incremental and
+    At the root the degree check already gives the first two conditions
+    (the head is the start vertex, so an edge to it counts twice) and one
+    full BFS checks the region; below it both checks are incremental and
     exact.  Moving the head from u to w removes w from the unvisited
     region and makes w the head, so the usable connections of an
     unvisited vertex v drop by one exactly when v is adjacent to u, and
@@ -167,15 +168,6 @@ def _cycle_search(n, adj, forced, charge):
     full = (1 << n) - 1
     charge()
     rest = full & ~1
-    m = rest
-    while m:
-        b = m & -m
-        m ^= b
-        aw = adj[b.bit_length() - 1]
-        # at the root the head is the start vertex, counted twice
-        if (aw & rest).bit_count() + 2 * (aw & 1) < 2:
-            return None
-    # vertex 0 has degree >= 2, so it keeps an unvisited neighbour here
     if not _connected_within(adj, full, 1):
         return None
     # one frame per path vertex: its visited set and untried candidates
@@ -274,17 +266,15 @@ def _path_search(n, adj, s, charge):
     full = (1 << n) - 1
     charge()
     rest = full & ~(1 << s)
-    # weak: the unvisited vertices with exactly one usable connection
+    # weak: the unvisited vertices with exactly one usable connection; at
+    # the root that is their degree, which is at least 1
     weak = 0
     m = rest
     while m:
         b = m & -m
         m ^= b
         aw = adj[b.bit_length() - 1]
-        avail = (aw & rest).bit_count() + ((aw >> s) & 1)
-        if avail == 0:
-            return None
-        if avail == 1:
+        if (aw & rest).bit_count() + ((aw >> s) & 1) == 1:
             weak |= b
     if weak & (weak - 1) or not _connected_within(adj, full, 1 << s):
         return None

@@ -3,12 +3,13 @@ enumeration, and scanners.
 
 The exhaustive Hamiltonicity and traceability searches share no code with
 the builders, so they cross-check everything the constructive pipeline
-claims.  The product entry :func:`find_product_cycle`, which ``check --n``
-and both scanners use, may answer from the splice builder instead, run
-below its proven layer bound; such a cycle counts only once
-:func:`~boxham.cycles.verify_product_cycle` accepts it.  That check, and
-the bipartite-imbalance answer, work from the base alone: the product
-graph is built only when the exhaustive search runs.
+claims.  :func:`find_product_cycle` is the one Hamiltonian-cycle entry:
+``check``, ``check --n`` and both scanners go through it.  It may answer
+from the splice builder, run below its proven layer bound, or from the
+search, and every cycle it returns has passed
+:func:`~boxham.cycles.verify_product_cycle`.  That check and the
+bipartite-imbalance answer work from the base alone: the product graph
+is built only when the search runs.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ class OracleResult:
     def found(self) -> bool:
         return self.status == "found"
 
+    @property
+    def verdict(self) -> str:
+        """"hamiltonian", "non_hamiltonian" or "unknown"."""
+        return _VERDICTS[self.status]
+
+
+_VERDICTS = {"found": "hamiltonian", "none": "non_hamiltonian", "unknown": "unknown"}
+
 
 @dataclass(frozen=True)
 class PathResult:
@@ -86,23 +95,8 @@ def _product_side_gap(base: Graph, n: int) -> int:
 
 def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
                            max_nodes: int | None = None) -> OracleResult:
-    """Exhaustive Hamiltonian cycle oracle.
-
-    Quick negative answers: a vertex of degree below 2, or a bipartite
-    graph with unequal sides.  A lone edge counts as the degenerate
-    two-vertex cycle, matching the validators.
-    """
-    if g.order >= 3 and _side_gap(g) > 0:
-        return OracleResult("none", None, 0, "bipartite_imbalance")
-    return _search(g, 1, g.order, budget_seconds, max_nodes)
-
-
-def _search(g: Graph, layers: int, base_order: int, budget_seconds: float | None,
-            max_nodes: int | None) -> OracleResult:
-    status, seq, nodes = kernels.ham_cycle(
-        g, max_nodes=max_nodes, budget_seconds=budget_seconds)
-    cycle = HamCycle(layers, base_order, seq) if seq is not None else None
-    return OracleResult(status, cycle, nodes)
+    """:func:`find_product_cycle` on the one-layer product, which is ``g``."""
+    return find_product_cycle(g, 1, budget_seconds=budget_seconds, max_nodes=max_nodes)
 
 
 def splice_attempt(base: Graph, n: int) -> HamCycle | None:
@@ -139,25 +133,31 @@ def find_product_cycle(base: Graph, n: int, *,
     Three stages, each named in ``decided_by``: a bipartite product with
     unequal sides has none; from 24 vertices on, a splice attempt at
     n >= 4, at most two layers below the proven bound, answers "found" at
-    0 nodes once :func:`verify_product_cycle` accepts its cycle; otherwise
-    the exhaustive search under the caps.
-    The first two stages work from the base; only the search builds the
-    product graph.  Cycles come in the product's shape.
+    0 nodes; otherwise the exhaustive search under the caps, which builds
+    the product graph (``base`` itself at n = 1).  A cycle from either
+    stage comes in the product's shape and is returned only once
+    :func:`verify_product_cycle` accepts it.  A lone edge counts as the
+    degenerate two-vertex cycle, matching the validators.
     """
     if n < 1:
         raise ValueError("layer count must be positive")
     order = n * base.order
     if order >= 3 and _product_side_gap(base, n) > 0:
         return OracleResult("none", None, 0, "bipartite_imbalance")
+    cycle = None
     if (order >= _SPLICE_MIN_ORDER and n >= 4
             and n >= path_factor_min_layers(degree_stats(base).maximum) - 2):
         cycle = splice_attempt(base, n)
-        if cycle is not None:
-            if not verify_product_cycle(base, n, cycle):
-                raise AssertionError(f"splice cycle on {n} layers failed its check")
-            return OracleResult("found", cycle, 0, "splice")
-    product = cartesian_product(path_graph(n), base)
-    return _search(product, n, base.order, budget_seconds, max_nodes)
+    if cycle is not None:
+        res = OracleResult("found", cycle, 0, "splice")
+    else:
+        product = base if n == 1 else cartesian_product(path_graph(n), base)
+        status, seq, nodes = kernels.ham_cycle(
+            product, max_nodes=max_nodes, budget_seconds=budget_seconds)
+        res = OracleResult(status, HamCycle(n, base.order, seq) if seq else None, nodes)
+    if res.found and not verify_product_cycle(base, n, res.cycle):
+        raise AssertionError(f"{res.decided_by} cycle on {n} layers failed its check")
+    return res
 
 
 def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
@@ -360,18 +360,11 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
     return out
 
 
-_VERDICTS = {"found": "hamiltonian", "none": "non_hamiltonian", "unknown": "unknown"}
-
-
 def _judge_instance(args) -> tuple[str, int, str]:
     order, edges, layers, max_nodes = args
     base = Graph(order, edges)
     res = find_product_cycle(base, layers, max_nodes=max_nodes)
-    # the product entry has already checked a splice cycle
-    if (res.found and res.decided_by == "search"
-            and not verify_product_cycle(base, layers, res.cycle)):
-        raise AssertionError(f"search cycle on {layers} layers failed its check")
-    return (_graph_key(base), layers, _VERDICTS[res.status])
+    return (_graph_key(base), layers, res.verdict)
 
 
 def _run_instances(instances, report: ScanReport, start_index: int, workers: int,

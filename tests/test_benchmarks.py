@@ -1,0 +1,42 @@
+"""The scripts in ``benchmarks/`` and the benchmark's own test suite, each
+run as a subprocess on this checkout's ``src``.
+
+``perfbench/tests`` gets a process of its own: its loader drops and
+re-imports every ``boxham`` module, which would leave the tests here
+holding stale classes.  It guards the names and call chains that
+``perfbench/tracer.py`` binds to, such as ``oracle.find_hamiltonian_cycle``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_bench_scripts_run_and_validate():
+    for kind in ("matching", "p23"):
+        out = run("benchmarks/bench_builder.py", "--row", kind, "1000")
+        assert out.returncode == 0, out.stderr
+        row = json.loads(out.stdout.splitlines()[-1])
+        assert row["kind"] == kind
+        flags = (row["contract_ok"], row["verify_product_cycle_ok"], row["verify_cycle_ok"])
+        assert flags == (True, True, True), row
+    # the quick set stops with an error when a pinned node count changes
+    out = run("benchmarks/bench_kernels.py")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "check --n" in out.stdout
+
+
+def test_perfbench_suite_passes():
+    out = run("-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests")
+    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]
+    assert " passed" in out.stdout.splitlines()[-1]

@@ -101,6 +101,12 @@ class TestHamcycle:
         assert payload["error"]["kind"] == "no-factor"
         assert payload["error"]["certificate"] == {"isolated": 3, "witness": [1]}
 
+    def test_no_factor_without_json_prints_the_certificate(self, capsys, files):
+        code, out, err = run(capsys, "hamcycle", "--n", "4", "--graph", files["k13"])
+        assert (code, out) == (4, "")
+        assert err.splitlines()[1:] == ["S = {1}; i(G-S) = 3; 2|S| = 2"]
+        assert err.startswith("error (no-factor): ")
+
     def test_no_factor_certificate_at_order_28(self, capsys, tmp_path):
         graph = no_factor_tree_28(tmp_path)
         code, payload = run_json(capsys, "hamcycle", "--n", "4", "--graph", graph)
@@ -286,6 +292,16 @@ class TestCheckVerify:
                                  "--cycle", str(bad))
         assert code == 0 and payload["valid"] is False
 
+    def test_verify_without_n_checks_the_graph_itself(self, capsys, files, tmp_path):
+        out = tmp_path / "k4.cycle"
+        code, payload = run_json(capsys, "check", "--graph", files["k4"], "--out", str(out))
+        assert (code, payload["verdict"]) == (0, "hamiltonian")
+        code, payload = run_json(capsys, "verify", "--graph", files["k4"], "--cycle", str(out))
+        assert code == 0 and payload["valid"] is True
+        # K4's cycle is no cycle of the 3-vertex path
+        code, payload = run_json(capsys, "verify", "--graph", files["p3"], "--cycle", str(out))
+        assert code == 0 and payload["valid"] is False
+
     def test_verify_n_builds_no_product(self, capsys, files, tmp_path, monkeypatch):
         out = tmp_path / "t1.cycle"
         code, _ = run_json(capsys, "hamcycle", "--n", "10", "--graph", files["t1"],
@@ -427,6 +443,30 @@ class TestScan:
         assert payload["counterexamples"] == []
         assert payload["params"] == {"max_h_order": 6, "max_n": 5, "start_index": 0}
 
+
+    def test_order_past_the_tree_enumeration_cap_is_a_budget_error(self, capsys):
+        code, payload = run_json(capsys, "scan", "1", "--k", "3", "--max-order", "13")
+        assert code == 5 and payload["status"] == "error"
+        assert payload["error"]["kind"] == "budget"
+
+    def test_counterexample_bases_are_written(self, capsys, tmp_path, monkeypatch):
+        t1 = fixtures().t1
+
+        def scanner(k, max_order, **caps):
+            report = oracle.ScanReport("below_layer_bound", {"k": k})
+            report.entries.append(oracle.ScanEntry("t1", t1, 8, "non_hamiltonian", True))
+            report.entries.append(oracle.ScanEntry("t1", t1, 8, "non_hamiltonian", False))
+            report.last_index = 1
+            return report
+
+        monkeypatch.setattr(oracle, "scan_below_layer_bound", scanner)
+        monkeypatch.chdir(tmp_path)
+        code, payload = run_json(capsys, "scan", "1", "--k", "3")
+        assert code == 0
+        assert payload["counterexamples"] == [{"key": "t1", "layers": 8}]
+        assert payload["counterexample_files"] == ["scan.cx0.edgelist"]
+        assert parse_graph((tmp_path / "scan.cx0.edgelist").read_text()) == t1
+        assert not (tmp_path / "scan.cx1.edgelist").exists()
 
     def test_workers_below_one_is_a_usage_error(self, capsys):
         for workers in ("0", "-3"):

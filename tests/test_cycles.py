@@ -27,8 +27,11 @@ from boxham.cycles import (
 )
 from boxham.errors import (
     DisconnectedError,
+    InvalidFactorError,
     LayerBoundError,
     NoFactorError,
+    NoP23FactorError,
+    NoPerfectMatchingError,
     NotTreeError,
     OddLayersError,
     TooFewLayersError,
@@ -196,6 +199,18 @@ class TestRolesAndPeel:
         with pytest.raises(NotTreeError):
             component_peel_order(cycle_graph(4), PathFactor(((1, 2), (3, 4))))
 
+    def test_factor_that_misses_the_tree(self):
+        with pytest.raises(InvalidFactorError):
+            component_peel_order(path_graph(4), PathFactor(((1, 2),)))
+
+    def test_order_minus_one_edges_that_are_no_tree(self):
+        # a triangle beside a 3-path: 5 edges on 6 vertices, under an
+        # invalid factor and under a valid one that no edge joins
+        g = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])
+        for factor in (PathFactor(((1, 2),)), PathFactor(((1, 2, 3), (4, 5, 6)))):
+            with pytest.raises(NotTreeError):
+                component_peel_order(g, factor)
+
 
 class TestMatchingBuilder:
     def test_p2_any_n_counts(self):
@@ -237,6 +252,16 @@ class TestMatchingBuilder:
                 assert verify_cycle(product_over(n, t), res.cycle)
                 assert verify_column_contract(res.cycle, t, res.roles, n)
 
+    def test_searching_for_its_own_matching(self):
+        with pytest.raises(NotTreeError):
+            build_cycle_matching(4, cycle_graph(4))
+        with pytest.raises(NoPerfectMatchingError):
+            build_cycle_matching(4, path_graph(3))
+
+    def test_rejects_a_factor_with_a_triple(self):
+        with pytest.raises(InvalidFactorError):
+            build_cycle_matching(4, path_graph(3), PathFactor(((1, 2, 3),)))
+
     def test_determinism(self):
         a = build_cycle_matching(4, T1_pm_tree())
         b = build_cycle_matching(4, T1_pm_tree())
@@ -272,6 +297,12 @@ class TestPathFactorBuilder:
     def test_too_few_layers(self):
         with pytest.raises(TooFewLayersError):
             build_cycle_path_factor(8, T1)
+
+    def test_searching_for_its_own_factor(self):
+        with pytest.raises(NotTreeError):
+            build_cycle_path_factor(10, cycle_graph(4))
+        with pytest.raises(NoP23FactorError):
+            build_cycle_path_factor(10, star_graph(3))
 
     def test_sweep_small(self):
         for t in enumerate_trees(7):
@@ -329,6 +360,10 @@ class TestBuildPipeline:
         with pytest.raises(OddLayersError):
             build_cycle(7, path_graph(3))
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            build_cycle(4, path_graph(2), mode="x")
+
     def test_cycle_base(self):
         # cyclic base graphs work through the spanning tree
         res = build_cycle(4, cycle_graph(6))
@@ -353,6 +388,14 @@ class TestValidators:
         fake_roles = assign_roles(PathFactor(((1, 2, 3),)))
         t = path_graph(3)
         assert not verify_column_contract(c, t, fake_roles, 5)
+
+    def test_contract_counts_follow_the_tree_degrees(self):
+        # the same matching on a tree of other degrees: every vertical
+        # index lies in a pair's pattern, so only the count can fail
+        res = build_cycle_matching(4, path_graph(4))
+        other = Graph.from_edges(4, [(1, 2), (1, 3), (3, 4)])
+        assert verify_column_contract(res.cycle, path_graph(4), res.roles, 4)
+        assert not verify_column_contract(res.cycle, other, res.roles, 4)
 
     def test_roundtrip_cycle_file(self):
         c = three_column_cycle(6)

@@ -2,6 +2,7 @@
 pinned literals, and the Graph-level wrappers of ``boxham.kernels``."""
 
 import random
+import time
 
 from boxham import _pykernels, kernels, oracle
 from boxham.graphs import (
@@ -20,6 +21,10 @@ from helpers import (
     recursive_ham_path,
     recursive_scattering_max,
 )
+
+
+# a degree-3 tree of order 8 from the scan 1 --k 3 family
+SCAN8 = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])
 
 
 def random_masks(rng, max_order=9, density=0.45):
@@ -121,6 +126,11 @@ class TestPureHamCycle:
             outcomes.add(got[0])
         assert {"found", "unknown"} <= outcomes
 
+    def test_disconnected_graph_stops_at_the_root(self):
+        # every degree is 2, so only the root's connectivity check answers
+        triangles = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+        assert kernels.ham_cycle(triangles) == ("none", None, 1)
+
     def test_long_cycle_without_recursion(self):
         # one search node per vertex, far past the interpreter's recursion limit
         status, order, nodes = kernels.ham_cycle(cycle_graph(3000))
@@ -211,6 +221,36 @@ class TestPureToughnessScan:
         assert _pykernels.toughness_scan(n, adj) == (8, 8, 0xFF, 39_203)
         # a complete graph has no cut: every proper subset is counted
         assert _pykernels.toughness_scan(6, list(complete_graph(6).adjacency_masks)) is None
+
+
+class TestClockBudget:
+    """A deadline that has already passed stops every search at its first
+    clock check, after exactly ``_TIME_CHECK_STRIDE`` nodes."""
+
+    STRIDE = _pykernels._TIME_CHECK_STRIDE
+
+    def test_past_deadline(self):
+        assert self.STRIDE == 4096
+        p3 = cartesian_product(path_graph(3), oracle.fixtures().t1)
+        p8 = cartesian_product(path_graph(8), SCAN8)
+        past = time.monotonic() - 1
+        # uncapped: 251,734 and 83,687 nodes (pinned in bench_kernels.py)
+        # and 4,930 nodes
+        assert (_pykernels.scattering_max(p3.order, p3.adjacency_masks, None, past)
+                == ("unknown", None, None, self.STRIDE))
+        assert (_pykernels.ham_cycle(p8.order, p8.adjacency_masks, None, past)
+                == ("unknown", None, self.STRIDE))
+        assert (_pykernels.ham_path(p3.order, p3.adjacency_masks, None, past)
+                == ("unknown", None, self.STRIDE))
+        assert _pykernels.ham_path(p3.order, p3.adjacency_masks, None, None)[2] == 4930
+
+    def test_wrappers_with_a_zero_budget(self):
+        p3 = cartesian_product(path_graph(3), oracle.fixtures().t1)
+        p8 = cartesian_product(path_graph(8), SCAN8)
+        assert (kernels.scattering_max(p3, budget_seconds=0)
+                == ("unknown", None, None, self.STRIDE))
+        assert kernels.ham_cycle(p8, budget_seconds=0) == ("unknown", None, self.STRIDE)
+        assert kernels.ham_path(p3, budget_seconds=0) == ("unknown", None, self.STRIDE)
 
 
 class CallRecorder:

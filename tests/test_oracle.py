@@ -43,6 +43,7 @@ from boxham.oracle import (
 )
 from boxham.toughness import is_one_tough
 from helpers import (
+    PETERSEN_EDGES,
     all_pairs,
     random_connected_bipartite,
     random_connected_graph,
@@ -81,6 +82,23 @@ class TestHamOracle:
         prod = cartesian_product(path_graph(4), fixtures().t1)
         res = find_hamiltonian_cycle(prod, max_nodes=3)
         assert res.status == "unknown"
+
+    def test_a_forged_search_cycle_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle.kernels, "ham_cycle",
+                            lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1))
+        petersen = Graph.from_edges(10, PETERSEN_EDGES)
+        with pytest.raises(AssertionError, match="search cycle on 1 layers failed its check"):
+            find_hamiltonian_cycle(petersen)
+        # 1-2-3-4-5-...: the step 4 -> 5 leaves the first layer of P2 x P4
+        with pytest.raises(AssertionError, match="search cycle on 2 layers failed its check"):
+            find_product_cycle(path_graph(4), 2)
+
+    def test_verdicts(self):
+        assert [find_hamiltonian_cycle(g).verdict for g in (
+            cycle_graph(4), star_graph(3), fixtures().fig1)] == [
+            "hamiltonian", "non_hamiltonian", "non_hamiltonian"]
+        prod = cartesian_product(path_graph(4), fixtures().t1)
+        assert find_hamiltonian_cycle(prod, max_nodes=3).verdict == "unknown"
 
 
 class TestTraceableOracle:
