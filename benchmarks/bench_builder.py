@@ -11,12 +11,15 @@ Two seeded tree families, both relabelled by a seeded permutation:
   perfect matching, and is built at n = 4 * max degree - 2.
 
 Each row runs in its own child process, so its peak RSS is its own.  The
-stages are the ones ``build_cycle`` runs, timed one by one: the factor
-search, the spanning tree, the peel order, the assembly, the contract
-check, ``format_cycle`` and the product-free ``verify_product_cycle``.
-The peak RSS is read after them.  The row then checks that the public
-builder gives the same cycle and that ``verify_cycle`` on the product
-graph accepts it too.
+stages are the ones ``build_cycle`` and ``hamcycle`` run, timed one by
+one: the factor search, the spanning tree, the peel order, the assembly,
+the builder's check of the cycle against the product over the tree
+(``verify_product_cycle``, which needs no product graph) and
+``format_cycle``.  The builder's count of each column's vertical steps
+is not timed on its own.  The peak RSS is read after the stages.  The
+row then checks that the public builder gives the same cycle, and, off
+the clock, that the paper's column contract and ``verify_cycle`` on the
+product graph accept it too.
 
     PYTHONPATH=src python benchmarks/bench_builder.py          # writes BENCH_builder.json
 """
@@ -102,19 +105,15 @@ def row(kind: str, target: int) -> dict:
     t = timed(stages, "spanning_tree", spanning_tree_containing, base, seed_edges)
     peel = timed(stages, "peel_order", cycles.component_peel_order, t, factor)
     # This bench is deliberately tied to the private steps of cycles._build
-    # (assign_roles, _layer_plan, _assemble, verify_column_contract): the
-    # assembly has no public entry point that leaves out the checks, and
-    # it is the stage this file exists to time.  The public builder is run
-    # below on the same input and must give the same cycle, so a refactor
-    # of _build that changes what it does makes this bench fail, not drift.
-    roles = cycles.assign_roles(factor)
-    cycle = timed(stages, "assembly", cycles._assemble, n, t, roles, peel,
-                  cycles._layer_plan(n, t.order, {len(c) for c in factor.components}))
-    ok_contract = timed(stages, "contract_check", cycles.verify_column_contract,
-                        cycle, t, roles, n)
-    timed(stages, "format_cycle", cycles.format_cycle, cycle)
+    # (_assemble, then verify_product_cycle on the tree): the assembly has
+    # no public entry point that leaves out the check, and it is the stage
+    # this file exists to time.  The public builder is run below on the
+    # same input and must give the same cycle, so a refactor of _build that
+    # changes what it does makes this bench fail, not drift.
+    cycle, roles = timed(stages, "assembly", cycles._assemble, n, t, factor, peel)
     ok_product_free = timed(stages, "verify_product_cycle", cycles.verify_product_cycle,
-                            base, n, cycle)
+                            t, n, cycle)
+    timed(stages, "format_cycle", cycles.format_cycle, cycle)
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     builder = (cycles.build_cycle_matching if kind == "matching"
                else cycles.build_cycle_path_factor)
@@ -126,7 +125,7 @@ def row(kind: str, target: int) -> dict:
         "stages_s": stages,
         "total_s": round(sum(stages.values()), 4),
         "peak_rss_mb": peak_rss_mb,
-        "contract_ok": ok_contract,
+        "contract_ok": cycles.verify_column_contract(cycle, t, roles, n),
         "verify_product_cycle_ok": ok_product_free,
     }
     if builder(n, t, factor).cycle != cycle:

@@ -178,15 +178,13 @@ def _cmd_check(args):
 
 
 def _cmd_verify(args):
-    """With --n the cycle is checked against the product by coordinate
-    arithmetic, so the product graph is never built."""
+    """The cycle is checked against the product by coordinate arithmetic,
+    so the product graph is never built; without --n the graph itself is
+    the one-layer product."""
     g = _read_graph(args.graph)
     with open(args.cycle, "r", encoding="utf-8") as fh:
         cyc = cycles.parse_cycle(fh.read())
-    if args.n is not None:
-        ok = cycles.verify_product_cycle(g, args.n, cyc)
-    else:
-        ok = cycles.verify_cycle(g, cyc)
+    ok = cycles.verify_product_cycle(g, 1 if args.n is None else args.n, cyc)
     payload = {"valid": ok}
     return payload, [f"cycle valid: {'true' if ok else 'false'}"], EXIT_OK
 

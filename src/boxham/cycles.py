@@ -4,9 +4,9 @@ The pipeline mirrors an inductive argument: a factor of the base tree is
 peeled component by component from a contracted tree of components, each
 component gets an explicit "column cycle" in the product, and cycles are
 merged by a two-edge splice across a tree edge.  Every splice removes one
-vertical (within-column) edge per side, so the construction keeps exact
-per-column edge counts that :func:`verify_column_contract` checks
-independently.
+vertical (within-column) edge per side, so each column keeps an exact
+vertical-edge count (:func:`verify_column_contract`).  A builder returns
+a cycle only once :func:`verify_product_cycle` accepts it.
 
 The cycle under construction lives in one place: two neighbour slots per
 product id ``(layer - 1) * base_order + v``.  A column cycle fills slots
@@ -434,9 +434,12 @@ class BuildResult:
     column_counts: dict[int, int]
 
 
-def _assemble(n: int, tree: Graph, roles: RoleAssignment, peel: PeelOrder,
-              plan: _LayerPlan) -> HamCycle:
+def _assemble(n: int, tree: Graph, factor: PathFactor,
+              peel: PeelOrder) -> tuple[HamCycle, RoleAssignment]:
+    """Splice the column cycles along the peel order; the cycle is unchecked."""
     k = tree.order
+    roles = assign_roles(factor)
+    plan = _layer_plan(n, k, {len(c) for c in factor.components})
     slots = _empty_slots(n * k)
     placed = [False] * (k + 1)
     for step, comp in enumerate(reversed(peel.components)):
@@ -461,21 +464,22 @@ def _assemble(n: int, tree: Graph, roles: RoleAssignment, peel: PeelOrder,
             _relink(slots, q + k, q, p + k)
         for x in comp:
             placed[x] = True
-    return _walk(slots, n, k)
+    return _walk(slots, n, k), roles
 
 
 def _build(n: int, tree: Graph, factor: PathFactor, peel: PeelOrder,
            mode: str) -> BuildResult:
-    """Assemble the cycle, check its per-column contract, and read the
-    column counts off the contract formula that was just checked."""
-    roles = assign_roles(factor)
-    plan = _layer_plan(n, tree.order, {len(c) for c in factor.components})
-    cycle = _assemble(n, tree, roles, peel, plan)
-    if not verify_column_contract(cycle, tree, roles, n):
-        raise AssertionError("constructed cycle breaks its per-column contract")
-    counts = {v: len(plan.patterns[role]) - tree.degree(v) + ROLE_COMPONENT_DEGREE[role]
-              for v, role in roles.roles}
-    return BuildResult(cycle, roles, mode, counts)
+    """Assemble the cycle, check it against the n-layer product over the
+    tree, and count each column's vertical steps off the checked cycle."""
+    cycle, roles = _assemble(n, tree, factor, peel)
+    if not verify_product_cycle(tree, n, cycle):
+        raise AssertionError(f"{mode} cycle on {n} layers failed its check")
+    k, seq = tree.order, cycle.seq
+    counts = [0] * (k + 1)
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        if abs(a - b) == k:
+            counts[(a - 1) % k + 1] += 1
+    return BuildResult(cycle, roles, mode, dict(zip(tree.vertices(), counts[1:])))
 
 
 def build_cycle_matching(n: int, tree: Graph,
@@ -548,8 +552,8 @@ def _route(base: Graph, mode: str) -> tuple[str, PathFactor, Graph]:
 
 def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     """Full pipeline: factor the base graph, extend the factor to a
-    spanning tree, dispatch to the matching or path-factor assembly, and
-    validate the result before returning it.
+    spanning tree, and dispatch to the matching or path-factor builder,
+    which checks the cycle before returning it.
 
     ``auto`` prefers the matching route (its layer requirement is weaker)
     and falls back to the path-factor route.  ``matching`` without a
@@ -571,6 +575,27 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     if n < need:
         raise LayerBoundError(f"path-factor route needs n >= {need}", need)
     return build_cycle_path_factor(n, tree, factor)
+
+
+def splice_attempt(base: Graph, n: int) -> HamCycle | None:
+    """The cycle of ``build_cycle(n, base)`` with no layer bound and no
+    check, or None.
+
+    None when the base is disconnected or has no factor, when a triple
+    meets an odd n or n < 4 (its snake does not close), or when the
+    splice stock runs dry, which below the proven bound is no fault.
+    Every other builder fault still raises; the caller checks the cycle.
+    """
+    try:
+        route, factor, tree = _route(base, "auto")
+    except (DisconnectedError, NoFactorError):
+        return None
+    if route == "pathfactor" and (n % 2 or n < 4):
+        return None
+    try:
+        return _assemble(n, tree, factor, component_peel_order(tree, factor))[0]
+    except SpliceStockError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +650,8 @@ def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
 def verify_column_contract(cycle: HamCycle, tree: Graph, roles: RoleAssignment,
                            n: int) -> bool:
     """Check the per-column vertical-edge budget of a constructed cycle.
+    It accepts some cycles that are not Hamiltonian, so the builders run
+    :func:`verify_product_cycle` instead.
 
     The vertical edges of column v lie inside its role pattern and number
     |pattern| - degree(v) + (degree of v inside its own component).  For a
@@ -665,6 +692,7 @@ __all__ = [
     "parse_cycle",
     "path_factor_min_layers",
     "pattern_overlap_counts",
+    "splice_attempt",
     "three_column_cycle",
     "two_column_cycle",
     "used_column_indices",

@@ -5,11 +5,12 @@ The exhaustive Hamiltonicity and traceability searches share no code with
 the builders, so they cross-check everything the constructive pipeline
 claims.  :func:`find_product_cycle` is the one Hamiltonian-cycle entry:
 ``check``, ``check --n`` and both scanners go through it.  It may answer
-from the splice builder, run below its proven layer bound, or from the
-search, and every cycle it returns has passed
-:func:`~boxham.cycles.verify_product_cycle`.  That check and the
-bipartite-imbalance answer work from the base alone: the product graph
-is built only when the search runs.
+from :func:`~boxham.cycles.splice_attempt`, the splice builder run below
+its proven layer bound and unchecked, or from the search; every cycle it
+returns has passed :func:`~boxham.cycles.verify_product_cycle` once, at
+its return.  That check and the bipartite-imbalance answer work from the
+base alone: the product graph is built only when the search runs.
+:func:`find_spanning_path` checks its path before returning it.
 """
 
 from __future__ import annotations
@@ -21,22 +22,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import kernels
-from .cycles import (
-    HamCycle,
-    _build,
-    _route,
-    component_peel_order,
-    path_factor_min_layers,
-    verify_product_cycle,
-)
-from .errors import (
-    BudgetExceededError,
-    DisconnectedError,
-    NoFactorError,
-    NotBipartiteError,
-    PreconditionFailedError,
-    SpliceStockError,
-)
+from .cycles import HamCycle, path_factor_min_layers, splice_attempt, verify_product_cycle
+from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
 from .factors import find_p23_factor
 from .graphs import (
     Graph,
@@ -99,26 +86,6 @@ def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
     return find_product_cycle(g, 1, budget_seconds=budget_seconds, max_nodes=max_nodes)
 
 
-def splice_attempt(base: Graph, n: int) -> HamCycle | None:
-    """The cycle of ``build_cycle(n, base)`` with no layer bound, or None.
-
-    None when the base is disconnected or has no factor, when a triple
-    meets an odd n or n < 4 (its snake does not close), or when the
-    splice stock runs dry, which below the proven bound is no fault.
-    Every other builder check still raises.
-    """
-    try:
-        route, factor, tree = _route(base, "auto")
-    except (DisconnectedError, NoFactorError):
-        return None
-    if route == "pathfactor" and (n % 2 or n < 4):
-        return None
-    try:
-        return _build(n, tree, factor, component_peel_order(tree, factor), route).cycle
-    except SpliceStockError:
-        return None
-
-
 # products below this order go straight to the search: on random connected
 # bases of order 4-8, at 16-23 product vertices, its median time is 0.16 ms
 # against 0.20 ms for a splice attempt
@@ -162,11 +129,16 @@ def find_product_cycle(base: Graph, n: int, *,
 
 def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
                        max_nodes: int | None = None) -> PathResult:
-    """Exhaustive spanning path oracle (traceability)."""
+    """Exhaustive spanning path oracle (traceability).  A path it returns
+    has visited every vertex once along edges of ``g``, or it raises
+    ``AssertionError``."""
     if g.order >= 3 and _side_gap(g) > 1:
         return PathResult("none", None, 0)
     status, seq, nodes = kernels.ham_path(
         g, max_nodes=max_nodes, budget_seconds=budget_seconds)
+    if seq is not None and (sorted(seq) != list(g.vertices())
+                            or not all(map(g.has_edge, seq, seq[1:]))):
+        raise AssertionError(f"search path on {g.order} vertices failed its check")
     return PathResult(status, seq, nodes)
 
 
@@ -487,6 +459,5 @@ __all__ = [
     "format_scan_report",
     "scan_balanced_odd",
     "scan_below_layer_bound",
-    "splice_attempt",
     "tree_canonical_form",
 ]

@@ -20,7 +20,8 @@ search.  Three of them are cuts S with c(G - S) > |S| that answer "no":
 Between the cut-vertex sweep and the pair pass, a Hamiltonian cycle
 found by a node-capped search answers "yes": a Hamiltonian graph is
 1-tough, as removing S cuts the cycle into at most |S| arcs.  The cycle
-is checked by ``cycles.verify_cycle`` before it is trusted.
+is checked by ``cycles.verify_product_cycle`` at one layer (the graph
+itself) before it is trusted.
 
 Everything else is decided exactly by looking for a cut set S with
 c(G - S) - |S| > 0.  A dynamic program walks a vertex order and keeps
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .cycles import HamCycle, verify_cycle
+from .cycles import HamCycle, verify_product_cycle
 from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
 from .factors import MatchingBarrier, one_sided_obstruction, perfect_matching_or_barrier
 from .graphs import (
@@ -164,7 +165,8 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     * "small_cut": a cut vertex;
     * "hamiltonian_cycle": "yes" with a Hamiltonian cycle, found by
       ``kernels.ham_cycle`` within ``_CYCLE_NODES_PER_VERTEX`` nodes per
-      vertex and accepted by ``cycles.verify_cycle``; ``cycle`` holds it;
+      vertex and accepted by ``cycles.verify_product_cycle`` at one layer;
+      ``cycle`` holds it;
     * "small_cut": a pair of vertices leaving three components.
 
     Otherwise an exact stage looks for a cut set S with c - |S| >= 1: one
@@ -209,7 +211,7 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
         g, max_nodes=cap if max_nodes is None else min(cap, max_nodes),
         budget_seconds=None if deadline is None else deadline - time.monotonic())
     if status == "found":
-        if not verify_cycle(g, HamCycle(1, g.order, seq)):
+        if not verify_product_cycle(g, 1, HamCycle(1, g.order, seq)):
             raise AssertionError("hamiltonian_cycle cycle failed its check")
         return OneToughResult("yes", None, nodes, "hamiltonian_cycle", seq)
     cut = _separating_pair(g, deadline)

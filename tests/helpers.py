@@ -166,6 +166,19 @@ def reference_format_cycle(cycle) -> str:
     return f"{cycle.layers} {cycle.order}\n{tokens}\n"
 
 
+def forged_assembly(assemble, i, j):
+    """A stand-in for ``cycles._assemble`` whose cycle takes a 2-opt swap
+    of steps i and j: the run between them is reversed.  On two steps in
+    one layer every column keeps its vertical edges, so the column
+    contract still holds while the new steps need not be edges."""
+    def forging(*args):
+        cycle, roles = assemble(*args)
+        seq = cycle.seq
+        seq = seq[:i + 1] + seq[i + 1:j + 1][::-1] + seq[j + 1:]
+        return type(cycle)(cycle.layers, cycle.base_order, seq), roles
+    return forging
+
+
 def all_pairs(items):
     return itertools.combinations(items, 2)
 

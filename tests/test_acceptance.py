@@ -12,10 +12,12 @@ from fractions import Fraction
 import pytest
 
 from boxham.cycles import (
+    ROLE_COMPONENT_DEGREE,
     build_cycle_matching,
     build_cycle_path_factor,
     pattern_overlap_counts,
     three_column_cycle,
+    used_column_indices,
     verify_column_contract,
     verify_cycle,
 )
@@ -55,6 +57,12 @@ def product_over(n, base):
     return cartesian_product(path_graph(n), base)
 
 
+def contract_counts(t, roles, n):
+    """Each column's vertical-edge count by the paper's column contract."""
+    return {v: len(used_column_indices(role, n)) - t.degree(v) + ROLE_COMPONENT_DEGREE[role]
+            for v, role in roles.roles}
+
+
 def test_criterion_01_matching_builder_sweep():
     """Every tree of order <= 10 with a perfect matching, every layer count
     from the tree's max degree up to max degree + 3: the constructed cycle
@@ -71,6 +79,7 @@ def test_criterion_01_matching_builder_sweep():
             assert verify_cycle(prod, res.cycle), (t.edges, n)
             assert verify_column_contract(res.cycle, t, res.roles, n), \
                 (t.edges, n)
+            assert res.column_counts == contract_counts(t, res.roles, n)
             for v in t.vertices():
                 assert res.column_counts[v] == n - t.degree(v)
             built += 1
@@ -93,6 +102,7 @@ def test_criterion_02_path_factor_builder_sweep():
             assert verify_cycle(prod, res.cycle), (t.edges, n)
             assert verify_column_contract(res.cycle, t, res.roles, n), \
                 (t.edges, n)
+            assert res.column_counts == contract_counts(t, res.roles, n)
             built += 1
     ok(2, f"path-factor builder: {built} (tree, layers) instances, zero failures")
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boxham import cli, graphs, oracle
+from boxham import cli, cycles, graphs, oracle, toughness
 from boxham.cli import main
 from boxham.cycles import parse_cycle, verify_cycle, verify_product_cycle
 from boxham.graphs import (
@@ -339,6 +339,29 @@ class TestCheckVerify:
         assert (payload["order"], payload["verdict"], payload["decided_by"]) == (
             64, "hamiltonian", "splice")
         assert verify_product_cycle(tree, 8, parse_cycle(payload["cycle"]))
+
+    @pytest.mark.parametrize("command, n, key, answer", [
+        ("hamcycle", "10", "mode", "pathfactor"),
+        ("check", "8", "decided_by", "splice"),
+    ])
+    def test_one_independent_check_per_cycle(self, capsys, files, monkeypatch,
+                                             command, n, key, answer):
+        calls = dict.fromkeys(("verify_product_cycle", "verify_column_contract"), 0)
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            original = getattr(cycles, name)
+            for module in (cycles, oracle, toughness):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        code, payload = run_json(capsys, command, "--n", n, "--graph", files["t1"])
+        assert (code, payload[key]) == (0, answer)
+        assert calls == {"verify_product_cycle": 1, "verify_column_contract": 0}
 
     def test_parse_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"

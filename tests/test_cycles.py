@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from boxham import cycles
 from boxham.cycles import (
     HamCycle,
     assign_roles,
@@ -48,7 +49,7 @@ from boxham.graphs import (
     star_graph,
 )
 from boxham.oracle import enumerate_trees, fixtures
-from helpers import reference_format_cycle
+from helpers import forged_assembly, reference_format_cycle
 
 T1 = fixtures().t1
 
@@ -609,6 +610,27 @@ class TestCycleText:
                 format_cycle(HamCycle(2, 2, seq))
 
 
+class TestForgedCycle:
+    """Each builder's cycle is checked against the product over the tree,
+    which a cycle that keeps the column contract can still fail."""
+
+    @pytest.mark.parametrize("builder, n, tree, steps", [
+        (build_cycle_matching, 4, path_graph(4), (0, 2)),
+        (build_cycle_path_factor, 10, T1, (0, 34)),
+    ])
+    def test_builders_raise(self, monkeypatch, builder, n, tree, steps):
+        res = builder(n, tree)
+        forging = forged_assembly(cycles._assemble, *steps)
+        monkeypatch.setattr(cycles, "_assemble", forging)
+        forged, _ = forging(n, tree, res.roles.factor,
+                            component_peel_order(tree, res.roles.factor))
+        assert verify_column_contract(forged, tree, res.roles, n)
+        assert not verify_product_cycle(tree, n, forged)
+        for build in (builder, build_cycle):
+            with pytest.raises(AssertionError, match="failed its check"):
+                build(n, tree)
+
+
 def _count_calls(monkeypatch, names):
     """Wrap every module binding of the named functions with a counter."""
     from boxham import cycles, factors, graphs
@@ -650,7 +672,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _UNDER_O = """
 import boxham.cycles as c
+from boxham.oracle import fixtures
 from boxham.graphs import path_graph
+from helpers import forged_assembly
 
 def outcome(fn, *args):
     try:
@@ -659,9 +683,12 @@ def outcome(fn, *args):
         return "raised"
     return "returned"
 
-c.verify_column_contract = lambda *args: False
-print(outcome(c.build_cycle_matching, 3, path_graph(2)))
-print(outcome(c.build_cycle_path_factor, 6, path_graph(3)))
+assemble = c._assemble
+for builder, n, tree, steps in ((c.build_cycle_matching, 4, path_graph(4), (0, 2)),
+                                (c.build_cycle_path_factor, 10, fixtures().t1, (0, 34))):
+    c._assemble = forged_assembly(assemble, *steps)
+    print(outcome(builder, n, tree), outcome(c.build_cycle, n, tree))
+c._assemble = assemble
 print(outcome(c._walk, c.Slots([0, 2, 1], [0, 0, 0]), 1, 2))  # degree 1
 print(outcome(c._walk, c.Slots([0, 2, 1, 4, 3], [0, 2, 1, 4, 3]), 1, 4))  # two cycles
 """
@@ -669,7 +696,8 @@ print(outcome(c._walk, c.Slots([0, 2, 1, 4, 3], [0, 2, 1, 4, 3]), 1, 4))  # two 
 
 def test_builder_checks_survive_python_O():
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, str(Path(__file__).parent), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["raised"] * 4
+    assert done.stdout.split() == ["raised"] * 6

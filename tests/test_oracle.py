@@ -122,6 +122,12 @@ class TestTraceableOracle:
                 assert sorted(p) == list(g.vertices())
                 assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
 
+    @pytest.mark.parametrize("forged", [(1, 2, 3, 5, 4), (1, 2, 3, 4, 4), (1, 2, 3, 4)])
+    def test_forged_path_raises(self, monkeypatch, forged):
+        monkeypatch.setattr(oracle.kernels, "ham_path", lambda g, **_: ("found", forged, 1))
+        with pytest.raises(AssertionError, match="search path"):
+            find_spanning_path(path_graph(5))
+
 
 class TestFixtures:
     def test_t1_shape(self):
@@ -265,7 +271,10 @@ class TestSpliceAttempt:
         assert issubclass(SpliceStockError, AssertionError)
 
     def test_other_builder_faults_propagate(self, monkeypatch):
-        monkeypatch.setattr(cycles, "verify_column_contract", lambda *args: False)
+        def broken_walk(*args):
+            raise AssertionError("assembled edges are not a single cycle")
+
+        monkeypatch.setattr(cycles, "_walk", broken_walk)
         with pytest.raises(AssertionError) as exc:
             splice_attempt(fixtures().t1, 8)
         assert not isinstance(exc.value, SpliceStockError)
