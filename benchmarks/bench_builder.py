@@ -105,11 +105,12 @@ def row(kind: str, target: int) -> dict:
     t = timed(stages, "spanning_tree", spanning_tree_containing, base, seed_edges)
     peel = timed(stages, "peel_order", cycles.component_peel_order, t, factor)
     # This bench is deliberately tied to the private steps of cycles._build
-    # (_assemble, then verify_product_cycle on the tree): the assembly has
-    # no public entry point that leaves out the check, and it is the stage
-    # this file exists to time.  The public builder is run below on the
-    # same input and must give the same cycle, so a refactor of _build that
-    # changes what it does makes this bench fail, not drift.
+    # (the peel order and the layer rule, then _assemble, then
+    # verify_product_cycle on the tree): the assembly has no public entry
+    # point that leaves out the check, and it is the stage this file exists
+    # to time.  The public builder is run below on the same input and must
+    # give the same cycle, so a refactor of _build that changes what it
+    # does makes this bench fail, not drift.
     cycle, roles = timed(stages, "assembly", cycles._assemble, n, t, factor, peel)
     ok_product_free = timed(stages, "verify_product_cycle", cycles.verify_product_cycle,
                             t, n, cycle)

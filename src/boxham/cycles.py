@@ -1,12 +1,12 @@
 """Hamiltonian cycle construction in products of a path with a tree.
 
-The pipeline mirrors an inductive argument: a factor of the base tree is
-peeled component by component from a contracted tree of components, each
-component gets an explicit "column cycle" in the product, and cycles are
-merged by a two-edge splice across a tree edge.  Every splice removes one
-vertical (within-column) edge per side, so each column keeps an exact
-vertical-edge count (:func:`verify_column_contract`).  A builder returns
-a cycle only once :func:`verify_product_cycle` accepts it.
+The pipeline mirrors an inductive argument: :func:`build_cycle` finds a
+factor and a spanning tree that contains it, the factor is peeled leaf by
+leaf from the contracted tree of its components, each component gets a
+"column cycle" in the product, and the cycles are merged by a two-edge
+splice across the tree edge the peel recorded.  Every splice removes one
+vertical (within-column) edge per side (:func:`verify_column_contract`).
+A builder returns a cycle only once :func:`verify_product_cycle` accepts it.
 
 The cycle under construction lives in one place: two neighbour slots per
 product id ``(layer - 1) * base_order + v``.  A column cycle fills slots
@@ -37,18 +37,14 @@ from .errors import (
     LayerBoundError,
     MalformedGraphError,
     NoFactorError,
-    NoP23FactorError,
-    NoPerfectMatchingError,
     NotTreeError,
     OddLayersError,
     SpliceStockError,
-    TooFewLayersError,
 )
 from .factors import (
     FactorCertificate,
     MatchingBarrier,
     PathFactor,
-    find_p23_factor,
     find_perfect_matching,
     p23_factor_or_obstruction,
     perfect_matching_or_barrier,
@@ -159,7 +155,7 @@ def pattern_overlap_counts(n: int) -> tuple[int, int, int]:
     if n % 2:
         raise OddLayersError("overlap counts are defined for even layer counts")
     if n < 4:
-        raise TooFewLayersError("need at least 4 layers")
+        raise LayerBoundError("need at least 4 layers", 4)
     left = used_column_indices("left", n)
     mid = used_column_indices("mid", n)
     right = used_column_indices("right", n)
@@ -247,41 +243,25 @@ def parse_cycle(text: str) -> HamCycle:
 # roles and peel order
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
-    """Per-vertex role tags for a factor; ends of a triple get left/right.
-
-    The smaller end of each triple is tagged left, which makes the whole
-    pipeline reproducible (any consistent choice would do).
-    """
-
-    factor: PathFactor
-    roles: tuple[tuple[int, Role], ...]
-
-    @cached_property
-    def _lookup(self) -> dict[int, Role]:
-        return dict(self.roles)
-
-    def role_of(self, v: int) -> Role:
-        return self._lookup[v]
-
-
-def assign_roles(factor: PathFactor) -> RoleAssignment:
-    roles = [(v, role) for comp in factor.components
-             for v, role in zip(comp, _COMPONENT_ROLES[len(comp)])]
-    return RoleAssignment(factor, tuple(sorted(roles)))
+def assign_roles(factor: PathFactor) -> dict[int, Role]:
+    """Each vertex's role in its factor component.  The smaller end of a
+    triple is left, which makes the whole pipeline reproducible (any
+    consistent choice would do)."""
+    return {v: role for comp in factor.components
+            for v, role in zip(comp, _COMPONENT_ROLES[len(comp)])}
 
 
 @dataclass(frozen=True)
 class PeelOrder:
     """Factor components in leaf-removal order of the contracted tree.
 
-    ``contracted_edges`` are index pairs into the original component list;
-    removing the components in order always detaches a current leaf.
+    ``links[i]`` is the tree edge (u, w) from ``components[i]``, which
+    holds u, to its one neighbour left when it is removed; the last
+    component has none.
     """
 
     components: tuple[tuple[int, ...], ...]
-    contracted_edges: tuple[tuple[int, int], ...]
+    links: tuple[tuple[int, int] | None, ...]
 
 
 def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
@@ -301,30 +281,32 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
         raise InvalidFactorError("factor does not cover the tree")
     comps = factor.components
     owner = {v: idx for idx, comp in enumerate(comps) for v in comp}
-    adj: list[set[int]] = [set() for _ in comps]
-    edges: set[tuple[int, int]] = set()
+    # adj[a][b] is a tree edge (u, w) with u in component a, w in b
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in comps]
     for u, v in tree.edges:
         a, b = owner[u], owner[v]
         if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-            edges.add(canon_edge(a, b))
+            adj[a][b] = (u, v)
+            adj[b][a] = (v, u)
+    contracted_size = sum(map(len, adj)) // 2
 
     # current leaves keyed on their first vertex; a component enters the
     # heap once, as a leaf at the start or when it is down to one neighbour
     heap = [(comp[0], i) for i, comp in enumerate(comps) if len(adj[i]) <= 1]
     heapq.heapify(heap)
     order: list[int] = []
+    links: list[tuple[int, int] | None] = []
     while heap:
         _, pick = heapq.heappop(heap)
         order.append(pick)
+        links.append(next(iter(adj[pick].values()), None))
         for j in adj[pick]:
-            adj[j].discard(pick)
+            del adj[j][pick]
             if len(adj[j]) == 1:
                 heapq.heappush(heap, (comps[j][0], j))
-    if len(edges) != len(comps) - 1 or len(order) != len(comps):
+    if contracted_size != len(comps) - 1 or len(order) != len(comps):
         raise NotTreeError("not a tree")
-    return PeelOrder(tuple(comps[i] for i in order), tuple(sorted(edges)))
+    return PeelOrder(tuple(comps[i] for i in order), tuple(links))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +380,7 @@ def two_column_cycle(n: int, u: int = 1, w: int = 2,
     layers 1 and n.
     """
     if n < 2:
-        raise TooFewLayersError("two-column cycle needs at least 2 layers")
+        raise LayerBoundError("two-column cycle needs at least 2 layers", 2)
     if u == w:
         raise ValueError("columns must differ")
     return _column_cycle(n, (u, w), base_order)
@@ -416,7 +398,7 @@ def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
     if n % 2:
         raise OddLayersError("three-column cycle needs an even layer count")
     if n < 4:
-        raise TooFewLayersError("three-column cycle needs at least 4 layers")
+        raise LayerBoundError("three-column cycle needs at least 4 layers", 4)
     if len({u, v, w}) != 3:
         raise ValueError("columns must differ")
     return _column_cycle(n, (u, v, w), base_order)
@@ -429,79 +411,38 @@ def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
 @dataclass(frozen=True)
 class BuildResult:
     cycle: HamCycle
-    roles: RoleAssignment
+    roles: dict[int, Role]
     mode: str  # "matching" | "pathfactor"
     column_counts: dict[int, int]
 
 
 def _assemble(n: int, tree: Graph, factor: PathFactor,
-              peel: PeelOrder) -> tuple[HamCycle, RoleAssignment]:
-    """Splice the column cycles along the peel order; the cycle is unchecked."""
+              peel: PeelOrder) -> tuple[HamCycle, dict[int, Role]]:
+    """Splice the column cycles along the peel order's links, the last
+    peeled component first; the cycle is unchecked."""
     k = tree.order
     roles = assign_roles(factor)
     plan = _layer_plan(n, k, {len(c) for c in factor.components})
     slots = _empty_slots(n * k)
-    placed = [False] * (k + 1)
-    for step, comp in enumerate(reversed(peel.components)):
+    for comp, link in zip(reversed(peel.components), reversed(peel.links)):
         _add_column_cycle(slots, comp, plan)
-        if step:
-            links = [(x, y) for x in comp for y in tree.neighbors(x) if placed[y]]
-            if len(links) != 1:
-                raise AssertionError("peeled component must touch the rest by one tree edge")
-            u1, u2 = links[0]
-            # the first index of u1's pattern still linked in column u2
-            for j in plan.patterns[roles.role_of(u1)]:
-                q = (j - 1) * k + u2
-                if q + k in (slots.first[q], slots.second[q]):
-                    break
-            else:
-                raise SpliceStockError(f"splice stock ran dry at tree edge {u1}-{u2}")
-            # swap the two vertical edges at index j for the two crossings
-            p = (j - 1) * k + u1
-            _relink(slots, p, p + k, q)
-            _relink(slots, q, q + k, p)
-            _relink(slots, p + k, p, q + k)
-            _relink(slots, q + k, q, p + k)
-        for x in comp:
-            placed[x] = True
+        if link is None:
+            continue
+        u1, u2 = link
+        # the first index of u1's pattern still linked in column u2
+        for j in plan.patterns[roles[u1]]:
+            q = (j - 1) * k + u2
+            if q + k in (slots.first[q], slots.second[q]):
+                break
+        else:
+            raise SpliceStockError(f"splice stock ran dry at tree edge {u1}-{u2}")
+        # swap the two vertical edges at index j for the two crossings
+        p = (j - 1) * k + u1
+        _relink(slots, p, p + k, q)
+        _relink(slots, q, q + k, p)
+        _relink(slots, p + k, p, q + k)
+        _relink(slots, q + k, q, p + k)
     return _walk(slots, n, k), roles
-
-
-def _build(n: int, tree: Graph, factor: PathFactor, peel: PeelOrder,
-           mode: str) -> BuildResult:
-    """Assemble the cycle, check it against the n-layer product over the
-    tree, and count each column's vertical steps off the checked cycle."""
-    cycle, roles = _assemble(n, tree, factor, peel)
-    if not verify_product_cycle(tree, n, cycle):
-        raise AssertionError(f"{mode} cycle on {n} layers failed its check")
-    k, seq = tree.order, cycle.seq
-    counts = [0] * (k + 1)
-    for a, b in zip(seq, seq[1:] + seq[:1]):
-        if abs(a - b) == k:
-            counts[(a - 1) % k + 1] += 1
-    return BuildResult(cycle, roles, mode, dict(zip(tree.vertices(), counts[1:])))
-
-
-def build_cycle_matching(n: int, tree: Graph,
-                         matching: PathFactor | None = None) -> BuildResult:
-    """Cycle in the n-layer product over a tree with a perfect matching.
-
-    Works for any n at least the maximum degree of the tree; the cycle
-    uses exactly n - degree(v) vertical edges in every column v.
-    """
-    if matching is None:
-        if not is_tree(tree):
-            raise NotTreeError("matching construction needs a tree")
-        matching = find_perfect_matching(tree)
-        if matching is None:
-            raise NoPerfectMatchingError("tree has no perfect matching")
-    peel = component_peel_order(tree, matching)
-    if not matching.is_perfect_matching:
-        raise InvalidFactorError("not a perfect matching of the tree")
-    dmax = degree_stats(tree).maximum
-    if n < dmax:
-        raise TooFewLayersError(f"need at least {dmax} layers, got {n}")
-    return _build(n, tree, matching, peel, "matching")
 
 
 def path_factor_min_layers(dmax: int) -> int:
@@ -510,28 +451,57 @@ def path_factor_min_layers(dmax: int) -> int:
     return max(4 * dmax - 2, 2)
 
 
-def build_cycle_path_factor(n: int, tree: Graph,
-                            factor: PathFactor | None = None) -> BuildResult:
-    """Cycle in the n-layer product over a tree with a 2/3-path factor,
-    for an even n of at least :func:`path_factor_min_layers`."""
-    if factor is None:
-        if not is_tree(tree):
-            raise NotTreeError("path-factor construction needs a tree")
-        factor = find_p23_factor(tree)
-        if factor is None:
-            raise NoP23FactorError("tree has no factor into 2- and 3-paths")
-    peel = component_peel_order(tree, factor)
+def _check_layers(route: str, n: int, dmax: int) -> None:
+    """The layer rule of each route for maximum degree ``dmax``: n >= dmax
+    for a perfect matching, an even n >= :func:`path_factor_min_layers`
+    for a path factor."""
+    if route == "matching":
+        if n < dmax:
+            raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)
+        return
+    need = path_factor_min_layers(dmax)
     if n % 2:
-        raise OddLayersError("path-factor construction needs an even layer count")
-    need = path_factor_min_layers(degree_stats(tree).maximum)
+        raise OddLayersError(f"path-factor route needs even n >= {need}")
     if n < need:
-        raise TooFewLayersError(f"need at least {need} layers, got {n}")
-    return _build(n, tree, factor, peel, "pathfactor")
+        raise LayerBoundError(f"path-factor route needs n >= {need}", need)
+
+
+def _build(n: int, tree: Graph, factor: PathFactor, route: str) -> BuildResult:
+    """Check the tree, the factor and the layer count, assemble the cycle,
+    check it against the n-layer product over the tree, and count each
+    column's vertical steps off the checked cycle."""
+    peel = component_peel_order(tree, factor)
+    if route == "matching" and not factor.is_perfect_matching:
+        raise InvalidFactorError("not a perfect matching of the tree")
+    _check_layers(route, n, degree_stats(tree).maximum)
+    cycle, roles = _assemble(n, tree, factor, peel)
+    if not verify_product_cycle(tree, n, cycle):
+        raise AssertionError(f"{route} cycle on {n} layers failed its check")
+    k, seq = tree.order, cycle.seq
+    counts = [0] * (k + 1)
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        if abs(a - b) == k:
+            counts[(a - 1) % k + 1] += 1
+    return BuildResult(cycle, roles, route, dict(zip(tree.vertices(), counts[1:])))
+
+
+def build_cycle_matching(n: int, tree: Graph, matching: PathFactor) -> BuildResult:
+    """Cycle in the n-layer product over a tree with the given perfect
+    matching, for any n of at least the tree's maximum degree; the cycle
+    uses exactly n - degree(v) vertical edges in every column v."""
+    return _build(n, tree, matching, "matching")
+
+
+def build_cycle_path_factor(n: int, tree: Graph, factor: PathFactor) -> BuildResult:
+    """Cycle in the n-layer product over a tree with the given 2/3-path
+    factor, for an even n of at least :func:`path_factor_min_layers`."""
+    return _build(n, tree, factor, "pathfactor")
 
 
 def _route(base: Graph, mode: str) -> tuple[str, PathFactor, Graph]:
     """The route ("matching" or "pathfactor"), factor and spanning tree
-    that :func:`build_cycle` splices along."""
+    that :func:`build_cycle` splices along: the one factor search of the
+    pipeline, which certifies every "no" with :class:`NoFactorError`."""
     if not is_connected(base):
         raise DisconnectedError("base graph must be connected")
     factor = None
@@ -552,29 +522,23 @@ def _route(base: Graph, mode: str) -> tuple[str, PathFactor, Graph]:
 
 def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     """Full pipeline: factor the base graph, extend the factor to a
-    spanning tree, and dispatch to the matching or path-factor builder,
+    spanning tree, and hand both to the matching or path-factor builder,
     which checks the cycle before returning it.
 
     ``auto`` prefers the matching route (its layer requirement is weaker)
-    and falls back to the path-factor route.  ``matching`` without a
-    perfect matching raises NoFactorError with a Tutte barrier.  The base
-    is searched for connectivity once; the spanning tree and the factor
-    are checked once each, by the peel order inside the builder.
+    and falls back to the path-factor route.  With no factor of the mode,
+    NoFactorError carries the certificate: a Tutte barrier in
+    ``matching`` mode, else the {P2,P3}-factor obstruction.  The layer
+    rule is applied to the base's maximum degree.  The base is searched
+    for connectivity once; the spanning tree and the factor are checked
+    once each, by the peel order inside the builder.
     """
     if mode not in ("auto", "matching", "pathfactor"):
         raise ValueError(f"unknown mode {mode!r}")
     route, factor, tree = _route(base, mode)
-    dmax = degree_stats(base).maximum
-    if route == "matching":
-        if n < dmax:
-            raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)
-        return build_cycle_matching(n, tree, factor)
-    need = path_factor_min_layers(dmax)
-    if n % 2:
-        raise OddLayersError(f"path-factor route needs even n >= {need}")
-    if n < need:
-        raise LayerBoundError(f"path-factor route needs n >= {need}", need)
-    return build_cycle_path_factor(n, tree, factor)
+    _check_layers(route, n, degree_stats(base).maximum)
+    builder = build_cycle_matching if route == "matching" else build_cycle_path_factor
+    return builder(n, tree, factor)
 
 
 def splice_attempt(base: Graph, n: int) -> HamCycle | None:
@@ -640,14 +604,14 @@ def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
     for a, b in zip(seq, seq[1:] + seq[:1]):
         if a - b == k or b - a == k:
             continue
-        layer_a, column_a = divmod(a - 1, k)
-        layer_b, column_b = divmod(b - 1, k)
-        if layer_a != layer_b or not base.has_edge(column_a + 1, column_b + 1):
+        # columns less 1; a - ca == b - cb exactly when the layers agree
+        ca, cb = (a - 1) % k, (b - 1) % k
+        if a - ca != b - cb or not base.has_edge(ca + 1, cb + 1):
             return False
     return True
 
 
-def verify_column_contract(cycle: HamCycle, tree: Graph, roles: RoleAssignment,
+def verify_column_contract(cycle: HamCycle, tree: Graph, roles: dict[int, Role],
                            n: int) -> bool:
     """Check the per-column vertical-edge budget of a constructed cycle.
     It accepts some cycles that are not Hamiltonian, so the builders run
@@ -667,7 +631,7 @@ def verify_column_contract(cycle: HamCycle, tree: Graph, roles: RoleAssignment,
             used[low % base + 1].add(low // base + 1)
     patterns = {role: used_column_indices(role, n) for role in _ROLE_RESIDUES}
     for v in tree.vertices():
-        role = roles.role_of(v)
+        role = roles[v]
         pattern = patterns[role]
         if not used[v] <= pattern:
             return False
@@ -682,7 +646,6 @@ __all__ = [
     "PeelOrder",
     "Role",
     "ROLE_COMPONENT_DEGREE",
-    "RoleAssignment",
     "assign_roles",
     "build_cycle",
     "build_cycle_matching",

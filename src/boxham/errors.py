@@ -46,20 +46,8 @@ class HasPathFactorError(BoxhamError):
     """An obstruction certificate was requested for a graph that has a factor."""
 
 
-class NoPerfectMatchingError(BoxhamError):
-    """The base graph has no perfect matching."""
-
-
-class NoP23FactorError(BoxhamError):
-    """The base graph has no factor into paths of two or three vertices."""
-
-
 class OddLayersError(BoxhamError):
     """The construction needs an even number of path layers."""
-
-
-class TooFewLayersError(BoxhamError):
-    """The layer count is below the minimum the construction supports."""
 
 
 class PreconditionFailedError(BoxhamError):

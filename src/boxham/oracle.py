@@ -19,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterator
 
 from . import kernels
@@ -332,11 +333,15 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
     return out
 
 
-def _judge_instance(args) -> tuple[str, int, str]:
-    order, edges, layers, max_nodes = args
+def _judge_instance(args) -> tuple[str, str] | None:
+    """One job's (key, verdict); None past its deadline."""
+    order, edges, layers, max_nodes, deadline = args
+    left = None if deadline is None else deadline - time.monotonic()
     base = Graph(order, edges)
-    res = find_product_cycle(base, layers, max_nodes=max_nodes)
-    return (_graph_key(base), layers, res.verdict)
+    res = find_product_cycle(base, layers, budget_seconds=left, max_nodes=max_nodes)
+    if deadline is not None and time.monotonic() > deadline:
+        return None
+    return (_graph_key(base), res.verdict)
 
 
 def _run_instances(instances, report: ScanReport, start_index: int, workers: int,
@@ -347,28 +352,20 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
 
     Instances carry canonical keys and results are collected in submission
     order, so the merged report is identical whatever order the workers
-    finish in.  A report that ``budget_seconds`` cuts short is "truncated".
+    finish in.  Each search gets the time left to the deadline, which
+    workers share; a report that ``budget_seconds`` cuts short is
+    "truncated" before the first late verdict.
     """
     instances = instances[start_index:]
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    jobs = [(g.order, g.edges, layers, max_nodes) for g, layers, _ in instances]
-    verdicts: list[tuple[str, int, str]] = []
+    jobs = [(g.order, g.edges, layers, max_nodes, deadline) for g, layers, _ in instances]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_judge_instance, job) for job in jobs]
-            for fut in futures:
-                if deadline is not None and time.monotonic() > deadline:
-                    for rest in futures:
-                        rest.cancel()
-                    break
-                verdicts.append(fut.result())
+            verdicts = list(takewhile(bool, pool.map(_judge_instance, jobs)))
     else:
-        for job in jobs:
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            verdicts.append(_judge_instance(job))
-    for (g, layers, in_range), (key, _, verdict) in zip(instances, verdicts):
+        verdicts = list(takewhile(bool, map(_judge_instance, jobs)))
+    for (g, layers, in_range), (key, verdict) in zip(instances, verdicts):
         report.entries.append(ScanEntry(key, g, layers, verdict, in_range))
     report.last_index = start_index + len(verdicts) - 1
     if len(verdicts) < len(instances):

@@ -60,7 +60,7 @@ def product_over(n, base):
 def contract_counts(t, roles, n):
     """Each column's vertical-edge count by the paper's column contract."""
     return {v: len(used_column_indices(role, n)) - t.degree(v) + ROLE_COMPONENT_DEGREE[role]
-            for v, role in roles.roles}
+            for v, role in roles.items()}
 
 
 def test_criterion_01_matching_builder_sweep():

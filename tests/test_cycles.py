@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -31,11 +32,8 @@ from boxham.errors import (
     InvalidFactorError,
     LayerBoundError,
     NoFactorError,
-    NoP23FactorError,
-    NoPerfectMatchingError,
     NotTreeError,
     OddLayersError,
-    TooFewLayersError,
 )
 from boxham.factors import PathFactor, find_p23_factor, find_perfect_matching
 from boxham.graphs import (
@@ -56,6 +54,26 @@ T1 = fixtures().t1
 
 def product_over(n, base):
     return cartesian_product(path_graph(n), base)
+
+
+def component_sizes_after(g, removed):
+    """Orders of the components of g - removed, by breadth-first search."""
+    seen = set(removed)
+    sizes = []
+    for root in g.vertices():
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        size = 0
+        while queue:
+            size += 1
+            for w in g.neighbors(queue.popleft()):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        sizes.append(size)
+    return sizes
 
 
 def labeled_edges(cycle):
@@ -107,8 +125,9 @@ class TestTwoColumnCycle:
                 assert frozenset(((i, col), (i + 1, col))) in edges
 
     def test_rejects_single_layer(self):
-        with pytest.raises(TooFewLayersError):
+        with pytest.raises(LayerBoundError) as exc:
             two_column_cycle(1)
+        assert exc.value.minimum_layers == 2
 
     def test_rejects_columns_outside_base(self):
         # ids of out-of-range columns would collide with other columns' ids
@@ -149,37 +168,40 @@ class TestThreeColumnCycle:
     def test_rejections(self):
         with pytest.raises(OddLayersError):
             three_column_cycle(5)
-        with pytest.raises(TooFewLayersError):
+        with pytest.raises(LayerBoundError) as exc:
             three_column_cycle(2)
+        assert exc.value.minimum_layers == 4
+        with pytest.raises(LayerBoundError) as exc:
+            pattern_overlap_counts(2)
+        assert exc.value.minimum_layers == 4
 
 
 class TestRolesAndPeel:
     def test_pair_roles(self):
         ra = assign_roles(PathFactor(((1, 2),)))
-        assert ra.role_of(1) == ra.role_of(2) == "pair"
+        assert ra == {1: "pair", 2: "pair"}
 
     def test_triple_roles_smaller_end_left(self):
         ra = assign_roles(PathFactor(((5, 4, 8),)))
-        assert ra.role_of(5) == "left"
-        assert ra.role_of(4) == "mid"
-        assert ra.role_of(8) == "right"
+        assert ra == {5: "left", 4: "mid", 8: "right"}
 
     def test_t1_roles(self):
         ra = assign_roles(find_p23_factor(T1))
         want = {1: "left", 2: "mid", 6: "right", 3: "pair", 7: "pair",
                 5: "left", 4: "mid", 8: "right"}
-        assert {v: ra.role_of(v) for v in range(1, 9)} == want
+        assert ra == want
 
     def test_peel_p4(self):
         order = component_peel_order(path_graph(4), PathFactor(((1, 2), (3, 4))))
         assert order.components == ((1, 2), (3, 4))
-        assert order.contracted_edges == ((0, 1),)
+        assert order.links == ((2, 3), None)
 
     def test_peel_t1_is_path_of_components(self):
         factor = find_p23_factor(T1)
         order = component_peel_order(T1, factor)
-        assert sorted(order.contracted_edges) == [(0, 1), (1, 2)]
-        assert order.components[0] == (1, 2, 6)
+        assert order.components == ((1, 2, 6), (3, 7), (5, 4, 8))
+        # each link leaves its component for one peeled later
+        assert order.links == ((2, 3), (3, 4), None)
         # every prefix removal keeps the remainder of the tree connected
         from boxham.graphs import is_connected
         removed = set()
@@ -216,31 +238,32 @@ class TestRolesAndPeel:
 class TestMatchingBuilder:
     def test_p2_any_n_counts(self):
         for n in (2, 3, 5, 9):
-            res = build_cycle_matching(n, path_graph(2))
+            res = build_cycle_matching(n, path_graph(2), PathFactor(((1, 2),)))
             assert verify_cycle(product_over(n, path_graph(2)), res.cycle)
             assert res.column_counts == {1: n - 1, 2: n - 1}
 
     def test_p4_n2(self):
-        res = build_cycle_matching(2, path_graph(4))
+        res = build_cycle_matching(2, path_graph(4), PathFactor(((1, 2), (3, 4))))
         assert verify_cycle(product_over(2, path_graph(4)), res.cycle)
         assert res.column_counts == {1: 1, 2: 0, 3: 0, 4: 1}
 
     def test_star_with_matching_at_min_layers(self):
         t = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6)])
-        res = build_cycle_matching(3, t)
+        res = build_cycle_matching(3, t, find_perfect_matching(t))
         assert verify_cycle(product_over(3, t), res.cycle)
         assert res.column_counts[1] == 0
         assert verify_column_contract(res.cycle, t, res.roles, 3)
 
     def test_degenerate_single_layer(self):
-        res = build_cycle_matching(1, path_graph(2))
+        res = build_cycle_matching(1, path_graph(2), PathFactor(((1, 2),)))
         assert verify_cycle(product_over(1, path_graph(2)), res.cycle)
         assert res.column_counts == {1: 0, 2: 0}
 
     def test_layer_bound(self):
         t = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6)])
-        with pytest.raises(TooFewLayersError):
-            build_cycle_matching(2, t)
+        with pytest.raises(LayerBoundError) as exc:
+            build_cycle_matching(2, t, find_perfect_matching(t))
+        assert exc.value.minimum_layers == 3
 
     def test_sweep_small(self):
         for t in enumerate_trees(8):
@@ -253,19 +276,14 @@ class TestMatchingBuilder:
                 assert verify_cycle(product_over(n, t), res.cycle)
                 assert verify_column_contract(res.cycle, t, res.roles, n)
 
-    def test_searching_for_its_own_matching(self):
-        with pytest.raises(NotTreeError):
-            build_cycle_matching(4, cycle_graph(4))
-        with pytest.raises(NoPerfectMatchingError):
-            build_cycle_matching(4, path_graph(3))
-
     def test_rejects_a_factor_with_a_triple(self):
         with pytest.raises(InvalidFactorError):
             build_cycle_matching(4, path_graph(3), PathFactor(((1, 2, 3),)))
 
     def test_determinism(self):
-        a = build_cycle_matching(4, T1_pm_tree())
-        b = build_cycle_matching(4, T1_pm_tree())
+        t = T1_pm_tree()
+        a = build_cycle_matching(4, t, find_perfect_matching(t))
+        b = build_cycle_matching(4, t, find_perfect_matching(t))
         assert a.cycle == b.cycle
 
 
@@ -277,33 +295,28 @@ def T1_pm_tree():
 
 class TestPathFactorBuilder:
     def test_p3_base_case(self):
-        res = build_cycle_path_factor(6, path_graph(3))
+        res = build_cycle_path_factor(6, path_graph(3), PathFactor(((1, 2, 3),)))
         assert labeled_edges(res.cycle) == labeled_edges(three_column_cycle(6))
         assert res.column_counts == {1: 4, 2: 2, 3: 4}
 
     def test_p2_base_case(self):
-        res = build_cycle_path_factor(4, path_graph(2))
+        res = build_cycle_path_factor(4, path_graph(2), PathFactor(((1, 2),)))
         assert labeled_edges(res.cycle) == labeled_edges(two_column_cycle(4))
 
     def test_t1_at_minimum_layers(self):
-        res = build_cycle_path_factor(10, T1)
+        res = build_cycle_path_factor(10, T1, find_p23_factor(T1))
         assert len(res.cycle.seq) == 80
         assert verify_cycle(product_over(10, T1), res.cycle)
         assert verify_column_contract(res.cycle, T1, res.roles, 10)
 
     def test_odd_layers(self):
         with pytest.raises(OddLayersError):
-            build_cycle_path_factor(9, path_graph(3))
+            build_cycle_path_factor(9, path_graph(3), PathFactor(((1, 2, 3),)))
 
     def test_too_few_layers(self):
-        with pytest.raises(TooFewLayersError):
-            build_cycle_path_factor(8, T1)
-
-    def test_searching_for_its_own_factor(self):
-        with pytest.raises(NotTreeError):
-            build_cycle_path_factor(10, cycle_graph(4))
-        with pytest.raises(NoP23FactorError):
-            build_cycle_path_factor(10, star_graph(3))
+        with pytest.raises(LayerBoundError) as exc:
+            build_cycle_path_factor(8, T1, find_p23_factor(T1))
+        assert exc.value.minimum_layers == 10
 
     def test_sweep_small(self):
         for t in enumerate_trees(7):
@@ -334,6 +347,23 @@ class TestBuildPipeline:
         with pytest.raises(NoFactorError) as exc:
             build_cycle(4, star_graph(3))
         assert exc.value.certificate.witness == {1}
+
+    def test_matching_mode_certifies_a_tree_without_a_matching(self):
+        # the builders take their factor; the search runs in build_cycle
+        p3 = path_graph(3)
+        with pytest.raises(NoFactorError) as exc:
+            build_cycle(4, p3, "matching")
+        barrier = exc.value.certificate
+        odd = sum(size % 2 for size in component_sizes_after(p3, barrier.witness))
+        assert odd == barrier.odd_components > len(barrier.witness)
+
+    def test_pathfactor_mode_certifies_a_tree_without_a_factor(self):
+        star = star_graph(3)
+        with pytest.raises(NoFactorError) as exc:
+            build_cycle(10, star, "pathfactor")
+        cert = exc.value.certificate
+        isolated = component_sizes_after(star, cert.witness).count(1)
+        assert isolated == cert.isolated_count > 2 * len(cert.witness)
 
     def test_star_no_factor_runs_one_pick_map_search(self, monkeypatch):
         from boxham import factors
@@ -393,7 +423,7 @@ class TestValidators:
     def test_contract_counts_follow_the_tree_degrees(self):
         # the same matching on a tree of other degrees: every vertical
         # index lies in a pair's pattern, so only the count can fail
-        res = build_cycle_matching(4, path_graph(4))
+        res = build_cycle_matching(4, path_graph(4), PathFactor(((1, 2), (3, 4))))
         other = Graph.from_edges(4, [(1, 2), (1, 3), (3, 4)])
         assert verify_column_contract(res.cycle, path_graph(4), res.roles, 4)
         assert not verify_column_contract(res.cycle, other, res.roles, 4)
@@ -428,8 +458,8 @@ class TestValidators:
         assert parse_cycle(format_cycle(res.cycle)) == res.cycle
 
     def test_path_factor_builder_determinism(self):
-        a = build_cycle_path_factor(10, T1)
-        b = build_cycle_path_factor(10, T1)
+        a = build_cycle_path_factor(10, T1, find_p23_factor(T1))
+        b = build_cycle_path_factor(10, T1, find_p23_factor(T1))
         assert a.cycle == b.cycle and a.column_counts == b.column_counts
 
 
@@ -494,7 +524,7 @@ class TestBuildersAtScale:
     def test_matching_tree_2000(self):
         t = matching_tree_2000()
         n = degree_stats(t).maximum
-        res = build_cycle_matching(n, t)
+        res = build_cycle_matching(n, t, find_perfect_matching(t))
         assert verify_cycle(product_over(n, t), res.cycle)
         for v in t.vertices():
             assert res.column_counts[v] == n - t.degree(v)
@@ -505,8 +535,9 @@ class TestBuildersAtScale:
         t = p23_tree_2001()
         assert find_perfect_matching(t) is None
         n = 4 * degree_stats(t).maximum - 2
-        res = build_cycle_path_factor(n, t)
-        assert {len(c) for c in res.roles.factor.components} == {2, 3}
+        factor = find_p23_factor(t)
+        assert {len(c) for c in factor.components} == {2, 3}
+        res = build_cycle_path_factor(n, t, factor)
         assert verify_cycle(product_over(n, t), res.cycle)
         assert digest(res.cycle) == \
             "dfb81c81079055f929f1533ef6c3fd7857a6f3dd826ea6f74836008f0ea08524"
@@ -536,9 +567,11 @@ class TestProductFreeVerifier:
     def test_agrees_with_product_validator(self, make, builder):
         t = make()
         dmax = degree_stats(t).maximum
-        n = dmax if builder is build_cycle_matching else 4 * dmax - 2
+        matching = builder is build_cycle_matching
+        n = dmax if matching else 4 * dmax - 2
         prod = product_over(n, t)
-        good = builder(n, t).cycle.seq
+        factor = (find_perfect_matching if matching else find_p23_factor)(t)
+        good = builder(n, t, factor).cycle.seq
 
         def agree(seq, layers=n, base_order=t.order):
             c = HamCycle(layers, base_order, tuple(seq))
@@ -599,7 +632,7 @@ class TestCycleText:
 
     def test_builder_cycles_match_reference(self):
         t = matching_tree_2000()
-        c = build_cycle_matching(degree_stats(t).maximum, t).cycle
+        c = build_cycle_matching(degree_stats(t).maximum, t, find_perfect_matching(t)).cycle
         assert format_cycle(c) == reference_format_cycle(c)
         c = build_cycle(1, path_graph(2)).cycle
         assert format_cycle(c) == reference_format_cycle(c)
@@ -619,16 +652,18 @@ class TestForgedCycle:
         (build_cycle_path_factor, 10, T1, (0, 34)),
     ])
     def test_builders_raise(self, monkeypatch, builder, n, tree, steps):
-        res = builder(n, tree)
+        factor = (find_perfect_matching if builder is build_cycle_matching
+                  else find_p23_factor)(tree)
+        res = builder(n, tree, factor)
         forging = forged_assembly(cycles._assemble, *steps)
         monkeypatch.setattr(cycles, "_assemble", forging)
-        forged, _ = forging(n, tree, res.roles.factor,
-                            component_peel_order(tree, res.roles.factor))
+        forged, _ = forging(n, tree, factor, component_peel_order(tree, factor))
         assert verify_column_contract(forged, tree, res.roles, n)
         assert not verify_product_cycle(tree, n, forged)
-        for build in (builder, build_cycle):
-            with pytest.raises(AssertionError, match="failed its check"):
-                build(n, tree)
+        with pytest.raises(AssertionError, match="failed its check"):
+            builder(n, tree, factor)
+        with pytest.raises(AssertionError, match="failed its check"):
+            build_cycle(n, tree)
 
 
 def _count_calls(monkeypatch, names):
@@ -673,6 +708,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 _UNDER_O = """
 import boxham.cycles as c
 from boxham.oracle import fixtures
+from boxham.factors import find_p23_factor, find_perfect_matching
 from boxham.graphs import path_graph
 from helpers import forged_assembly
 
@@ -684,10 +720,11 @@ def outcome(fn, *args):
     return "returned"
 
 assemble = c._assemble
-for builder, n, tree, steps in ((c.build_cycle_matching, 4, path_graph(4), (0, 2)),
-                                (c.build_cycle_path_factor, 10, fixtures().t1, (0, 34))):
+for builder, n, tree, steps, search in (
+        (c.build_cycle_matching, 4, path_graph(4), (0, 2), find_perfect_matching),
+        (c.build_cycle_path_factor, 10, fixtures().t1, (0, 34), find_p23_factor)):
     c._assemble = forged_assembly(assemble, *steps)
-    print(outcome(builder, n, tree), outcome(c.build_cycle, n, tree))
+    print(outcome(builder, n, tree, search(tree)), outcome(c.build_cycle, n, tree))
 c._assemble = assemble
 print(outcome(c._walk, c.Slots([0, 2, 1], [0, 0, 0]), 1, 2))  # degree 1
 print(outcome(c._walk, c.Slots([0, 2, 1, 4, 3], [0, 2, 1, 4, 3]), 1, 4))  # two cycles

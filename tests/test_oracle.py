@@ -1,6 +1,7 @@
 import os
 import random
-from concurrent.futures import Future
+import time
+from concurrent.futures import Executor, Future
 
 import pytest
 
@@ -265,9 +266,9 @@ class TestSpliceAttempt:
 
     def test_stock_exhaustion_has_its_own_class(self):
         t1 = fixtures().t1
-        route, factor, tree = cycles._route(t1, "auto")
+        _, factor, tree = cycles._route(t1, "auto")
         with pytest.raises(SpliceStockError):
-            cycles._build(4, tree, factor, component_peel_order(tree, factor), route)
+            cycles._assemble(4, tree, factor, component_peel_order(tree, factor))
         assert issubclass(SpliceStockError, AssertionError)
 
     def test_other_builder_faults_propagate(self, monkeypatch):
@@ -427,6 +428,41 @@ class TestScans:
                [(e.key, e.layers) for e in resumed.entries]
         assert keys == [(e.key, e.layers) for e in full.entries]
 
+    def test_scan_budget_stops_a_running_instance(self, monkeypatch):
+        # the third search runs out the time it is given, as a budget-stopped
+        # "unknown": its verdict comes after the deadline and is not recorded
+        budgets = []
+        search = oracle.find_product_cycle
+
+        def spends_its_budget(base, n, *, budget_seconds=None, max_nodes=None):
+            budgets.append(budget_seconds)
+            if len(budgets) == 3:
+                time.sleep(budget_seconds + 0.05)
+                return oracle.OracleResult("unknown", None, 0)
+            return search(base, n, budget_seconds=budget_seconds, max_nodes=max_nodes)
+
+        monkeypatch.setattr(oracle, "find_product_cycle", spends_its_budget)
+        start = time.monotonic()
+        report = scan_below_layer_bound(3, 5, budget_seconds=1.0)
+        assert time.monotonic() - start < 5
+        assert 0 < budgets[2] <= budgets[1] <= budgets[0] <= 1.0
+        assert report.status == "truncated" and report.last_index == 1
+        assert [e.verdict for e in report.entries] == ["hamiltonian"] * 2
+        assert "unknown" not in format_scan_report(report)
+        # a resumed scan examines the instance again
+        monkeypatch.setattr(oracle, "find_product_cycle", search)
+        resumed = scan_below_layer_bound(3, 5, start_index=report.last_index + 1)
+        assert resumed.status == "complete" and resumed.instances_examined == 3
+
+    def test_scan_budget_bounds_a_runaway_search(self):
+        # at 8 layers the 9-vertex base n9:1-2,1-3,1-8,2-4,2-6,3-5,3-7,8-9
+        # takes the search millions of nodes; with no time budget in the
+        # jobs this scan ran for over a minute
+        start = time.monotonic()
+        report = scan_below_layer_bound(3, 10, budget_seconds=0.5)
+        assert report.status == "truncated"
+        assert time.monotonic() - start < 10
+
     def test_workers_agree(self):
         a = scan_balanced_odd(5, 5, workers=1)
         b = scan_balanced_odd(5, 5, workers=2)
@@ -434,7 +470,7 @@ class TestScans:
                [(e.key, e.layers, e.verdict) for e in b.entries]
 
     def test_pool_starts_at_most_one_process_per_job_and_cpu(self, monkeypatch):
-        class Pool:
+        class Pool(Executor):
             """Runs each job at submit and records the pool sizes asked for."""
             sizes = []
 

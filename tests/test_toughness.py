@@ -459,7 +459,7 @@ expect_raise("is_one_tough", lambda: toughness.is_one_tough(petersen))
 expect_raise("find_hamiltonian_cycle", lambda: oracle.find_hamiltonian_cycle(petersen))
 kernels.ham_path = lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1)
 expect_raise("find_spanning_path", lambda: oracle.find_spanning_path(petersen))
-expect_raise("_judge_instance", lambda: oracle._judge_instance((4, ((1, 2), (2, 3), (3, 4)), 2, None)))
+expect_raise("_judge_instance", lambda: oracle._judge_instance((4, ((1, 2), (2, 3), (3, 4)), 2, None, None)))
 oracle.splice_attempt = lambda base, n: HamCycle(n, base.order, tuple(range(1, n * base.order + 1)))
 expect_raise("find_product_cycle", lambda: oracle.find_product_cycle(path_graph(4), 8))
 kernels.toughness_scan = lambda g: None
