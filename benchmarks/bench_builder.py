@@ -12,9 +12,10 @@ Two seeded tree families, both relabelled by a seeded permutation:
 
 Each row runs in its own child process, so its peak RSS is its own.  The
 stages are the ones ``build_cycle`` and ``hamcycle`` run, timed one by
-one: the factor search, the spanning tree, the peel order, the assembly,
-the builder's check of the cycle against the product over the tree
-(``verify_product_cycle``, which needs no product graph) and
+one: the factor search, the spanning tree (both families are trees, and
+a tree base is its own spanning tree, so none is built), the peel order,
+the assembly, the builder's check of the cycle against the product over
+the tree (``verify_product_cycle``, which needs no product graph) and
 ``format_cycle``.  The builder's count of each column's vertical steps
 is not timed on its own.  The peak RSS is read after the stages.  The
 row then checks that the public builder gives the same cycle, and, off
@@ -41,7 +42,6 @@ from boxham.graphs import (
     cartesian_product,
     degree_stats,
     path_graph,
-    spanning_tree_containing,
 )
 
 TARGETS = (1_000, 10_000, 100_000, 1_000_000)
@@ -101,14 +101,13 @@ def row(kind: str, target: int) -> dict:
     stages: dict[str, float] = {}
     search = find_perfect_matching if kind == "matching" else find_p23_factor
     factor = timed(stages, "factor", search, base)
-    seed_edges = [e for c in factor.components for e in zip(c, c[1:])]
-    t = timed(stages, "spanning_tree", spanning_tree_containing, base, seed_edges)
+    t = timed(stages, "spanning_tree", cycles._spanning_tree, base, factor)
     peel = timed(stages, "peel_order", cycles.component_peel_order, t, factor)
-    # This bench is deliberately tied to the private steps of cycles._build
-    # (the peel order and the layer rule, then _assemble, then
-    # verify_product_cycle on the tree): the assembly has no public entry
-    # point that leaves out the check, and it is the stage this file exists
-    # to time.  The public builder is run below on the same input and must
+    # This bench is deliberately tied to the private steps of cycles._route
+    # (its spanning tree) and cycles._build (the peel order and the layer
+    # rule, then _assemble, then verify_product_cycle on the tree): the
+    # assembly has no public entry point that leaves out the check, and it
+    # is the stage this file exists to time.  The public builder is run below on the same input and must
     # give the same cycle, so a refactor of _build that changes what it
     # does makes this bench fail, not drift.
     cycle, roles = timed(stages, "assembly", cycles._assemble, n, t, factor, peel)

@@ -58,6 +58,7 @@ from .graphs import (
     is_tree,
     parse_label,
     product_id,
+    product_label,
     spanning_tree_containing,
 )
 
@@ -191,8 +192,7 @@ class HamCycle:
         return frozenset(map(canon_edge, self.seq, self.seq[1:] + self.seq[:1]))
 
     def labels(self) -> tuple[Label, ...]:
-        k = self.base_order
-        return tuple(((v - 1) // k + 1, (v - 1) % k + 1) for v in self.seq)
+        return tuple(product_label(v, self.base_order) for v in self.seq)
 
 
 def format_cycle(cycle: HamCycle) -> str:
@@ -217,11 +217,8 @@ def parse_cycle(text: str) -> HamCycle:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MalformedGraphError("empty cycle file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedGraphError(f"bad cycle header {lines[0]!r}")
-    try:
-        layers, order = int(head[0]), int(head[1])
+    try:  # two integers, or a ValueError
+        layers, order = map(int, lines[0].split())
     except ValueError:
         raise MalformedGraphError(f"bad cycle header {lines[0]!r}") from None
     if layers < 1 or order < 1 or order % layers:
@@ -365,6 +362,8 @@ def _walk(slots: Slots, n: int, k: int) -> HamCycle:
 
 def _column_cycle(n: int, comp: tuple[int, ...], base_order: int | None) -> HamCycle:
     k = base_order if base_order is not None else max(comp)
+    if len(set(comp)) != len(comp):
+        raise ValueError("columns must differ")
     if not all(1 <= v <= k for v in comp):
         raise ValueError("columns must lie in 1..base_order")
     slots = _empty_slots(n * k)
@@ -381,8 +380,6 @@ def two_column_cycle(n: int, u: int = 1, w: int = 2,
     """
     if n < 2:
         raise LayerBoundError("two-column cycle needs at least 2 layers", 2)
-    if u == w:
-        raise ValueError("columns must differ")
     return _column_cycle(n, (u, w), base_order)
 
 
@@ -399,8 +396,6 @@ def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
         raise OddLayersError("three-column cycle needs an even layer count")
     if n < 4:
         raise LayerBoundError("three-column cycle needs at least 4 layers", 4)
-    if len({u, v, w}) != 3:
-        raise ValueError("columns must differ")
     return _column_cycle(n, (u, v, w), base_order)
 
 
@@ -478,11 +473,12 @@ def _build(n: int, tree: Graph, factor: PathFactor, route: str) -> BuildResult:
     if not verify_product_cycle(tree, n, cycle):
         raise AssertionError(f"{route} cycle on {n} layers failed its check")
     k, seq = tree.order, cycle.seq
-    counts = [0] * (k + 1)
+    counts = [0] * k  # column v at index v % k
     for a, b in zip(seq, seq[1:] + seq[:1]):
-        if abs(a - b) == k:
-            counts[(a - 1) % k + 1] += 1
-    return BuildResult(cycle, roles, route, dict(zip(tree.vertices(), counts[1:])))
+        if a - b == k or b - a == k:
+            counts[a % k] += 1
+    counts.append(counts.pop(0))
+    return BuildResult(cycle, roles, route, dict(zip(tree.vertices(), counts)))
 
 
 def build_cycle_matching(n: int, tree: Graph, matching: PathFactor) -> BuildResult:
@@ -501,7 +497,8 @@ def build_cycle_path_factor(n: int, tree: Graph, factor: PathFactor) -> BuildRes
 def _route(base: Graph, mode: str) -> tuple[str, PathFactor, Graph]:
     """The route ("matching" or "pathfactor"), factor and spanning tree
     that :func:`build_cycle` splices along: the one factor search of the
-    pipeline, which certifies every "no" with :class:`NoFactorError`."""
+    pipeline, which certifies every "no" with :class:`NoFactorError`.
+    A tree base is its own spanning tree."""
     if not is_connected(base):
         raise DisconnectedError("base graph must be connected")
     factor = None
@@ -516,14 +513,21 @@ def _route(base: Graph, mode: str) -> tuple[str, PathFactor, Graph]:
         factor = p23_factor_or_obstruction(base)
         if isinstance(factor, FactorCertificate):
             raise NoFactorError("no path factor", factor)
-    seed = [e for c in factor.components for e in zip(c, c[1:])]
-    return route, factor, spanning_tree_containing(base, seed)
+    return route, factor, _spanning_tree(base, factor)
+
+
+def _spanning_tree(base: Graph, factor: PathFactor) -> Graph:
+    """The base if it is a tree (it is connected), else a spanning tree
+    through the factor's edges."""
+    if base.size == base.order - 1:
+        return base
+    return spanning_tree_containing(base, [e for c in factor.components for e in zip(c, c[1:])])
 
 
 def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     """Full pipeline: factor the base graph, extend the factor to a
-    spanning tree, and hand both to the matching or path-factor builder,
-    which checks the cycle before returning it.
+    spanning tree (a tree base is its own), and hand both to the matching
+    or path-factor builder, which checks the cycle before returning it.
 
     ``auto`` prefers the matching route (its layer requirement is weaker)
     and falls back to the path-factor route.  With no factor of the mode,
@@ -606,7 +610,7 @@ def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
             continue
         # columns less 1; a - ca == b - cb exactly when the layers agree
         ca, cb = (a - 1) % k, (b - 1) % k
-        if a - ca != b - cb or not base.has_edge(ca + 1, cb + 1):
+        if a - ca != b - cb or cb + 1 not in base.neighbors(ca + 1):
             return False
     return True
 

@@ -169,8 +169,8 @@ def is_tree(g: Graph) -> bool:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    degrees = {v: g.degree(v) for v in g.vertices()}
-    return DegreeStats(max(degrees.values()), min(degrees.values()), degrees)
+    degrees = list(map(len, g._adjacency))[1:]  # entry 0 is no vertex
+    return DegreeStats(max(degrees), min(degrees), dict(zip(g.vertices(), degrees)))
 
 
 def bipartition(g: Graph) -> Bipartition:
@@ -375,8 +375,7 @@ def parse_graph(text: str) -> Graph:
         raise MalformedGraphError(f"bad header {lines[0]!r}")
     if len(lines) - 1 != count:
         raise MalformedGraphError(f"expected {count} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen = set()
+    seen: set[Edge] = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -393,8 +392,8 @@ def parse_graph(text: str) -> Graph:
         if e in seen:
             raise MalformedGraphError(f"duplicate edge {e}")
         seen.add(e)
-        edges.append(e)
-    return Graph.from_edges(order, edges)
+    # canonical and distinct already, so from_edges would only redo the work
+    return Graph(order, tuple(sorted(seen)))
 
 
 def format_graph(g: Graph) -> str:

@@ -298,13 +298,27 @@ def _iso_invariant(g: Graph) -> tuple:
     return (g.order, g.size, nbr_profile)
 
 
+def _deadline(budget_seconds: float | None) -> float | None:
+    """A scan's deadline; its clock starts when the scanner does."""
+    return None if budget_seconds is None else time.monotonic() + budget_seconds
+
+
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
 def _candidate_bases(max_order: int, *, degree: int | None = None,
-                     bipartite_only: bool = False) -> list[Graph]:
+                     bipartite_only: bool = False,
+                     deadline: float | None = None) -> list[Graph]:
     """Connected graphs with a 2/3-path factor: trees first, then trees
-    plus one extra edge, deduplicated up to isomorphism per degree class."""
+    plus one extra edge, deduplicated up to isomorphism per degree class.
+    The enumeration stops, with the bases found so far, once the deadline
+    has passed."""
     out: list[Graph] = []
     trees: list[Graph] = []
     for t in enumerate_trees(max_order):
+        if _past(deadline):
+            return out
         trees.append(t)
         if degree is not None and degree_stats(t).maximum != degree:
             continue
@@ -313,6 +327,8 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
         out.append(t)
     buckets: dict[tuple, list[Graph]] = {}
     for t in trees:
+        if _past(deadline):
+            return out
         existing = set(t.edges)
         for u in t.vertices():
             for v in range(u + 1, t.order + 1):
@@ -339,13 +355,13 @@ def _judge_instance(args) -> tuple[str, str] | None:
     left = None if deadline is None else deadline - time.monotonic()
     base = Graph(order, edges)
     res = find_product_cycle(base, layers, budget_seconds=left, max_nodes=max_nodes)
-    if deadline is not None and time.monotonic() > deadline:
+    if _past(deadline):
         return None
     return (_graph_key(base), res.verdict)
 
 
 def _run_instances(instances, report: ScanReport, start_index: int, workers: int,
-                   budget_seconds: float | None, max_nodes: int | None):
+                   deadline: float | None, max_nodes: int | None):
     """Judge the (base, layers, in_range) instances from ``start_index``
     on into ``report``, across at most ``workers`` processes, one per job
     and CPU: a pool forks all of its processes at the first submit.
@@ -353,14 +369,17 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
     Instances carry canonical keys and results are collected in submission
     order, so the merged report is identical whatever order the workers
     finish in.  Each search gets the time left to the deadline, which
-    workers share; a report that ``budget_seconds`` cuts short is
-    "truncated" before the first late verdict.
+    workers share; a report that the deadline cuts short is "truncated"
+    before the first late verdict, or before the first instance when the
+    deadline passed during the enumeration, which may then be incomplete.
     """
     instances = instances[start_index:]
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     jobs = [(g.order, g.edges, layers, max_nodes, deadline) for g, layers, _ in instances]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
+    late = _past(deadline)
+    if late:
+        verdicts = []
+    elif workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(takewhile(bool, pool.map(_judge_instance, jobs)))
     else:
@@ -368,7 +387,7 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
     for (g, layers, in_range), (key, verdict) in zip(instances, verdicts):
         report.entries.append(ScanEntry(key, g, layers, verdict, in_range))
     report.last_index = start_index + len(verdicts) - 1
-    if len(verdicts) < len(instances):
+    if late or len(verdicts) < len(instances):
         report.status = "truncated"
 
 
@@ -387,13 +406,15 @@ def scan_below_layer_bound(k: int, max_order: int, *,
     """
     if k < 3:
         raise PreconditionFailedError("the gap question starts at degree 3")
+    deadline = _deadline(budget_seconds)
     layers = path_factor_min_layers(k) - 2
     report = ScanReport("below_layer_bound", {
         "k": k, "layers": layers, "max_order": max_order,
         "start_index": start_index,
     })
-    instances = [(g, layers, True) for g in _candidate_bases(max_order, degree=k)]
-    _run_instances(instances, report, start_index, workers, budget_seconds,
+    instances = [(g, layers, True)
+                 for g in _candidate_bases(max_order, degree=k, deadline=deadline)]
+    _run_instances(instances, report, start_index, workers, deadline,
                    max_nodes_per_instance)
     return report
 
@@ -412,17 +433,18 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
     refute it); smaller odd products are included as exploratory entries
     because they are where the interesting behavior starts.
     """
+    deadline = _deadline(budget_seconds)
     report = ScanReport("balanced_odd", {
         "max_h_order": max_h_order, "max_n": max_n, "start_index": start_index,
     })
     instances = []
-    for g in _candidate_bases(max_h_order, bipartite_only=True):
+    for g in _candidate_bases(max_h_order, bipartite_only=True, deadline=deadline):
         bip = bipartition(g)
         if len(bip.side_a) != len(bip.side_b):
             continue
         bound = path_factor_min_layers(degree_stats(g).maximum)
         instances += [(g, n, n >= bound) for n in range(3, max_n + 1, 2)]
-    _run_instances(instances, report, start_index, workers, budget_seconds,
+    _run_instances(instances, report, start_index, workers, deadline,
                    max_nodes_per_instance)
     return report
 

@@ -77,16 +77,36 @@ def random_scan_base(rng: random.Random, order: int, chords: int) -> Graph:
             size = 2 if order - i in (2, 4) else rng.choice((2, 3))
             comps.append(labels[i:i + size])
             i += size
-        edges = {tuple(sorted(e)) for c in comps for e in zip(c, c[1:])}
-        for j in range(1, len(comps)):
-            u, v = rng.choice(comps[j]), rng.choice(comps[rng.randrange(j)])
-            edges.add(tuple(sorted((u, v))))
-        missing = [(u, v) for u in range(1, order) for v in range(u + 1, order + 1)
-                   if (u, v) not in edges]
-        edges.update(rng.sample(missing, chords))
-        g = Graph.from_edges(order, edges)
+        g = joined_paths(rng, comps, chords)
         if max(g.degree(v) for v in g.vertices()) == 3:
             return g
+
+
+def factor_tree(rng: random.Random, sizes, chords: int) -> Graph:
+    """Shuffled labels cut into paths of the given sizes, joined as in
+    :func:`joined_paths`: a tree with ``chords`` extra edges."""
+    labels = list(range(1, sum(sizes) + 1))
+    rng.shuffle(labels)
+    comps, i = [], 0
+    for size in sizes:
+        comps.append(labels[i:i + size])
+        i += size
+    return joined_paths(rng, comps, chords)
+
+
+def joined_paths(rng: random.Random, comps, chords: int) -> Graph:
+    """The paths ``comps`` (label lists covering 1..order), each after the
+    first joined to an earlier one by one edge, plus ``chords`` random
+    extra edges."""
+    order = sum(map(len, comps))
+    edges = {tuple(sorted(e)) for c in comps for e in zip(c, c[1:])}
+    for j in range(1, len(comps)):
+        u, v = rng.choice(comps[j]), rng.choice(comps[rng.randrange(j)])
+        edges.add(tuple(sorted((u, v))))
+    missing = [(u, v) for u in range(1, order) for v in range(u + 1, order + 1)
+               if (u, v) not in edges]
+    edges.update(rng.sample(missing, chords))
+    return Graph.from_edges(order, edges)
 
 
 PETERSEN_EDGES = (

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -17,7 +19,7 @@ from boxham.graphs import (
 )
 from boxham.oracle import fixtures
 from boxham.toughness import removal_stats
-from helpers import caterpillar
+from helpers import caterpillar, factor_tree
 
 
 @pytest.fixture
@@ -510,3 +512,32 @@ class TestStability:
         _, out4, _ = run(capsys, "hamcycle", "--n", "10", "--graph", files["fig4"],
                          "--json")
         assert out3 == out4
+
+
+# (seed, component sizes, chords, extra layers): trees and trees with one
+# or two chords; an odd order has no perfect matching, so the last four
+# take the {P2,P3} route at 4 * max degree - 2 layers
+GOLDEN_BASES = (
+    (1, (2,) * 8, 0, 0), (2, (2,) * 11, 0, 1), (3, (2,) * 9, 1, 0), (4, (2,) * 10, 2, 2),
+    (5, (3, 2, 3, 2, 3), 0, 0), (6, (2, 3, 3, 2, 2, 3, 2), 0, 2),
+    (7, (3, 3, 2, 3, 2), 1, 0), (8, (2, 3, 2, 3, 3, 2), 2, 0),
+)
+GOLDEN_SHA256 = "eaf45923319605aa5dfea5f4861427a1f7a3988189164be4ef53e1b14b974976"
+
+
+def test_hamcycle_json_is_pinned(capsys, tmp_path):
+    """The ``hamcycle --json`` answers on seeded bases, byte for byte."""
+    digest = hashlib.sha256()
+    for seed, sizes, chords, extra in GOLDEN_BASES:
+        base = factor_tree(random.Random(seed), sizes, chords)
+        path = tmp_path / f"golden{seed}.el"
+        path.write_text(format_graph(base))
+        dmax = max(base.degree(v) for v in base.vertices())
+        route = "matching" if base.order % 2 == 0 else "pathfactor"
+        n = dmax if route == "matching" else cycles.path_factor_min_layers(dmax)
+        code, out, _ = run(capsys, "hamcycle", "--n", str(n + extra),
+                           "--graph", str(path), "--json")
+        assert code == 0 and json.loads(out)["mode"] == route
+        assert base.size == base.order - 1 + chords
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

@@ -685,16 +685,26 @@ def _count_calls(monkeypatch, names):
 
 
 class TestChecksRunOnce:
-    @pytest.mark.parametrize("base, n, mode", [
-        (T1_pm_tree(), 3, "matching"),
-        (T1, 10, "pathfactor"),
+    # a tree base is its own spanning tree; a chord makes the route build one
+    @pytest.mark.parametrize("base, n, mode, trees_built", [
+        pytest.param(T1_pm_tree(), 3, "matching", 0, id="base0-3-matching"),
+        pytest.param(T1, 10, "pathfactor", 0, id="base1-10-pathfactor"),
+        pytest.param(Graph.from_edges(8, T1_pm_tree().edges + ((6, 7),)), 3, "matching", 1,
+                     id="chord-3-matching"),
+        pytest.param(Graph.from_edges(8, T1.edges + ((5, 8),)), 10, "pathfactor", 1,
+                     id="chord-10-pathfactor"),
     ])
-    def test_build_cycle(self, monkeypatch, base, n, mode):
-        calls = _count_calls(monkeypatch, ("is_connected", "validate_path_factor"))
+    def test_build_cycle(self, monkeypatch, base, n, mode, trees_built):
+        calls = _count_calls(monkeypatch, ("is_connected", "validate_path_factor",
+                                           "spanning_tree_containing"))
         res = build_cycle(n, base)
         assert res.mode == mode
         assert calls["is_connected"] == 1
         assert calls["validate_path_factor"] == 1
+        assert calls["spanning_tree_containing"] == trees_built
+        tree = cycles._route(base, "auto")[2]
+        assert (tree is base) == (not trees_built)
+        assert tree.size == base.order - 1
 
     def test_spanning_tree_still_rejects_a_forest(self):
         forest = Graph.from_edges(5, [(1, 2), (2, 3), (4, 5)])

@@ -224,6 +224,21 @@ class TestTextFormats:
     def test_roundtrip(self, g):
         assert parse_graph(format_graph(g)) == g
 
+    def test_parse_matches_from_edges(self):
+        # edge lines in random order, each pair in a random orientation
+        rng = random.Random(194)
+        for _ in range(200):
+            order = rng.randint(1, 12)
+            pairs = [(u, v) for u in range(1, order) for v in range(u + 1, order + 1)]
+            edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                     for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+            text = f"{order} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+            g = parse_graph(text)
+            assert g == Graph.from_edges(order, edges)
+            stats = degree_stats(g)
+            degrees = {v: sum(v in e for e in edges) for v in g.vertices()}
+            assert stats == (max(degrees.values()), min(degrees.values()), degrees)
+
     def test_dot_labels_and_bold(self):
         prod = cartesian_product(path_graph(2), path_graph(2))
         dot = to_dot(prod, layers=2, bold=[(1, 2)])

@@ -428,6 +428,25 @@ class TestScans:
                [(e.key, e.layers) for e in resumed.entries]
         assert keys == [(e.key, e.layers) for e in full.entries]
 
+    @pytest.mark.parametrize("scan", [
+        lambda: scan_below_layer_bound(3, 8, budget_seconds=0),
+        lambda: scan_balanced_odd(6, 5, budget_seconds=0),
+    ], ids=["below_layer_bound", "balanced_odd"])
+    def test_scan_budget_covers_the_enumeration(self, monkeypatch, scan):
+        # the clock starts with the scanner, so a budget of 0 stops it
+        # before the first base is tested for a factor
+        tested = []
+        search = oracle.find_p23_factor
+
+        def counting(g):
+            tested.append(g)
+            return search(g)
+
+        monkeypatch.setattr(oracle, "find_p23_factor", counting)
+        report = scan()
+        assert (len(tested), report.entries, report.status, report.last_index) == \
+            (0, [], "truncated", -1)
+
     def test_scan_budget_stops_a_running_instance(self, monkeypatch):
         # the third search runs out the time it is given, as a budget-stopped
         # "unknown": its verdict comes after the deadline and is not recorded
