@@ -8,7 +8,10 @@ toughness scan) differs from ``PINNED_NODES``.  A second table shows how
 32-vertex flagship included, with its deterministic node counts (states
 for the frontier DP), and a third how ``check --n`` decides one product
 per stage of ``oracle.find_product_cycle``, timed as ``check`` pays for
-it: the product graph is built inside, by the search stage only.
+it: the product graph is built inside, by the search stage only.  Its
+last row is ``check`` without ``--n`` on the ladder P600 x K2, which the
+entry splits into its base and layers and splices; the first table keeps
+the search's own time on it.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the flagship's
@@ -35,6 +38,12 @@ CRICKET = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
 # a degree-3 tree of order 8 from the scan 1 --k 3 family
 SCAN8 = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])
 
+LADDER = cartesian_product(path_graph(600), path_graph(2))
+SWAP_47_48 = {47: 48, 48: 47}
+P6_T1_SWAPPED = Graph.from_edges(48, [
+    (SWAP_47_48.get(u, u), SWAP_47_48.get(v, v))
+    for u, v in cartesian_product(path_graph(6), T1).edges])
+
 # the Petersen graph minus its edge 1-2 on ids 1..10 and K11 on ids 11..21,
 # joined by the edges 1-11 and 2-21: a Hamiltonian cycle would cross that
 # 2-edge cut twice and hold a Hamiltonian 1-2 path of the fragment, which
@@ -56,6 +65,7 @@ PINNED_NODES = {
     "P4 x caterpillar8 (none)": 408,
     "P6 x caterpillar8 (found)": 1_174,
     "P8 x scan tree8 (64, found)": 83_687,
+    "P600 x K2 ladder (1200, found)": 2_989,
     "P4 x caterpillar8": 252,
     "P3 x caterpillar8 (24 vertices)": 251_734,
     "P4 x caterpillar8 flagship (32 vertices)": 15_567_633,
@@ -73,6 +83,7 @@ def instances(full):
            cartesian_product(path_graph(6), T1), "ham_cycle")
     yield ("ham_cycle", "P8 x scan tree8 (64, found)",
            cartesian_product(path_graph(8), SCAN8), "ham_cycle")
+    yield ("ham_cycle", "P600 x K2 ladder (1200, found)", LADDER, "ham_cycle")
     yield ("ham_path", "P4 x caterpillar8",
            cartesian_product(path_graph(4), T1), "ham_path")
     yield ("scattering", "P3 x caterpillar8 (24 vertices)",
@@ -93,9 +104,12 @@ def one_tough_instances():
            "bipartite_imbalance")
     yield "P3 x cricket (15)", cartesian_product(path_graph(3), CRICKET), "matching_barrier"
     yield "P2 x star3 (8)", cartesian_product(path_graph(2), star_graph(3)), "small_cut"
-    # a cycle at node 1,174 of the search, within its cap of 32 * 48
+    # a layer-major product: the splice answers at 0 nodes
     yield ("P6 x caterpillar8 (48)", cartesian_product(path_graph(6), T1),
            "hamiltonian_cycle")
+    # the same graph with ids 47 and 48 swapped is no layer-major product:
+    # the search meets a cycle at node 1,174, within its cap of 32 * 48
+    yield "P6 x caterpillar8 relabelled", P6_T1_SWAPPED, "hamiltonian_cycle"
     yield "P3 x caterpillar6 (18)", cartesian_product(path_graph(3), FIG4), "frontier_dp"
     yield "P4 x caterpillar8 (32)", cartesian_product(path_graph(4), T1), "frontier_dp"
     # frontier width 11 and 14 under the two orders, past the DP's cap, and
@@ -112,6 +126,8 @@ def check_instances():
     yield "P8 x scan tree8 (64)", SCAN8, 8, "splice", 0
     # the flagship: below the splice gate n >= 4 * 3 - 4
     yield "P4 x caterpillar8 (32)", T1, 4, "search", 408
+    # check without --n: one layer, which the entry splits into 600
+    yield "P600 x K2 ladder, no --n", LADDER, 1, "splice", 0
 
 
 def run_one(func, g):

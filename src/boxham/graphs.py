@@ -312,6 +312,38 @@ def cartesian_product(g1: Graph, h: Graph) -> Graph:
     return Graph.from_edges(g1.order * k, edges)
 
 
+def product_split(g: Graph) -> tuple[Graph, int]:
+    """(H, n) with n >= 4 layers and H of at least 2 vertices such that
+    ``g`` is ``cartesian_product(path_graph(n), H)`` edge for edge in its
+    own ids; ``(g, 1)`` when there is none.
+
+    There is at most one such split, so its n is the most layers: a split
+    at base order k needs every edge (v, v + k), and one at a larger k'
+    has no edge from id k' to id k' + k.  Layer 1 is ids 1..k, so H is
+    read off the edges inside it.  Then g has ``n * |E(H)| + (n - 1) * k``
+    edges, every vertical edge (v, v + k) is present, and every other
+    edge lies inside a layer and repeats an edge of H.  A graph that
+    differs from the product fails one of these tests, most often the
+    edge count or an early vertical edge.
+    """
+    total, edges = g.order, g._edge_set
+    for k in range(2, total // 4 + 1):
+        n, rest = total // k, g.size - (total - k)
+        if total % k or rest < 0 or rest % n:
+            continue
+        if not all((v, v + k) in edges for v in range(1, total - k + 1)):
+            continue
+        base = tuple(e for e in g.edges if e[1] <= k)
+        if len(base) * n != rest:
+            continue
+        inside = frozenset(base)
+        if all(b - a == k or ((a - 1) // k == (b - 1) // k
+                              and ((a - 1) % k + 1, (b - 1) % k + 1) in inside)
+               for a, b in g.edges):
+            return Graph(k, base), n
+    return g, 1
+
+
 # ---------------------------------------------------------------------------
 # spanning trees
 
@@ -505,6 +537,7 @@ __all__ = [
     "path_graph",
     "product_id",
     "product_label",
+    "product_split",
     "spanning_tree_containing",
     "split_counts",
     "star_graph",

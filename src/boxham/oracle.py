@@ -9,7 +9,11 @@ from :func:`~boxham.cycles.splice_attempt`, the splice builder run below
 its proven layer bound and unchecked, or from the search; every cycle it
 returns has passed :func:`~boxham.cycles.verify_product_cycle` once, at
 its return.  That check and the bipartite-imbalance answer work from the
-base alone: the product graph is built only when the search runs.
+base alone: the product graph is built only when the search runs.  A
+plain graph that is a product in layer-major ids, as ``boxham product``
+writes it, is split into its base and layers
+(:func:`~boxham.graphs.product_split`) and spliced like one given with
+its layer count.
 :func:`find_spanning_path` checks its path before returning it.
 """
 
@@ -34,8 +38,9 @@ from .graphs import (
     is_bipartite,
     isomorphic,
     path_graph,
+    product_split,
 )
-from .toughness import toughness_exact
+from .toughness import SPLICE_MIN_ORDER, toughness_exact
 
 
 @dataclass(frozen=True)
@@ -83,14 +88,10 @@ def _product_side_gap(base: Graph, n: int) -> int:
 
 def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
                            max_nodes: int | None = None) -> OracleResult:
-    """:func:`find_product_cycle` on the one-layer product, which is ``g``."""
+    """:func:`find_product_cycle` on the one-layer product, which is ``g``:
+    a layer-major product may answer from the splice, any other graph
+    from the search."""
     return find_product_cycle(g, 1, budget_seconds=budget_seconds, max_nodes=max_nodes)
-
-
-# products below this order go straight to the search: on random connected
-# bases of order 4-8, at 16-23 product vertices, its median time is 0.16 ms
-# against 0.20 ms for a splice attempt
-_SPLICE_MIN_ORDER = 24
 
 
 def find_product_cycle(base: Graph, n: int, *,
@@ -99,25 +100,30 @@ def find_product_cycle(base: Graph, n: int, *,
     """Hamiltonian cycle of the n-layer product over ``base``.
 
     Three stages, each named in ``decided_by``: a bipartite product with
-    unequal sides has none; from 24 vertices on, a splice attempt at
-    n >= 4, at most two layers below the proven bound, answers "found" at
-    0 nodes; otherwise the exhaustive search under the caps, which builds
-    the product graph (``base`` itself at n = 1).  A cycle from either
-    stage comes in the product's shape and is returned only once
-    :func:`verify_product_cycle` accepts it.  A lone edge counts as the
-    degenerate two-vertex cycle, matching the validators.
+    unequal sides has none; from ``SPLICE_MIN_ORDER`` (24) vertices on, a
+    splice attempt at n >= 4, at most two layers below the proven bound,
+    answers "found" at 0 nodes; otherwise the exhaustive search under the
+    caps, which builds the product graph (``base`` itself at n = 1).  At
+    n = 1 the splice stage reads the base and layer count off ``base``
+    itself with :func:`product_split`; the ids of a split product already
+    are the graph's, so its cycle comes back in the one-layer shape.  A
+    cycle from either stage comes in the product's shape and is returned
+    only once :func:`verify_product_cycle` accepts it on ``base`` and n.
+    A lone edge counts as the degenerate two-vertex cycle, matching the
+    validators.
     """
     if n < 1:
         raise ValueError("layer count must be positive")
     order = n * base.order
     if order >= 3 and _product_side_gap(base, n) > 0:
         return OracleResult("none", None, 0, "bipartite_imbalance")
+    h, m = product_split(base) if n == 1 and order >= SPLICE_MIN_ORDER else (base, n)
     cycle = None
-    if (order >= _SPLICE_MIN_ORDER and n >= 4
-            and n >= path_factor_min_layers(degree_stats(base).maximum) - 2):
-        cycle = splice_attempt(base, n)
+    if (order >= SPLICE_MIN_ORDER and m >= 4
+            and m >= path_factor_min_layers(degree_stats(h).maximum) - 2):
+        cycle = splice_attempt(h, m)
     if cycle is not None:
-        res = OracleResult("found", cycle, 0, "splice")
+        res = OracleResult("found", HamCycle(n, base.order, cycle.seq), 0, "splice")
     else:
         product = base if n == 1 else cartesian_product(path_graph(n), base)
         status, seq, nodes = kernels.ham_cycle(

@@ -400,13 +400,35 @@ class TestCheckVerify:
 
     def test_check_on_the_ladder(self, capsys, tmp_path):
         # P600 x K2 under layer-major ids: 1200 vertices, far past the
-        # recursion limit for a search that recursed once per path vertex
+        # recursion limit for a search that recursed once per path vertex.
+        # The entry splits it into K2 and 600 layers and splices it.
         ladder = cartesian_product(path_graph(600), path_graph(2))
         path = tmp_path / "ladder.el"
         path.write_text(format_graph(ladder))
         code, payload = run_json(capsys, "check", "--graph", str(path))
-        assert (code, payload["verdict"]) == (0, "hamiltonian")
+        assert (code, payload["verdict"], payload["decided_by"], payload["nodes"]) == (
+            0, "hamiltonian", "splice", 0)
         assert verify_cycle(ladder, parse_cycle(payload["cycle"]))
+        # the cycle file is in the graph's own ids: verify needs no --n
+        cycle = tmp_path / "ladder.cycle"
+        code, _ = run_json(capsys, "check", "--graph", str(path), "--out", str(cycle))
+        assert code == 0
+        code, payload = run_json(capsys, "verify", "--graph", str(path), "--cycle", str(cycle))
+        assert code == 0 and payload["valid"] is True
+
+    def test_check_on_a_relabelled_ladder_searches(self, capsys, tmp_path):
+        # the same ladder in shuffled ids is no layer-major product, so the
+        # search answers it, in as many nodes as before the entry split
+        ladder = cartesian_product(path_graph(600), path_graph(2))
+        labels = list(ladder.vertices())
+        random.Random(0).shuffle(labels)
+        g = Graph.from_edges(1200, [(labels[u - 1], labels[v - 1]) for u, v in ladder.edges])
+        path = tmp_path / "shuffled.el"
+        path.write_text(format_graph(g))
+        code, payload = run_json(capsys, "check", "--graph", str(path))
+        assert (code, payload["verdict"], payload["decided_by"], payload["nodes"]) == (
+            0, "hamiltonian", "search", 2028)
+        assert verify_cycle(g, parse_cycle(payload["cycle"]))
 
 
 class TestParserReuse:

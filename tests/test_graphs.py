@@ -27,6 +27,7 @@ from boxham.graphs import (
     path_graph,
     product_id,
     product_label,
+    product_split,
     spanning_tree_containing,
     split_counts,
     star_graph,
@@ -108,6 +109,56 @@ class TestProduct:
                    sorted(b.degree(v) for v in b.vertices())
             if a.order <= 10:
                 assert isomorphic(a, b)
+
+
+def splits_by_definition(g):
+    """Reference for ``product_split``: every (H, n) with |H| >= 2 and
+    n >= 4 layers whose product is g, found by rebuilding the product at
+    each base order k that divides the order of g."""
+    out = []
+    for k in range(2, g.order // 4 + 1):
+        if g.order % k == 0:
+            h = Graph.from_edges(k, [e for e in g.edges if e[1] <= k])
+            if cartesian_product(path_graph(g.order // k), h) == g:
+                out.append((h, g.order // k))
+    return out
+
+
+class TestProductSplit:
+    def test_round_trips_with_the_product(self):
+        # A split at base order k needs every edge (v, v + k); one at a
+        # larger k' keeps each other edge inside a block of k' ids, which
+        # (k', k' + k) leaves.  So a graph has at most one split, and the
+        # most layers are the only ones.
+        rng = random.Random(20)
+        for _ in range(40):
+            h = random_connected_graph(rng, 2, 8)
+            for n in range(1, 9):
+                g = cartesian_product(path_graph(n), h)
+                splits = splits_by_definition(g)
+                assert len(splits) <= 1, (h.edges, n)
+                got = product_split(g)
+                assert got == (splits[0] if splits else (g, 1)), (h.edges, n)
+                if n >= 4:
+                    assert got == (h, n), (h.edges, n)
+
+    def test_a_graph_off_the_product_stays_whole(self):
+        g = cartesian_product(path_graph(5), Graph.from_edges(8, T1_EDGES))
+        rng = random.Random(21)
+        missing = [(u, v) for u in g.vertices() for v in range(u + 1, g.order + 1)
+                   if not g.has_edge(u, v)]
+        changed = [Graph.from_edges(g.order, [f for f in g.edges if f != e])
+                   for e in g.edges]
+        changed += [Graph.from_edges(g.order, g.edges + (e,))
+                    for e in rng.sample(missing, 40)]
+        for _ in range(20):
+            labels = list(g.vertices())
+            rng.shuffle(labels)
+            changed.append(Graph.from_edges(
+                g.order, [(labels[u - 1], labels[v - 1]) for u, v in g.edges]))
+        changed.append(path_graph(40))
+        for other in changed:
+            assert product_split(other) == (other, 1), other.edges
 
 
 class TestPredicates:

@@ -137,6 +137,15 @@ class TestPureHamCycle:
         assert (status, nodes) == ("found", 3000)
         assert order == tuple(range(1, 3001))
 
+    def test_ladder_search(self):
+        # P600 x K2: the entry splices it, so only this pin keeps the
+        # search's own ladder case, and its 2,989 nodes, in view
+        ladder = cartesian_product(path_graph(600), path_graph(2))
+        status, order, nodes = kernels.ham_cycle(ladder)
+        assert (status, nodes) == ("found", 2989)
+        assert sorted(order) == list(ladder.vertices())
+        assert all(map(ladder.has_edge, order, order[1:] + order[:1]))
+
 
 class TestPureHamPath:
     """The iterative pure spanning-path search against its recursive

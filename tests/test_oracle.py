@@ -5,7 +5,7 @@ from concurrent.futures import Executor, Future
 
 import pytest
 
-from boxham import cycles, oracle
+from boxham import cycles, kernels, oracle
 from boxham.cycles import (
     HamCycle,
     build_cycle,
@@ -93,6 +93,13 @@ class TestHamOracle:
         # 1-2-3-4-5-...: the step 4 -> 5 leaves the first layer of P2 x P4
         with pytest.raises(AssertionError, match="search cycle on 2 layers failed its check"):
             find_product_cycle(path_graph(4), 2)
+
+    def test_a_wrong_split_raises(self, monkeypatch):
+        # the splice cycle of a split is checked against the graph itself:
+        # the ladder's cycle is no cycle of the 24-cycle
+        monkeypatch.setattr(oracle, "product_split", lambda g: (path_graph(2), 12))
+        with pytest.raises(AssertionError, match="splice cycle on 1 layers failed its check"):
+            find_hamiltonian_cycle(cycle_graph(24))
 
     def test_verdicts(self):
         assert [find_hamiltonian_cycle(g).verdict for g in (
@@ -194,8 +201,7 @@ class TestOracleBuilderAgreement:
                     continue
                 prod = cartesian_product(path_graph(n), g)
                 assert verify_cycle(prod, res.cycle)
-                oracle_res = find_hamiltonian_cycle(prod)
-                assert oracle_res.found
+                assert searched(prod) == "found"
                 checked += 1
         assert checked > 20
 
@@ -243,11 +249,22 @@ class TestOracleBuilderAgreement:
                 prod = cartesian_product(path_graph(n), t)
                 assert verify_cycle(prod, res.cycle)
                 if n * t.order >= 3:
-                    assert find_hamiltonian_cycle(prod).found, (t.edges, n)
+                    assert searched(prod) == "found", (t.edges, n)
 
 
 def product(n, g):
     return cartesian_product(path_graph(n), g)
+
+
+def searched(prod, **caps):
+    """``kernels.ham_cycle`` on the product graph: the exhaustive search
+    itself, never the entry, which splices a layer-major product.  The
+    search charges at least one node on three or more vertices, the
+    splice none, and a cycle it finds passes the check."""
+    status, seq, nodes = kernels.ham_cycle(prod, **caps)
+    assert nodes > 0, "answer without a search"
+    assert seq is None or verify_cycle(prod, HamCycle(1, prod.order, seq))
+    return status
 
 
 class TestSpliceAttempt:
@@ -301,10 +318,10 @@ class TestSpliceAttempt:
                     continue
                 prod = product(n, base)
                 assert verify_cycle(prod, cycle) and verify_product_cycle(base, n, cycle)
-                res = find_hamiltonian_cycle(prod, max_nodes=20000)
-                assert res.status != "none", (base.edges, n)
+                status = searched(prod, max_nodes=20000)
+                assert status != "none", (base.edges, n)
                 checked += 1
-                found += res.found
+                found += status == "found"
         assert checked >= 100 and found >= 0.9 * checked
 
 

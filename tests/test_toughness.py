@@ -47,6 +47,7 @@ from boxham.toughness import (
 from helpers import (
     PETERSEN_EDGES,
     connected_bipartite_up_to_iso,
+    factor_tree,
     petersen_necklace,
     random_connected_bipartite,
     random_connected_graph,
@@ -375,12 +376,24 @@ class TestCycleStage:
         assert seen >= 40
 
     def test_prism_and_long_product_decided_by_their_cycles(self):
-        # 3000 and 1200 vertices: each cycle is found in about one node a vertex
+        # 3000 and 1200 vertices: the search finds the prism's cycle in
+        # about one node a vertex (two layers are too few to split), and
+        # the splice builds the 120-layer product's
         for g in (cartesian_product(path_graph(2), cycle_graph(1500)),
                   cartesian_product(path_graph(120), complete_bipartite(5, 5))):
             res = is_one_tough(g)
             assert (res.verdict, res.decided_by, res.witness) == ("yes", "hamiltonian_cycle", None)
             assert verify_cycle(g, HamCycle(1, g.order, res.cycle))
+
+    def test_layer_major_product_decided_by_its_splice_cycle(self):
+        # 1250 vertices over a 250-vertex tree with a perfect matching; the
+        # capped search alone ends "unknown" when the 5 s budget runs out
+        tree = factor_tree(random.Random(2), [2] * 125, 0)
+        n = max(4, degree_stats(tree).maximum)
+        g = cartesian_product(path_graph(n), tree)
+        res = is_one_tough(g, budget_seconds=5)
+        assert (res.verdict, res.decided_by, res.nodes) == ("yes", "hamiltonian_cycle", 0)
+        assert verify_cycle(g, HamCycle(1, g.order, res.cycle))
 
     def test_flagship_has_no_cycle_and_stays_frontier_dp(self):
         flagship = cartesian_product(path_graph(4), fixtures().t1)
@@ -389,8 +402,16 @@ class TestCycleStage:
             ("yes", "frontier_dp", 22_651, None)
 
     def test_max_nodes_caps_the_cycle_search(self):
-        # P6 x T1 has a cycle at node 1,174 of the search, under 32 * 48
-        g = cartesian_product(path_graph(6), fixtures().t1)
+        # P6 x T1 has a cycle at node 1,174 of the search, under 32 * 48.
+        # In layer-major ids the splice answers it at 0 nodes, under any
+        # cap; with ids 47 and 48 swapped it is no layer-major product and
+        # goes to the search, which meets the same cycle.
+        layer_major = cartesian_product(path_graph(6), fixtures().t1)
+        res = is_one_tough(layer_major, max_nodes=1173)
+        assert (res.verdict, res.decided_by, res.nodes) == ("yes", "hamiltonian_cycle", 0)
+        swap = {47: 48, 48: 47}
+        g = Graph.from_edges(48, [(swap.get(u, u), swap.get(v, v))
+                                  for u, v in layer_major.edges])
         res = is_one_tough(g, max_nodes=1174)
         assert (res.verdict, res.decided_by, res.nodes) == ("yes", "hamiltonian_cycle", 1174)
         res = is_one_tough(g, max_nodes=1173)
@@ -435,12 +456,18 @@ class TestCycleStage:
         with pytest.raises(AssertionError, match="hamiltonian_cycle"):
             is_one_tough(Graph.from_edges(10, PETERSEN_EDGES))
 
+    def test_a_wrong_split_raises(self, monkeypatch):
+        # the ladder's splice cycle is no cycle of the 24-cycle
+        monkeypatch.setattr(toughness, "product_split", lambda g: (path_graph(2), 12))
+        with pytest.raises(AssertionError, match="hamiltonian_cycle"):
+            is_one_tough(cycle_graph(24))
+
 
 # Run under ``python -O``, which strips ``assert`` statements: every check
 # below must still raise.
 OPTIMIZED_CHECKS = """
 from boxham import kernels, oracle, toughness
-from boxham.graphs import Graph, cycle_graph, path_graph, star_graph
+from boxham.graphs import Graph, cartesian_product, cycle_graph, path_graph, star_graph
 from boxham.cycles import HamCycle
 assert False, "assert statements must be stripped"
 failed = []
@@ -462,6 +489,10 @@ expect_raise("find_spanning_path", lambda: oracle.find_spanning_path(petersen))
 expect_raise("_judge_instance", lambda: oracle._judge_instance((4, ((1, 2), (2, 3), (3, 4)), 2, None, None)))
 oracle.splice_attempt = lambda base, n: HamCycle(n, base.order, tuple(range(1, n * base.order + 1)))
 expect_raise("find_product_cycle", lambda: oracle.find_product_cycle(path_graph(4), 8))
+ladder = cartesian_product(path_graph(12), path_graph(2))
+expect_raise("find_hamiltonian_cycle splice", lambda: oracle.find_hamiltonian_cycle(ladder))
+toughness.splice_attempt = oracle.splice_attempt
+expect_raise("is_one_tough splice", lambda: toughness.is_one_tough(ladder))
 kernels.toughness_scan = lambda g: None
 expect_raise("toughness_exact", lambda: toughness.toughness_exact(cycle_graph(5)))
 toughness._verify_witness = lambda product, cut: toughness.CutWitness(cut, 1)
