@@ -9,9 +9,10 @@ toughness scan) differs from ``PINNED_NODES``.  A second table shows how
 for the frontier DP), and a third how ``check --n`` decides one product
 per stage of ``oracle.find_product_cycle``, timed as ``check`` pays for
 it: the product graph is built inside, by the search stage only.  Its
-last row is ``check`` without ``--n`` on the ladder P600 x K2, which the
-entry splits into its base and layers and splices; the first table keeps
-the search's own time on it.
+last rows are the 250-vertex matching tree of ``bench_builder.py`` at
+its degree 4, which the splice answers, and ``check`` without ``--n`` on
+the ladder P600 x K2, which the entry splits into its base and layers
+and splices; the first table keeps the search's own time on it.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the flagship's
@@ -32,6 +33,8 @@ from boxham.graphs import (
 from boxham.oracle import find_product_cycle
 from boxham.toughness import is_one_tough
 
+from bench_builder import tree
+
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
 FIG4 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
 CRICKET = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
@@ -39,6 +42,8 @@ CRICKET = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
 SCAN8 = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])
 
 LADDER = cartesian_product(path_graph(600), path_graph(2))
+# a perfect matching and maximum degree 4, relabelled
+MATCHING_TREE, _ = tree("matching", 1000)
 SWAP_47_48 = {47: 48, 48: 47}
 P6_T1_SWAPPED = Graph.from_edges(48, [
     (SWAP_47_48.get(u, u), SWAP_47_48.get(v, v))
@@ -124,8 +129,10 @@ def check_instances():
     yield "P3 x caterpillar8 (24)", T1, 3, "bipartite_imbalance", 0
     # two layers below the proven bound 4 * 3 - 2
     yield "P8 x scan tree8 (64)", SCAN8, 8, "splice", 0
-    # the flagship: below the splice gate n >= 4 * 3 - 4
+    # the flagship: the splice does not close and the search finds no cycle
     yield "P4 x caterpillar8 (32)", T1, 4, "search", 408
+    # the matching route's proven bound n >= 4, far below 4 * 4 - 2
+    yield "P4 x matching tree250 (1000)", MATCHING_TREE, 4, "splice", 0
     # check without --n: one layer, which the entry splits into 600
     yield "P600 x K2 ladder, no --n", LADDER, 1, "splice", 0
 

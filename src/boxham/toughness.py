@@ -19,11 +19,10 @@ search.  Three of them are cuts S with c(G - S) > |S| that answer "no":
 
 Between the cut-vertex sweep and the pair pass, a Hamiltonian cycle
 answers "yes": a Hamiltonian graph is 1-tough, as removing S cuts the
-cycle into at most |S| arcs.  A graph that is a product in layer-major
-ids gets its cycle from the splice builder, any other from a
-node-capped search.  The cycle is checked by
-``cycles.verify_product_cycle`` at one layer (the graph itself) before
-it is trusted.
+cycle into at most |S| arcs.  The cycle comes from
+``oracle.splice_or_search`` at one layer, the cycle stage that ``check``
+runs: a graph that is a product in layer-major ids is spliced, any other
+searched under a node cap, and the cycle is checked before it returns.
 
 Everything else is decided exactly by looking for a cut set S with
 c(G - S) - |S| > 0.  A dynamic program walks a vertex order and keeps
@@ -47,7 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .cycles import HamCycle, splice_attempt, verify_product_cycle
 from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
 from .factors import MatchingBarrier, one_sided_obstruction, perfect_matching_or_barrier
 from .graphs import (
@@ -58,9 +56,9 @@ from .graphs import (
     is_connected,
     path_graph,
     product_id,
-    product_split,
     split_counts,
 )
+from .oracle import splice_or_search
 
 # The frontier DP decides 1-toughness up to this frontier width, past which
 # its state count (about Bell(width + 1)) hands over to the branch and
@@ -68,12 +66,6 @@ from .graphs import (
 _FRONTIER_MAX_WIDTH = 9
 
 _SCAN_MAX_ORDER = 20  # the largest order that ``toughness_exact`` scans
-
-# Cycle stages try a splice from this many vertices on; below it the
-# search is quicker: on random connected bases of order 4-8, at 16-23
-# product vertices, its median time is 0.16 ms against 0.20 ms for a
-# splice attempt.
-SPLICE_MIN_ORDER = 24
 
 # The Hamiltonian-cycle stage searches at most this many nodes per vertex.
 # On random products of 10-21 vertices it finds a cycle in almost every
@@ -172,11 +164,10 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     * "matching_barrier": the odd vertices of the frustrated tree left by
       a failed perfect-matching search, when there are any;
     * "small_cut": a cut vertex;
-    * "hamiltonian_cycle": "yes" with a Hamiltonian cycle, accepted by
-      ``cycles.verify_product_cycle`` at one layer; ``cycle`` holds it.
-      From ``SPLICE_MIN_ORDER`` vertices on, a graph that
-      ``graphs.product_split`` splits gets a ``cycles.splice_attempt``
-      cycle at 0 nodes; otherwise ``kernels.ham_cycle`` searches within
+    * "hamiltonian_cycle": "yes" with a checked Hamiltonian cycle from
+      ``oracle.splice_or_search`` at one layer; ``cycle`` holds it.  A
+      layer-major product of ``oracle.SPLICE_MIN_ORDER`` or more vertices
+      is spliced at 0 nodes; otherwise the search stops after
       ``_CYCLE_NODES_PER_VERTEX`` nodes per vertex;
     * "small_cut": a pair of vertices leaving three components.
 
@@ -217,16 +208,12 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     cut = _cut_vertex(g)
     if cut is not None:
         return _certified_no(g, cut, "small_cut")
-    seq, nodes = _spliced_cycle(g), 0
-    if seq is None:
-        cap = _CYCLE_NODES_PER_VERTEX * g.order
-        _, seq, nodes = kernels.ham_cycle(
-            g, max_nodes=cap if max_nodes is None else min(cap, max_nodes),
-            budget_seconds=None if deadline is None else deadline - time.monotonic())
-    if seq is not None:
-        if not verify_product_cycle(g, 1, HamCycle(1, g.order, seq)):
-            raise AssertionError("hamiltonian_cycle cycle failed its check")
-        return OneToughResult("yes", None, nodes, "hamiltonian_cycle", seq)
+    cap = _CYCLE_NODES_PER_VERTEX * g.order
+    ham = splice_or_search(
+        g, 1, max_nodes=cap if max_nodes is None else min(cap, max_nodes),
+        budget_seconds=None if deadline is None else deadline - time.monotonic())
+    if ham.found:
+        return OneToughResult("yes", None, ham.nodes, "hamiltonian_cycle", ham.cycle.seq)
     cut = _separating_pair(g, deadline)
     if cut is not None:
         return _certified_no(g, cut, "small_cut")
@@ -246,16 +233,6 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
         return _certified_no(g, cut, decided_by, nodes, value)
     verdict = "yes" if status == "complete" else "unknown"
     return OneToughResult(verdict, None, nodes, decided_by)
-
-
-def _spliced_cycle(g: Graph) -> tuple[int, ...] | None:
-    """A splice cycle of ``g`` in its own ids when ``g`` is a layer-major
-    product of at least ``SPLICE_MIN_ORDER`` vertices; unchecked."""
-    if g.order < SPLICE_MIN_ORDER:
-        return None
-    base, n = product_split(g)
-    cycle = splice_attempt(base, n) if n > 1 else None
-    return None if cycle is None else cycle.seq
 
 
 def _certified_no(g: Graph, cut: frozenset[int], decided_by: str,

@@ -276,6 +276,21 @@ class TestCheckVerify:
         assert code == 3 and payload["error"]["kind"] == "precondition"
         assert payload["error"]["message"] == "path-factor route needs n >= 10"
 
+    def test_check_splices_a_matching_tree_at_its_degree(self, capsys, files):
+        # a 20-vertex tree with a perfect matching and maximum degree 4:
+        # 4 layers meet the matching bound, and the search alone is
+        # "unknown" after 20,000 nodes
+        tree = factor_tree(random.Random(0), [2] * 10, 0)
+        assert graphs.degree_stats(tree).maximum == 4
+        path = files["dir"] / "matching20.el"
+        path.write_text(format_graph(tree))
+        code, payload = run_json(capsys, "check", "--n", "4", "--max-nodes", "20000",
+                                 "--graph", str(path))
+        assert code == 0
+        assert (payload["verdict"], payload["decided_by"], payload["nodes"]) == (
+            "hamiltonian", "splice", 0)
+        assert verify_product_cycle(tree, 4, parse_cycle(payload["cycle"]))
+
     def test_check_fig1(self, capsys, files):
         code, payload = run_json(capsys, "check", "--graph", files["fig1"])
         assert payload["verdict"] == "non_hamiltonian"

@@ -340,16 +340,30 @@ class TestProductEntry:
         res = find_product_cycle(path_graph(4), 5)
         assert (res.decided_by, res.cycle.layers, res.cycle.base_order) == ("search", 5, 4)
 
-    def test_gate_keeps_small_products_and_high_degree_off_the_attempt(self, monkeypatch):
+    def test_gate_keeps_small_products_off_the_attempt(self, monkeypatch):
         def no_attempt(base, n):
             raise AssertionError("splice attempted")
 
         monkeypatch.setattr(oracle, "splice_attempt", no_attempt)
         # 20 vertices: below the order gate
         assert find_product_cycle(path_graph(4), 5).found
-        # max degree 3 needs n >= 8
-        t1 = fixtures().t1
-        assert find_product_cycle(t1, 6, max_nodes=0).status == "unknown"
+        # 24 vertices on 2 and 3 layers: below the layer gate
+        assert find_product_cycle(path_graph(12), 2).decided_by == "search"
+        assert find_product_cycle(path_graph(8), 3).decided_by == "search"
+
+    def test_no_degree_gate_below_the_proven_bound(self):
+        # T1 has maximum degree 3, so 6 layers are four short of its
+        # proven bound; the splice closes there and needs no search node
+        res = find_product_cycle(fixtures().t1, 6, max_nodes=0)
+        assert (res.status, res.decided_by, res.nodes) == ("found", "splice", 0)
+
+    def test_balanced_odd_scan_instance_spliced_under_its_cap(self):
+        # a base of ``scan 2 --max-h 8``: a perfect matching, maximum
+        # degree 3, balanced sides; 7 layers, under the scan's node cap
+        base = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (2, 8), (3, 4), (3, 5),
+                                    (4, 6), (5, 7)])
+        res = find_product_cycle(base, 7, max_nodes=1000)
+        assert (res.verdict, res.decided_by, res.nodes) == ("hamiltonian", "splice", 0)
 
     def test_failed_attempt_falls_back_to_the_search(self):
         # no {P2,P3}-factor; the search sees the centre's layer-1 vertex

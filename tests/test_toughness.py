@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from boxham import kernels, toughness
+from boxham import kernels, oracle, toughness
 from boxham.cycles import HamCycle, verify_cycle
 from boxham.errors import (
     BudgetExceededError,
@@ -51,6 +51,7 @@ from helpers import (
     petersen_necklace,
     random_connected_bipartite,
     random_connected_graph,
+    random_scan_base,
     with_petersen_fragment,
 )
 
@@ -453,14 +454,32 @@ class TestCycleStage:
     def test_forged_cycle_raises(self, monkeypatch):
         monkeypatch.setattr(toughness.kernels, "ham_cycle",
                             lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1))
-        with pytest.raises(AssertionError, match="hamiltonian_cycle"):
+        with pytest.raises(AssertionError, match="search cycle on 1 layers failed its check"):
             is_one_tough(Graph.from_edges(10, PETERSEN_EDGES))
 
     def test_a_wrong_split_raises(self, monkeypatch):
         # the ladder's splice cycle is no cycle of the 24-cycle
-        monkeypatch.setattr(toughness, "product_split", lambda g: (path_graph(2), 12))
-        with pytest.raises(AssertionError, match="hamiltonian_cycle"):
+        monkeypatch.setattr(oracle, "product_split", lambda g: (path_graph(2), 12))
+        with pytest.raises(AssertionError, match="splice cycle on 1 layers failed its check"):
             is_one_tough(cycle_graph(24))
+
+    def test_cycle_stage_matches_check(self):
+        # the same stage as ``check`` without --n under the same cap: the
+        # same cycle, spliced or searched
+        graphs = [cartesian_product(path_graph(6), fixtures().t1)]
+        rng = random.Random(22)
+        for i in range(12):
+            base = random_scan_base(rng, 6 + i % 3, i % 3)
+            graphs.append(cartesian_product(path_graph((4, 6)[i % 2]), base))
+        stages = []
+        for g in graphs:
+            res = is_one_tough(g)
+            oracle_res = find_hamiltonian_cycle(g, max_nodes=32 * g.order)
+            assert res.decided_by == "hamiltonian_cycle", g.edges
+            assert res.cycle == oracle_res.cycle.seq
+            assert res.nodes == oracle_res.nodes
+            stages.append(oracle_res.decided_by)
+        assert stages[0] == "splice" and stages.count("splice") >= 8
 
 
 # Run under ``python -O``, which strips ``assert`` statements: every check
@@ -491,7 +510,6 @@ oracle.splice_attempt = lambda base, n: HamCycle(n, base.order, tuple(range(1, n
 expect_raise("find_product_cycle", lambda: oracle.find_product_cycle(path_graph(4), 8))
 ladder = cartesian_product(path_graph(12), path_graph(2))
 expect_raise("find_hamiltonian_cycle splice", lambda: oracle.find_hamiltonian_cycle(ladder))
-toughness.splice_attempt = oracle.splice_attempt
 expect_raise("is_one_tough splice", lambda: toughness.is_one_tough(ladder))
 kernels.toughness_scan = lambda g: None
 expect_raise("toughness_exact", lambda: toughness.toughness_exact(cycle_graph(5)))
