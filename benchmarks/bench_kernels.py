@@ -5,24 +5,35 @@ The first table times each kernel of ``boxham._pykernels`` on one
 instance and stops with an error when a node count (subsets for the
 toughness scan) differs from ``PINNED_NODES``.  A second table shows how
 ``is_one_tough`` decides one instance per stage that can decide it, the
-32-vertex flagship included, with its deterministic node counts (states
-for the frontier DP), and a third how ``check --n`` decides one product
-per stage of ``oracle.find_product_cycle``, timed as ``check`` pays for
-it: the product graph is built inside, by the search stage only.  Its
-last rows are the 250-vertex matching tree of ``bench_builder.py`` at
-its degree 4, which the splice answers, and ``check`` without ``--n`` on
-the ladder P600 x K2, which the entry splits into its base and layers
-and splices; the first table keeps the search's own time on it.
+32-vertex flagship and one relabelled copy of it included, and a third
+how ``check --n`` decides one product per stage of
+``oracle.find_product_cycle``, timed as ``check`` pays for it: the
+product graph is built inside, by the search stage only.  Its last rows
+are the 250-vertex matching tree of ``bench_builder.py`` at its degree
+4, which the splice answers, and ``check`` without ``--n`` on the ladder
+P600 x K2, which the entry splits into its base and layers and splices;
+the first table keeps the search's own time on it.  The second and
+third tables stop with an error when a row's deciding stage or its
+deterministic node count (states for the frontier DP) differs from its
+pin.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the flagship's
                                                   # branch and bound
+    PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_kernels.json
+
+``--out`` writes every row (its nodes, seconds and deciding stage or
+kernel) with the backend, the Python version and the CPU count.
 """
 
 import argparse
+import json
+import os
+import platform
+import random
 import time
 
-from boxham import _pykernels
+from boxham import _pykernels, kernels
 from boxham.graphs import (
     Graph,
     cartesian_product,
@@ -48,6 +59,19 @@ SWAP_47_48 = {47: 48, 48: 47}
 P6_T1_SWAPPED = Graph.from_edges(48, [
     (SWAP_47_48.get(u, u), SWAP_47_48.get(v, v))
     for u, v in cartesian_product(path_graph(6), T1).edges])
+
+
+def relabelled(g, rng, copies):
+    """The last of ``copies`` relabellings of g by ``rng``'s shuffles."""
+    for _ in range(copies):
+        perm = list(g.vertices())
+        rng.shuffle(perm)
+    return Graph.from_edges(g.order, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+# frontier width 20 under the identity order and 13 under the BFS order,
+# past the DP's cap; the greedy order is 6 wide
+FLAGSHIP_RELABELLED = relabelled(cartesian_product(path_graph(4), T1), random.Random(7), 4)
 
 # the Petersen graph minus its edge 1-2 on ids 1..10 and K11 on ids 11..21,
 # joined by the edges 1-11 and 2-21: a Hamiltonian cycle would cross that
@@ -103,25 +127,29 @@ def instances(full):
 
 
 def one_tough_instances():
-    """(label, graph, the stage expected to decide it)."""
-    yield "K4 (4)", complete_graph(4), "trivial"
+    """(label, graph, the stage expected to decide it, its nodes)."""
+    yield "K4 (4)", complete_graph(4), "trivial", 0
     yield ("P5 x caterpillar8 (40)", cartesian_product(path_graph(5), T1),
-           "bipartite_imbalance")
-    yield "P3 x cricket (15)", cartesian_product(path_graph(3), CRICKET), "matching_barrier"
-    yield "P2 x star3 (8)", cartesian_product(path_graph(2), star_graph(3)), "small_cut"
+           "bipartite_imbalance", 0)
+    yield ("P3 x cricket (15)", cartesian_product(path_graph(3), CRICKET),
+           "matching_barrier", 0)
+    yield "P2 x star3 (8)", cartesian_product(path_graph(2), star_graph(3)), "small_cut", 0
     # a layer-major product: the splice answers at 0 nodes
     yield ("P6 x caterpillar8 (48)", cartesian_product(path_graph(6), T1),
-           "hamiltonian_cycle")
+           "hamiltonian_cycle", 0)
     # the same graph with ids 47 and 48 swapped is no layer-major product:
     # the search meets a cycle at node 1,174, within its cap of 32 * 48
-    yield "P6 x caterpillar8 relabelled", P6_T1_SWAPPED, "hamiltonian_cycle"
-    yield "P3 x caterpillar6 (18)", cartesian_product(path_graph(3), FIG4), "frontier_dp"
-    yield "P4 x caterpillar8 (32)", cartesian_product(path_graph(4), T1), "frontier_dp"
-    # frontier width 11 and 14 under the two orders, past the DP's cap, and
-    # no Hamiltonian cycle for the cycle stage to find
-    yield "K11 + Petersen fragment (21)", K11_FRAGMENT, "search"
+    yield "P6 x caterpillar8 relabelled", P6_T1_SWAPPED, "hamiltonian_cycle", 1_174
+    yield ("P3 x caterpillar6 (18)", cartesian_product(path_graph(3), FIG4),
+           "frontier_dp", 255)
+    yield ("P4 x caterpillar8 (32)", cartesian_product(path_graph(4), T1),
+           "frontier_dp", 1_740)
+    yield "P4 x caterpillar8 relabelled", FLAGSHIP_RELABELLED, "frontier_dp", 1_703
+    # too wide for the DP under every order (the greedy one passes the cap
+    # inside K11), and no Hamiltonian cycle for the cycle stage to find
+    yield "K11 + Petersen fragment (21)", K11_FRAGMENT, "search", 40_407
     # not 1-tough: the branch and bound answers "no" with the cut S
-    yield "five K2 + 4-vertex cut (14)", FIVE_K2, "search"
+    yield "five K2 + 4-vertex cut (14)", FIVE_K2, "search", 601
 
 
 def check_instances():
@@ -145,11 +173,31 @@ def run_one(func, g):
     return time.perf_counter() - start, out[-1]
 
 
+def staged(table, label, call, args, stage, pinned, answer):
+    """Run one row of a table whose rows pin (decided_by, nodes)."""
+    start = time.perf_counter()
+    res = call(*args)
+    elapsed = time.perf_counter() - start
+    if (res.decided_by, res.nodes) != (stage, pinned):
+        raise SystemExit(f"{label} decided by {res.decided_by} in {res.nodes} nodes, "
+                         f"expected {stage} in {pinned}")
+    print(f"{label:<28} {getattr(res, answer):>7} {res.decided_by:>20} {res.nodes:>10} "
+          f"{elapsed:>8.3f}s")
+    return row(table, label, res.nodes, elapsed, res.decided_by)
+
+
+def row(table, label, nodes, seconds, decided_by):
+    return {"table": table, "instance": label, "nodes": nodes,
+            "seconds": round(seconds, 4), "decided_by": decided_by}
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--full", action="store_true",
                         help="include the long flagship branch and bound")
+    parser.add_argument("--out", help="write the rows to this JSON file")
     args = parser.parse_args()
+    rows = []
 
     header = f"{'kernel':<15} {'instance':<38} {'nodes':>10} {'time':>9}"
     print(header)
@@ -159,31 +207,36 @@ def main():
         if nodes != PINNED_NODES[label]:
             raise SystemExit(f"{label}: {nodes} nodes, pinned {PINNED_NODES[label]}")
         print(f"{kind:<15} {label:<38} {nodes:>10} {elapsed:>8.3f}s")
+        rows.append(row("kernel", label, nodes, elapsed, func))
 
     header = f"{'is_one_tough':<28} {'verdict':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"
     print("\n" + header)
     print("-" * len(header))
-    for label, g, decider in one_tough_instances():
-        start = time.perf_counter()
-        res = is_one_tough(g)
-        elapsed = time.perf_counter() - start
-        if res.decided_by != decider:
-            raise SystemExit(f"{label} decided by {res.decided_by}, expected {decider}")
-        print(f"{label:<28} {res.verdict:>7} {res.decided_by:>20} {res.nodes:>10} "
-              f"{elapsed:>8.3f}s")
+    for label, g, stage, pinned in one_tough_instances():
+        rows.append(staged("is_one_tough", label, is_one_tough, (g,), stage, pinned,
+                           "verdict"))
 
     header = f"{'check --n':<28} {'status':>7} {'decided_by':>20} {'nodes':>10} {'time':>9}"
     print("\n" + header)
     print("-" * len(header))
     for label, base, n, stage, pinned in check_instances():
-        start = time.perf_counter()
-        res = find_product_cycle(base, n)
-        elapsed = time.perf_counter() - start
-        if (res.decided_by, res.nodes) != (stage, pinned):
-            raise SystemExit(f"{label} decided by {res.decided_by} in {res.nodes} nodes, "
-                             f"expected {stage} in {pinned}")
-        print(f"{label:<28} {res.status:>7} {res.decided_by:>20} {res.nodes:>10} "
-              f"{elapsed:>8.3f}s")
+        rows.append(staged("check --n", label, find_product_cycle, (base, n), stage, pinned,
+                           "status"))
+
+    if args.out:
+        report = {
+            "script": "benchmarks/bench_kernels.py",
+            "full": args.full,
+            "backend": kernels.backend_name(),
+            "python": platform.python_version(),
+            "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            "rows": rows,
+        }
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"\nwrote {args.out}")
 
 
 if __name__ == "__main__":

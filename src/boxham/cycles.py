@@ -531,16 +531,16 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
 
     ``auto`` prefers the matching route (its layer requirement is weaker)
     and falls back to the path-factor route.  With no factor of the mode,
-    NoFactorError carries the certificate: a Tutte barrier in
-    ``matching`` mode, else the {P2,P3}-factor obstruction.  The layer
-    rule is applied to the base's maximum degree.  The base is searched
-    for connectivity once; the spanning tree and the factor are checked
-    once each, by the peel order inside the builder.
+    NoFactorError carries the certificate: a Tutte barrier in ``matching``
+    mode, else the {P2,P3}-factor obstruction.  The layer rule takes the
+    base's maximum degree (a tree base's is left to the builder); the
+    connectivity search and the builder's peel order run once each.
     """
     if mode not in ("auto", "matching", "pathfactor"):
         raise ValueError(f"unknown mode {mode!r}")
     route, factor, tree = _route(base, mode)
-    _check_layers(route, n, degree_stats(base).maximum)
+    if tree is not base:
+        _check_layers(route, n, degree_stats(base).maximum)
     builder = build_cycle_matching if route == "matching" else build_cycle_path_factor
     return builder(n, tree, factor)
 

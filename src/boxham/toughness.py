@@ -28,11 +28,13 @@ Everything else is decided exactly by looking for a cut set S with
 c(G - S) - |S| > 0.  A dynamic program walks a vertex order and keeps
 states over its frontier, each carrying a cut that attains its value.
 Its time is linear in the order, its memory follows the widest layer of
-states, and both are exponential only in the frontier width.  In
-layer-major ids the n-layer product over G has width at most |G|, so
-the 32-vertex flagship takes a fraction of a second.  Wider graphs go to
-a branch and bound that stops at the first such S; recognizing tough
-graphs is NP-hard, so both stay exact.
+states, and both are exponential only in the frontier width, so the
+order is the narrowest of a greedy one that keeps the frontier small at
+each step, the identity and a BFS order.  In layer-major ids the n-layer
+product over G has width at most |G|; the greedy order puts the
+32-vertex flagship at width 5-6 in its own ids and in shuffled ones.
+Wider graphs go to a branch and bound that stops at the first such S;
+recognizing tough graphs is NP-hard, so both stay exact.
 
 The module also builds the two explicit non-1-tough witnesses the cycle
 pipeline is contrasted against: products over a bipartite base without a
@@ -62,7 +64,8 @@ from .oracle import splice_or_search
 
 # The frontier DP decides 1-toughness up to this frontier width, past which
 # its state count (about Bell(width + 1)) hands over to the branch and
-# bound: the flagship P4 □ T1 has width 8, K_{10,10} width 10.
+# bound: the flagship P4 □ T1 has width 6 (8 in its own ids), K_{10,10}
+# width 10 under every order.
 _FRONTIER_MAX_WIDTH = 9
 
 _SCAN_MAX_ORDER = 20  # the largest order that ``toughness_exact`` scans
@@ -174,10 +177,10 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     Otherwise an exact stage looks for a cut set S with c - |S| >= 1: one
     it finds answers "no" with that cut recounted, and none answers "yes":
 
-    * "frontier_dp": the frontier DP, along the identity order or the BFS
-      order from vertex 1, whichever is narrower (identity on a tie), when
-      that width is at most ``_FRONTIER_MAX_WIDTH``; ``nodes`` counts the
-      states it expanded;
+    * "frontier_dp": the frontier DP, along the greedy smallest-frontier
+      order, the identity order or the BFS order from vertex 1, whichever
+      is narrowest (in that order on a tie), when that width is at most
+      ``_FRONTIER_MAX_WIDTH``; ``nodes`` counts the states it expanded;
     * "search": the scattering branch-and-bound, which stops at the first
       such S, for wider graphs; ``nodes`` counts its search nodes.
 
@@ -319,13 +322,48 @@ def _bfs_order(g: Graph) -> list[int]:
     return out
 
 
+def _greedy_order(g: Graph) -> list[int] | None:
+    """A vertex order of a connected graph that keeps its frontier small,
+    or None once its frontier passes ``_FRONTIER_MAX_WIDTH``.
+
+    It starts at the smallest vertex of least degree; each step takes the
+    unprocessed neighbour of the processed vertices that leaves the fewest
+    frontier vertices, then the one with the fewest unprocessed
+    neighbours, then the smallest.  A frontier vertex leaves when its last
+    unprocessed neighbour is taken, and the taken vertex joins unless all
+    its neighbours are processed.
+    """
+    todo = [0] + [g.degree(v) for v in g.vertices()]  # unprocessed neighbours
+    done = [False] * (g.order + 1)
+    start = min(g.vertices(), key=lambda v: (todo[v], v))
+
+    def growth(v):
+        leaving = sum(1 for u in g.neighbors(v) if done[u] and todo[u] == 1)
+        return (todo[v] > 0) - leaving, todo[v], v
+
+    order, candidates, live = [], {start}, 0
+    while candidates:
+        step, _, v = min(map(growth, candidates))
+        live += step
+        if live > _FRONTIER_MAX_WIDTH:
+            return None
+        candidates.remove(v)
+        done[v] = True
+        order.append(v)
+        for u in g.neighbors(v):
+            todo[u] -= 1
+            if not done[u]:
+                candidates.add(u)
+    return order
+
+
 def _narrow_order(g: Graph) -> tuple[list[int], int]:
-    """The identity order or the BFS order of a connected graph, whichever
-    has the smaller frontier width (identity on a tie), with that width."""
-    identity = list(g.vertices())
-    bfs = _bfs_order(g)
-    identity_width, bfs_width = frontier_width(g, identity), frontier_width(g, bfs)
-    return (bfs, bfs_width) if bfs_width < identity_width else (identity, identity_width)
+    """The greedy, identity or BFS order of a connected graph, whichever
+    has the smallest frontier width (in that order on a tie), with that
+    width.  The greedy order is left out when it passes the DP's cap."""
+    orders = [o for o in (_greedy_order(g), list(g.vertices()), _bfs_order(g))
+              if o is not None]
+    return min(((o, frontier_width(g, o)) for o in orders), key=lambda ow: ow[1])
 
 
 def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,

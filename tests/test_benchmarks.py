@@ -30,10 +30,25 @@ def test_bench_scripts_run_and_validate():
         assert row["kind"] == kind
         flags = (row["contract_ok"], row["verify_product_cycle_ok"], row["verify_cycle_ok"])
         assert flags == (True, True, True), row
-    # the quick set stops with an error when a pinned node count changes
-    out = run("benchmarks/bench_kernels.py")
+
+
+def test_bench_kernels_file_matches_its_pins(tmp_path):
+    # the quick set stops with an error when a pinned node count or
+    # deciding stage changes, so a clean run's rows are the pins
+    out = run("benchmarks/bench_kernels.py", "--out", str(tmp_path / "BENCH_kernels.json"))
     assert out.returncode == 0, out.stdout + out.stderr
     assert "check --n" in out.stdout
+    fresh = json.loads((tmp_path / "BENCH_kernels.json").read_text())
+    committed = json.loads((ROOT / "BENCH_kernels.json").read_text())
+
+    def pins(report):
+        return [(r["table"], r["instance"], r["decided_by"], r["nodes"]) for r in report["rows"]]
+
+    assert pins(committed) == pins(fresh)
+    assert {r["table"] for r in fresh["rows"]} == {"kernel", "is_one_tough", "check --n"}
+    for report in (fresh, committed):
+        assert report["backend"] and report["python"] and report["nproc"] >= 1
+        assert all(r["seconds"] >= 0 for r in report["rows"])
 
 
 def test_perfbench_suite_passes():

@@ -696,12 +696,16 @@ class TestChecksRunOnce:
     ])
     def test_build_cycle(self, monkeypatch, base, n, mode, trees_built):
         calls = _count_calls(monkeypatch, ("is_connected", "validate_path_factor",
-                                           "spanning_tree_containing"))
+                                           "spanning_tree_containing", "degree_stats",
+                                           "_check_layers"))
         res = build_cycle(n, base)
         assert res.mode == mode
         assert calls["is_connected"] == 1
         assert calls["validate_path_factor"] == 1
         assert calls["spanning_tree_containing"] == trees_built
+        # the layer rule on the base, and on the tree the builder got; a
+        # tree base is that tree, so its rule is applied once
+        assert calls["degree_stats"] == calls["_check_layers"] == 1 + trees_built
         tree = cycles._route(base, "auto")[2]
         assert (tree is base) == (not trees_built)
         assert tree.size == base.order - 1

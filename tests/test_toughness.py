@@ -59,8 +59,9 @@ from helpers import (
 # balanced, 1-tough and non-Hamiltonian, like the flagship over T1
 SPIDER = Graph.from_edges(7, [(1, 4), (1, 5), (1, 6), (1, 7), (2, 5), (3, 4)])
 
-# too wide for the frontier DP under both orders (11 and 14), 1-tough, and
-# with no Hamiltonian cycle; the branch and bound decides it in 40,407 nodes
+# too wide for the frontier DP (11 and 14 under the identity and BFS orders,
+# and the greedy order passes the cap inside K11), 1-tough, and with no
+# Hamiltonian cycle; the branch and bound decides it in 40,407 nodes
 WIDE = with_petersen_fragment(complete_graph(11), 1, 11)
 
 # five K2 components, each joined to every vertex of S = {1, 5, 9, 14}:
@@ -256,7 +257,7 @@ class TestOneToughPrechecks:
         start = time.monotonic()
         res = is_one_tough(necklace, budget_seconds=0.3)
         # labelled with the stage the budget kept from running: the
-        # necklace's BFS width is 6, so the frontier DP
+        # necklace's greedy order is 5 wide, so the frontier DP
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 0)
         assert time.monotonic() - start < 2.0
 
@@ -320,7 +321,7 @@ class TestOneToughPrechecks:
         assert (res.witness.cut, res.witness.components) == (FIVE_K2_CUT, 5)
 
     def test_long_ring_under_budget_is_unknown(self):
-        # width 6, but about 78 states a vertex: 1200 vertices outrun 1500
+        # width 5, but about 32 states a vertex: 1200 vertices outrun 1500
         res = is_one_tough(petersen_necklace(120), max_nodes=1500)
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 1500)
 
@@ -400,7 +401,7 @@ class TestCycleStage:
         flagship = cartesian_product(path_graph(4), fixtures().t1)
         res = is_one_tough(flagship)
         assert (res.verdict, res.decided_by, res.nodes, res.cycle) == \
-            ("yes", "frontier_dp", 22_651, None)
+            ("yes", "frontier_dp", 1_740, None)
 
     def test_max_nodes_caps_the_cycle_search(self):
         # P6 x T1 has a cycle at node 1,174 of the search, under 32 * 48.
@@ -429,7 +430,7 @@ class TestCycleStage:
         assert kernels.ham_cycle(g)[::2] == ("found", 758)
         for cap in (None, 10**6):
             res = is_one_tough(g, max_nodes=cap)
-            assert (res.verdict, res.decided_by, res.nodes) == ("yes", "frontier_dp", 1365)
+            assert (res.verdict, res.decided_by, res.nodes) == ("yes", "frontier_dp", 1032)
 
     def test_cycle_stage_cap_and_deadline(self, monkeypatch):
         calls = []
@@ -547,7 +548,7 @@ class TestFrontierDP:
                 assert comps - len(cut) == value > 0, g.edges
         assert seen >= 50
 
-    def test_shuffled_flagship_takes_the_bfs_order(self):
+    def test_shuffled_flagship_narrows_and_stays_frontier_dp(self):
         flagship = cartesian_product(path_graph(4), fixtures().t1)
         assert frontier_width(flagship, list(flagship.vertices())) == 8
         perm = list(flagship.vertices())
@@ -555,8 +556,11 @@ class TestFrontierDP:
         shuffled = Graph.from_edges(32, [(perm[u - 1], perm[v - 1]) for u, v in flagship.edges])
         assert frontier_width(shuffled, list(shuffled.vertices())) == 16
         assert frontier_width(shuffled, _bfs_order(shuffled)) == 7
+        # the greedy order is narrower still
+        assert _narrow_order(shuffled)[1] == 5
         res = is_one_tough(shuffled)
-        assert (res.verdict, res.decided_by, res.witness) == ("yes", "frontier_dp", None)
+        assert (res.verdict, res.decided_by, res.nodes, res.witness) == \
+            ("yes", "frontier_dp", 1006, None)
 
     def test_time_budget_between_vertices(self):
         prism = cartesian_product(path_graph(2), cycle_graph(1500))
@@ -578,6 +582,65 @@ class TestFrontierDP:
             frontier_scattering(path_graph(3), [1, 2, 2])
         with pytest.raises(ValueError):
             frontier_width(path_graph(3), [1, 2])
+
+
+class TestVertexOrder:
+    def test_narrow_order_is_no_wider_and_keeps_the_value(self):
+        rng = random.Random(2468)
+        compared = 0
+        for i in range(300):
+            g = (random_connected_bipartite if i % 2 else random_connected_graph)(rng, 4, 24)
+            order, width = _narrow_order(g)
+            assert sorted(order) == list(g.vertices()), g.edges
+            assert width == frontier_width(g, order)
+            identity = list(g.vertices())
+            identity_width = frontier_width(g, identity)
+            assert width <= min(identity_width, frontier_width(g, _bfs_order(g))), g.edges
+            # the DP along the identity order is the reference wherever it
+            # is within the DP's cap
+            if identity_width <= 9:
+                compared += 1
+                assert frontier_scattering(g, order)[1] == \
+                    frontier_scattering(g, identity)[1], g.edges
+        assert compared >= 200
+
+    def test_greedy_order_is_narrower_than_identity_and_bfs(self):
+        flagship = cartesian_product(path_graph(4), fixtures().t1)
+        necklace = petersen_necklace(30)
+        prism = cartesian_product(path_graph(2), cycle_graph(300))
+        for g, width, before in ((flagship, 6, 8), (necklace, 5, 6), (prism, 4, 5)):
+            identity = list(g.vertices())
+            assert min(frontier_width(g, identity), frontier_width(g, _bfs_order(g))) == before
+            assert _narrow_order(g)[1] == frontier_width(g, toughness._greedy_order(g)) == width
+
+    def test_relabelled_flagships_stay_in_the_dp(self):
+        # of the first six relabellings, three are 10-13 wide under the
+        # identity and BFS orders, past the DP's cap, and 5-6 wide greedily
+        flagship = cartesian_product(path_graph(4), fixtures().t1)
+        rng = random.Random(7)
+        wide = []
+        for _ in range(6):
+            perm = list(flagship.vertices())
+            rng.shuffle(perm)
+            g = Graph.from_edges(32, [(perm[u - 1], perm[v - 1]) for u, v in flagship.edges])
+            before = min(frontier_width(g, list(g.vertices())), frontier_width(g, _bfs_order(g)))
+            if before <= 9:
+                continue
+            res = is_one_tough(g, max_nodes=5000)
+            wide.append((before, _narrow_order(g)[1], res.verdict, res.decided_by, res.nodes))
+        assert wide == [(10, 5, "yes", "frontier_dp", 1038),
+                        (13, 6, "yes", "frontier_dp", 1703),
+                        (10, 6, "yes", "frontier_dp", 1744)]
+
+    def test_greedy_order_gives_up_past_the_cap(self, monkeypatch):
+        # P4 x a random 2500-vertex tree: the greedy frontier reaches 36,
+        # so the capped pass stops early and returns no order
+        rng = random.Random(0)
+        tree = Graph.from_edges(2500, [(rng.randint(1, v - 1), v) for v in range(2, 2501)])
+        g = cartesian_product(path_graph(4), tree)
+        assert toughness._greedy_order(g) is None
+        monkeypatch.setattr(toughness, "_FRONTIER_MAX_WIDTH", g.order)
+        assert frontier_width(g, toughness._greedy_order(g)) == 36
 
 
 class TestBipartiteProductCut:
