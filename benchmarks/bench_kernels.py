@@ -129,8 +129,9 @@ def instances(full):
 def one_tough_instances():
     """(label, graph, the stage expected to decide it, its nodes)."""
     yield "K4 (4)", complete_graph(4), "trivial", 0
+    # unbalanced bipartite: the failed matching search leaves the smaller side
     yield ("P5 x caterpillar8 (40)", cartesian_product(path_graph(5), T1),
-           "bipartite_imbalance", 0)
+           "matching_barrier", 0)
     yield ("P3 x cricket (15)", cartesian_product(path_graph(3), CRICKET),
            "matching_barrier", 0)
     yield "P2 x star3 (8)", cartesian_product(path_graph(2), star_graph(3)), "small_cut", 0

@@ -336,6 +336,8 @@ def main(argv=None) -> int:
         parser.error("scan 1 needs --k at least 3")
     if (getattr(args, "max_nodes", None) or 0) < 0:
         parser.error("--max-nodes must be at least 0")
+    if args.command == "toughness" and args.budget_seconds is not None and not args.one_tough:
+        parser.error("--budget-seconds needs --one-tough")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be at least 1")
     payload: dict = {"command": args.command, "status": "ok"}

@@ -3,19 +3,18 @@ enumeration, and scanners.
 
 The exhaustive Hamiltonicity and traceability searches share no code with
 the builders, so they cross-check everything the constructive pipeline
-claims.  :func:`splice_or_search` is the one cycle stage: it answers from
-:func:`~boxham.cycles.splice_attempt`, the splice builder run with no
-layer bound and unchecked, or from the search, and every cycle it returns
-has passed :func:`~boxham.cycles.verify_product_cycle` once, at its
-return.  :func:`find_product_cycle`, the Hamiltonian-cycle entry of
-``check``, ``check --n`` and both scanners, puts the bipartite-imbalance
-answer in front of it, and ``toughness.is_one_tough`` runs it as its
-cycle stage.  The check and the imbalance answer work from the base
-alone: the product graph is built only when the search runs.  A plain
-graph that is a product in layer-major ids, as ``boxham product`` writes
-it, is split into its base and layers
-(:func:`~boxham.graphs.product_split`) and spliced like one given with
-its layer count.
+claims.  :func:`find_product_cycle` is the one Hamiltonian-cycle entry,
+for ``check``, ``check --n``, both scanners and the cycle stage of
+``toughness.is_one_tough``: it answers from the bipartite imbalance read
+off the base's sides, from :func:`~boxham.cycles.splice_attempt`, the
+splice builder run with no layer bound and unchecked, or from the
+search, and every cycle it returns has passed
+:func:`~boxham.cycles.verify_product_cycle` once, at its return.  The
+check and the imbalance answer work from the base alone: the product
+graph is built only when the search runs.  A plain graph that is a
+product in layer-major ids, as ``boxham product`` writes it, is split
+into its base and layers (:func:`~boxham.graphs.product_split`) and
+spliced like one given with its layer count.
 :func:`find_spanning_path` checks its path before returning it.
 """
 
@@ -104,24 +103,12 @@ def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
 def find_product_cycle(base: Graph, n: int, *,
                        budget_seconds: float | None = None,
                        max_nodes: int | None = None) -> OracleResult:
-    """Hamiltonian cycle of the n-layer product over ``base``.
+    """Hamiltonian cycle of the n-layer product over ``base``, with the
+    stage that decided it in ``decided_by``.
 
     A bipartite product with unequal sides has none
-    ("bipartite_imbalance", read off the base's sides); every other
-    product goes to :func:`splice_or_search`.  A lone edge counts as the
-    degenerate two-vertex cycle, matching the validators.
-    """
-    if n * base.order >= 3 and _product_side_gap(base, n) > 0:
-        return OracleResult("none", None, 0, "bipartite_imbalance")
-    return splice_or_search(base, n, budget_seconds=budget_seconds, max_nodes=max_nodes)
-
-
-def splice_or_search(base: Graph, n: int, *, budget_seconds: float | None,
-                     max_nodes: int | None) -> OracleResult:
-    """The splice and search stages of the n-layer product over ``base``,
-    each named in ``decided_by``.
-
-    From ``SPLICE_MIN_ORDER`` vertices and 4 layers on, a splice attempt
+    ("bipartite_imbalance", read off the base's sides).  From
+    ``SPLICE_MIN_ORDER`` vertices and 4 layers on, a splice attempt
     answers "found" at 0 nodes; it gives None wherever its cycle does not
     close.  Otherwise the exhaustive search runs under the caps and builds
     the product graph (``base`` itself at n = 1).  At n = 1 the splice
@@ -129,11 +116,15 @@ def splice_or_search(base: Graph, n: int, *, budget_seconds: float | None,
     :func:`product_split`; the ids of a split product already are the
     graph's, so its cycle comes back in the one-layer shape.  A cycle from
     either stage comes in the product's shape and is returned only once
-    :func:`verify_product_cycle` accepts it on ``base`` and n.
+    :func:`verify_product_cycle` accepts it on ``base`` and n.  A lone
+    edge counts as the degenerate two-vertex cycle, matching the
+    validators.
     """
     if n < 1:
         raise ValueError("layer count must be positive")
     order = n * base.order
+    if order >= 3 and _product_side_gap(base, n) > 0:
+        return OracleResult("none", None, 0, "bipartite_imbalance")
     h, m = product_split(base) if n == 1 and order >= SPLICE_MIN_ORDER else (base, n)
     cycle = splice_attempt(h, m) if order >= SPLICE_MIN_ORDER and m >= 4 else None
     if cycle is not None:
@@ -498,6 +489,5 @@ __all__ = [
     "format_scan_report",
     "scan_balanced_odd",
     "scan_below_layer_bound",
-    "splice_or_search",
     "tree_canonical_form",
 ]

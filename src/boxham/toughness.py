@@ -6,21 +6,21 @@ t >= 1 boundary is crisp; complete graphs have no cut set and report an
 infinite value.
 
 The 1-toughness decision tries polynomial certificates before any
-search.  Three of them are cuts S with c(G - S) > |S| that answer "no":
+search.  Two of them are cuts S with c(G - S) > |S| that answer "no":
 
-* a bipartite graph with unequal sides: removing the smaller side
-  isolates every vertex of the larger one;
 * a graph without a perfect matching: the failed blossom search leaves a
   barrier S with more than |S| odd components in G - S (Tutte), which is
   a cut whenever S is not empty (Chvatal: a 1-tough graph of even order
-  has a perfect matching);
+  has a perfect matching).  On a connected bipartite graph with unequal
+  sides no blossom forms, so every neighbour of the failed root is an
+  odd tree vertex and the barrier is never empty;
 * a cut vertex, or a pair of vertices leaving three components, found by
   DFS lowpoint sweeps.
 
 Between the cut-vertex sweep and the pair pass, a Hamiltonian cycle
 answers "yes": a Hamiltonian graph is 1-tough, as removing S cuts the
 cycle into at most |S| arcs.  The cycle comes from
-``oracle.splice_or_search`` at one layer, the cycle stage that ``check``
+``oracle.find_product_cycle`` at one layer, the entry that ``check``
 runs: a graph that is a product in layer-major ids is spliced, any other
 searched under a node cap, and the cycle is checked before it returns.
 
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import BudgetExceededError, NotBipartiteError, PreconditionFailedError
+from .errors import BudgetExceededError, PreconditionFailedError
 from .factors import MatchingBarrier, one_sided_obstruction, perfect_matching_or_barrier
 from .graphs import (
     Graph,
@@ -60,7 +60,7 @@ from .graphs import (
     product_id,
     split_counts,
 )
-from .oracle import splice_or_search
+from .oracle import find_product_cycle
 
 # The frontier DP decides 1-toughness up to this frontier width, past which
 # its state count (about Bell(width + 1)) hands over to the branch and
@@ -110,8 +110,8 @@ class OneToughResult:
     verdict: str  # "yes" | "no" | "unknown"
     witness: CutWitness | None
     nodes: int
-    # "trivial" | "bipartite_imbalance" | "matching_barrier" | "small_cut"
-    # | "hamiltonian_cycle" | "frontier_dp" | "search"
+    # "trivial" | "matching_barrier" | "small_cut" | "hamiltonian_cycle"
+    # | "frontier_dp" | "search"
     decided_by: str
     # the verified Hamiltonian cycle, as a vertex tuple, exactly when
     # decided_by is "hamiltonian_cycle"
@@ -163,12 +163,12 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     The stages below then run in turn, each at most once; each "no" among
     them comes at 0 nodes with a cut recounted by the kernel:
 
-    * "bipartite_imbalance": the smaller side of an unbalanced bipartition;
     * "matching_barrier": the odd vertices of the frustrated tree left by
-      a failed perfect-matching search, when there are any;
+      a failed perfect-matching search, when there are any; on a
+      connected bipartite graph with unequal sides there always are;
     * "small_cut": a cut vertex;
     * "hamiltonian_cycle": "yes" with a checked Hamiltonian cycle from
-      ``oracle.splice_or_search`` at one layer; ``cycle`` holds it.  A
+      ``oracle.find_product_cycle`` at one layer; ``cycle`` holds it.  A
       layer-major product of ``oracle.SPLICE_MIN_ORDER`` or more vertices
       is spliced at 0 nodes; otherwise the search stops after
       ``_CYCLE_NODES_PER_VERTEX`` nodes per vertex;
@@ -193,18 +193,10 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     """
     if not is_connected(g):
         # the empty set already separates the graph
-        comps = kernels.count_components_after(g, frozenset())
-        return OneToughResult("no", CutWitness(frozenset(), comps), 0, "trivial")
+        return _certified_no(g, frozenset(), "trivial")
     if is_complete(g):
         return OneToughResult("yes", None, 0, "trivial")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    try:
-        bip = bipartition(g)
-    except NotBipartiteError:
-        bip = None
-    if bip is not None and len(bip.side_a) != len(bip.side_b):
-        return _certified_no(g, min(bip.side_a, bip.side_b, key=len),
-                             "bipartite_imbalance")
     found = perfect_matching_or_barrier(g)
     if isinstance(found, MatchingBarrier) and found.witness:
         return _certified_no(g, found.witness, "matching_barrier")
@@ -212,7 +204,7 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     if cut is not None:
         return _certified_no(g, cut, "small_cut")
     cap = _CYCLE_NODES_PER_VERTEX * g.order
-    ham = splice_or_search(
+    ham = find_product_cycle(
         g, 1, max_nodes=cap if max_nodes is None else min(cap, max_nodes),
         budget_seconds=None if deadline is None else deadline - time.monotonic())
     if ham.found:
@@ -240,12 +232,23 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
 
 def _certified_no(g: Graph, cut: frozenset[int], decided_by: str,
                   nodes: int = 0, value: int | None = None) -> OneToughResult:
-    """A "no" whose cut is recounted by the kernel; ``value``, when given,
-    is the c(G - S) - |S| that the deciding stage claims for the cut."""
-    comps = kernels.count_components_after(g, cut)
-    if comps <= len(cut) or value not in (None, comps - len(cut)):
+    """A "no" whose cut is recounted by :func:`_recounted`; ``value``, when
+    given, is the c(G - S) - |S| that the deciding stage claims for the
+    cut."""
+    witness = _recounted(g, cut, f"{decided_by} cut")
+    if value not in (None, witness.components - len(cut)):
         raise AssertionError(f"{decided_by} cut failed its recount")
-    return OneToughResult("no", CutWitness(cut, comps), nodes, decided_by)
+    return OneToughResult("no", witness, nodes, decided_by)
+
+
+def _recounted(g: Graph, cut: frozenset[int], what: str) -> CutWitness:
+    """``cut`` with c(G - cut) counted by the kernel, the one recount of
+    the cuts of the 1-toughness decision and the product constructions;
+    raises unless that count is at least 2 and above |cut|."""
+    comps = kernels.count_components_after(g, cut)
+    if comps <= max(len(cut), 1):
+        raise AssertionError(f"{what} failed its recount")
+    return CutWitness(cut, comps)
 
 
 def _cut_vertex(g: Graph) -> frozenset[int] | None:
@@ -442,13 +445,6 @@ def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
 # explicit witnesses for product graphs
 
 
-def _verify_witness(product: Graph, cut: frozenset[int]) -> CutWitness:
-    comps, _ = removal_stats(product, cut)
-    if comps <= len(cut) or comps < 2:
-        raise AssertionError("constructed witness failed independent recount")
-    return CutWitness(cut, comps)
-
-
 def product_cut_from_bipartite(n: int, h: Graph) -> CutWitness:
     """Cut showing the n-layer product over h is not 1-tough, for bipartite
     h without a path factor.
@@ -467,7 +463,7 @@ def product_cut_from_bipartite(n: int, h: Graph) -> CutWitness:
         raise ValueError("layer count must be positive")
     product = cartesian_product(path_graph(n), h)
     if not is_connected(h):
-        return _verify_witness(product, frozenset())
+        return _recounted(product, frozenset(), "constructed witness")
     if h.order < 2:
         # a single-vertex base gives the bare path, where the claim fails
         # for fewer than 3 layers and the shift construction degenerates
@@ -487,7 +483,7 @@ def product_cut_from_bipartite(n: int, h: Graph) -> CutWitness:
         cut = frozenset((x | s_layer1) - i_layer1)
     else:
         cut = min((side_a, side_b), key=len)
-    return _verify_witness(product, cut)
+    return _recounted(product, cut, "constructed witness")
 
 
 def product_cut_from_high_degree(g1: Graph, t: Graph) -> CutWitness:
@@ -506,7 +502,7 @@ def product_cut_from_high_degree(g1: Graph, t: Graph) -> CutWitness:
     v = min(u for u in t.vertices() if t.degree(u) == stats.maximum)
     product = cartesian_product(g1, t)
     cut = frozenset(product_id(i, v, t.order) for i in g1.vertices())
-    witness = _verify_witness(product, cut)
+    witness = _recounted(product, cut, "constructed witness")
     if witness.components != stats.maximum:
         raise AssertionError("column cut left a component count other than the degree")
     return witness

@@ -228,7 +228,7 @@ class TestToughness:
         c6 = files["dir"] / "c6.el"
         c6.write_text(format_graph(cycle_graph(6)))
         expect = [(files["k4"], "yes", "trivial"),
-                  (files["p3"], "no", "bipartite_imbalance"),
+                  (files["p3"], "no", "matching_barrier"),
                   (files["fig4"], "no", "matching_barrier"),
                   (str(p4), "no", "small_cut"),
                   (str(c6), "yes", "hamiltonian_cycle"),
@@ -245,6 +245,16 @@ class TestToughness:
         assert "witness" not in payload
         code, payload = run_json(capsys, "toughness", "--graph", files["p3"], "--one-tough")
         assert payload["nodes"] == 0 and payload["witness"] == {"cut": [2], "components": 2}
+
+    def test_budget_without_one_tough_is_a_usage_error(self, capsys, files):
+        # the exact scan takes no budget, so it would run to the end
+        with pytest.raises(SystemExit) as exc:
+            main(["toughness", "--graph", files["p3"], "--budget-seconds", "-1", "--json"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+        code, payload = run_json(capsys, "toughness", "--graph", files["p3"],
+                                 "--one-tough", "--budget-seconds", "5")
+        assert (code, payload["verdict"]) == (0, "no")
 
 
 class TestCheckVerify:
@@ -541,14 +551,20 @@ class TestScan:
 
 class TestStability:
     def test_json_byte_identical(self, capsys, files):
-        _, out1, _ = run(capsys, "toughness", "--graph", files["fig1"], "--json")
-        _, out2, _ = run(capsys, "toughness", "--graph", files["fig1"], "--json")
-        assert out1 == out2
-        _, out3, _ = run(capsys, "hamcycle", "--n", "10", "--graph", files["fig4"],
-                         "--json")
-        _, out4, _ = run(capsys, "hamcycle", "--n", "10", "--graph", files["fig4"],
-                         "--json")
-        assert out3 == out4
+        # a benchmark hashes each answer's stdout and counts one that
+        # changes between runs as a failure, so no payload may carry a
+        # wall time or anything else that varies from run to run
+        commands = [("hamcycle", "--n", "10", "--graph", files["fig4"]),
+                    ("check", "--graph", files["fig1"]),
+                    ("check", "--n", "4", "--graph", files["t1"]),
+                    ("toughness", "--graph", files["fig1"]),
+                    ("toughness", "--one-tough", "--graph", files["fig1"]),
+                    ("pathfactor", "--graph", files["k13"]),
+                    ("scan", "1", "--k", "3", "--max-order", "5")]
+        for argv in commands:
+            first, second = (run(capsys, *argv, "--json") for _ in range(2))
+            assert first[0] == 0, argv
+            assert first[1] == second[1], argv
 
 
 # (seed, component sizes, chords, extra layers): trees and trees with one

@@ -192,15 +192,41 @@ class TestIsOneTough:
 
 class TestOneToughPrechecks:
     def test_unbalanced_bipartite_products_need_no_search(self):
+        # the failed matching search's barrier is the smaller side here
         for n in (3, 5):
             prod = cartesian_product(path_graph(n), fixtures().t1)
             res = is_one_tough(prod)
             assert (res.verdict, res.decided_by, res.nodes) == \
-                ("no", "bipartite_imbalance", 0)
+                ("no", "matching_barrier", 0)
             bip = bipartition(prod)
             assert res.witness.cut == min(bip.side_a, bip.side_b, key=len)
             comps, _ = removal_stats(prod, res.witness.cut)
             assert comps == res.witness.components > len(res.witness.cut)
+
+    def test_unbalanced_bipartite_graphs_leave_a_matching_barrier(self):
+        # no odd cycle, so no blossom: every neighbour of the failed root
+        # is an odd tree vertex, and the barrier is never empty
+        rng = random.Random(25)
+        seen = 0
+        for _ in range(120):
+            base = random_connected_bipartite(rng, 2, 12)
+            for n in (1, 3, 5):
+                g = base if n == 1 else cartesian_product(path_graph(n), base)
+                bip = bipartition(g)
+                smaller = min(len(bip.side_a), len(bip.side_b))
+                if smaller == g.order - smaller:
+                    continue
+                seen += 1
+                found = perfect_matching_or_barrier(g)
+                assert isinstance(found, MatchingBarrier)
+                assert 0 < len(found.witness) <= smaller
+                res = is_one_tough(g)
+                assert (res.verdict, res.decided_by, res.nodes) == \
+                    ("no", "matching_barrier", 0)
+                assert res.witness.cut == found.witness
+                comps, _ = removal_stats(g, res.witness.cut)
+                assert comps == res.witness.components > len(res.witness.cut)
+        assert seen >= 100
 
     def test_tough_non_hamiltonian_goes_to_frontier_dp(self):
         res = is_one_tough(fixtures().fig1)
@@ -352,8 +378,8 @@ class TestOneToughPrechecks:
         *_, search_nodes = kernels.scattering_max(WIDE)
         assert res.verdict == "yes" and res.nodes == search_nodes > 0
         deciders.add(res.decided_by)
-        assert deciders == {"trivial", "bipartite_imbalance", "matching_barrier",
-                            "small_cut", "hamiltonian_cycle", "frontier_dp", "search"}
+        assert deciders == {"trivial", "matching_barrier", "small_cut",
+                            "hamiltonian_cycle", "frontier_dp", "search"}
 
 
 class TestCycleStage:
@@ -514,10 +540,10 @@ expect_raise("find_hamiltonian_cycle splice", lambda: oracle.find_hamiltonian_cy
 expect_raise("is_one_tough splice", lambda: toughness.is_one_tough(ladder))
 kernels.toughness_scan = lambda g: None
 expect_raise("toughness_exact", lambda: toughness.toughness_exact(cycle_graph(5)))
-toughness._verify_witness = lambda product, cut: toughness.CutWitness(cut, 1)
+expect_raise("_certified_no", lambda: toughness._certified_no(cycle_graph(5), frozenset({1}), "x"))
+toughness._recounted = lambda g, cut, what: toughness.CutWitness(cut, 1)
 expect_raise("product_cut_from_high_degree",
              lambda: toughness.product_cut_from_high_degree(path_graph(2), star_graph(3)))
-expect_raise("_certified_no", lambda: toughness._certified_no(cycle_graph(5), frozenset({1}), "x"))
 print(" ".join(failed) or "all raised")
 """
 
