@@ -50,7 +50,6 @@ from .toughness import (
     is_one_tough,
     product_cut_from_bipartite,
     product_cut_from_high_degree,
-    removal_stats,
     toughness_exact,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "parse_graph",
     "product_cut_from_bipartite",
     "product_cut_from_high_degree",
-    "removal_stats",
     "scan_balanced_odd",
     "scan_below_layer_bound",
     "spanning_tree_containing",

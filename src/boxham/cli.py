@@ -69,7 +69,8 @@ def _cmd_product(args):
     prod = graphs.cartesian_product(graphs.path_graph(args.n), base)
     payload = {"layers": args.n, "base_order": base.order,
                "order": prod.order, "edges": prod.size}
-    _write(args.out, graphs.format_graph(prod), payload, "edge_list")
+    text = graphs.format_graph(prod)
+    _write(args.out, text, payload, "edge_list")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graphs.to_dot(prod, layers=args.n))
@@ -78,7 +79,7 @@ def _cmd_product(args):
     if args.out:
         human.append(f"wrote {args.out}")
     else:
-        human.append(graphs.format_graph(prod).rstrip("\n"))
+        human.append(text.rstrip("\n"))
     return payload, human, EXIT_OK
 
 

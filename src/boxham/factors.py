@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HasPathFactorError
-from .graphs import Bipartition, Graph, bridges, is_connected
+from .graphs import Bipartition, Graph, components, is_connected, split_counts
 from .kernels import count_isolated_after
 
 Component = tuple[int, ...]
@@ -128,13 +128,13 @@ def perfect_matching_or_barrier(g: Graph) -> PathFactor | MatchingBarrier:
     its even blossoms is a whole odd component of G - A, where A is the
     set of the tree's odd vertices, and there is one blossom more than
     there are odd vertices, so odd(G - A) > |A| (Tutte).  On odd order A
-    may be empty.  The count is taken afresh, by a search that does not
-    read the blossom state.
+    may be empty.  The count is taken afresh by :func:`components`, which
+    does not read the blossom state.
     """
     mate, barrier = _matching_search(g)
     if barrier is None:
         return _matching_factor(g, mate)
-    odd = _odd_components_after(g, barrier)
+    odd = sum(len(c) % 2 for c in components(g, barrier))
     if odd <= len(barrier):
         raise AssertionError("failed blossom search without a barrier")
     return MatchingBarrier(barrier, odd)
@@ -173,26 +173,6 @@ def _matching_search(g: Graph) -> tuple[list[int], frozenset[int] | None]:
             if odd is not None:
                 return mate, odd
     return mate, None
-
-
-def _odd_components_after(g: Graph, removed: frozenset[int]) -> int:
-    """Components of odd order left by removing the set, by plain BFS."""
-    seen = [False] * (g.order + 1)
-    for v in removed:
-        seen[v] = True
-    odd = 0
-    for root in g.vertices():
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for u in queue:
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        odd += len(queue) % 2
-    return odd
 
 
 def _augment_matching(g: Graph, mate: list[int], root: int,
@@ -455,7 +435,10 @@ def sufficient_conditions(g: Graph) -> ConditionReport:
     dmin, dmax = min(degs), max(degs)
     delta_third = 3 * dmin >= g.order
     dirac_type = 2 * dmin >= dmax
-    cubic_bridgeless = (dmin == dmax == 3) and is_connected(g) and not bridges(g)
+    # a cubic graph has a cut-edge exactly when it has a cut vertex: the
+    # ends of a cut-edge are cut vertices, and a cut vertex sends a lone
+    # edge, a cut-edge, to one of its components
+    cubic_bridgeless = (dmin == dmax == 3) and is_connected(g) and max(split_counts(g)) < 2
     if (delta_third or dirac_type) and find_p23_factor(g) is None:
         raise AssertionError("degree condition held but no path factor was found")
     if cubic_bridgeless and find_perfect_matching(g) is None:

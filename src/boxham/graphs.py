@@ -48,20 +48,21 @@ class Graph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
+        # the one edge validator: every edge in range with u < v, and the
+        # tuple strictly increasing, so sorted and free of duplicates
         if self.order < 1:
             raise ValueError("graph order must be positive")
-        seen = set()
+        prev = (0, 0)
         for e in self.edges:
             u, v = e
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (1 <= u < v <= self.order):
+            if not 1 <= u < v <= self.order:
+                if u == v:
+                    raise ValueError(f"loop at vertex {u}")
                 raise ValueError(f"edge {e} not canonical for order {self.order}")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        if list(self.edges) != sorted(self.edges):
-            raise ValueError("edges must be sorted")
+            if e <= prev:
+                raise ValueError(f"duplicate edge {e}" if e == prev
+                                 else "edges must be sorted")
+            prev = e
 
     @staticmethod
     def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -152,16 +153,33 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # structural predicates
 
 
+def components(g: Graph, removed: Iterable[int] = ()) -> list[list[int]]:
+    """The components of G minus ``removed``, listed by smallest vertex.
+
+    Each is the breadth-first order from its smallest vertex, neighbours
+    in ascending order.
+    """
+    adj = g._adjacency
+    seen = [False] * (g.order + 1)
+    for v in removed:
+        seen[v] = True
+    parts = []
+    for root in g.vertices():
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        parts.append(queue)
+    return parts
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.order
+    return len(components(g)) == 1
 
 
 def is_tree(g: Graph) -> bool:
@@ -204,11 +222,6 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
-def bridges(g: Graph) -> tuple[Edge, ...]:
-    """Cut-edges, found with the usual DFS lowpoint sweep."""
-    return tuple(sorted(_lowpoint_sweep(g, 0)[0]))
-
-
 def split_counts(g: Graph, without: int = 0) -> list[int]:
     """For each vertex v of G - without, the number of components that
     v's component of G - without falls into when v is removed as well.
@@ -217,24 +230,17 @@ def split_counts(g: Graph, without: int = 0) -> list[int]:
     are 0.  A cut vertex of a connected graph has a count of at least 2,
     and a pair {u, v} leaves ``split_counts(g, u)[v]`` components of a
     graph that stays connected without u.
-    """
-    return _lowpoint_sweep(g, without)[1]
 
-
-def _lowpoint_sweep(g: Graph, skip: int) -> tuple[list[Edge], list[int]]:
-    """One iterative DFS lowpoint sweep over the graph minus vertex
-    ``skip`` (0 for none): its cut-edges and its per-vertex split counts.
-
-    A vertex splits into the DFS children whose subtrees cannot climb
-    above it, plus, unless it is a root, the part that holds its parent.
+    One iterative DFS lowpoint sweep (Tarjan): a vertex splits into the
+    DFS children whose subtrees cannot climb above it, plus, unless it is
+    a root, the part that holds its parent.
     """
     disc = [0] * (g.order + 1)  # 0: not yet reached; times start at 1
     low = [0] * (g.order + 1)
     pieces = [0] * (g.order + 1)
-    out: list[Edge] = []
     counter = 0
     for root in g.vertices():
-        if disc[root] or root == skip:
+        if disc[root] or root == without:
             continue
         # iterative DFS; (vertex, parent, neighbor iterator)
         counter += 1
@@ -243,7 +249,7 @@ def _lowpoint_sweep(g: Graph, skip: int) -> tuple[list[Edge], list[int]]:
         while stack:
             u, parent, it = stack[-1]
             for w in it:
-                if w == skip:
+                if w == without:
                     continue
                 if not disc[w]:
                     counter += 1
@@ -261,9 +267,7 @@ def _lowpoint_sweep(g: Graph, skip: int) -> tuple[list[Edge], list[int]]:
                         low[p] = low[u]
                     if low[u] >= disc[p]:
                         pieces[p] += 1
-                        if low[u] > disc[p]:
-                            out.append(canon_edge(p, u))
-    return out, pieces
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -392,40 +396,32 @@ def spanning_tree_containing(g: Graph, seed: Iterable[tuple[int, int]]) -> Graph
 
 
 def parse_graph(text: str) -> Graph:
-    """Read the edge-list format: header "order edgecount", then "u v" lines."""
+    """Read the edge-list format: header "order edgecount", then "u v" lines.
+
+    The edges are checked by :class:`Graph`, whose ``ValueError`` comes
+    out as :class:`MalformedGraphError`.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MalformedGraphError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedGraphError(f"bad header {lines[0]!r}")
     try:
-        order, count = int(head[0]), int(head[1])
+        order, count = map(int, lines[0].split())
     except ValueError:
         raise MalformedGraphError(f"bad header {lines[0]!r}") from None
-    if order < 1 or count < 0:
-        raise MalformedGraphError(f"bad header {lines[0]!r}")
     if len(lines) - 1 != count:
         raise MalformedGraphError(f"expected {count} edge lines, found {len(lines) - 1}")
-    seen: set[Edge] = set()
+    edges: list[Edge] = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MalformedGraphError(f"bad edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, ln.split())
         except ValueError:
             raise MalformedGraphError(f"bad edge line {ln!r}") from None
-        if u == v:
-            raise MalformedGraphError(f"loop at vertex {u}")
-        if not (1 <= u <= order and 1 <= v <= order):
-            raise MalformedGraphError(f"endpoint out of range in {ln!r}")
-        e = canon_edge(u, v)
-        if e in seen:
-            raise MalformedGraphError(f"duplicate edge {e}")
-        seen.add(e)
-    # canonical and distinct already, so from_edges would only redo the work
-    return Graph(order, tuple(sorted(seen)))
+        edges.append(canon_edge(u, v))
+    edges.sort()
+    try:
+        return Graph(order, tuple(edges))
+    except ValueError as exc:
+        raise MalformedGraphError(str(exc)) from None
 
 
 def format_graph(g: Graph) -> str:
@@ -519,11 +515,11 @@ __all__ = [
     "Edge",
     "Graph",
     "bipartition",
-    "bridges",
     "canon_edge",
     "cartesian_product",
     "complete_bipartite",
     "complete_graph",
+    "components",
     "cycle_graph",
     "degree_stats",
     "format_graph",

@@ -54,6 +54,7 @@ from .graphs import (
     Graph,
     bipartition,
     cartesian_product,
+    components,
     degree_stats,
     is_connected,
     path_graph,
@@ -116,16 +117,6 @@ class OneToughResult:
     # the verified Hamiltonian cycle, as a vertex tuple, exactly when
     # decided_by is "hamiltonian_cycle"
     cycle: tuple[int, ...] | None = None
-
-
-def removal_stats(g: Graph, s) -> tuple[int, int]:
-    """(component count, isolated count) of the graph minus the vertex set."""
-    s = frozenset(s)
-    for v in s:
-        if not 1 <= v <= g.order:
-            raise ValueError(f"vertex {v} not in the graph")
-    return (kernels.count_components_after(g, s),
-            kernels.count_isolated_after(g, s))
 
 
 def is_complete(g: Graph) -> bool:
@@ -311,20 +302,6 @@ def _last_steps(g: Graph, order) -> list[int]:
     return [0] + [max([pos[v]] + [pos[u] for u in g.neighbors(v)]) for v in g.vertices()]
 
 
-def _bfs_order(g: Graph) -> list[int]:
-    """Breadth-first order from vertex 1, neighbours in ascending order; it
-    lists every vertex of a connected graph."""
-    seen = [False] * (g.order + 1)
-    seen[1] = True
-    out = [1]
-    for v in out:
-        for u in g.neighbors(v):
-            if not seen[u]:
-                seen[u] = True
-                out.append(u)
-    return out
-
-
 def _greedy_order(g: Graph) -> list[int] | None:
     """A vertex order of a connected graph that keeps its frontier small,
     or None once its frontier passes ``_FRONTIER_MAX_WIDTH``.
@@ -364,7 +341,7 @@ def _narrow_order(g: Graph) -> tuple[list[int], int]:
     """The greedy, identity or BFS order of a connected graph, whichever
     has the smallest frontier width (in that order on a tie), with that
     width.  The greedy order is left out when it passes the DP's cap."""
-    orders = [o for o in (_greedy_order(g), list(g.vertices()), _bfs_order(g))
+    orders = [o for o in (_greedy_order(g), list(g.vertices()), components(g)[0])
               if o is not None]
     return min(((o, frontier_width(g, o)) for o in orders), key=lambda ow: ow[1])
 
@@ -518,6 +495,5 @@ __all__ = [
     "is_one_tough",
     "product_cut_from_bipartite",
     "product_cut_from_high_degree",
-    "removal_stats",
     "toughness_exact",
 ]

@@ -6,9 +6,20 @@ import itertools
 import random
 from functools import lru_cache
 
+from boxham import kernels
 from boxham._pykernels import _Budget, _OutOfBudget, _greedy_matching, count_components
 from boxham.graphs import Graph, format_label, is_connected, isomorphic
 from boxham.toughness import _last_steps
+
+
+def removal_stats(g: Graph, s) -> tuple[int, int]:
+    """(component count, isolated count) of the graph minus the vertex set."""
+    s = frozenset(s)
+    for v in s:
+        if not 1 <= v <= g.order:
+            raise ValueError(f"vertex {v} not in the graph")
+    return (kernels.count_components_after(g, s),
+            kernels.count_isolated_after(g, s))
 
 
 def random_connected_graph(rng: random.Random, min_order: int = 2,

@@ -39,13 +39,13 @@ from boxham.toughness import (
     is_complete,
     is_one_tough,
     product_cut_from_bipartite,
-    removal_stats,
     toughness_exact,
 )
 from helpers import (
     connected_bipartite_up_to_iso,
     random_connected_bipartite,
     random_connected_graph,
+    removal_stats,
 )
 
 

@@ -18,8 +18,7 @@ from boxham.graphs import (
     star_graph,
 )
 from boxham.oracle import fixtures
-from boxham.toughness import removal_stats
-from helpers import caterpillar, factor_tree
+from helpers import caterpillar, factor_tree, removal_stats
 
 
 @pytest.fixture
@@ -393,6 +392,13 @@ class TestCheckVerify:
     def test_parse_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("not a graph\n")
+        code, payload = run_json(capsys, "check", "--graph", str(bad))
+        assert code == 2 and payload["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("text", ["3 2\n1 2\n2 1\n", "2 1\n0 1\n"])
+    def test_malformed_edges_exit(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.el"
+        bad.write_text(text)
         code, payload = run_json(capsys, "check", "--graph", str(bad))
         assert code == 2 and payload["error"]["kind"] == "parse"
 

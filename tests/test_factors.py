@@ -26,8 +26,13 @@ from boxham.graphs import (
     star_graph,
 )
 from boxham.oracle import enumerate_trees
-from boxham.toughness import removal_stats
-from helpers import caterpillar, random_connected_graph, reference_matching_search
+from helpers import (
+    PETERSEN_EDGES,
+    caterpillar,
+    random_connected_graph,
+    reference_matching_search,
+    removal_stats,
+)
 
 T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
 
@@ -265,6 +270,34 @@ class TestSufficientConditions:
     def test_k33_cubic(self):
         rep = sufficient_conditions(complete_bipartite(3, 3))
         assert rep.cubic_bridgeless
+
+    def test_cubic_bridgeless(self):
+        def has_bridge(g):
+            # delete each edge in turn and see whether its ends still meet
+            for e in g.edges:
+                seen, stack = {e[0]}, [e[0]]
+                while stack:
+                    u = stack.pop()
+                    for w in g.neighbors(u):
+                        if {u, w} != set(e) and w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                if e[1] not in seen:
+                    return True
+            return False
+
+        # K4 with the edge (1, 2) subdivided by vertex 5, twice, the two
+        # subdivision vertices joined by a bridge
+        half = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5), (2, 5)]
+        bridged = Graph.from_edges(10, half + [(u + 5, v + 5) for u, v in half] + [(5, 10)])
+        prism = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+                                     (1, 4), (2, 5), (3, 6)])
+        cases = [(Graph.from_edges(10, PETERSEN_EDGES), True), (complete_graph(4), True),
+                 (complete_bipartite(3, 3), True), (prism, True), (bridged, False)]
+        for g, bridgeless in cases:
+            assert {g.degree(v) for v in g.vertices()} == {3}
+            assert has_bridge(g) is not bridgeless
+            assert sufficient_conditions(g).cubic_bridgeless is bridgeless
 
     def test_flags_imply_factors(self):
         rng = random.Random(31)

@@ -14,9 +14,9 @@ from boxham.errors import (
 from boxham.graphs import (
     Graph,
     bipartition,
-    bridges,
     cartesian_product,
     complete_graph,
+    components,
     cycle_graph,
     degree_stats,
     format_graph,
@@ -33,6 +33,7 @@ from boxham.graphs import (
     star_graph,
     to_dot,
 )
+from boxham.kernels import count_components_after
 from helpers import random_connected_graph
 
 T1_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)]
@@ -198,10 +199,23 @@ class TestPredicates:
         for u, v in g.edges:
             assert (u in bip.side_a) != (v in bip.side_a)
 
-    def test_bridges(self):
-        assert bridges(path_graph(4)) == ((1, 2), (2, 3), (3, 4))
-        assert bridges(cycle_graph(5)) == ()
-        assert bridges(complete_graph(4)) == ()
+    def test_components_agree_with_kernel_count(self):
+        rng = random.Random(26)
+        for trial in range(150):
+            n = rng.randint(1, 14)
+            p = rng.random() * (0.5 if trial % 2 else 0.15)  # odd trials mostly connected
+            g = Graph.from_edges(n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)
+                                     if rng.random() < p])
+            for removed in (frozenset(), frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))):
+                parts = components(g, removed)
+                assert len(parts) == count_components_after(g, removed)
+                kept = [v for v in g.vertices() if v not in removed]
+                assert sorted(v for part in parts for v in part) == kept
+                assert all(part[0] == min(part) for part in parts)
+                assert [part[0] for part in parts] == sorted(part[0] for part in parts)
+            assert is_connected(g) == (len(components(g)) == 1)
+        assert components(Graph.from_edges(5, [(1, 4), (2, 3), (4, 5)])) == [[1, 4, 5], [2, 3]]
+        assert components(cycle_graph(6), {1, 4}) == [[2, 3], [5, 6]]
 
     def test_split_counts(self):
         assert split_counts(star_graph(3)) == [0, 3, 1, 1, 1]
@@ -265,6 +279,8 @@ class TestTextFormats:
         "2 1\n1 1\n",
         "2 1\n1 3\n",
         "2 1\n1 2 3\n",
+        "3 2\n1 2\n2 1\n",
+        "2 1\n0 1\n",
     ])
     def test_malformed(self, bad):
         with pytest.raises(MalformedGraphError):

@@ -23,6 +23,7 @@ from boxham.graphs import (
     cartesian_product,
     complete_bipartite,
     complete_graph,
+    components,
     cycle_graph,
     degree_stats,
     path_graph,
@@ -31,7 +32,6 @@ from boxham.graphs import (
 )
 from boxham.oracle import find_hamiltonian_cycle, fixtures
 from boxham.toughness import (
-    _bfs_order,
     _cut_vertex,
     _narrow_order,
     _separating_pair,
@@ -41,7 +41,6 @@ from boxham.toughness import (
     is_one_tough,
     product_cut_from_bipartite,
     product_cut_from_high_degree,
-    removal_stats,
     toughness_exact,
 )
 from helpers import (
@@ -52,6 +51,7 @@ from helpers import (
     random_connected_bipartite,
     random_connected_graph,
     random_scan_base,
+    removal_stats,
     with_petersen_fragment,
 )
 
@@ -292,7 +292,7 @@ class TestOneToughPrechecks:
         # limit, and non-Hamiltonian; the BFS order from vertex 1 walks the
         # ring both ways, with a frontier of a few vertices
         necklace = petersen_necklace(120)
-        assert frontier_width(necklace, _bfs_order(necklace)) == 6
+        assert frontier_width(necklace, components(necklace)[0]) == 6
         res = is_one_tough(necklace)
         assert (res.verdict, res.decided_by, res.witness) == ("yes", "frontier_dp", None)
 
@@ -341,7 +341,7 @@ class TestOneToughPrechecks:
 
     def test_wide_graph_answered_no_by_search(self):
         assert frontier_width(FIVE_K2, list(FIVE_K2.vertices())) == 12
-        assert frontier_width(FIVE_K2, _bfs_order(FIVE_K2)) == 10
+        assert frontier_width(FIVE_K2, components(FIVE_K2)[0]) == 10
         res = is_one_tough(FIVE_K2)
         assert (res.verdict, res.decided_by, res.nodes) == ("no", "search", 601)
         assert (res.witness.cut, res.witness.components) == (FIVE_K2_CUT, 5)
@@ -581,7 +581,7 @@ class TestFrontierDP:
         random.Random(1).shuffle(perm)
         shuffled = Graph.from_edges(32, [(perm[u - 1], perm[v - 1]) for u, v in flagship.edges])
         assert frontier_width(shuffled, list(shuffled.vertices())) == 16
-        assert frontier_width(shuffled, _bfs_order(shuffled)) == 7
+        assert frontier_width(shuffled, components(shuffled)[0]) == 7
         # the greedy order is narrower still
         assert _narrow_order(shuffled)[1] == 5
         res = is_one_tough(shuffled)
@@ -591,7 +591,7 @@ class TestFrontierDP:
     def test_time_budget_between_vertices(self):
         prism = cartesian_product(path_graph(2), cycle_graph(1500))
         start = time.monotonic()
-        status, value, cut, _ = frontier_scattering(prism, _bfs_order(prism),
+        status, value, cut, _ = frontier_scattering(prism, components(prism)[0],
                                                     budget_seconds=0.05)
         assert (status, value, cut) == ("unknown", None, None)
         assert time.monotonic() - start < 1.0
@@ -621,7 +621,7 @@ class TestVertexOrder:
             assert width == frontier_width(g, order)
             identity = list(g.vertices())
             identity_width = frontier_width(g, identity)
-            assert width <= min(identity_width, frontier_width(g, _bfs_order(g))), g.edges
+            assert width <= min(identity_width, frontier_width(g, components(g)[0])), g.edges
             # the DP along the identity order is the reference wherever it
             # is within the DP's cap
             if identity_width <= 9:
@@ -636,7 +636,7 @@ class TestVertexOrder:
         prism = cartesian_product(path_graph(2), cycle_graph(300))
         for g, width, before in ((flagship, 6, 8), (necklace, 5, 6), (prism, 4, 5)):
             identity = list(g.vertices())
-            assert min(frontier_width(g, identity), frontier_width(g, _bfs_order(g))) == before
+            assert min(frontier_width(g, identity), frontier_width(g, components(g)[0])) == before
             assert _narrow_order(g)[1] == frontier_width(g, toughness._greedy_order(g)) == width
 
     def test_relabelled_flagships_stay_in_the_dp(self):
@@ -649,7 +649,7 @@ class TestVertexOrder:
             perm = list(flagship.vertices())
             rng.shuffle(perm)
             g = Graph.from_edges(32, [(perm[u - 1], perm[v - 1]) for u, v in flagship.edges])
-            before = min(frontier_width(g, list(g.vertices())), frontier_width(g, _bfs_order(g)))
+            before = min(frontier_width(g, list(g.vertices())), frontier_width(g, components(g)[0]))
             if before <= 9:
                 continue
             res = is_one_tough(g, max_nodes=5000)

@@ -13,13 +13,14 @@ from boxham.graphs import (
     cartesian_product,
     complete_bipartite,
     complete_graph,
+    components,
     cycle_graph,
     path_graph,
     star_graph,
 )
 from boxham.kernels import scattering_max
 from boxham.oracle import fixtures
-from boxham.toughness import _bfs_order, frontier_scattering, toughness_exact
+from boxham.toughness import frontier_scattering, toughness_exact
 from helpers import (
     petersen_necklace,
     random_connected_bipartite,
@@ -143,7 +144,7 @@ def test_frontier_dp_matches_parent_map_reference():
         g = random_connected_graph(rng, 2, 12)
         shuffled = list(g.vertices())
         rng.shuffle(shuffled)
-        for order in (list(g.vertices()), _bfs_order(g), shuffled):
+        for order in (list(g.vertices()), components(g)[0], shuffled):
             for cap in (None, 0, 1, 7, 100):
                 got = frontier_scattering(g, order, max_nodes=cap)
                 assert got == reference_frontier_scattering(g, order, max_nodes=cap), \
@@ -163,7 +164,7 @@ def test_frontier_dp_memory_follows_the_layer_not_the_order():
     # 1200 vertices at width 6: the parent maps of the reference peak at
     # about 20 MiB here, the current layer alone at a fraction of one
     necklace = petersen_necklace(120)
-    order = _bfs_order(necklace)
+    order = components(necklace)[0]
     want = reference_frontier_scattering(necklace, order)
     tracemalloc.start()
     try:
