@@ -95,7 +95,6 @@ PINNED_NODES = {
     "P6 x caterpillar8 (found)": 1_174,
     "P8 x scan tree8 (64, found)": 83_687,
     "P600 x K2 ladder (1200, found)": 2_989,
-    "P4 x caterpillar8": 252,
     "P3 x caterpillar8 (24 vertices)": 251_734,
     "P4 x caterpillar8 flagship (32 vertices)": 15_567_633,
     "P2 x caterpillar8": 14_893,
@@ -113,8 +112,6 @@ def instances(full):
     yield ("ham_cycle", "P8 x scan tree8 (64, found)",
            cartesian_product(path_graph(8), SCAN8), "ham_cycle")
     yield ("ham_cycle", "P600 x K2 ladder (1200, found)", LADDER, "ham_cycle")
-    yield ("ham_path", "P4 x caterpillar8",
-           cartesian_product(path_graph(4), T1), "ham_path")
     yield ("scattering", "P3 x caterpillar8 (24 vertices)",
            cartesian_product(path_graph(3), T1), "scattering_max")
     yield ("toughness_scan", "P2 x caterpillar8",

@@ -112,12 +112,15 @@ def ham_cycle(n, adj, max_nodes=None, deadline=None):
     the unvisited region, the path head or the start vertex), the start
     vertex must keep an unvisited neighbour, the unvisited region must
     stay connected through the path head, and edges forced by degree-2
-    vertices must be respected.  Candidates are tried in ascending order
-    and every node is charged to the budget before it is pruned.
+    vertices must be respected.  Below the root at most one unvisited
+    vertex may keep a single usable connection besides the start: it
+    must take the start's closing edge.  Candidates are tried in
+    ascending order and every node is charged to the budget before it is
+    pruned.
 
     At the root the degree check already gives the first two conditions
     (the head is the start vertex, so an edge to it counts twice) and one
-    full BFS checks the region; below it both checks are incremental and
+    full BFS checks the region; below it all checks are incremental and
     exact.  Moving the head from u to w removes w from the unvisited
     region and makes w the head, so the usable connections of an
     unvisited vertex v drop by one exactly when v is adjacent to u, and
@@ -170,9 +173,11 @@ def _cycle_search(n, adj, forced, charge):
     rest = full & ~1
     if not _connected_within(adj, full, 1):
         return None
-    # one frame per path vertex: its visited set and untried candidates
+    # one frame per path vertex: its visited set, its weak set (the
+    # unvisited vertices left to close on the start) and untried candidates
     path = [0]
     visited_at = [1]
+    weak_at = [0]
     untried = [adj[0] & rest]
     start_adj = adj[0]
     while path:
@@ -180,6 +185,7 @@ def _cycle_search(n, adj, forced, charge):
         if not cands:
             path.pop()
             visited_at.pop()
+            weak_at.pop()
             untried.pop()
             continue
         b = cands & -cands
@@ -199,14 +205,19 @@ def _cycle_search(n, adj, forced, charge):
         if not start_adj & rest:
             continue
         near = adj[u] & rest
+        # a weak neighbour of u loses its one other connection and fails below
+        weak = weak_at[-1] & rest
         m = near
         while m:
             c = m & -m
             av = adj[c.bit_length() - 1]
-            if (av & rest).bit_count() + ((av >> w) & 1) + (av & 1) < 2:
+            s = (av & rest).bit_count() + ((av >> w) & 1)
+            if s + (av & 1) < 2:
                 break
+            if s == 1:
+                weak |= c
             m ^= c
-        if m or not _reaches_all(adj, rest, b, near):
+        if m or weak & (weak - 1) or not _reaches_all(adj, rest, b, near):
             continue
         cands = aw & rest
         need = forced[w] & ~(1 << u)
@@ -214,113 +225,8 @@ def _cycle_search(n, adj, forced, charge):
             cands &= need if not need & (need - 1) else 0
         path.append(w)
         visited_at.append(visited)
-        untried.append(cands)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# spanning path
-
-
-def ham_path(n, adj, max_nodes=None, deadline=None):
-    """Exhaustive spanning-path search; same result convention as ham_cycle.
-
-    Degree-1 vertices must be path endpoints, so when any exist the search
-    only starts from the smallest one.
-
-    Pruning: every unvisited vertex needs a usable connection (to the
-    unvisited region or the path head), at most one may have exactly one
-    (it must then end the path), and the unvisited region must stay
-    connected through the path head.  Every node is charged to the budget
-    before it is pruned.  As in ``ham_cycle``, the root checks all of this
-    in full and each later node incrementally: moving the head from u to
-    w leaves the usable connections of every unvisited vertex unchanged
-    except those of the neighbours of u, which lose one, and the region
-    is connected exactly when a BFS from w reaches every neighbour of u
-    in it.  The search keeps an explicit stack.
-    """
-    if n == 1:
-        return ("found", (0,), 0)
-    deg = [a.bit_count() for a in adj]
-    if min(deg) == 0:
-        return ("none", None, 0)
-    ones = [v for v in range(n) if deg[v] == 1]
-    if len(ones) > 2:
-        return ("none", None, 0)
-    starts = [ones[0]] if ones else list(range(n))
-
-    budget = _Budget(max_nodes, deadline)
-    try:
-        for s in starts:
-            path = _path_search(n, adj, s, budget.charge)
-            if path is not None:
-                return ("found", tuple(path), budget.nodes)
-    except _OutOfBudget:
-        return ("unknown", None, budget.nodes)
-    return ("none", None, budget.nodes)
-
-
-def _path_search(n, adj, s, charge):
-    """The search of ``ham_path`` from start vertex s for n >= 2: the path
-    as a vertex list, or None when no spanning path starts at s."""
-    full = (1 << n) - 1
-    charge()
-    rest = full & ~(1 << s)
-    # weak: the unvisited vertices with exactly one usable connection; at
-    # the root that is their degree, which is at least 1
-    weak = 0
-    m = rest
-    while m:
-        b = m & -m
-        m ^= b
-        aw = adj[b.bit_length() - 1]
-        if (aw & rest).bit_count() + ((aw >> s) & 1) == 1:
-            weak |= b
-    if weak & (weak - 1) or not _connected_within(adj, full, 1 << s):
-        return None
-    # one frame per path vertex: its unvisited set, weak set and untried
-    # candidates
-    path = [s]
-    rest_at = [rest]
-    weak_at = [weak]
-    untried = [adj[s] & rest]
-    while path:
-        cands = untried[-1]
-        if not cands:
-            path.pop()
-            rest_at.pop()
-            weak_at.pop()
-            untried.pop()
-            continue
-        b = cands & -cands
-        untried[-1] = cands ^ b
-        u = path[-1]
-        w = b.bit_length() - 1
-        charge()
-        region = rest_at[-1]
-        rest = region ^ b
-        if not rest:
-            path.append(w)
-            return path
-        near = adj[u] & rest
-        # a weak neighbour of u has just lost its one connection: it is
-        # rechecked below with the others
-        weak = weak_at[-1] & rest
-        m = near
-        while m:
-            c = m & -m
-            avail = (adj[c.bit_length() - 1] & region).bit_count()
-            if avail == 0:
-                break
-            if avail == 1:
-                weak |= c
-            m ^= c
-        if m or weak & (weak - 1) or not _reaches_all(adj, region, b, near):
-            continue
-        path.append(w)
-        rest_at.append(rest)
         weak_at.append(weak)
-        untried.append(adj[w] & rest)
+        untried.append(cands)
     return None
 
 

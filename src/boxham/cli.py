@@ -181,11 +181,13 @@ def _cmd_check(args):
 def _cmd_verify(args):
     """The cycle is checked against the product by coordinate arithmetic,
     so the product graph is never built; without --n the graph itself is
-    the one-layer product."""
+    the one-layer product.  With --n N the cycle file's header must be
+    "N N*|G|", since its labels are read in that shape."""
     g = _read_graph(args.graph)
     with open(args.cycle, "r", encoding="utf-8") as fh:
         cyc = cycles.parse_cycle(fh.read())
-    ok = cycles.verify_product_cycle(g, 1 if args.n is None else args.n, cyc)
+    ok = (cycles.verify_product_cycle(g, 1 if args.n is None else args.n, cyc)
+          and args.n in (None, cyc.layers))
     payload = {"valid": ok}
     return payload, [f"cycle valid: {'true' if ok else 'false'}"], EXIT_OK
 

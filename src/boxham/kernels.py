@@ -1,12 +1,13 @@
 """Graph-level wrappers over the search kernels of ``boxham._pykernels``.
 
-The hot search loops are the Hamiltonian cycle and spanning-path
-backtracking, the scattering branch-and-bound, which looks for a cut set
-S with c(G - S) - |S| > 0 and stops at the first, and the exact
-toughness scan over vertex sets by increasing size, which stops at the
-ratio bound.  They are pure Python, so ``backend_name()`` is always
-``"pure"``.  A search that ``max_nodes`` stops reports exactly that many
-nodes.
+The hot search loops are the Hamiltonian cycle backtracking, which also
+answers traceability through an apex vertex
+(:func:`boxham.oracle.find_spanning_path`), the scattering
+branch-and-bound, which looks for a cut set S with c(G - S) - |S| > 0
+and stops at the first, and the exact toughness scan over vertex sets by
+increasing size, which stops at the ratio bound.  They are pure Python,
+so ``backend_name()`` is always ``"pure"``.  A search that ``max_nodes``
+stops reports exactly that many nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from . import _pykernels
 from .graphs import Graph
 
-# When set, a stand-in kernel module that the four searches dispatch to:
+# When set, a stand-in kernel module that the three searches dispatch to:
 # perfbench reads this name, and its tracer test sets a stand-in here.
 _fast = None
 
@@ -34,14 +35,6 @@ def backend_name() -> str:
 def ham_cycle(g: Graph, *, max_nodes=None, budget_seconds=None):
     """(status, vertex tuple or None, nodes) on 1-indexed vertices."""
     status, order, nodes = (_fast or _pykernels).ham_cycle(
-        g.order, g.adjacency_masks, max_nodes, _deadline(budget_seconds))
-    if order is not None:
-        order = tuple(v + 1 for v in order)
-    return status, order, nodes
-
-
-def ham_path(g: Graph, *, max_nodes=None, budget_seconds=None):
-    status, order, nodes = (_fast or _pykernels).ham_path(
         g.order, g.adjacency_masks, max_nodes, _deadline(budget_seconds))
     if order is not None:
         order = tuple(v + 1 for v in order)

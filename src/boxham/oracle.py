@@ -1,10 +1,10 @@
 """Brute-force oracles, the product entry, named fixtures, tree
 enumeration, and scanners.
 
-The exhaustive Hamiltonicity and traceability searches share no code with
-the builders, so they cross-check everything the constructive pipeline
-claims.  :func:`find_product_cycle` is the one Hamiltonian-cycle entry,
-for ``check``, ``check --n``, both scanners and the cycle stage of
+The exhaustive Hamiltonicity search shares no code with the builders, so
+it cross-checks everything the constructive pipeline claims.
+:func:`find_product_cycle` is the one Hamiltonian-cycle entry, for
+``check``, ``check --n``, both scanners and the cycle stage of
 ``toughness.is_one_tough``: it answers from the bipartite imbalance read
 off the base's sides, from :func:`~boxham.cycles.splice_attempt`, the
 splice builder run with no layer bound and unchecked, or from the
@@ -15,7 +15,8 @@ graph is built only when the search runs.  A plain graph that is a
 product in layer-major ids, as ``boxham product`` writes it, is split
 into its base and layers (:func:`~boxham.graphs.product_split`) and
 spliced like one given with its layer count.
-:func:`find_spanning_path` checks its path before returning it.
+:func:`find_spanning_path` answers traceability by the same search on
+the graph plus an apex vertex, and checks its path before returning it.
 """
 
 from __future__ import annotations
@@ -141,13 +142,19 @@ def find_product_cycle(base: Graph, n: int, *,
 
 def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
                        max_nodes: int | None = None) -> PathResult:
-    """Exhaustive spanning path oracle (traceability).  A path it returns
-    has visited every vertex once along edges of ``g``, or it raises
-    ``AssertionError``."""
+    """Exhaustive spanning path oracle (traceability): the cycle search on
+    ``g`` plus an apex joined to every vertex, as vertex 1 (g's vertex v
+    is v + 1), with the apex dropped from the cycle; ``nodes`` counts that
+    search.  A bipartite graph whose sides differ by more than one answers
+    "none" at 0 nodes.  A path it returns has visited every vertex once
+    along edges of ``g``, or it raises ``AssertionError``."""
     if g.order >= 3 and _side_gap(g) > 1:
         return PathResult("none", None, 0)
-    status, seq, nodes = kernels.ham_path(
-        g, max_nodes=max_nodes, budget_seconds=budget_seconds)
+    apexed = Graph(g.order + 1, tuple((1, v + 1) for v in g.vertices())
+                   + tuple((u + 1, v + 1) for u, v in g.edges))
+    status, cycle, nodes = kernels.ham_cycle(
+        apexed, max_nodes=max_nodes, budget_seconds=budget_seconds)
+    seq = None if cycle is None else tuple(v - 1 for v in cycle[1:])
     if seq is not None and (sorted(seq) != list(g.vertices())
                             or not all(map(g.has_edge, seq, seq[1:]))):
         raise AssertionError(f"search path on {g.order} vertices failed its check")

@@ -47,6 +47,13 @@ def caterpillar(spine: int, legs: int) -> Graph:
     return Graph.from_edges(spine * (1 + legs), edges)
 
 
+def apexed(g: Graph) -> Graph:
+    """g plus an apex joined to every vertex, as vertex 1; g's vertex v is
+    v + 1.  It has a Hamiltonian cycle exactly when g has a spanning path."""
+    return Graph(g.order + 1, tuple((1, v + 1) for v in g.vertices())
+                 + tuple((u + 1, v + 1) for u, v in g.edges))
+
+
 def random_connected_bipartite(rng: random.Random, min_order: int = 2,
                                max_order: int = 10) -> Graph:
     n = rng.randint(min_order, max_order)
@@ -262,10 +269,17 @@ def recursive_ham_cycle(n, adj, max_nodes=None, deadline=None):
             return bool(adj[u] & 1
                         and not forced[u] & ~((1 << prev) | 1)
                         and not forced[0] & ~((1 << path[1]) | (1 << u)))
+        # below the root the start has one cycle edge left, so at most one
+        # vertex may have a single usable connection other than the start
+        weak = 0
         for b in _bits(rest):
             aw = adj[b.bit_length() - 1]
-            if (aw & rest).bit_count() + ((aw >> u) & 1) + (aw & 1) < 2:
+            s = (aw & rest).bit_count() + ((aw >> u) & 1)
+            if s + (aw & 1) < 2:
                 return False
+            weak += prev >= 0 and s == 1
+        if weak > 1:
+            return False
         if not adj[0] & rest or not connected(rest | (1 << u), 1 << u):
             return False
         for b in _bits(adj[u] & rest):
@@ -282,70 +296,6 @@ def recursive_ham_cycle(n, adj, max_nodes=None, deadline=None):
     except _OutOfBudget:
         return ("unknown", None, budget.nodes)
     return ("found", tuple(path), budget.nodes) if found else ("none", None, budget.nodes)
-
-
-def recursive_ham_path(n, adj, max_nodes=None, deadline=None):
-    """Reference for ``_pykernels.ham_path``: the same search written as
-    plain recursion that rescans every unvisited vertex and BFSes the whole
-    unvisited region at each node.  It must give the same (status, order,
-    nodes) on every input; keep inputs well under the recursion limit."""
-    if n == 1:
-        return ("found", (0,), 0)
-    full = (1 << n) - 1
-    deg = [a.bit_count() for a in adj]
-    if min(deg) == 0:
-        return ("none", None, 0)
-    ones = [v for v in range(n) if deg[v] == 1]
-    if len(ones) > 2:
-        return ("none", None, 0)
-    starts = [ones[0]] if ones else list(range(n))
-
-    def connected(region, start_bit):
-        seen = frontier = start_bit
-        while frontier:
-            nxt = 0
-            for b in _bits(frontier):
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & region & ~seen
-            seen |= frontier
-        return seen & region == region
-
-    budget = _Budget(max_nodes, deadline)
-    path = []
-
-    def extend(u, visited):
-        budget.charge()
-        rest = full & ~visited
-        if not rest:
-            return True
-        # every unvisited vertex needs a live connection; at most one may
-        # rely on a single connection (it must then end the path)
-        weak = 0
-        for b in _bits(rest):
-            aw = adj[b.bit_length() - 1]
-            avail = (aw & rest).bit_count() + ((aw >> u) & 1)
-            if avail == 0:
-                return False
-            weak += avail == 1
-            if weak > 1:
-                return False
-        if not connected(rest | (1 << u), 1 << u):
-            return False
-        for b in _bits(adj[u] & rest):
-            path.append(b.bit_length() - 1)
-            if extend(b.bit_length() - 1, visited | b):
-                return True
-            path.pop()
-        return False
-
-    try:
-        for s in starts:
-            path[:] = [s]
-            if extend(s, 1 << s):
-                return ("found", tuple(path), budget.nodes)
-    except _OutOfBudget:
-        return ("unknown", None, budget.nodes)
-    return ("none", None, budget.nodes)
 
 
 def recursive_scattering_max(n, adj, max_nodes=None, deadline=None):

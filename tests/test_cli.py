@@ -79,6 +79,19 @@ class TestProduct:
         assert g.order == 32 and g.size == 52
 
 
+    def test_dot_file(self, capsys, files, tmp_path):
+        dot = tmp_path / "p2p3.dot"
+        code, payload = run_json(capsys, "product", "--n", "2", "--graph", files["p3"],
+                                 "--dot", str(dot))
+        assert code == 0 and payload["dot_file"] == str(dot)
+        text = dot.read_text()
+        # the product's seven edges under its i_v labels, none bold
+        assert text == graphs.to_dot(cartesian_product(path_graph(2), path_graph(3)),
+                                     layers=2)
+        assert text.count(" -- ") == 7 and "bold" not in text
+        assert '"1_1" -- "1_2";' in text and '"1_3" -- "2_3";' in text
+
+
 class TestHamcycle:
     def test_k4(self, capsys, files, tmp_path):
         out = str(tmp_path / "c.cycle")
@@ -285,6 +298,23 @@ class TestCheckVerify:
         assert code == 3 and payload["error"]["kind"] == "precondition"
         assert payload["error"]["message"] == "path-factor route needs n >= 10"
 
+    def test_check_finds_a_gap_cycle_by_search(self, capsys, files):
+        # a base of the scan 1 --k 3 family at 4k - 4 = 8 layers that the
+        # splice leaves open: the search meets its cycle at node 9,119.
+        # Without the rule that at most one vertex may need the start's
+        # closing edge it is "unknown" at this cap, and still after
+        # 55,701,504 nodes uncapped
+        base = Graph.from_edges(9, [(1, 2), (1, 3), (1, 9), (2, 4), (2, 5), (3, 5),
+                                    (4, 6), (4, 8), (5, 7)])
+        path = files["dir"] / "gap9.el"
+        path.write_text(format_graph(base))
+        code, payload = run_json(capsys, "check", "--n", "8", "--max-nodes", "20000",
+                                 "--graph", str(path))
+        assert code == 0
+        assert (payload["verdict"], payload["decided_by"], payload["nodes"]) == (
+            "hamiltonian", "search", 9119)
+        assert verify_product_cycle(base, 8, parse_cycle(payload["cycle"]))
+
     def test_check_splices_a_matching_tree_at_its_degree(self, capsys, files):
         # a 20-vertex tree with a perfect matching and maximum degree 4:
         # 4 layers meet the matching bound, and the search alone is
@@ -317,6 +347,34 @@ class TestCheckVerify:
         code, payload = run_json(capsys, "verify", "--n", "5", "--graph", files["p2"],
                                  "--cycle", str(bad))
         assert code == 0 and payload["valid"] is False
+
+    def test_verify_n_rejects_a_header_of_another_shape(self, capsys, files, tmp_path):
+        # P3 x C4's cycle under the header "2 12" reads as ids of a
+        # 2-layer product over 6 columns, labels such as 1_6 included, and
+        # those ids coincide with the 3-layer ones
+        c4 = tmp_path / "c4.el"
+        c4.write_text(format_graph(cycle_graph(4)))
+        out = tmp_path / "c4.cycle"
+        code, payload = run_json(capsys, "check", "--n", "3", "--graph", str(c4),
+                                 "--out", str(out))
+        assert (code, payload["verdict"]) == (0, "hamiltonian")
+        seq = parse_cycle(out.read_text()).seq
+        forged = tmp_path / "forged.cycle"
+        forged.write_text(cycles.format_cycle(cycles.HamCycle(2, 6, seq)))
+        assert forged.read_text().startswith("2 12\n")
+        assert {"1_6", "2_5"} <= set(forged.read_text().split())
+        for cycle, valid in ((out, True), (forged, False)):
+            code, payload = run_json(capsys, "verify", "--n", "3", "--graph", str(c4),
+                                     "--cycle", str(cycle))
+            assert (code, payload["valid"]) == (0, valid)
+        # without --n any cycle file is checked against the graph itself:
+        # both files hold the same ids, a Hamiltonian cycle of the product
+        prod = tmp_path / "p3c4.el"
+        run_json(capsys, "product", "--n", "3", "--graph", str(c4), "--out", str(prod))
+        for cycle in (out, forged):
+            code, payload = run_json(capsys, "verify", "--graph", str(prod),
+                                     "--cycle", str(cycle))
+            assert (code, payload["valid"]) == (0, True)
 
     def test_verify_without_n_checks_the_graph_itself(self, capsys, files, tmp_path):
         out = tmp_path / "k4.cycle"
@@ -521,6 +579,16 @@ class TestScan:
         assert payload["counterexamples"] == []
         assert payload["params"] == {"max_h_order": 6, "max_n": 5, "start_index": 0}
 
+
+    def test_scan_prints_its_report(self, capsys):
+        # without --json or --out, the report itself goes to stdout
+        code, out, _ = run(capsys, "scan", "1", "--k", "3", "--max-order", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "scan below_layer_bound"
+        assert "param k = 3" in lines and "status complete" in lines
+        assert lines == oracle.format_scan_report(
+            oracle.scan_below_layer_bound(3, 5)).splitlines()
 
     def test_order_past_the_tree_enumeration_cap_is_a_budget_error(self, capsys):
         code, payload = run_json(capsys, "scan", "1", "--k", "3", "--max-order", "13")

@@ -15,10 +15,10 @@ from boxham.graphs import (
     star_graph,
 )
 from helpers import (
+    apexed,
     full_toughness_scan,
     random_connected_graph,
     recursive_ham_cycle,
-    recursive_ham_path,
     recursive_scattering_max,
 )
 
@@ -126,6 +126,27 @@ class TestPureHamCycle:
             outcomes.add(got[0])
         assert {"found", "unknown"} <= outcomes
 
+    def test_matches_reference_on_apexed_scan_products(self):
+        # the spanning-path oracle's graphs: every vertex is adjacent to the
+        # start, so every vertex may come to need its closing edge
+        outcomes = set()
+        for base, prod in scan_products():
+            g = apexed(prod)
+            adj = list(g.adjacency_masks)
+            got = _pykernels.ham_cycle(g.order, adj, 1000, None)
+            assert got == recursive_ham_cycle(g.order, adj, 1000, None), base.edges
+            outcomes.add(got[0])
+        assert {"found", "unknown"} <= outcomes
+
+    def test_two_vertices_needing_the_closing_edge_end_the_branch(self):
+        # after the path 1-2-4, vertices 3 and 5 each keep one connection
+        # other than the start 1 (to 4), and only one of them can close the
+        # cycle: that branch ends at its first node (7 nodes without the rule)
+        g = Graph.from_edges(5, [(1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)])
+        adj = list(g.adjacency_masks)
+        want = ("found", (0, 1, 4, 3, 2), 6)
+        assert _pykernels.ham_cycle(5, adj) == recursive_ham_cycle(5, adj) == want
+
     def test_disconnected_graph_stops_at_the_root(self):
         # every degree is 2, so only the root's connectivity check answers
         triangles = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
@@ -145,40 +166,6 @@ class TestPureHamCycle:
         assert (status, nodes) == ("found", 2989)
         assert sorted(order) == list(ladder.vertices())
         assert all(map(ladder.has_edge, order, order[1:] + order[:1]))
-
-
-class TestPureHamPath:
-    """The iterative pure spanning-path search against its recursive
-    reference, as for the cycle search."""
-
-    def test_matches_reference_on_random_graphs(self):
-        rng = random.Random(108)
-        outcomes = set()
-        for _ in range(1000):
-            n = rng.randint(1, 14)
-            p = rng.uniform(0.1, 0.8)
-            edges = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)
-                     if rng.random() < p]
-            adj = list(Graph.from_edges(n, edges).adjacency_masks)
-            for cap in (None, 0, 1, 10, 300):
-                got = _pykernels.ham_path(n, adj, cap, None)
-                assert got == recursive_ham_path(n, adj, cap, None), (n, edges, cap)
-                outcomes.add(got[0])
-        assert outcomes == {"found", "none", "unknown"}
-
-    def test_matches_reference_on_scan_products(self):
-        for base, prod in scan_products():
-            adj = list(prod.adjacency_masks)
-            got = _pykernels.ham_path(prod.order, adj, 1000, None)
-            assert got == recursive_ham_path(prod.order, adj, 1000, None), base.edges
-
-    def test_ladder_without_recursion(self):
-        # 1200 path vertices, far past the interpreter's recursion limit
-        ladder = cartesian_product(path_graph(600), path_graph(2))
-        res = oracle.find_spanning_path(ladder)
-        assert res.status == "found"
-        assert sorted(res.path) == list(range(1, 1201))
-        assert all(ladder.has_edge(u, v) for u, v in zip(res.path, res.path[1:]))
 
 
 class TestPureScattering:
@@ -244,14 +231,10 @@ class TestClockBudget:
         p8 = cartesian_product(path_graph(8), SCAN8)
         past = time.monotonic() - 1
         # uncapped: 251,734 and 83,687 nodes (pinned in bench_kernels.py)
-        # and 4,930 nodes
         assert (_pykernels.scattering_max(p3.order, p3.adjacency_masks, None, past)
                 == ("unknown", None, None, self.STRIDE))
         assert (_pykernels.ham_cycle(p8.order, p8.adjacency_masks, None, past)
                 == ("unknown", None, self.STRIDE))
-        assert (_pykernels.ham_path(p3.order, p3.adjacency_masks, None, past)
-                == ("unknown", None, self.STRIDE))
-        assert _pykernels.ham_path(p3.order, p3.adjacency_masks, None, None)[2] == 4930
 
     def test_wrappers_with_a_zero_budget(self):
         p3 = cartesian_product(path_graph(3), oracle.fixtures().t1)
@@ -259,7 +242,11 @@ class TestClockBudget:
         assert (kernels.scattering_max(p3, budget_seconds=0)
                 == ("unknown", None, None, self.STRIDE))
         assert kernels.ham_cycle(p8, budget_seconds=0) == ("unknown", None, self.STRIDE)
-        assert kernels.ham_path(p3, budget_seconds=0) == ("unknown", None, self.STRIDE)
+        # the search on the apexed P6 x T1 meets a cycle at node 35,706
+        p6 = cartesian_product(path_graph(6), oracle.fixtures().t1)
+        assert oracle.find_spanning_path(p6).nodes == 35_706
+        assert (oracle.find_spanning_path(p6, budget_seconds=0)
+                == oracle.PathResult("unknown", None, self.STRIDE))
 
 
 class CallRecorder:
@@ -280,9 +267,9 @@ class CallRecorder:
 
 class TestWrappers:
     def test_vertex_translation(self):
-        g = path_graph(4)
-        status, order, _ = kernels.ham_path(g)
-        assert status == "found" and order == (1, 2, 3, 4)
+        # the apex is vertex 1 of the searched graph, so P4's vertex v is v + 1
+        # there, and the oracle maps the cycle back
+        assert oracle.find_spanning_path(path_graph(4)).path == (1, 2, 3, 4)
         status, order, _ = kernels.ham_cycle(cycle_graph(5))
         assert status == "found" and order == (1, 2, 3, 4, 5)
 
@@ -291,25 +278,28 @@ class TestWrappers:
         # kernels._fast to replay its calls on the pure kernels
         assert kernels.backend_name() == "pure"
         g = star_graph(3)
-        want = (kernels.ham_cycle(g), kernels.ham_path(g),
+        p4 = path_graph(4)
+        want = (kernels.ham_cycle(g), oracle.find_spanning_path(p4),
                 kernels.scattering_max(g), kernels.toughness_scan(g))
         fast = CallRecorder()
         monkeypatch.setattr(kernels, "_fast", fast)
-        assert (kernels.ham_cycle(g), kernels.ham_path(g),
+        assert (kernels.ham_cycle(g), oracle.find_spanning_path(p4),
                 kernels.scattering_max(g), kernels.toughness_scan(g)) == want
         assert kernels.count_isolated_after(g, {1}) == 3
         assert kernels.count_components_after(g, {1}) == 3
+        # the spanning-path oracle runs the cycle search on P4 plus an apex;
         # the counters always run on the pure kernels
-        assert fast.calls == ["ham_cycle", "ham_path", "scattering_max", "toughness_scan"]
+        assert fast.calls == ["ham_cycle", "ham_cycle", "scattering_max", "toughness_scan"]
 
     def test_capped_search_reports_its_cap(self):
         from boxham.oracle import fixtures
         flagship = cartesian_product(path_graph(4), fixtures().t1)
         # the kernels stop before they count a node past the cap
         assert _pykernels.ham_cycle(32, flagship.adjacency_masks, 10, None)[2] == 10
-        for search in (kernels.ham_cycle, kernels.ham_path):
-            status, _, nodes = search(flagship, max_nodes=10)
-            assert (status, nodes) == ("unknown", 10)
+        status, _, nodes = kernels.ham_cycle(flagship, max_nodes=10)
+        assert (status, nodes) == ("unknown", 10)
+        res = oracle.find_spanning_path(flagship, max_nodes=10)
+        assert (res.status, res.nodes) == ("unknown", 10)
         status, *_, nodes = kernels.scattering_max(flagship, max_nodes=10)
         assert (status, nodes) == ("unknown", 10)
 
@@ -322,16 +312,17 @@ class TestWrappers:
             adj = g.adjacency_masks
             for cap in (0, 1, 5, 50):
                 raw = (_pykernels.ham_cycle(g.order, adj, cap, None),
-                       _pykernels.ham_path(g.order, adj, cap, None),
                        _pykernels.scattering_max(g.order, adj, cap, None))
                 wrapped = (kernels.ham_cycle(g, max_nodes=cap),
-                           kernels.ham_path(g, max_nodes=cap),
                            kernels.scattering_max(g, max_nodes=cap))
-                for out, again in zip(raw, wrapped):
-                    assert out[-1] <= cap and out[-1] == again[-1]
-                    if out[0] == "unknown":
+                assert [out[-1] for out in raw] == [out[-1] for out in wrapped]
+                path = oracle.find_spanning_path(g, max_nodes=cap)
+                for status, nodes in [(out[0], out[-1]) for out in raw] + [
+                        (path.status, path.nodes)]:
+                    assert nodes <= cap
+                    if status == "unknown":
                         stopped += 1
-                        assert out[-1] == cap, (g.edges, cap, out)
+                        assert nodes == cap, (g.edges, cap, status)
         assert stopped >= 300
 
     def test_toughness_scan_translation(self):

@@ -130,9 +130,20 @@ class TestTraceableOracle:
                 assert sorted(p) == list(g.vertices())
                 assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
 
+    def test_ladder_without_recursion(self):
+        # 1201 vertices with the apex, far past the interpreter's recursion
+        # limit; one node per vertex and one for the apex's root
+        ladder = cartesian_product(path_graph(600), path_graph(2))
+        res = find_spanning_path(ladder)
+        assert (res.status, res.nodes) == ("found", 1201)
+        assert sorted(res.path) == list(range(1, 1201))
+        assert all(ladder.has_edge(u, v) for u, v in zip(res.path, res.path[1:]))
+
     @pytest.mark.parametrize("forged", [(1, 2, 3, 5, 4), (1, 2, 3, 4, 4), (1, 2, 3, 4)])
     def test_forged_path_raises(self, monkeypatch, forged):
-        monkeypatch.setattr(oracle.kernels, "ham_path", lambda g, **_: ("found", forged, 1))
+        # the search runs on P5 plus the apex 1, where P5's vertex v is v + 1
+        cycle = (1, *(v + 1 for v in forged))
+        monkeypatch.setattr(oracle.kernels, "ham_cycle", lambda g, **_: ("found", cycle, 1))
         with pytest.raises(AssertionError, match="search path"):
             find_spanning_path(path_graph(5))
 

@@ -7,6 +7,7 @@ kind of code that can silently over-prune, so this is the guard."""
 import random
 
 from boxham.graphs import (
+    Graph,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -98,3 +99,22 @@ def test_ham_oracle_matches_subset_dp():
 def test_traceable_oracle_matches_subset_dp():
     for g in population():
         assert trace_exists_dp(g) == (find_spanning_path(g).status == "found"), g.edges
+
+
+def test_traceable_oracle_matches_subset_dp_on_random_graphs():
+    # disconnected graphs and isolated vertices included; a found path is
+    # checked edge by edge here too
+    rng = random.Random(108)
+    statuses = set()
+    for _ in range(1000):
+        n = rng.randint(1, 14)
+        p = rng.uniform(0.1, 0.8)
+        g = Graph.from_edges(n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)
+                                 if rng.random() < p])
+        res = find_spanning_path(g)
+        assert res.status == ("found" if trace_exists_dp(g) else "none"), g.edges
+        if res.path is not None:
+            assert sorted(res.path) == list(g.vertices())
+            assert all(map(g.has_edge, res.path, res.path[1:])), g.edges
+        statuses.add(res.status)
+    assert statuses == {"found", "none"}

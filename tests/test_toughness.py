@@ -447,16 +447,25 @@ class TestCycleStage:
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 1173)
         assert res.cycle is None
 
-    def test_cycle_past_the_stage_cap_goes_to_the_dp(self):
-        # Hamiltonian, but the search meets its cycle at node 758, past
-        # 32 * 18 = 576; a larger max_nodes does not lift that cap
+    def test_cycle_within_the_stage_cap(self):
+        # the search meets this graph's cycle at node 24, within 32 * 18:
+        # branches where two vertices need the start's closing edge end at
+        # their first node (758 nodes, past the cap, without that rule)
         base = Graph.from_edges(6, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (2, 6),
                                     (3, 4), (4, 5)])
         g = cartesian_product(path_graph(3), base)
-        assert kernels.ham_cycle(g)[::2] == ("found", 758)
+        res = is_one_tough(g)
+        assert (res.verdict, res.decided_by, res.nodes) == ("yes", "hamiltonian_cycle", 24)
+
+    def test_cycle_past_the_stage_cap_goes_to_the_dp(self):
+        # Hamiltonian, but the search meets its cycle at node 1,455, past
+        # 32 * 21 = 672; a larger max_nodes does not lift that cap
+        base = random_connected_graph(random.Random(610), 4, 8)
+        g = cartesian_product(path_graph(3), base)
+        assert kernels.ham_cycle(g)[::2] == ("found", 1455)
         for cap in (None, 10**6):
             res = is_one_tough(g, max_nodes=cap)
-            assert (res.verdict, res.decided_by, res.nodes) == ("yes", "frontier_dp", 1032)
+            assert (res.verdict, res.decided_by, res.nodes) == ("yes", "frontier_dp", 825)
 
     def test_cycle_stage_cap_and_deadline(self, monkeypatch):
         calls = []
@@ -530,7 +539,6 @@ petersen = Graph.from_edges(10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6),
 kernels.ham_cycle = lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1)
 expect_raise("is_one_tough", lambda: toughness.is_one_tough(petersen))
 expect_raise("find_hamiltonian_cycle", lambda: oracle.find_hamiltonian_cycle(petersen))
-kernels.ham_path = lambda g, **_: ("found", tuple(range(1, g.order + 1)), 1)
 expect_raise("find_spanning_path", lambda: oracle.find_spanning_path(petersen))
 expect_raise("_judge_instance", lambda: oracle._judge_instance((4, ((1, 2), (2, 3), (3, 4)), 2, None, None)))
 oracle.splice_attempt = lambda base, n: HamCycle(n, base.order, tuple(range(1, n * base.order + 1)))
@@ -690,6 +698,15 @@ class TestBipartiteProductCut:
         with pytest.raises(HasPathFactorError):
             product_cut_from_bipartite(2, path_graph(4))
 
+    def test_disconnected_base_gives_the_empty_cut(self):
+        # P3 x 2K2 falls apart into two ladders with nothing removed
+        w = product_cut_from_bipartite(3, Graph(4, ((1, 2), (3, 4))))
+        assert w.cut == frozenset() and w.components == 2
+
+    def test_one_vertex_base_rejected(self):
+        with pytest.raises(PreconditionFailedError, match="at least 2 vertices"):
+            product_cut_from_bipartite(2, Graph(1))
+
     def test_all_no_factor_bases_up_to_7(self):
         for h in connected_bipartite_up_to_iso(7):
             if find_p23_factor(h) is not None:
@@ -720,6 +737,11 @@ class TestHighDegreeProductCut:
     def test_boundary_rejected(self):
         with pytest.raises(PreconditionFailedError):
             product_cut_from_high_degree(path_graph(3), star_graph(3))
+
+    def test_disconnected_first_factor_rejected(self):
+        # K1,3's degree 3 exceeds the order 2, but 2K1 is no connected graph
+        with pytest.raises(PreconditionFailedError, match="must be connected"):
+            product_cut_from_high_degree(Graph(2), star_graph(3))
 
     def test_witness_column_of_max_degree_vertex(self):
         t = fixtures().t1  # max degree 3 at vertices 2, 3, 4
