@@ -15,7 +15,12 @@ P600 x K2, which the entry splits into its base and layers and splices;
 the first table keeps the search's own time on it.  The second and
 third tables stop with an error when a row's deciding stage or its
 deterministic node count (states for the frontier DP) differs from its
-pin.
+pin.  A fourth table times whole in-process ``cli.main`` calls, as a
+scanner pays for each instance: ``check --n 8 --json`` on the scan tree
+(the splice answers) and ``check --n 4 --json`` on the flagship (the
+search answers).  It gives the median microseconds per call and the
+share of that median spent parsing argv (``cli._parse``, its checks
+included), and pins each answer's stage and nodes the same way.
 
     python benchmarks/bench_kernels.py            # quick set
     python benchmarks/bench_kernels.py --full     # adds the flagship's
@@ -27,17 +32,22 @@ kernel) with the backend, the Python version and the CPU count.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import random
+import statistics
+import tempfile
 import time
 
-from boxham import _pykernels, kernels
+from boxham import _pykernels, cli, kernels
 from boxham.graphs import (
     Graph,
     cartesian_product,
     complete_graph,
+    format_graph,
     path_graph,
     star_graph,
 )
@@ -163,6 +173,53 @@ def check_instances():
     yield "P600 x K2 ladder, no --n", LADDER, 1, "splice", 0
 
 
+# in-process calls per cli.main row; each row's median is over this many
+CLI_CALLS = 200
+
+
+def cli_instances():
+    """(label, base, argv, the stage expected to decide it, its nodes)."""
+    yield "check --n 8, scan tree8", SCAN8, ["check", "--n", "8"], "splice", 0
+    yield "check --n 4, flagship", T1, ["check", "--n", "4"], "search", 408
+
+
+def median_seconds(call, calls):
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def cli_row(label, base, argv, stage, pinned, workdir):
+    """Time ``cli.main`` on argv with the base's edge list and ``--json``
+    appended, and the argv parse alone; check the answer's pins."""
+    path = os.path.join(workdir, "base.el")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_graph(base))
+    argv = [*argv, "--graph", path, "--json"]
+    out = io.StringIO()
+
+    def call():
+        out.seek(0)
+        out.truncate()
+        with contextlib.redirect_stdout(out):
+            cli.main(argv)
+
+    call()
+    payload = json.loads(out.getvalue())
+    if (payload["decided_by"], payload["nodes"]) != (stage, pinned):
+        raise SystemExit(f"{label} decided by {payload['decided_by']} in {payload['nodes']} "
+                         f"nodes, expected {stage} in {pinned}")
+    per_call = median_seconds(call, CLI_CALLS)
+    parse = median_seconds(lambda: cli._parse(argv), CLI_CALLS)
+    print(f"{label:<28} {payload['verdict']:>15} {per_call * 1e6:>10.1f} "
+          f"{parse / per_call:>12.1%}")
+    return {**row("cli.main", label, pinned, per_call, stage), "calls": CLI_CALLS,
+            "median_us": round(per_call * 1e6, 1), "parse_share": round(parse / per_call, 3)}
+
+
 def run_one(func, g):
     # the searches take a node cap and a deadline; the toughness scan does not
     args = () if func == "toughness_scan" else (None, None)
@@ -220,6 +277,13 @@ def main():
     for label, base, n, stage, pinned in check_instances():
         rows.append(staged("check --n", label, find_product_cycle, (base, n), stage, pinned,
                            "status"))
+
+    header = f"{'cli.main --json':<28} {'verdict':>15} {'median_us':>10} {'parse_share':>12}"
+    print("\n" + header)
+    print("-" * len(header))
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, base, argv, stage, pinned in cli_instances():
+            rows.append(cli_row(label, base, argv, stage, pinned, workdir))
 
     if args.out:
         report = {

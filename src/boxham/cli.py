@@ -4,7 +4,11 @@ Exit codes: 0 ok, 1 usage, 2 parse or I/O, 3 precondition violation,
 4 no usable factor (certificate attached), 5 budget exhausted.  With
 --json the only stdout output is one stable machine-readable object,
 emitted on errors too so a negative answer always carries its
-certificate.
+certificate.  A usage error (exit 1, usage text on stderr) prints
+``{"command": <argv[0] if it names a command, else null>, "status":
+"error", "error": {"kind": "usage", "message": ...}}`` when --json is
+anywhere in argv.  A negative or NaN --budget-seconds is a usage error,
+as a negative --max-nodes is; 0 is a deadline already past.
 """
 
 from __future__ import annotations
@@ -29,11 +33,22 @@ EXIT_NO_FACTOR = 4
 EXIT_BUDGET = 5
 
 
+class _UsageError(SystemExit):
+    """Exit 1 on a usage error, carrying argparse's message so that
+    ``main`` can put it in the --json object."""
+
+    def __init__(self, message: str):
+        super().__init__(EXIT_USAGE)
+        self.message = message
+
+
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _UsageError(message)
 
 
 def _read_graph(path: str) -> graphs.Graph:
@@ -234,11 +249,13 @@ def _cmd_scan(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="boxham",
                      description="Hamiltonian cycles and toughness certificates "
                                  "in path-by-graph products")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse records each command's parser here as add_parser adds it
+    parser.commands = sub.choices
 
     def common(p, *, n=False, n_required=False, out=False, dot=False, budget=False):
         p.add_argument("--graph", required=True, help="edge-list file of the base graph")
@@ -320,10 +337,10 @@ def _classify(exc: Exception) -> str:
     return "precondition"
 
 
-_PARSER: argparse.ArgumentParser | None = None
+_PARSER: _Parser | None = None
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     """The parser, built on first use and reused by every later ``main``
     call in the process; parsing leaves it unchanged."""
     global _PARSER
@@ -332,17 +349,48 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the parser of the command that argv[0] names, one
+    argparse level instead of two; the top-level parser only answers an
+    argv that names no command (empty, -h or an unknown word).  Raises
+    ``_UsageError`` on a usage error."""
     parser = _parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+        command = parser.commands[args.command]
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args.command == "scan" and args.conjecture == 1 and (args.k is None or args.k < 3):
-        parser.error("scan 1 needs --k at least 3")
+        command.error("scan 1 needs --k at least 3")
     if (getattr(args, "max_nodes", None) or 0) < 0:
-        parser.error("--max-nodes must be at least 0")
-    if args.command == "toughness" and args.budget_seconds is not None and not args.one_tough:
-        parser.error("--budget-seconds needs --one-tough")
+        command.error("--max-nodes must be at least 0")
+    budget = getattr(args, "budget_seconds", None)
+    if budget is not None and not budget >= 0:  # NaN too: it would never expire
+        command.error("--budget-seconds must be at least 0")
+    if args.command == "toughness" and budget is not None and not args.one_tough:
+        command.error("--budget-seconds needs --one-tough")
     if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be at least 1")
+        command.error("--workers must be at least 1")
+    return args
+
+
+def _json_requested(argv: list[str]) -> bool:
+    """--json, or an abbreviation of it, which argparse accepts too."""
+    return any(len(arg) > 2 and "--json".startswith(arg) for arg in argv)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parse(argv)
+    except _UsageError as exc:
+        if _json_requested(argv):
+            command = argv[0] if argv and argv[0] in _parser().commands else None
+            print(json.dumps({"command": command, "status": "error",
+                              "error": {"kind": "usage", "message": exc.message}},
+                             sort_keys=True))
+        raise
     payload: dict = {"command": args.command, "status": "ok"}
     try:
         extra, human, code = args.handler(args)

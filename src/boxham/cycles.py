@@ -26,7 +26,6 @@ Column conventions, for n layers and base vertex v:
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, NamedTuple
@@ -82,10 +81,14 @@ _COMPONENT_ROLES: dict[int, tuple[Role, ...]] = {
 }
 
 
+def _pattern(role: Role, n: int) -> tuple[int, ...]:
+    residues = _ROLE_RESIDUES[role]
+    return tuple([i for i in range(1, n) if i % 4 in residues])
+
+
 def used_column_indices(role: Role, n: int) -> frozenset[int]:
     """Vertical indices (subset of 1..n-1) a column of the given role may use."""
-    residues = _ROLE_RESIDUES[role]
-    return frozenset(i for i in range(1, n) if i % 4 in residues)
+    return frozenset(_pattern(role, n))
 
 
 _Template = tuple[tuple[int, int, int, int, int, int], ...]
@@ -107,8 +110,8 @@ class _LayerPlan(NamedTuple):
 
 
 def _layer_plan(n: int, k: int, sizes: set[int]) -> _LayerPlan:
-    patterns = {role: tuple(sorted(used_column_indices(role, n)))
-                for size in sizes for role in _COMPONENT_ROLES[size]}
+    roles = {role for size in sizes for role in _COMPONENT_ROLES[size]}
+    patterns = {role: _pattern(role, n) for role in roles}
     return _LayerPlan(patterns, {size: _column_template(n, k, size, patterns)
                                  for size in sizes})
 
@@ -122,31 +125,30 @@ def _column_template(n: int, k: int, size: int,
     snake of a triple.  At n = 1 a pair's two crossings are the doubled
     edge of the degenerate two-vertex cycle.
     """
+    # 0-based crossing layers between positions pos and pos + 1; sets, as
+    # the boundary layers overlap a triple's residue families
     if size == 2:
-        crossings = [(1, n)]
+        crossings = [(0, n - 1)]
     else:
-        # the boundary layers overlap the residue families at some layer
-        # counts; the sets keep one crossing per layer
-        crossings = [{1, n} | {i for i in range(1, n + 1) if i % 4 in (2, 3)},
-                     {n} | {i for i in range(1, n + 1) if i % 4 in (0, 1)}]
-    nbrs: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-
-    def link(a: tuple[int, int], b: tuple[int, int]) -> None:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-
-    # vertices are (layer - 1, position in the component)
+        crossings = [{0, n - 1, *range(1, n, 4), *range(2, n, 4)},
+                     {n - 1, *range(0, n, 4), *range(3, n, 4)}]
+    # vertex (layer, pos) is row layer * size + pos: its offset and position,
+    # then its neighbours'
+    rows = [[offset, pos] for offset in range(0, n * k, k) for pos in range(size)]
     for pos, role in enumerate(_COMPONENT_ROLES[size]):
         for i in patterns[role]:
-            link((i - 1, pos), (i, pos))
+            x = i * size + pos
+            rows[x - size] += (i * k, pos)
+            rows[x] += (i * k - k, pos)
     for pos, layers in enumerate(crossings):
-        for i in layers:
-            link((i - 1, pos), (i - 1, pos + 1))
-    if len(nbrs) != n * size or any(len(ends) != 2 for ends in nbrs.values()):
+        for layer in layers:
+            x = layer * size + pos
+            rows[x] += (layer * k, pos + 1)
+            rows[x + 1] += (layer * k, pos)
+    if set(map(len, rows)) != {6}:
         raise AssertionError(f"the {size}-column cycle at n = {n} leaves a vertex "
                              "without two neighbours")
-    return tuple((layer * k, pos, a * k, pa, b * k, pb)
-                 for (layer, pos), ((a, pa), (b, pb)) in sorted(nbrs.items()))
+    return tuple(map(tuple, rows))
 
 
 def pattern_overlap_counts(n: int) -> tuple[int, int, int]:

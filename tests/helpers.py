@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from functools import lru_cache
 
 from boxham import kernels
 from boxham._pykernels import _Budget, _OutOfBudget, _greedy_matching, count_components
+from boxham.cycles import _COMPONENT_ROLES
 from boxham.graphs import Graph, format_label, is_connected, isomorphic
 from boxham.toughness import _last_steps
 
@@ -202,6 +204,34 @@ def reference_format_cycle(cycle) -> str:
     sequence to its (layer, base) label and format the labels one by one."""
     tokens = " ".join(format_label(i, v) for i, v in cycle.labels())
     return f"{cycle.layers} {cycle.order}\n{tokens}\n"
+
+
+def reference_column_template(n: int, k: int, size: int, patterns) -> tuple:
+    """Reference for ``cycles._column_template``: link the column cycle
+    edge by edge into a neighbour map keyed by (layer - 1, position) and
+    read the entries off in sorted order."""
+    if size == 2:
+        crossings = [(1, n)]
+    else:
+        crossings = [{1, n} | {i for i in range(1, n + 1) if i % 4 in (2, 3)},
+                     {n} | {i for i in range(1, n + 1) if i % 4 in (0, 1)}]
+    nbrs = defaultdict(list)
+
+    def link(a, b):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    for pos, role in enumerate(_COMPONENT_ROLES[size]):
+        for i in patterns[role]:
+            link((i - 1, pos), (i, pos))
+    for pos, layers in enumerate(crossings):
+        for i in layers:
+            link((i - 1, pos), (i - 1, pos + 1))
+    if len(nbrs) != n * size or any(len(ends) != 2 for ends in nbrs.values()):
+        raise AssertionError(f"the {size}-column cycle at n = {n} leaves a vertex "
+                             "without two neighbours")
+    return tuple((layer * k, pos, a * k, pa, b * k, pb)
+                 for (layer, pos), ((a, pa), (b, pb)) in sorted(nbrs.items()))
 
 
 def forged_assembly(assemble, i, j):

@@ -45,10 +45,13 @@ def test_bench_kernels_file_matches_its_pins(tmp_path):
         return [(r["table"], r["instance"], r["decided_by"], r["nodes"]) for r in report["rows"]]
 
     assert pins(committed) == pins(fresh)
-    assert {r["table"] for r in fresh["rows"]} == {"kernel", "is_one_tough", "check --n"}
+    assert {r["table"] for r in fresh["rows"]} == {"kernel", "is_one_tough", "check --n",
+                                                    "cli.main"}
     for report in (fresh, committed):
         assert report["backend"] and report["python"] and report["nproc"] >= 1
         assert all(r["seconds"] >= 0 for r in report["rows"])
+        assert all(r["median_us"] > 0 and 0 < r["parse_share"] < 1
+                   for r in report["rows"] if r["table"] == "cli.main")
 
 
 def test_perfbench_suite_passes():

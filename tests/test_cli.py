@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,20 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+def usage_error(capsys, *argv):
+    """The --json object of argv, a usage error: exit 1, argparse's usage
+    text on stderr and exactly one object on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: boxham")
+    payload = json.loads(captured.out)
+    assert payload["status"] == "error" and payload["error"]["kind"] == "usage"
+    assert set(payload) == {"command", "status", "error"}
+    return payload
 
 
 class TestProduct:
@@ -260,10 +278,9 @@ class TestToughness:
 
     def test_budget_without_one_tough_is_a_usage_error(self, capsys, files):
         # the exact scan takes no budget, so it would run to the end
-        with pytest.raises(SystemExit) as exc:
-            main(["toughness", "--graph", files["p3"], "--budget-seconds", "-1", "--json"])
-        assert exc.value.code == 1
-        assert capsys.readouterr().out == ""
+        payload = usage_error(capsys, "toughness", "--graph", files["p3"],
+                              "--budget-seconds", "1", "--json")
+        assert payload["error"]["message"] == "--budget-seconds needs --one-tough"
         code, payload = run_json(capsys, "toughness", "--graph", files["p3"],
                                  "--one-tough", "--budget-seconds", "5")
         assert (code, payload["verdict"]) == (0, "no")
@@ -467,10 +484,9 @@ class TestCheckVerify:
 
     def test_negative_max_nodes_is_a_usage_error(self, capsys, files):
         for argv in (["check", "--n", "4", "--graph", files["t1"]], ["scan", "2"]):
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--max-nodes", "-1", "--json"])
-            assert exc.value.code == 1
-            assert capsys.readouterr().out == ""
+            payload = usage_error(capsys, *argv, "--max-nodes", "-1", "--json")
+            assert payload["command"] == argv[0]
+            assert payload["error"]["message"] == "--max-nodes must be at least 0"
         # a cap of 0 is a budget spent at once, not a usage error
         code, payload = run_json(capsys, "check", "--n", "4", "--graph", files["t1"],
                                  "--max-nodes", "0")
@@ -554,6 +570,128 @@ class TestParserReuse:
         assert fresh == reused
 
 
+def two_level_parse(argv):
+    """argparse's own dispatch: the top-level parser hands the rest of argv
+    to the subcommand's parser."""
+    return cli.build_parser().parse_args(argv)
+
+
+def parse_outcome(capsys, parse, argv):
+    """vars of the parsed Namespace, or the exit code."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    capsys.readouterr()
+    return outcome
+
+
+# per command: valid argv, then the missing required argument, a bad int
+# or float (pathfactor takes none: an option of another command), a bad
+# choice and an unknown option, each as a variant of it
+PARSE_TABLE = {
+    "product": ("product --n 3 --graph g.el --out o.el --dot d.dot --json",
+                "product --graph g.el", "product --n x --graph g.el",
+                "product --n 3 --graph g.el --mode auto", "product --n 3 --graph g.el --k 3"),
+    "hamcycle": ("hamcycle --n 10 --graph g.el --mode matching",
+                 "hamcycle --n 10", "hamcycle --n 1.5 --graph g.el",
+                 "hamcycle --n 10 --graph g.el --mode snake",
+                 "hamcycle --n 10 --graph g.el --bogus"),
+    "pathfactor": ("pathfactor --graph g.el --kind pm --json",
+                   "pathfactor --kind pm", "pathfactor --graph g.el --n 3",
+                   "pathfactor --graph g.el --kind p4", "pathfactor --graph g.el -x"),
+    "toughness": ("toughness --graph g.el --one-tough --budget-seconds 2",
+                  "toughness --one-tough", "toughness --graph g.el --budget-seconds soon",
+                  "toughness --graph g.el --kind pm", "toughness --graph g.el --n 4"),
+    "check": ("check --graph g.el --n 4 --max-nodes 10 --out c.cycle --json",
+              "check --n 4", "check --graph g.el --max-nodes ten",
+              "check --graph g.el --mode matching", "check --graph g.el --workers 2"),
+    "verify": ("verify --graph g.el --cycle c.cycle --n 2",
+               "verify --graph g.el", "verify --graph g.el --cycle c.cycle --n two",
+               "verify --graph g.el --cycle c.cycle --kind pm",
+               "verify --graph g.el --cycle c.cycle --out o"),
+    "scan": ("scan 2 --max-h 5 --max-n 7 --workers 2 --budget-seconds 1 --json",
+             "scan --max-h 5", "scan 1 --k three", "scan 3", "scan 2 --graph g.el"),
+}
+# abbreviations, help, and argv that names no command
+PARSE_EXTRA = ("check --graph g.el --max 5", "scan 2 --max 5", "hamcycle --n 4 --gr g.el --mo matching",
+               "toughness --graph g.el --one", "verify --gr g.el --cy c.cycle",
+               "check -h", "scan --help", "-h", "", "bogus --graph g.el", "--json check",
+               "check --graph g.el --graph h.el", "scan 2 extra")
+
+
+class TestUsageContract:
+    @pytest.mark.parametrize("argv", [*(a for row in PARSE_TABLE.values() for a in row),
+                                      *PARSE_EXTRA])
+    def test_one_level_parse_matches_argparse_dispatch(self, capsys, argv):
+        # compare Namespaces and exit codes, not stderr: argparse's wording
+        # differs between Python versions
+        argv = argv.split()
+        one = parse_outcome(capsys, cli._parse, argv)
+        two = parse_outcome(capsys, two_level_parse, argv)
+        assert one == two
+
+    def test_parse_table_covers_every_command(self, capsys):
+        # each row's first argv parses and every variant is a usage error
+        assert set(PARSE_TABLE) == set(cli.build_parser().commands)
+        for command, (valid, *invalid) in PARSE_TABLE.items():
+            assert parse_outcome(capsys, cli._parse, valid.split())["command"] == command
+            for argv in invalid:
+                assert parse_outcome(capsys, cli._parse, argv.split()) == 1, argv
+
+    def test_usage_errors_print_one_object(self, capsys, files):
+        cases = [
+            (["check", "--graph", files["p3"], "--n", "4", "--max-nodes", "-1", "--json"],
+             "check"),
+            (["scan", "1", "--k", "2", "--json"], "scan"),
+            (["check", "--n", "4", "--json"], "check"),  # no --graph
+            (["bogus", "--json"], None),
+            (["--json"], None),
+            # argparse takes --js for --json, so the object follows it
+            (["check", "--n", "4", "--js"], "check"),
+        ]
+        for argv, command in cases:
+            assert usage_error(capsys, *argv)["command"] == command, argv
+        # without --json a usage error prints nothing on stdout
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--n", "4"])
+        assert exc.value.code == 1 and capsys.readouterr().out == ""
+
+    def test_help_prints_no_object(self, capsys):
+        for argv in (["-h"], ["check", "-h", "--json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: boxham")
+
+    def test_negative_or_nan_budget_is_a_usage_error(self, capsys, files):
+        for argv in (["check", "--graph", files["p3"], "--n", "4"],
+                     ["toughness", "--graph", files["p3"], "--one-tough"],
+                     ["scan", "1", "--k", "3"]):
+            for budget in ("-1", "nan", "-inf"):
+                payload = usage_error(capsys, *argv, f"--budget-seconds={budget}", "--json")
+                assert payload["command"] == argv[0]
+                assert payload["error"]["message"] == "--budget-seconds must be at least 0"
+        # 0 is a deadline already past: the scan stops before its first base
+        code, payload = run_json(capsys, "scan", "1", "--k", "3", "--budget-seconds", "0")
+        assert (code, payload["status"], payload["examined"]) == (0, "truncated", 0)
+
+    def test_module_entry_point_reads_sys_argv(self, files):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+        def boxham(*argv):
+            out = subprocess.run([sys.executable, "-m", "boxham.cli", *argv, "--json"],
+                                 env=env, capture_output=True, text=True, timeout=60)
+            return out.returncode, json.loads(out.stdout), out.stderr
+
+        code, payload, _ = boxham("check", "--graph", files["p3"], "--n", "4")
+        assert (code, payload["verdict"]) == (0, "hamiltonian")
+        code, payload, err = boxham("check", "--n", "4")
+        assert (code, payload["command"], payload["error"]["kind"]) == (1, "check", "usage")
+        assert err.startswith("usage: boxham check")
+
+
 class TestScan:
     def test_usage_error_on_small_k(self, capsys, files):
         with pytest.raises(SystemExit) as exc:
@@ -616,11 +754,9 @@ class TestScan:
 
     def test_workers_below_one_is_a_usage_error(self, capsys):
         for workers in ("0", "-3"):
-            with pytest.raises(SystemExit) as exc:
-                main(["scan", "1", "--k", "3", "--max-order", "4",
-                      "--workers", workers, "--json"])
-            assert exc.value.code == 1
-            assert capsys.readouterr().out == ""
+            payload = usage_error(capsys, "scan", "1", "--k", "3", "--max-order", "4",
+                                  "--workers", workers, "--json")
+            assert payload["error"]["message"] == "--workers must be at least 1"
 
 
 class TestStability:

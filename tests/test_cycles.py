@@ -47,7 +47,7 @@ from boxham.graphs import (
     star_graph,
 )
 from boxham.oracle import enumerate_trees, fixtures
-from helpers import forged_assembly, reference_format_cycle
+from helpers import forged_assembly, reference_column_template, reference_format_cycle
 
 T1 = fixtures().t1
 
@@ -174,6 +174,37 @@ class TestThreeColumnCycle:
         with pytest.raises(LayerBoundError) as exc:
             pattern_overlap_counts(2)
         assert exc.value.minimum_layers == 4
+
+
+class TestColumnTemplate:
+    @staticmethod
+    def neighbours(template):
+        """(id offset, position) -> its two neighbours, as a sorted pair."""
+        return {(o, pos): tuple(sorted([(a, pa), (b, pb)]))
+                for o, pos, a, pa, b, pb in template}
+
+    def test_matches_the_reference(self):
+        # n = 1 is the pair's doubled edge; a triple needs an even n >= 4
+        for size, layer_counts in ((2, range(1, 41)), (3, range(4, 41, 2))):
+            for n in layer_counts:
+                for k in (1, 7, 1000):
+                    plan = cycles._layer_plan(n, k, {size})
+                    template = plan.columns[size]
+                    reference = reference_column_template(n, k, size, plan.patterns)
+                    assert len(template) == n * size, (size, n, k)
+                    assert [t[:2] for t in template] == [t[:2] for t in reference]
+                    assert self.neighbours(template) == self.neighbours(reference)
+                    # the splice takes the first usable index of a pattern
+                    assert plan.patterns == {role: tuple(sorted(used_column_indices(role, n)))
+                                             for role in plan.patterns}
+
+    def test_a_triple_at_odd_n_leaves_a_vertex_short(self):
+        for n in (1, 3, 5, 7, 9):
+            patterns = {role: tuple(sorted(used_column_indices(role, n)))
+                        for role in ("left", "mid", "right")}
+            for template in (cycles._column_template, reference_column_template):
+                with pytest.raises(AssertionError, match="without two neighbours"):
+                    template(n, 5, 3, patterns)
 
 
 class TestRolesAndPeel:
