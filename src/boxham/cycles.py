@@ -26,8 +26,6 @@ Column conventions, for n layers and base vertex v:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Literal, NamedTuple
 
 from .errors import (
@@ -171,8 +169,7 @@ def pattern_overlap_counts(n: int) -> tuple[int, int, int]:
 Label = tuple[int, int]  # (layer, base vertex)
 
 
-@dataclass(frozen=True)
-class HamCycle:
+class HamCycle(NamedTuple):
     """A closed spanning walk given as a vertex sequence of product ids.
 
     ``layers`` and ``base_order`` fix the id encoding; an oracle cycle on
@@ -189,7 +186,7 @@ class HamCycle:
     def order(self) -> int:
         return self.layers * self.base_order
 
-    @cached_property
+    @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(map(canon_edge, self.seq, self.seq[1:] + self.seq[:1]))
 
@@ -198,11 +195,8 @@ class HamCycle:
 
 
 def format_cycle(cycle: HamCycle) -> str:
-    """Cycle file: header "layers order", then the label tokens i_v.
-
-    The tokens come from a table of every label of the shape, indexed by
-    product id, so each label is built once and no id is decoded.
-    """
+    """Cycle file: header "layers order", then the label tokens i_v, read
+    off a table of the shape's labels by product id: no id is decoded."""
     seq = cycle.seq
     if seq and not (1 <= min(seq) and max(seq) <= cycle.order):
         raise ValueError("cycle ids must lie in 1..layers * base_order")
@@ -250,8 +244,7 @@ def assign_roles(factor: PathFactor) -> dict[int, Role]:
             for v, role in zip(comp, _COMPONENT_ROLES[len(comp)])}
 
 
-@dataclass(frozen=True)
-class PeelOrder:
+class PeelOrder(NamedTuple):
     """Factor components in leaf-removal order of the contracted tree.
 
     ``links[i]`` is the tree edge (u, w) from ``components[i]``, which
@@ -405,8 +398,7 @@ def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
 # assembly
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     cycle: HamCycle
     roles: dict[int, Role]
     mode: str  # "matching" | "pathfactor"
@@ -463,14 +455,15 @@ def _check_layers(route: str, n: int, dmax: int) -> None:
         raise LayerBoundError(f"path-factor route needs n >= {need}", need)
 
 
-def _build(n: int, tree: Graph, factor: PathFactor, route: str) -> BuildResult:
-    """Check the tree, the factor and the layer count, assemble the cycle,
-    check it against the n-layer product over the tree, and count each
-    column's vertical steps off the checked cycle."""
+def _build(n: int, tree: Graph, factor: PathFactor, route: str,
+           dmax: int | None) -> BuildResult:
+    """Check the tree, the factor and the layer count for maximum degree
+    ``dmax`` (None: the tree's), assemble the cycle, check it on the
+    product over the tree, and count each column's vertical steps."""
     peel = component_peel_order(tree, factor)
     if route == "matching" and not factor.is_perfect_matching:
         raise InvalidFactorError("not a perfect matching of the tree")
-    _check_layers(route, n, degree_stats(tree).maximum)
+    _check_layers(route, n, degree_stats(tree).maximum if dmax is None else dmax)
     cycle, roles = _assemble(n, tree, factor, peel)
     if not verify_product_cycle(tree, n, cycle):
         raise AssertionError(f"{route} cycle on {n} layers failed its check")
@@ -483,24 +476,27 @@ def _build(n: int, tree: Graph, factor: PathFactor, route: str) -> BuildResult:
     return BuildResult(cycle, roles, route, dict(zip(tree.vertices(), counts)))
 
 
-def build_cycle_matching(n: int, tree: Graph, matching: PathFactor) -> BuildResult:
+def build_cycle_matching(n: int, tree: Graph, matching: PathFactor, *,
+                         max_degree: int | None = None) -> BuildResult:
     """Cycle in the n-layer product over a tree with the given perfect
-    matching, for any n of at least the tree's maximum degree; the cycle
-    uses exactly n - degree(v) vertical edges in every column v."""
-    return _build(n, tree, matching, "matching")
+    matching, for any n of at least ``max_degree``, by default the tree's
+    maximum degree; the cycle uses exactly n - degree(v) vertical edges
+    in every column v."""
+    return _build(n, tree, matching, "matching", max_degree)
 
 
-def build_cycle_path_factor(n: int, tree: Graph, factor: PathFactor) -> BuildResult:
+def build_cycle_path_factor(n: int, tree: Graph, factor: PathFactor, *,
+                            max_degree: int | None = None) -> BuildResult:
     """Cycle in the n-layer product over a tree with the given 2/3-path
-    factor, for an even n of at least :func:`path_factor_min_layers`."""
-    return _build(n, tree, factor, "pathfactor")
+    factor, for an even n of at least :func:`path_factor_min_layers` of
+    ``max_degree``, by default the tree's maximum degree."""
+    return _build(n, tree, factor, "pathfactor", max_degree)
 
 
 def _route(base: Graph, mode: str) -> tuple[str, PathFactor, Graph]:
     """The route ("matching" or "pathfactor"), factor and spanning tree
     that :func:`build_cycle` splices along: the one factor search of the
-    pipeline, which certifies every "no" with :class:`NoFactorError`.
-    A tree base is its own spanning tree."""
+    pipeline, which certifies every "no" with :class:`NoFactorError`."""
     if not is_connected(base):
         raise DisconnectedError("base graph must be connected")
     factor = None
@@ -534,17 +530,15 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
     ``auto`` prefers the matching route (its layer requirement is weaker)
     and falls back to the path-factor route.  With no factor of the mode,
     NoFactorError carries the certificate: a Tutte barrier in ``matching``
-    mode, else the {P2,P3}-factor obstruction.  The layer rule takes the
-    base's maximum degree (a tree base's is left to the builder); the
-    connectivity search and the builder's peel order run once each.
+    mode, else the {P2,P3}-factor obstruction.  The builder's layer check
+    takes the base's maximum degree; it, the connectivity search and the
+    peel order run once each.
     """
     if mode not in ("auto", "matching", "pathfactor"):
         raise ValueError(f"unknown mode {mode!r}")
     route, factor, tree = _route(base, mode)
-    if tree is not base:
-        _check_layers(route, n, degree_stats(base).maximum)
     builder = build_cycle_matching if route == "matching" else build_cycle_path_factor
-    return builder(n, tree, factor)
+    return builder(n, tree, factor, max_degree=degree_stats(base).maximum)
 
 
 def splice_attempt(base: Graph, n: int) -> HamCycle | None:

@@ -21,7 +21,7 @@ that is also a cut showing the graph is not 1-tough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import HasPathFactorError
 from .graphs import Bipartition, Graph, components, is_connected, split_counts
@@ -30,8 +30,7 @@ from .kernels import count_isolated_after
 Component = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PathFactor:
+class PathFactor(NamedTuple):
     """Vertex-disjoint paths of 2 or 3 vertices covering the whole graph.
 
     Components are canonical: pairs sorted ascending, triples stored as
@@ -46,8 +45,7 @@ class PathFactor:
         return all(len(c) == 2 for c in self.components)
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(NamedTuple):
     """Witness that no path factor exists: isolating more than 2|S| vertices."""
 
     witness: frozenset[int]
@@ -58,8 +56,7 @@ class FactorCertificate:
         return f"S = {{{inner}}}; i(G-S) = {self.isolated_count}; 2|S| = {2 * len(self.witness)}"
 
 
-@dataclass(frozen=True)
-class MatchingBarrier:
+class MatchingBarrier(NamedTuple):
     """Witness that no perfect matching exists: removing S leaves more
     components of odd order than |S| (Tutte)."""
 
@@ -71,8 +68,7 @@ class MatchingBarrier:
         return f"S = {{{inner}}}; odd(G-S) = {self.odd_components}; |S| = {len(self.witness)}"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Degree-based sufficient conditions for factor existence."""
 
     delta_third: bool        # 3 * min degree >= order  => path factor
@@ -346,6 +342,8 @@ def _factor_from_picks(g: Graph, pick: list[int]) -> PathFactor:
             queue.append(pick[v])
     comps: list[Component] = []
     for start in g.vertices():
+        if done[start]:
+            continue
         cycle, v = [], start
         while not done[v]:
             done[v] = True

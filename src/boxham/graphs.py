@@ -15,7 +15,6 @@ vertex of the second factor, so certificates and cycle files are portable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -35,34 +34,54 @@ def canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..order.
 
     ``edges`` is a sorted tuple of ``(u, v)`` pairs with ``u < v``.  Use
     :meth:`from_edges` to build one from arbitrary pair iterables; the
-    direct constructor insists on canonical input.
+    direct constructor insists on canonical input.  A graph is immutable:
+    assigning to ``order`` or ``edges`` raises ``AttributeError``, and two
+    graphs are equal, and hash alike, when their orders and edges are.
     """
 
     order: int
-    edges: tuple[Edge, ...] = ()
+    edges: tuple[Edge, ...]
 
-    def __post_init__(self):
+    def __init__(self, order: int, edges: tuple[Edge, ...] = ()):
         # the one edge validator: every edge in range with u < v, and the
         # tuple strictly increasing, so sorted and free of duplicates
-        if self.order < 1:
+        if order < 1:
             raise ValueError("graph order must be positive")
         prev = (0, 0)
-        for e in self.edges:
+        for e in edges:
             u, v = e
-            if not 1 <= u < v <= self.order:
+            if not 1 <= u < v <= order:
                 if u == v:
                     raise ValueError(f"loop at vertex {u}")
-                raise ValueError(f"edge {e} not canonical for order {self.order}")
+                raise ValueError(f"edge {e} not canonical for order {order}")
             if e <= prev:
                 raise ValueError(f"duplicate edge {e}" if e == prev
                                  else "edges must be sorted")
             prev = e
+        # written past __setattr__, into the __dict__ the cached properties use
+        self.__dict__.update(order=order, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.order, self.edges))
+
+    def __repr__(self):
+        return f"Graph(order={self.order!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -82,8 +101,10 @@ class Graph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        # edge list is sorted, but the v->u direction arrives out of order
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        # the edges are strictly increasing, so every list comes out
+        # ascending: v's lower neighbours u arrive in edges (u, v), in
+        # order of u and before every edge (v, w), which come in order of w
+        return tuple(map(tuple, nbrs))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -114,8 +135,7 @@ class DegreeStats(NamedTuple):
     degrees: dict[int, int]
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """Deterministic 2-coloring: each component's smallest vertex is in side_a."""
 
     side_a: frozenset[int]

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import kernels
 from .cycles import HamCycle, path_factor_min_layers, splice_attempt, verify_product_cycle
@@ -50,8 +48,7 @@ from .graphs import (
 SPLICE_MIN_ORDER = 24
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     status: str  # "found" | "none" | "unknown"
     cycle: HamCycle | None
     nodes: int
@@ -70,8 +67,7 @@ class OracleResult:
 _VERDICTS = {"found": "hamiltonian", "none": "non_hamiltonian", "unknown": "unknown"}
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     status: str
     path: tuple[int, ...] | None
     nodes: int
@@ -165,8 +161,7 @@ def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
 # fixtures
 
 
-@dataclass(frozen=True)
-class Fixtures:
+class Fixtures(NamedTuple):
     """The three recurring test graphs.
 
     t1: the 8-vertex caterpillar (spine 1-2-3-4-5, legs at 2, 3, 4) whose
@@ -277,8 +272,7 @@ def enumerate_trees(max_order: int) -> Iterator[Graph]:
 # scans
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     key: str
     base: Graph
     layers: int
@@ -286,13 +280,15 @@ class ScanEntry:
     in_range: bool  # inside the range the scanned claim actually covers
 
 
-@dataclass
 class ScanReport:
-    kind: str
-    params: dict
-    entries: list[ScanEntry] = field(default_factory=list)
-    status: str = "complete"  # or "truncated"
-    last_index: int = -1
+    """A scan's instances and how far it got; the scanners fill it in."""
+
+    def __init__(self, kind: str, params: dict):
+        self.kind = kind
+        self.params = params
+        self.entries: list[ScanEntry] = []
+        self.status = "complete"  # or "truncated"
+        self.last_index = -1
 
     @property
     def instances_examined(self) -> int:
@@ -398,6 +394,8 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
     if late:
         verdicts = []
     elif workers > 1:
+        # the pool's import is paid only by a scan that asks for workers
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(takewhile(bool, pool.map(_judge_instance, jobs)))
     else:

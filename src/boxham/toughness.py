@@ -44,8 +44,8 @@ path factor, and products whose base tree out-degrees the path factor.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import kernels
 from .errors import BudgetExceededError, PreconditionFailedError
@@ -77,8 +77,7 @@ _SCAN_MAX_ORDER = 20  # the largest order that ``toughness_exact`` scans
 _CYCLE_NODES_PER_VERTEX = 32
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(NamedTuple):
     """A vertex set whose removal leaves more components than its size."""
 
     cut: frozenset[int]
@@ -89,8 +88,7 @@ class CutWitness:
         return f"S = {{{inner}}}; c(G-S) = {self.components}; |S| = {len(self.cut)}"
 
 
-@dataclass(frozen=True)
-class ToughnessResult:
+class ToughnessResult(NamedTuple):
     """Exact toughness; ``value`` is None exactly for complete graphs.
 
     ``nodes`` is the number of vertex sets whose components the scan
@@ -106,8 +104,7 @@ class ToughnessResult:
         return self.value is None
 
 
-@dataclass(frozen=True)
-class OneToughResult:
+class OneToughResult(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown"
     witness: CutWitness | None
     nodes: int

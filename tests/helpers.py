@@ -10,6 +10,7 @@ from functools import lru_cache
 from boxham import kernels
 from boxham._pykernels import _Budget, _OutOfBudget, _greedy_matching, count_components
 from boxham.cycles import _COMPONENT_ROLES
+from boxham.factors import _canon_factor, _cut_run
 from boxham.graphs import Graph, format_label, is_connected, isomorphic
 from boxham.toughness import _last_steps
 
@@ -392,6 +393,45 @@ def full_toughness_scan(n, adj):
         if lhs < rhs or (lhs == rhs and (size < bs or (size == bs and _lex_smaller(mask, bm)))):
             best = (size, c, mask)
     return best
+
+
+def reference_factor_from_picks(g: Graph, pick: list[int]):
+    """Reference for ``factors._factor_from_picks``: the same read-off,
+    with every vertex taken as a cycle start, a finished one giving an
+    empty cycle and an empty run."""
+    indeg = [0] * (g.order + 1)
+    for v in g.vertices():
+        indeg[pick[v]] += 1
+    leaves: list[list[int]] = [[] for _ in range(g.order + 1)]
+    done = [False] * (g.order + 1)
+    queue = [v for v in g.vertices() if indeg[v] == 0]
+    for v in queue:
+        done[v] = True
+        if not leaves[v]:
+            leaves[pick[v]].append(v)
+        indeg[pick[v]] -= 1
+        if indeg[pick[v]] == 0:
+            queue.append(pick[v])
+    comps = []
+    for start in g.vertices():
+        cycle, v = [], start
+        while not done[v]:
+            done[v] = True
+            cycle.append(v)
+            v = pick[v]
+        cut = next((i + 1 for i, c in enumerate(cycle) if leaves[c]), 0)
+        run: list[int] = []
+        for c in cycle[cut:] + cycle[:cut]:
+            if not leaves[c]:
+                run.append(c)
+            elif len(run) == 1:
+                leaves[c].append(run.pop())
+            else:
+                comps += _cut_run(run)
+                run = []
+        comps += _cut_run(run)
+    comps += [(ls[0], c, *ls[1:]) for c, ls in enumerate(leaves) if ls]
+    return _canon_factor(comps)
 
 
 def reference_matching_search(g: Graph):

@@ -54,6 +54,27 @@ def test_bench_kernels_file_matches_its_pins(tmp_path):
                    for r in report["rows"] if r["table"] == "cli.main")
 
 
+def test_bench_cli_file_matches_its_pins(tmp_path):
+    # the script stops with an error when a command's exit code, answer,
+    # deciding stage or nodes differ from its pins; the times are not checked
+    out = run("benchmarks/bench_cli.py", "--quick", "--out", str(tmp_path / "BENCH_cli.json"))
+    assert out.returncode == 0, out.stdout + out.stderr
+    fresh = json.loads((tmp_path / "BENCH_cli.json").read_text())
+    committed = json.loads((ROOT / "BENCH_cli.json").read_text())
+
+    def pins(report):
+        return [(r["command"], r["exit_code"], r["answer"], r["decided_by"], r["nodes"])
+                for r in report["rows"]]
+
+    assert pins(committed) == pins(fresh)
+    assert not committed["quick"] and all(r["runs"] >= 11 for r in committed["rows"])
+    for report in (fresh, committed):
+        assert all(r["median_s"] > 0 for r in report["rows"])
+        imports = report["import_time"]
+        assert imports["boxham.cli_cumulative_us"] > 0
+        assert {"boxham", "boxham.cli", "boxham.graphs"} <= set(imports["self_us"])
+
+
 def test_perfbench_suite_passes():
     out = run("-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests")
     assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]

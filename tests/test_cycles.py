@@ -734,9 +734,9 @@ class TestChecksRunOnce:
         assert calls["is_connected"] == 1
         assert calls["validate_path_factor"] == 1
         assert calls["spanning_tree_containing"] == trees_built
-        # the layer rule on the base, and on the tree the builder got; a
-        # tree base is that tree, so its rule is applied once
-        assert calls["degree_stats"] == calls["_check_layers"] == 1 + trees_built
+        # the layer rule once, on the base's maximum degree, which the
+        # builder takes in place of its tree's
+        assert calls["degree_stats"] == calls["_check_layers"] == 1
         tree = cycles._route(base, "auto")[2]
         assert (tree is base) == (not trees_built)
         assert tree.size == base.order - 1

@@ -5,7 +5,9 @@ import pytest
 from boxham.errors import HasPathFactorError
 from boxham.factors import (
     FactorCertificate,
+    _factor_from_picks,
     _matching_search,
+    _pick_map,
     MatchingBarrier,
     PathFactor,
     factor_obstruction,
@@ -29,7 +31,9 @@ from boxham.oracle import enumerate_trees
 from helpers import (
     PETERSEN_EDGES,
     caterpillar,
+    factor_tree,
     random_connected_graph,
+    reference_factor_from_picks,
     reference_matching_search,
     removal_stats,
 )
@@ -64,7 +68,10 @@ class TestPerfectMatching:
 
     def test_star_has_none(self):
         assert find_perfect_matching(star_graph(3)) is None
-        assert perfect_matching_or_barrier(star_graph(3)) == MatchingBarrier(frozenset({1}), 3)
+        barrier = perfect_matching_or_barrier(star_graph(3))
+        # a FactorCertificate with the same fields would compare equal too
+        assert isinstance(barrier, MatchingBarrier)
+        assert barrier == MatchingBarrier(frozenset({1}), 3)
 
     def test_every_result_validates(self):
         rng = random.Random(5)
@@ -160,6 +167,23 @@ class TestP23Factor:
             else:
                 _, iso = removal_stats(t, cert.witness)
                 assert iso == cert.isolated_count > 2 * len(cert.witness)
+
+    def test_read_off_skips_finished_vertices(self):
+        # the read-off starts a cycle only at a vertex not yet done; the
+        # reference starts one at every vertex and gives the same factor
+        rng = random.Random(29)
+        checked = 0
+        bases = [random_connected_graph(rng, 2, 30) for _ in range(300)]
+        bases += [factor_tree(rng, [rng.choice((2, 3)) for _ in range(rng.randint(3, 60))],
+                              rng.randint(0, 5)) for _ in range(100)]
+        for g in bases:
+            pick, stuck = _pick_map(g)
+            if stuck is None:
+                got = _factor_from_picks(g, pick)
+                assert got == reference_factor_from_picks(g, pick), g.edges
+                assert validate_path_factor(g, got)
+                checked += 1
+        assert checked >= 200
 
     def test_greedy_trap_tree(self):
         # hub with three legs of length 3; a naive leaf-greedy pass fails it

@@ -64,6 +64,33 @@ class TestGraphBasics:
         g = Graph.from_edges(5, [(3, 5), (1, 3), (2, 3), (3, 4)])
         assert g.neighbors(3) == (1, 2, 4, 5)
 
+    def test_neighbors_ascending_on_random_graphs(self):
+        # the adjacency is filled in edge order and never sorted
+        rng = random.Random(17)
+        for _ in range(200):
+            g = random_connected_graph(rng, 1, 40)
+            for v in g.vertices():
+                nbrs = g.neighbors(v)
+                assert list(nbrs) == sorted(nbrs) and len(set(nbrs)) == len(nbrs)
+                assert set(nbrs) == {w for e in g.edges if v in e for w in e if w != v}
+
+    def test_immutable(self):
+        g = path_graph(3)
+        for name in ("order", "edges", "size", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 4)
+        with pytest.raises(AttributeError):
+            del g.order
+        assert g.order == 3 and g.edges == ((1, 2), (2, 3))
+
+    def test_equal_by_order_and_edges(self):
+        g, h = path_graph(4), Graph(4, ((1, 2), (2, 3), (3, 4)))
+        g.neighbors(2)  # a cached adjacency on one side only changes nothing
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert g != Graph(5, g.edges) and g != Graph(4, g.edges[:2])
+        assert g != (4, g.edges) and (4, g.edges) != g
+        assert repr(h) == "Graph(order=4, edges=((1, 2), (2, 3), (3, 4)))"
+
 
 class TestProduct:
     def test_smallest_product_is_square(self):

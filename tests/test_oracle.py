@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 import time
@@ -549,7 +550,8 @@ class TestScans:
                 fut.set_result(fn(arg))
                 return fut
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", Pool)
+        # the scanner imports the pool class from here when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         serial = scan_below_layer_bound(3, 5)
         assert serial.instances_examined == 5
         for cpus, workers, size in ((3, 5000, 3), (3, 2, 2), (3, 1, None),
