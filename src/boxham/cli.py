@@ -8,7 +8,9 @@ certificate.  A usage error (exit 1, usage text on stderr) prints
 ``{"command": <argv[0] if it names a command, else null>, "status":
 "error", "error": {"kind": "usage", "message": ...}}`` when --json is
 anywhere in argv.  A negative or NaN --budget-seconds is a usage error,
-as a negative --max-nodes is; 0 is a deadline already past.
+as a negative --max-nodes is.  ``main`` turns --budget-seconds S into one
+``time.monotonic()`` deadline S seconds after parsing, and every search
+of the command takes that deadline; 0 is a deadline already past.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import cycles, factors, graphs, oracle, toughness
 from .errors import (
@@ -81,6 +84,8 @@ def _cut_witness_json(w: toughness.CutWitness) -> dict:
 
 def _cmd_product(args):
     base = _read_graph(args.graph)
+    if args.n < 1:
+        raise ValueError("layer count must be positive")
     prod = graphs.cartesian_product(graphs.path_graph(args.n), base)
     payload = {"layers": args.n, "base_order": base.order,
                "order": prod.order, "edges": prod.size}
@@ -145,7 +150,7 @@ def _cmd_toughness(args):
     g = _read_graph(args.graph)
     payload: dict = {"order": g.order, "one_tough_only": bool(args.one_tough)}
     if args.one_tough:
-        res = toughness.is_one_tough(g, budget_seconds=args.budget_seconds)
+        res = toughness.is_one_tough(g, deadline=args.deadline)
         payload.update(verdict=res.verdict, decided_by=res.decided_by, nodes=res.nodes)
         human = [f"1-tough: {res.verdict} (decided by {res.decided_by}, {res.nodes} nodes)"]
         if res.cycle is not None:
@@ -176,7 +181,7 @@ def _cmd_check(args):
     builds the product only for its search; without it the graph itself
     goes to the search.  Every cycle printed has passed the entry's check."""
     base = _read_graph(args.graph)
-    caps = {"budget_seconds": args.budget_seconds, "max_nodes": args.max_nodes}
+    caps = {"deadline": args.deadline, "max_nodes": args.max_nodes}
     if args.n is None:
         res = oracle.find_hamiltonian_cycle(base, **caps)
     else:
@@ -208,7 +213,7 @@ def _cmd_verify(args):
 
 
 def _cmd_scan(args):
-    caps = {"budget_seconds": args.budget_seconds,
+    caps = {"deadline": args.deadline,
             "max_nodes_per_instance": args.max_nodes, "workers": args.workers}
     if args.conjecture == 1:
         report = oracle.scan_below_layer_bound(args.k, args.max_order, **caps)
@@ -328,7 +333,8 @@ _ERROR_KINDS = {
 
 
 def _classify(exc: Exception) -> str:
-    if isinstance(exc, (MalformedGraphError, OSError)):
+    # undecodable bytes are a parse error, though UnicodeDecodeError is a ValueError
+    if isinstance(exc, (MalformedGraphError, OSError, UnicodeDecodeError)):
         return "parse"
     if isinstance(exc, NoFactorError):
         return "no-factor"
@@ -391,6 +397,8 @@ def main(argv=None) -> int:
                               "error": {"kind": "usage", "message": exc.message}},
                              sort_keys=True))
         raise
+    budget = getattr(args, "budget_seconds", None)
+    args.deadline = None if budget is None else time.monotonic() + budget
     payload: dict = {"command": args.command, "status": "ok"}
     try:
         extra, human, code = args.handler(args)

@@ -6,13 +6,13 @@ answers traceability through an apex vertex
 branch-and-bound, which looks for a cut set S with c(G - S) - |S| > 0
 and stops at the first, and the exact toughness scan over vertex sets by
 increasing size, which stops at the ratio bound.  They are pure Python,
-so ``backend_name()`` is always ``"pure"``.  A search that ``max_nodes``
-stops reports exactly that many nodes.
+so ``backend_name()`` is always ``"pure"``.  The two searches stop
+with "unknown" at ``max_nodes`` nodes, reporting exactly that many, or
+once ``deadline``, a ``time.monotonic()`` value read every 4,096 nodes,
+has passed; None sets no limit.
 """
 
 from __future__ import annotations
-
-import time
 
 from . import _pykernels
 from .graphs import Graph
@@ -22,30 +22,24 @@ from .graphs import Graph
 _fast = None
 
 
-def _deadline(budget_seconds):
-    if budget_seconds is None:
-        return None
-    return time.monotonic() + budget_seconds
-
-
 def backend_name() -> str:
     return "pure"
 
 
-def ham_cycle(g: Graph, *, max_nodes=None, budget_seconds=None):
+def ham_cycle(g: Graph, *, max_nodes=None, deadline=None):
     """(status, vertex tuple or None, nodes) on 1-indexed vertices."""
     status, order, nodes = (_fast or _pykernels).ham_cycle(
-        g.order, g.adjacency_masks, max_nodes, _deadline(budget_seconds))
+        g.order, g.adjacency_masks, max_nodes, deadline)
     if order is not None:
         order = tuple(v + 1 for v in order)
     return status, order, nodes
 
 
-def scattering_max(g: Graph, *, max_nodes=None, budget_seconds=None):
+def scattering_max(g: Graph, *, max_nodes=None, deadline=None):
     """(status, value, cut frozenset, nodes) of the first cut set S found
     with c(G - S) - |S| > 0; value and cut are None when there is none."""
     status, val, mask, nodes = (_fast or _pykernels).scattering_max(
-        g.order, g.adjacency_masks, max_nodes, _deadline(budget_seconds))
+        g.order, g.adjacency_masks, max_nodes, deadline)
     cut = None if mask is None else _mask_to_set(mask)
     return status, val, cut, nodes
 

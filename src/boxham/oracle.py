@@ -89,16 +89,16 @@ def _product_side_gap(base: Graph, n: int) -> int:
     return _side_gap(base) if n % 2 else 0
 
 
-def find_hamiltonian_cycle(g: Graph, *, budget_seconds: float | None = None,
+def find_hamiltonian_cycle(g: Graph, *, deadline: float | None = None,
                            max_nodes: int | None = None) -> OracleResult:
     """:func:`find_product_cycle` on the one-layer product, which is ``g``:
     a layer-major product may answer from the splice, any other graph
     from the search."""
-    return find_product_cycle(g, 1, budget_seconds=budget_seconds, max_nodes=max_nodes)
+    return find_product_cycle(g, 1, deadline=deadline, max_nodes=max_nodes)
 
 
 def find_product_cycle(base: Graph, n: int, *,
-                       budget_seconds: float | None = None,
+                       deadline: float | None = None,
                        max_nodes: int | None = None) -> OracleResult:
     """Hamiltonian cycle of the n-layer product over ``base``, with the
     stage that decided it in ``decided_by``.
@@ -129,14 +129,14 @@ def find_product_cycle(base: Graph, n: int, *,
     else:
         product = base if n == 1 else cartesian_product(path_graph(n), base)
         status, seq, nodes = kernels.ham_cycle(
-            product, max_nodes=max_nodes, budget_seconds=budget_seconds)
+            product, max_nodes=max_nodes, deadline=deadline)
         res = OracleResult(status, HamCycle(n, base.order, seq) if seq else None, nodes)
     if res.found and not verify_product_cycle(base, n, res.cycle):
         raise AssertionError(f"{res.decided_by} cycle on {n} layers failed its check")
     return res
 
 
-def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
+def find_spanning_path(g: Graph, *, deadline: float | None = None,
                        max_nodes: int | None = None) -> PathResult:
     """Exhaustive spanning path oracle (traceability): the cycle search on
     ``g`` plus an apex joined to every vertex, as vertex 1 (g's vertex v
@@ -149,7 +149,7 @@ def find_spanning_path(g: Graph, *, budget_seconds: float | None = None,
     apexed = Graph(g.order + 1, tuple((1, v + 1) for v in g.vertices())
                    + tuple((u + 1, v + 1) for u, v in g.edges))
     status, cycle, nodes = kernels.ham_cycle(
-        apexed, max_nodes=max_nodes, budget_seconds=budget_seconds)
+        apexed, max_nodes=max_nodes, deadline=deadline)
     seq = None if cycle is None else tuple(v - 1 for v in cycle[1:])
     if seq is not None and (sorted(seq) != list(g.vertices())
                             or not all(map(g.has_edge, seq, seq[1:]))):
@@ -312,11 +312,6 @@ def _iso_invariant(g: Graph) -> tuple:
     return (g.order, g.size, nbr_profile)
 
 
-def _deadline(budget_seconds: float | None) -> float | None:
-    """A scan's deadline; its clock starts when the scanner does."""
-    return None if budget_seconds is None else time.monotonic() + budget_seconds
-
-
 def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
@@ -366,9 +361,8 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
 def _judge_instance(args) -> tuple[str, str] | None:
     """One job's (key, verdict); None past its deadline."""
     order, edges, layers, max_nodes, deadline = args
-    left = None if deadline is None else deadline - time.monotonic()
     base = Graph(order, edges)
-    res = find_product_cycle(base, layers, budget_seconds=left, max_nodes=max_nodes)
+    res = find_product_cycle(base, layers, deadline=deadline, max_nodes=max_nodes)
     if _past(deadline):
         return None
     return (_graph_key(base), res.verdict)
@@ -382,10 +376,10 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
 
     Instances carry canonical keys and results are collected in submission
     order, so the merged report is identical whatever order the workers
-    finish in.  Each search gets the time left to the deadline, which
-    workers share; a report that the deadline cuts short is "truncated"
-    before the first late verdict, or before the first instance when the
-    deadline passed during the enumeration, which may then be incomplete.
+    finish in.  Every search takes the scan's one deadline, which workers
+    share; a report that the deadline cuts short is "truncated" before the
+    first late verdict, or before the first instance when the deadline
+    passed during the enumeration, which may then be incomplete.
     """
     instances = instances[start_index:]
     jobs = [(g.order, g.edges, layers, max_nodes, deadline) for g, layers, _ in instances]
@@ -408,7 +402,7 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
 
 
 def scan_below_layer_bound(k: int, max_order: int, *,
-                           budget_seconds: float | None = None,
+                           deadline: float | None = None,
                            max_nodes_per_instance: int | None = None,
                            workers: int = 1,
                            start_index: int = 0) -> ScanReport:
@@ -417,12 +411,12 @@ def scan_below_layer_bound(k: int, max_order: int, *,
 
     The proven guarantee needs 4k-2 layers; a verified hit here shows the
     two-step gap is real for this k.  Bases are trees first, then trees
-    plus one edge.  A truncated report records the last examined index so
-    long hunts can resume with ``start_index``.
+    plus one edge.  The enumeration and every search stop at the caller's
+    ``deadline``, a ``time.monotonic()`` value; a truncated report records
+    the last examined index so long hunts can resume with ``start_index``.
     """
     if k < 3:
         raise PreconditionFailedError("the gap question starts at degree 3")
-    deadline = _deadline(budget_seconds)
     layers = path_factor_min_layers(k) - 2
     report = ScanReport("below_layer_bound", {
         "k": k, "layers": layers, "max_order": max_order,
@@ -436,7 +430,7 @@ def scan_below_layer_bound(k: int, max_order: int, *,
 
 
 def scan_balanced_odd(max_h_order: int, max_n: int, *,
-                      budget_seconds: float | None = None,
+                      deadline: float | None = None,
                       max_nodes_per_instance: int | None = None,
                       workers: int = 1,
                       start_index: int = 0) -> ScanReport:
@@ -447,9 +441,10 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
     guarantee says nothing about.  Entries with at least 4*max_degree - 2
     layers are in the claimed range (a verified non-Hamiltonian one would
     refute it); smaller odd products are included as exploratory entries
-    because they are where the interesting behavior starts.
+    because they are where the interesting behavior starts.  The scan
+    stops at the caller's ``deadline``, as :func:`scan_below_layer_bound`
+    does.
     """
-    deadline = _deadline(budget_seconds)
     report = ScanReport("balanced_odd", {
         "max_h_order": max_h_order, "max_n": max_n, "start_index": start_index,
     })

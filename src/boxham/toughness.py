@@ -44,7 +44,6 @@ path factor, and products whose base tree out-degrees the path factor.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import kernels
@@ -140,10 +139,12 @@ def toughness_exact(g: Graph) -> ToughnessResult:
     if best is None:
         raise AssertionError("non-complete graph must have a cut set")
     size, comps, cut, subsets = best
+    # fractions, with decimal and numbers, is imported by this entry alone
+    from fractions import Fraction
     return ToughnessResult(Fraction(size, comps), CutWitness(cut, comps), subsets)
 
 
-def is_one_tough(g: Graph, budget_seconds: float | None = None,
+def is_one_tough(g: Graph, deadline: float | None = None,
                  max_nodes: int | None = None) -> OneToughResult:
     """Decide |S| >= c(G - S) for every cut set S.
 
@@ -175,16 +176,16 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     ``nodes`` is the count of the stage that decided.  "unknown" only
     appears when a budget is set and runs out: ``max_nodes`` caps the
     nodes of the cycle search (below its own cap) and the states or nodes
-    of the exact stage, and ``budget_seconds`` is one deadline for every
-    stage.  A budget spent before the exact stage starts gives "unknown"
-    at 0 nodes, labelled with the stage that would have run next.
+    of the exact stage, and every stage takes the caller's ``deadline``, a
+    ``time.monotonic()`` value, as it is.  A deadline passed before the
+    exact stage starts gives "unknown" at 0 nodes, labelled with the stage
+    that would have run next.
     """
     if not is_connected(g):
         # the empty set already separates the graph
         return _certified_no(g, frozenset(), "trivial")
     if is_complete(g):
         return OneToughResult("yes", None, 0, "trivial")
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     found = perfect_matching_or_barrier(g)
     if isinstance(found, MatchingBarrier) and found.witness:
         return _certified_no(g, found.witness, "matching_barrier")
@@ -194,7 +195,7 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
     cap = _CYCLE_NODES_PER_VERTEX * g.order
     ham = find_product_cycle(
         g, 1, max_nodes=cap if max_nodes is None else min(cap, max_nodes),
-        budget_seconds=None if deadline is None else deadline - time.monotonic())
+        deadline=deadline)
     if ham.found:
         return OneToughResult("yes", None, ham.nodes, "hamiltonian_cycle", ham.cycle.seq)
     cut = _separating_pair(g, deadline)
@@ -202,16 +203,14 @@ def is_one_tough(g: Graph, budget_seconds: float | None = None,
         return _certified_no(g, cut, "small_cut")
     order, width = _narrow_order(g)
     decided_by = "frontier_dp" if width <= _FRONTIER_MAX_WIDTH else "search"
-    if deadline is not None:
-        budget_seconds = deadline - time.monotonic()
-        if budget_seconds <= 0:
-            return OneToughResult("unknown", None, 0, decided_by)
+    if deadline is not None and time.monotonic() >= deadline:
+        return OneToughResult("unknown", None, 0, decided_by)
     if decided_by == "frontier_dp":
         status, value, cut, nodes = frontier_scattering(
-            g, order, max_nodes=max_nodes, budget_seconds=budget_seconds)
+            g, order, max_nodes=max_nodes, deadline=deadline)
     else:
         status, value, cut, nodes = kernels.scattering_max(
-            g, max_nodes=max_nodes, budget_seconds=budget_seconds)
+            g, max_nodes=max_nodes, deadline=deadline)
     if cut is not None:
         return _certified_no(g, cut, decided_by, nodes, value)
     verdict = "yes" if status == "complete" else "unknown"
@@ -344,7 +343,7 @@ def _narrow_order(g: Graph) -> tuple[list[int], int]:
 
 
 def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
-                        budget_seconds: float | None = None):
+                        deadline: float | None = None):
     """Maximize c(G - S) - |S| over non-empty S by a dynamic program along
     ``order``; exact whenever the maximum exceeds 0.
 
@@ -362,13 +361,13 @@ def frontier_scattering(g: Graph, order, *, max_nodes: int | None = None,
 
     Returns (status, value, cut, states).  ``status`` is "complete", or
     "unknown" when ``max_nodes`` states have been expanded and another is
-    due, or when ``budget_seconds`` (checked between vertices) has run
-    out.  ``value`` and ``cut`` are the maximum and a set attaining it, or
-    None when no non-empty S exceeds 0.  ``states`` counts the states
-    expanded, so it never passes ``max_nodes``.
+    due, or once ``deadline``, a ``time.monotonic()`` value checked
+    between vertices, has passed.  ``value`` and ``cut`` are the maximum
+    and a set attaining it, or None when no non-empty S exceeds 0.
+    ``states`` counts the states expanded, so it never passes
+    ``max_nodes``.
     """
     last = _last_steps(g, order)
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     frontier: list[int] = []
     layer = {(False, ()): (0, 0)}
     nodes = 0

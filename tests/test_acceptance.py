@@ -144,7 +144,7 @@ def test_criterion_04_flagship_not_hamiltonian():
     Hamiltonian; exhaustive search must settle it inside 5 minutes."""
     prod = product_over(4, fixtures().t1)
     start = time.monotonic()
-    res = find_hamiltonian_cycle(prod, budget_seconds=300)
+    res = find_hamiltonian_cycle(prod, deadline=time.monotonic() + 300)
     elapsed = time.monotonic() - start
     assert res.status == "none", f"expected none, got {res.status}"
     ok(4, f"flagship product non-Hamiltonian ({res.nodes} nodes, {elapsed:.2f}s)")
@@ -156,7 +156,7 @@ def test_criterion_05_flagship_is_one_tough():
     finish inside 30 minutes, and unknown counts as failure."""
     prod = product_over(4, fixtures().t1)
     start = time.monotonic()
-    res = is_one_tough(prod, budget_seconds=1800)
+    res = is_one_tough(prod, deadline=time.monotonic() + 1800)
     elapsed = time.monotonic() - start
     assert res.verdict == "yes", f"expected yes, got {res.verdict}"
     ok(5, f"flagship product 1-tough ({res.nodes} nodes, {elapsed:.2f}s)")
@@ -196,7 +196,7 @@ def test_criterion_08_five_layer_balanced_product():
     """The 5-layer product over the 6-vertex caterpillar is Hamiltonian
     and the found cycle verifies."""
     prod = product_over(5, fixtures().fig4)
-    res = find_hamiltonian_cycle(prod, budget_seconds=5)
+    res = find_hamiltonian_cycle(prod, deadline=time.monotonic() + 5)
     assert res.status == "found"
     assert verify_cycle(prod, res.cycle)
     ok(8, f"5-layer balanced product Hamiltonian ({res.nodes} nodes)")

@@ -96,6 +96,12 @@ class TestProduct:
         g = parse_graph(open(out).read())
         assert g.order == 32 and g.size == 52
 
+    def test_layer_count_below_one_is_a_precondition_error(self, capsys, files):
+        for n in ("0", "-1"):
+            code, payload = run_json(capsys, "product", "--n", n, "--graph", files["p3"])
+            assert (code, payload["error"]) == (
+                3, {"kind": "precondition", "message": "layer count must be positive"})
+
 
     def test_dot_file(self, capsys, files, tmp_path):
         dot = tmp_path / "p2p3.dot"
@@ -469,6 +475,16 @@ class TestCheckVerify:
         bad.write_text("not a graph\n")
         code, payload = run_json(capsys, "check", "--graph", str(bad))
         assert code == 2 and payload["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_undecodable_input_is_a_parse_error(self, capsys, files, tmp_path, command):
+        binary = tmp_path / "binary.el"
+        binary.write_bytes(b"\xff\xfe\x00")
+        argv = {"check": ["check", "--graph", str(binary)],
+                "verify": ["verify", "--graph", files["p3"], "--cycle", str(binary)]}
+        code, payload = run_json(capsys, *argv[command])
+        assert (code, payload["status"], payload["error"]["kind"]) == (2, "error", "parse")
+        assert "codec can't decode" in payload["error"]["message"]
 
     @pytest.mark.parametrize("text", ["3 2\n1 2\n2 1\n", "2 1\n0 1\n"])
     def test_malformed_edges_exit(self, capsys, tmp_path, text):

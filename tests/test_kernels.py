@@ -239,13 +239,14 @@ class TestClockBudget:
     def test_wrappers_with_a_zero_budget(self):
         p3 = cartesian_product(path_graph(3), oracle.fixtures().t1)
         p8 = cartesian_product(path_graph(8), SCAN8)
-        assert (kernels.scattering_max(p3, budget_seconds=0)
+        assert (kernels.scattering_max(p3, deadline=time.monotonic())
                 == ("unknown", None, None, self.STRIDE))
-        assert kernels.ham_cycle(p8, budget_seconds=0) == ("unknown", None, self.STRIDE)
+        assert (kernels.ham_cycle(p8, deadline=time.monotonic())
+                == ("unknown", None, self.STRIDE))
         # the search on the apexed P6 x T1 meets a cycle at node 35,706
         p6 = cartesian_product(path_graph(6), oracle.fixtures().t1)
         assert oracle.find_spanning_path(p6).nodes == 35_706
-        assert (oracle.find_spanning_path(p6, budget_seconds=0)
+        assert (oracle.find_spanning_path(p6, deadline=time.monotonic())
                 == oracle.PathResult("unknown", None, self.STRIDE))
 
 

@@ -464,7 +464,7 @@ class TestScans:
 
     def test_scan_truncation_and_resume(self):
         full = scan_balanced_odd(4, 5)
-        part1 = scan_balanced_odd(4, 5, budget_seconds=0)
+        part1 = scan_balanced_odd(4, 5, deadline=time.monotonic())
         assert part1.status == "truncated"
         resumed = scan_balanced_odd(4, 5, start_index=part1.last_index + 1)
         keys = [(e.key, e.layers) for e in part1.entries] + \
@@ -472,12 +472,12 @@ class TestScans:
         assert keys == [(e.key, e.layers) for e in full.entries]
 
     @pytest.mark.parametrize("scan", [
-        lambda: scan_below_layer_bound(3, 8, budget_seconds=0),
-        lambda: scan_balanced_odd(6, 5, budget_seconds=0),
+        lambda: scan_below_layer_bound(3, 8, deadline=time.monotonic()),
+        lambda: scan_balanced_odd(6, 5, deadline=time.monotonic()),
     ], ids=["below_layer_bound", "balanced_odd"])
     def test_scan_budget_covers_the_enumeration(self, monkeypatch, scan):
-        # the clock starts with the scanner, so a budget of 0 stops it
-        # before the first base is tested for a factor
+        # the enumeration reads the caller's deadline, so one already
+        # passed stops it before the first base is tested for a factor
         tested = []
         search = oracle.find_p23_factor
 
@@ -491,23 +491,25 @@ class TestScans:
             (0, [], "truncated", -1)
 
     def test_scan_budget_stops_a_running_instance(self, monkeypatch):
-        # the third search runs out the time it is given, as a budget-stopped
+        # the third search runs past the scan's deadline, as a budget-stopped
         # "unknown": its verdict comes after the deadline and is not recorded
-        budgets = []
+        deadlines = []
         search = oracle.find_product_cycle
 
-        def spends_its_budget(base, n, *, budget_seconds=None, max_nodes=None):
-            budgets.append(budget_seconds)
-            if len(budgets) == 3:
-                time.sleep(budget_seconds + 0.05)
+        def spends_its_budget(base, n, *, deadline=None, max_nodes=None):
+            deadlines.append(deadline)
+            if len(deadlines) == 3:
+                time.sleep(max(0.0, deadline - time.monotonic()) + 0.05)
                 return oracle.OracleResult("unknown", None, 0)
-            return search(base, n, budget_seconds=budget_seconds, max_nodes=max_nodes)
+            return search(base, n, deadline=deadline, max_nodes=max_nodes)
 
         monkeypatch.setattr(oracle, "find_product_cycle", spends_its_budget)
         start = time.monotonic()
-        report = scan_below_layer_bound(3, 5, budget_seconds=1.0)
+        deadline = start + 1.0
+        report = scan_below_layer_bound(3, 5, deadline=deadline)
         assert time.monotonic() - start < 5
-        assert 0 < budgets[2] <= budgets[1] <= budgets[0] <= 1.0
+        # every instance takes the scan's one deadline, unchanged
+        assert deadlines == [deadline] * 3
         assert report.status == "truncated" and report.last_index == 1
         assert [e.verdict for e in report.entries] == ["hamiltonian"] * 2
         assert "unknown" not in format_scan_report(report)
@@ -521,7 +523,7 @@ class TestScans:
         # takes the search millions of nodes; with no time budget in the
         # jobs this scan ran for over a minute
         start = time.monotonic()
-        report = scan_below_layer_bound(3, 10, budget_seconds=0.5)
+        report = scan_below_layer_bound(3, 10, deadline=time.monotonic() + 0.5)
         assert report.status == "truncated"
         assert time.monotonic() - start < 10
 

@@ -281,7 +281,7 @@ class TestOneToughPrechecks:
         necklace = petersen_necklace(300)
         assert kernels.ham_cycle(necklace)[::2] == ("none", 150)
         start = time.monotonic()
-        res = is_one_tough(necklace, budget_seconds=0.3)
+        res = is_one_tough(necklace, deadline=time.monotonic() + 0.3)
         # labelled with the stage the budget kept from running: the
         # necklace's greedy order is 5 wide, so the frontier DP
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 0)
@@ -419,7 +419,7 @@ class TestCycleStage:
         tree = factor_tree(random.Random(2), [2] * 125, 0)
         n = max(4, degree_stats(tree).maximum)
         g = cartesian_product(path_graph(n), tree)
-        res = is_one_tough(g, budget_seconds=5)
+        res = is_one_tough(g, deadline=time.monotonic() + 5)
         assert (res.verdict, res.decided_by, res.nodes) == ("yes", "hamiltonian_cycle", 0)
         assert verify_cycle(g, HamCycle(1, g.order, res.cycle))
 
@@ -471,21 +471,22 @@ class TestCycleStage:
         calls = []
         real = kernels.ham_cycle
 
-        def slow(g, *, max_nodes, budget_seconds):
-            calls.append((max_nodes, budget_seconds))
+        def slow(g, *, max_nodes, deadline):
+            calls.append((max_nodes, deadline))
             time.sleep(0.1)
-            return real(g, max_nodes=max_nodes, budget_seconds=budget_seconds)
+            return real(g, max_nodes=max_nodes, deadline=deadline)
 
         monkeypatch.setattr(toughness.kernels, "ham_cycle", slow)
         petersen = Graph.from_edges(10, PETERSEN_EDGES)
         assert is_one_tough(petersen).decided_by == "frontier_dp"
         assert is_one_tough(petersen, max_nodes=7).decided_by == "frontier_dp"
         assert calls[0] == (320, None) and calls[1] == (7, None)
-        # one deadline for every stage: what the cycle stage spends, the
-        # exact stage does not get
-        res = is_one_tough(petersen, budget_seconds=0.05)
+        # one deadline for every stage: the cycle stage gets the caller's
+        # own, and what it spends, the exact stage does not get
+        deadline = time.monotonic() + 0.05
+        res = is_one_tough(petersen, deadline=deadline)
         assert (res.verdict, res.decided_by, res.nodes) == ("unknown", "frontier_dp", 0)
-        assert calls[2][0] == 320 and 0 < calls[2][1] <= 0.05
+        assert calls[2] == (320, deadline)
 
     def test_forged_cycle_raises(self, monkeypatch):
         monkeypatch.setattr(toughness.kernels, "ham_cycle",
@@ -600,7 +601,7 @@ class TestFrontierDP:
         prism = cartesian_product(path_graph(2), cycle_graph(1500))
         start = time.monotonic()
         status, value, cut, _ = frontier_scattering(prism, components(prism)[0],
-                                                    budget_seconds=0.05)
+                                                    deadline=time.monotonic() + 0.05)
         assert (status, value, cut) == ("unknown", None, None)
         assert time.monotonic() - start < 1.0
 

@@ -25,7 +25,7 @@ def test_cli_import_loads_no_dataclasses_or_process_pool():
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import boxham.cli\n"
-            "heavy = ('dataclasses', 'concurrent.futures', 'multiprocessing')\n"
+            "heavy = ('dataclasses', 'concurrent.futures', 'multiprocessing', 'fractions')\n"
             "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
