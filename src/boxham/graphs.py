@@ -10,6 +10,9 @@ Cartesian products use the fixed vertex encoding
 
 where ``i`` is the vertex of the first factor (the "layer") and ``v`` a
 vertex of the second factor, so certificates and cycle files are portable.
+Isomorphism is not decided here: ``oracle.canonical_form`` names the
+classes the scanners need, and the tests keep a backtracking search as
+its second opinion.
 """
 
 from __future__ import annotations
@@ -481,54 +484,6 @@ def to_dot(g: Graph, *, layers: int | None = None,
     return "\n".join(out) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# small-order isomorphism (exhaustive backtracking; test-scale only)
-
-
-def isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by backtracking; intended for small orders."""
-    if g1.order != g2.order or g1.size != g2.size:
-        return False
-    n = g1.order
-    deg1 = sorted(g1.degree(v) for v in g1.vertices())
-    deg2 = sorted(g2.degree(v) for v in g2.vertices())
-    if deg1 != deg2:
-        return False
-    # map vertices of g1 (in decreasing degree order) onto g2
-    order1 = sorted(g1.vertices(), key=lambda v: (-g1.degree(v), v))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        u = order1[idx]
-        for w in g2.vertices():
-            if w in used or g2.degree(w) != g1.degree(u):
-                continue
-            ok = True
-            for x in g1.neighbors(u):
-                if x in mapping and not g2.has_edge(mapping[x], w):
-                    ok = False
-                    break
-            if ok:
-                # non-edges must map to non-edges too
-                for x, y in mapping.items():
-                    if x not in g1._adjacency[u] and x != u and g2.has_edge(y, w):
-                        ok = False
-                        break
-            if ok:
-                mapping[u] = w
-                used.add(w)
-                if extend(idx + 1):
-                    return True
-                del mapping[u]
-                used.remove(w)
-        return False
-
-    return extend(0)
-
-
 __all__ = [
     "Bipartition",
     "DegreeStats",
@@ -547,7 +502,6 @@ __all__ = [
     "is_bipartite",
     "is_connected",
     "is_tree",
-    "isomorphic",
     "parse_graph",
     "parse_label",
     "path_graph",

@@ -1,5 +1,5 @@
-"""Brute-force oracles, the product entry, named fixtures, tree
-enumeration, and scanners.
+"""Brute-force oracles, the product entry, named fixtures, canonical
+forms, tree enumeration, and scanners.
 
 The exhaustive Hamiltonicity search shares no code with the builders, so
 it cross-checks everything the constructive pipeline claims.
@@ -17,6 +17,10 @@ into its base and layers (:func:`~boxham.graphs.product_split`) and
 spliced like one given with its layer count.
 :func:`find_spanning_path` answers traceability by the same search on
 the graph plus an apex vertex, and checks its path before returning it.
+:func:`canonical_form` names the isomorphism class of a connected graph
+with at most one cycle in linear-size AHU strings; it deduplicates the
+enumerated trees and the scanners' bases, so no scan runs an
+isomorphism search.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .graphs import (
     cartesian_product,
     degree_stats,
     is_bipartite,
-    isomorphic,
+    is_connected,
     path_graph,
     product_split,
 )
@@ -200,41 +204,50 @@ def fixtures() -> Fixtures:
 
 
 # ---------------------------------------------------------------------------
-# tree enumeration
+# canonical forms and tree enumeration
 
 
-def _rooted_canon(adj: dict[int, list[int]], root: int, parent: int) -> str:
-    subs = sorted(_rooted_canon(adj, w, root) for w in adj[root] if w != parent)
-    return "(" + "".join(subs) + ")"
+def _rooted_canon(g: Graph, v: int, skip) -> str:
+    """AHU string of the tree at ``v`` that leaves out the vertices in
+    ``skip``: its children's strings, sorted, inside one pair of parentheses."""
+    return "(" + "".join(sorted(_rooted_canon(g, w, (v,))
+                                for w in g.neighbors(v) if w not in skip)) + ")"
 
 
-def _centroids(adj: dict[int, list[int]], n: int) -> list[int]:
-    # prune leaves layer by layer; the last one or two vertices remain
-    deg = {v: len(adj[v]) for v in adj}
-    layer = [v for v in adj if deg[v] <= 1]
-    remaining = n
-    while remaining > 2:
+def canonical_form(g: Graph) -> str:
+    """Canonical string of a connected graph with at most one cycle.
+
+    Leaves are pruned layer by layer down to the core: a tree's one or two
+    centres, or the graph's cycle.  A tree's form is the AHU string rooted
+    at its centre, or both centres' strings sorted and joined by "|".  A
+    graph with one cycle gives the strings of the trees hanging off the
+    cycle, read around it, and its form is their least concatenation over
+    every rotation and reflection.  Raises ``ValueError`` for a
+    disconnected graph or one with more edges than vertices.
+    """
+    if g.size > g.order or not is_connected(g):
+        raise ValueError("a canonical form needs a connected graph with at most one cycle")
+    deg = {v: g.degree(v) for v in g.vertices()}
+    layer = [v for v in deg if deg[v] <= 1]
+    core = set(deg)
+    while layer and len(core) > 2:
+        core.difference_update(layer)
         nxt = []
         for v in layer:
-            deg[v] = 0
-            for w in adj[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        remaining -= len(layer)
+            for w in g.neighbors(v):
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
         layer = nxt
-    return sorted(layer)
-
-
-def tree_canonical_form(g: Graph) -> str:
-    """Canonical string of a free tree: rooted encoding at the centroid(s)."""
-    adj = {v: list(g.neighbors(v)) for v in g.vertices()}
-    cs = _centroids(adj, g.order)
-    if len(cs) == 1:
-        return _rooted_canon(adj, cs[0], 0)
-    a, b = cs
-    return "|".join(sorted((_rooted_canon(adj, a, b), _rooted_canon(adj, b, a))))
+    if g.size < g.order:
+        return "|".join(sorted(_rooted_canon(g, c, core) for c in core))
+    ring = [min(core)]
+    while len(ring) < len(core):
+        ring.append(next(w for w in g.neighbors(ring[-1])
+                         if w in core and w not in ring[-2:]))
+    hanging = [_rooted_canon(g, c, core) for c in ring]
+    return min("".join(s[i:] + s[:i])
+               for s in (hanging, hanging[::-1]) for i in range(len(s)))
 
 
 def enumerate_trees(max_order: int) -> Iterator[Graph]:
@@ -249,7 +262,7 @@ def enumerate_trees(max_order: int) -> Iterator[Graph]:
     if max_order < 2:
         return
     seed = Graph.from_edges(2, [(1, 2)])
-    level = {tree_canonical_form(seed): seed}
+    level = {canonical_form(seed): seed}
     for canon in sorted(level):
         yield level[canon]
     order = 2
@@ -259,7 +272,7 @@ def enumerate_trees(max_order: int) -> Iterator[Graph]:
             g = level[canon]
             for v in g.vertices():
                 bigger = Graph.from_edges(g.order + 1, list(g.edges) + [(v, g.order + 1)])
-                key = tree_canonical_form(bigger)
+                key = canonical_form(bigger)
                 if key not in nxt:
                     nxt[key] = bigger
         order += 1
@@ -280,15 +293,15 @@ class ScanEntry(NamedTuple):
     in_range: bool  # inside the range the scanned claim actually covers
 
 
-class ScanReport:
-    """A scan's instances and how far it got; the scanners fill it in."""
+class ScanReport(NamedTuple):
+    """A scan's instances and how far it got: "complete" or "truncated",
+    and the index of the last instance examined."""
 
-    def __init__(self, kind: str, params: dict):
-        self.kind = kind
-        self.params = params
-        self.entries: list[ScanEntry] = []
-        self.status = "complete"  # or "truncated"
-        self.last_index = -1
+    kind: str
+    params: dict
+    entries: tuple[ScanEntry, ...]
+    status: str
+    last_index: int
 
     @property
     def instances_examined(self) -> int:
@@ -304,14 +317,6 @@ def _graph_key(g: Graph) -> str:
     return f"n{g.order}:{inner}"
 
 
-def _iso_invariant(g: Graph) -> tuple:
-    degs = {v: g.degree(v) for v in g.vertices()}
-    nbr_profile = tuple(sorted(
-        (degs[v], tuple(sorted(degs[w] for w in g.neighbors(v))))
-        for v in g.vertices()))
-    return (g.order, g.size, nbr_profile)
-
-
 def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
@@ -320,7 +325,7 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
                      bipartite_only: bool = False,
                      deadline: float | None = None) -> list[Graph]:
     """Connected graphs with a 2/3-path factor: trees first, then trees
-    plus one extra edge, deduplicated up to isomorphism per degree class.
+    plus one extra edge, one per isomorphism class by :func:`canonical_form`.
     The enumeration stops, with the bases found so far, once the deadline
     has passed."""
     out: list[Graph] = []
@@ -334,7 +339,7 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
         if find_p23_factor(t) is None:
             continue
         out.append(t)
-    buckets: dict[tuple, list[Graph]] = {}
+    forms: set[str] = set()
     for t in trees:
         if _past(deadline):
             return out
@@ -348,13 +353,12 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
                     continue
                 if bipartite_only and not is_bipartite(g):
                     continue
-                if find_p23_factor(g) is None:
+                form = canonical_form(g)
+                if form in forms:
                     continue
-                bucket = buckets.setdefault(_iso_invariant(g), [])
-                if any(isomorphic(candidate, g) for candidate in bucket):
-                    continue
-                bucket.append(g)
-                out.append(g)
+                forms.add(form)
+                if find_p23_factor(g) is not None:
+                    out.append(g)
     return out
 
 
@@ -368,18 +372,19 @@ def _judge_instance(args) -> tuple[str, str] | None:
     return (_graph_key(base), res.verdict)
 
 
-def _run_instances(instances, report: ScanReport, start_index: int, workers: int,
+def _run_instances(instances, start_index: int, workers: int,
                    deadline: float | None, max_nodes: int | None):
     """Judge the (base, layers, in_range) instances from ``start_index``
-    on into ``report``, across at most ``workers`` processes, one per job
-    and CPU: a pool forks all of its processes at the first submit.
+    on, across at most ``workers`` processes, one per job and CPU: a pool
+    forks all of its processes at the first submit.  Returns the report's
+    (entries, status, last_index).
 
     Instances carry canonical keys and results are collected in submission
-    order, so the merged report is identical whatever order the workers
-    finish in.  Every search takes the scan's one deadline, which workers
-    share; a report that the deadline cuts short is "truncated" before the
-    first late verdict, or before the first instance when the deadline
-    passed during the enumeration, which may then be incomplete.
+    order, so the entries are identical whatever order the workers finish
+    in.  Every search takes the scan's one deadline, which workers share;
+    a scan that the deadline cuts short is "truncated" before the first
+    late verdict, or before the first instance when the deadline passed
+    during the enumeration, which may then be incomplete.
     """
     instances = instances[start_index:]
     jobs = [(g.order, g.edges, layers, max_nodes, deadline) for g, layers, _ in instances]
@@ -394,11 +399,10 @@ def _run_instances(instances, report: ScanReport, start_index: int, workers: int
             verdicts = list(takewhile(bool, pool.map(_judge_instance, jobs)))
     else:
         verdicts = list(takewhile(bool, map(_judge_instance, jobs)))
-    for (g, layers, in_range), (key, verdict) in zip(instances, verdicts):
-        report.entries.append(ScanEntry(key, g, layers, verdict, in_range))
-    report.last_index = start_index + len(verdicts) - 1
-    if late or len(verdicts) < len(instances):
-        report.status = "truncated"
+    entries = tuple(ScanEntry(key, g, layers, verdict, in_range)
+                    for (g, layers, in_range), (key, verdict) in zip(instances, verdicts))
+    status = "truncated" if late or len(verdicts) < len(instances) else "complete"
+    return entries, status, start_index + len(verdicts) - 1
 
 
 def scan_below_layer_bound(k: int, max_order: int, *,
@@ -413,20 +417,19 @@ def scan_below_layer_bound(k: int, max_order: int, *,
     two-step gap is real for this k.  Bases are trees first, then trees
     plus one edge.  The enumeration and every search stop at the caller's
     ``deadline``, a ``time.monotonic()`` value; a truncated report records
-    the last examined index so long hunts can resume with ``start_index``.
+    the last examined index so long hunts can resume with ``start_index``,
+    which may not be negative (``ValueError``).
     """
     if k < 3:
         raise PreconditionFailedError("the gap question starts at degree 3")
+    if start_index < 0:
+        raise ValueError(f"start_index must be non-negative, got {start_index}")
     layers = path_factor_min_layers(k) - 2
-    report = ScanReport("below_layer_bound", {
-        "k": k, "layers": layers, "max_order": max_order,
-        "start_index": start_index,
-    })
     instances = [(g, layers, True)
                  for g in _candidate_bases(max_order, degree=k, deadline=deadline)]
-    _run_instances(instances, report, start_index, workers, deadline,
-                   max_nodes_per_instance)
-    return report
+    return ScanReport("below_layer_bound", {
+        "k": k, "layers": layers, "max_order": max_order, "start_index": start_index,
+    }, *_run_instances(instances, start_index, workers, deadline, max_nodes_per_instance))
 
 
 def scan_balanced_odd(max_h_order: int, max_n: int, *,
@@ -442,12 +445,11 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
     layers are in the claimed range (a verified non-Hamiltonian one would
     refute it); smaller odd products are included as exploratory entries
     because they are where the interesting behavior starts.  The scan
-    stops at the caller's ``deadline``, as :func:`scan_below_layer_bound`
-    does.
+    stops at the caller's ``deadline`` and resumes from ``start_index``,
+    as :func:`scan_below_layer_bound` does.
     """
-    report = ScanReport("balanced_odd", {
-        "max_h_order": max_h_order, "max_n": max_n, "start_index": start_index,
-    })
+    if start_index < 0:
+        raise ValueError(f"start_index must be non-negative, got {start_index}")
     instances = []
     for g in _candidate_bases(max_h_order, bipartite_only=True, deadline=deadline):
         bip = bipartition(g)
@@ -455,9 +457,9 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
             continue
         bound = path_factor_min_layers(degree_stats(g).maximum)
         instances += [(g, n, n >= bound) for n in range(3, max_n + 1, 2)]
-    _run_instances(instances, report, start_index, workers, deadline,
-                   max_nodes_per_instance)
-    return report
+    return ScanReport("balanced_odd", {
+        "max_h_order": max_h_order, "max_n": max_n, "start_index": start_index,
+    }, *_run_instances(instances, start_index, workers, deadline, max_nodes_per_instance))
 
 
 def format_scan_report(report: ScanReport) -> str:
@@ -481,6 +483,7 @@ __all__ = [
     "PathResult",
     "ScanEntry",
     "ScanReport",
+    "canonical_form",
     "enumerate_trees",
     "find_hamiltonian_cycle",
     "find_product_cycle",
@@ -489,5 +492,4 @@ __all__ = [
     "format_scan_report",
     "scan_balanced_odd",
     "scan_below_layer_bound",
-    "tree_canonical_form",
 ]

@@ -11,7 +11,7 @@ from boxham import kernels
 from boxham._pykernels import _Budget, _OutOfBudget, _greedy_matching, count_components
 from boxham.cycles import _COMPONENT_ROLES
 from boxham.factors import _canon_factor, _cut_run
-from boxham.graphs import Graph, format_label, is_connected, isomorphic
+from boxham.graphs import Graph, format_label, is_connected
 from boxham.toughness import _last_steps
 
 
@@ -159,6 +159,42 @@ def with_petersen_fragment(g: Graph, a: int, b: int) -> Graph:
     """
     edges = list(PETERSEN_EDGES[1:]) + [(u + 10, v + 10) for u, v in g.edges]
     return Graph.from_edges(10 + g.order, edges + [(1, a + 10), (2, b + 10)])
+
+
+def isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test by backtracking, for small orders: the tests'
+    second opinion on ``oracle.canonical_form``."""
+    if g1.order != g2.order or g1.size != g2.size:
+        return False
+    n = g1.order
+    deg1 = sorted(g1.degree(v) for v in g1.vertices())
+    deg2 = sorted(g2.degree(v) for v in g2.vertices())
+    if deg1 != deg2:
+        return False
+    # map vertices of g1 (in decreasing degree order) onto g2
+    order1 = sorted(g1.vertices(), key=lambda v: (-g1.degree(v), v))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(idx: int) -> bool:
+        if idx == n:
+            return True
+        u = order1[idx]
+        for w in g2.vertices():
+            if w in used or g2.degree(w) != g1.degree(u):
+                continue
+            # edges and non-edges to the mapped vertices must both carry over
+            if any(g1.has_edge(x, u) != g2.has_edge(y, w) for x, y in mapping.items()):
+                continue
+            mapping[u] = w
+            used.add(w)
+            if extend(idx + 1):
+                return True
+            del mapping[u]
+            used.remove(w)
+        return False
+
+    return extend(0)
 
 
 def _degree_profile(g: Graph) -> tuple:

@@ -753,11 +753,10 @@ class TestScan:
         t1 = fixtures().t1
 
         def scanner(k, max_order, **caps):
-            report = oracle.ScanReport("below_layer_bound", {"k": k})
-            report.entries.append(oracle.ScanEntry("t1", t1, 8, "non_hamiltonian", True))
-            report.entries.append(oracle.ScanEntry("t1", t1, 8, "non_hamiltonian", False))
-            report.last_index = 1
-            return report
+            return oracle.ScanReport("below_layer_bound", {"k": k}, (
+                oracle.ScanEntry("t1", t1, 8, "non_hamiltonian", True),
+                oracle.ScanEntry("t1", t1, 8, "non_hamiltonian", False),
+            ), "complete", 1)
 
         monkeypatch.setattr(oracle, "scan_below_layer_bound", scanner)
         monkeypatch.chdir(tmp_path)

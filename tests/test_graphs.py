@@ -22,7 +22,6 @@ from boxham.graphs import (
     format_graph,
     is_connected,
     is_tree,
-    isomorphic,
     parse_graph,
     path_graph,
     product_id,
@@ -34,7 +33,7 @@ from boxham.graphs import (
     to_dot,
 )
 from boxham.kernels import count_components_after
-from helpers import random_connected_graph
+from helpers import isomorphic, random_connected_graph
 
 T1_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)]
 

@@ -1,7 +1,9 @@
 import concurrent.futures
+import hashlib
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import Executor, Future
 
 import pytest
@@ -27,11 +29,11 @@ from boxham.graphs import (
     complete_graph,
     cycle_graph,
     degree_stats,
-    isomorphic,
     path_graph,
     star_graph,
 )
 from boxham.oracle import (
+    canonical_form,
     enumerate_trees,
     find_hamiltonian_cycle,
     find_product_cycle,
@@ -41,12 +43,12 @@ from boxham.oracle import (
     scan_balanced_odd,
     scan_below_layer_bound,
     splice_attempt,
-    tree_canonical_form,
 )
 from boxham.toughness import is_one_tough
 from helpers import (
     PETERSEN_EDGES,
     all_pairs,
+    isomorphic,
     random_connected_bipartite,
     random_connected_graph,
     random_scan_base,
@@ -165,12 +167,28 @@ class TestFixtures:
         assert (fig1.order, fig1.size) == (7, 9)
 
 
+def unicyclic_by_order(max_order: int) -> dict[int, list[Graph]]:
+    """Every tree of enumerate_trees plus each edge it lacks, by order:
+    each graph with one cycle, up to isomorphism, at least once."""
+    out: dict[int, list[Graph]] = {}
+    for t in enumerate_trees(max_order):
+        out.setdefault(t.order, []).extend(
+            Graph.from_edges(t.order, t.edges + ((u, v),))
+            for u, v in all_pairs(t.vertices()) if not t.has_edge(u, v))
+    return out
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return Graph.from_edges(g.order, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
 class TestTreeEnumeration:
     def test_counts(self):
-        by_order = {}
-        for t in enumerate_trees(8):
-            by_order[t.order] = by_order.get(t.order, 0) + 1
-        assert by_order == {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+        # one tree per distinct form: OEIS A000055, free trees by order
+        by_order = Counter(t.order for t in enumerate_trees(10))
+        assert [by_order[n] for n in range(2, 11)] == [1, 1, 2, 3, 6, 11, 23, 47, 106]
 
     def test_cap(self):
         with pytest.raises(BudgetExceededError):
@@ -188,14 +206,54 @@ class TestTreeEnumeration:
                 assert not isomorphic(a, b)
 
     def test_canonical_form_invariant_under_relabel(self):
+        # the trees, and up to 60 graphs with one cycle of each order
         rng = random.Random(4)
-        for t in enumerate_trees(7):
-            perm = list(t.vertices())
-            rng.shuffle(perm)
-            relabel = {v: perm[i] for i, v in enumerate(t.vertices())}
-            shuffled = Graph.from_edges(t.order, [(relabel[u], relabel[v])
-                                                  for u, v in t.edges])
-            assert tree_canonical_form(t) == tree_canonical_form(shuffled)
+        graphs = list(enumerate_trees(7))
+        for gs in unicyclic_by_order(9).values():
+            graphs += rng.sample(gs, min(len(gs), 60))
+        for g in graphs:
+            assert canonical_form(relabelled(g, rng)) == canonical_form(g)
+
+
+class TestCanonicalForm:
+    def test_tree_forms_and_order_are_pinned(self):
+        assert canonical_form(path_graph(4)) == "(())|(())"
+        assert canonical_form(star_graph(3)) == "(()()())"
+        # the trees' order, as it was before forms covered graphs with a cycle
+        edges = repr([t.edges for t in enumerate_trees(10)]).encode()
+        assert hashlib.sha256(edges).hexdigest() == \
+            "18c65b738340db786442674f934d5818568e27ec4f13533698772530aa396df0"
+
+    def test_cycle_graphs(self):
+        # leaf pruning stops at the cycle: a graph with no leaf is its core
+        assert canonical_form(cycle_graph(5)) == "()" * 5
+        assert canonical_form(cycle_graph(3)) != canonical_form(star_graph(2))
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(4),
+        Graph.from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)]),
+        Graph.from_edges(4, [(1, 2), (3, 4)]),
+        Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)]),
+    ], ids=["k4", "bowtie", "two_edges", "triangle_and_path"])
+    def test_two_cycles_or_disconnected_raise(self, g):
+        with pytest.raises(ValueError):
+            canonical_form(g)
+
+    def test_counts_match_a001429(self):
+        # distinct forms of the trees plus one edge: OEIS A001429,
+        # connected graphs with exactly one cycle, by order
+        counts = [len(set(map(canonical_form, gs)))
+                  for _, gs in sorted(unicyclic_by_order(10).items()) if gs]
+        assert counts == [1, 2, 5, 13, 33, 89, 240, 657]
+
+    def test_agrees_with_backtracking_isomorphism_up_to_8(self):
+        pairs = 0
+        for gs in unicyclic_by_order(8).values():
+            forms = [canonical_form(g) for g in gs]
+            for (a, fa), (b, fb) in all_pairs(zip(gs, forms)):
+                assert (fa == fb) == isomorphic(a, b), (a.edges, b.edges)
+                pairs += 1
+        assert pairs == 131871
 
 
 class TestOracleBuilderAgreement:
@@ -488,7 +546,7 @@ class TestScans:
         monkeypatch.setattr(oracle, "find_p23_factor", counting)
         report = scan()
         assert (len(tested), report.entries, report.status, report.last_index) == \
-            (0, [], "truncated", -1)
+            (0, (), "truncated", -1)
 
     def test_scan_budget_stops_a_running_instance(self, monkeypatch):
         # the third search runs past the scan's deadline, as a budget-stopped
@@ -517,6 +575,22 @@ class TestScans:
         monkeypatch.setattr(oracle, "find_product_cycle", search)
         resumed = scan_below_layer_bound(3, 5, start_index=report.last_index + 1)
         assert resumed.status == "complete" and resumed.instances_examined == 3
+
+    @pytest.mark.parametrize("start_index", [-1, -3])
+    @pytest.mark.parametrize("scan", [
+        lambda start: scan_below_layer_bound(3, 6, start_index=start),
+        lambda start: scan_balanced_odd(4, 5, start_index=start),
+    ], ids=["below_layer_bound", "balanced_odd"])
+    def test_negative_start_index_is_rejected_before_the_enumeration(
+            self, monkeypatch, scan, start_index):
+        # a negative index would slice from the end, judge the last
+        # instances and still report last_index -1
+        def enumerates(*args, **kwargs):
+            raise AssertionError("the bases were enumerated")
+
+        monkeypatch.setattr(oracle, "_candidate_bases", enumerates)
+        with pytest.raises(ValueError, match="start_index"):
+            scan(start_index)
 
     def test_scan_budget_bounds_a_runaway_search(self):
         # at 8 layers the 9-vertex base n9:1-2,1-3,1-8,2-4,2-6,3-5,3-7,8-9
