@@ -13,8 +13,6 @@ from .cycles import (
     build_cycle,
     build_cycle_matching,
     build_cycle_path_factor,
-    three_column_cycle,
-    two_column_cycle,
     verify_column_contract,
     verify_cycle,
     verify_product_cycle,
@@ -85,9 +83,7 @@ __all__ = [
     "scan_below_layer_bound",
     "spanning_tree_containing",
     "sufficient_conditions",
-    "three_column_cycle",
     "toughness_exact",
-    "two_column_cycle",
     "verify_column_contract",
     "verify_cycle",
     "verify_product_cycle",

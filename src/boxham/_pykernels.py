@@ -41,11 +41,6 @@ def _reaches_all(adj, region: int, start_bit: int, targets: int) -> bool:
     return True
 
 
-def _connected_within(adj, region: int, start_bit: int) -> bool:
-    """True when every bit of ``region`` is reachable from start_bit inside region."""
-    return _reaches_all(adj, region, start_bit, region)
-
-
 def count_components(adj, alive: int) -> int:
     count = 0
     rest = alive
@@ -171,7 +166,7 @@ def _cycle_search(n, adj, forced, charge):
     full = (1 << n) - 1
     charge()
     rest = full & ~1
-    if not _connected_within(adj, full, 1):
+    if not _reaches_all(adj, full, 1, full):
         return None
     # one frame per path vertex: its visited set, its weak set (the
     # unvisited vertices left to close on the start) and untried candidates

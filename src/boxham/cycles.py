@@ -55,7 +55,6 @@ from .graphs import (
     is_tree,
     parse_label,
     product_id,
-    product_label,
     spanning_tree_containing,
 )
 
@@ -149,24 +148,8 @@ def _column_template(n: int, k: int, size: int,
     return tuple(map(tuple, rows))
 
 
-def pattern_overlap_counts(n: int) -> tuple[int, int, int]:
-    """Sizes of (left & right, right & mid, left & mid) index sets, by
-    direct enumeration over 1..n-1; tests check the chain inequality and
-    the closed form ceil((n-4)/4) of the last entry."""
-    if n % 2:
-        raise OddLayersError("overlap counts are defined for even layer counts")
-    if n < 4:
-        raise LayerBoundError("need at least 4 layers", 4)
-    left = used_column_indices("left", n)
-    mid = used_column_indices("mid", n)
-    right = used_column_indices("right", n)
-    return (len(left & right), len(right & mid), len(left & mid))
-
-
 # ---------------------------------------------------------------------------
 # cycles as values
-
-Label = tuple[int, int]  # (layer, base vertex)
 
 
 class HamCycle(NamedTuple):
@@ -189,9 +172,6 @@ class HamCycle(NamedTuple):
     @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(map(canon_edge, self.seq, self.seq[1:] + self.seq[:1]))
-
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(product_label(v, self.base_order) for v in self.seq)
 
 
 def format_cycle(cycle: HamCycle) -> str:
@@ -353,45 +333,6 @@ def _walk(slots: Slots, n: int, k: int) -> HamCycle:
     if len(seq) != linked.count(True):
         raise AssertionError("assembled edges are not a single cycle")
     return HamCycle(n, k, tuple(seq))
-
-
-def _column_cycle(n: int, comp: tuple[int, ...], base_order: int | None) -> HamCycle:
-    k = base_order if base_order is not None else max(comp)
-    if len(set(comp)) != len(comp):
-        raise ValueError("columns must differ")
-    if not all(1 <= v <= k for v in comp):
-        raise ValueError("columns must lie in 1..base_order")
-    slots = _empty_slots(n * k)
-    _add_column_cycle(slots, comp, _layer_plan(n, k, {len(comp)}))
-    return _walk(slots, n, k)
-
-
-def two_column_cycle(n: int, u: int = 1, w: int = 2,
-                     base_order: int | None = None) -> HamCycle:
-    """The ring around a 2-wide grid: up column u, across, down column w.
-
-    Contains every vertical edge of both columns plus the two crossings at
-    layers 1 and n.
-    """
-    if n < 2:
-        raise LayerBoundError("two-column cycle needs at least 2 layers", 2)
-    return _column_cycle(n, (u, w), base_order)
-
-
-def three_column_cycle(n: int, u: int = 1, v: int = 2, w: int = 3,
-                       base_order: int | None = None) -> HamCycle:
-    """Snake cycle of a 3-wide grid on columns u - v - w, for even n >= 4.
-
-    Vertical edges used are exactly the left pattern in column u, the mid
-    pattern in column v and the right pattern in column w; at n = 2 the
-    mid pattern is empty and the construction degenerates, so it is
-    rejected.
-    """
-    if n % 2:
-        raise OddLayersError("three-column cycle needs an even layer count")
-    if n < 4:
-        raise LayerBoundError("three-column cycle needs at least 4 layers", 4)
-    return _column_cycle(n, (u, v, w), base_order)
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +595,7 @@ __all__ = [
     "format_cycle",
     "parse_cycle",
     "path_factor_min_layers",
-    "pattern_overlap_counts",
     "splice_attempt",
-    "three_column_cycle",
-    "two_column_cycle",
     "used_column_indices",
     "verify_column_contract",
     "verify_cycle",

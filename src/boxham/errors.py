@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
-Every error raised intentionally by the library derives from
-:class:`BoxhamError`, so callers (and the CLI exit-code mapping) can
-distinguish domain failures from plain bugs.
+Every domain failure the library raises derives from
+:class:`BoxhamError`.  A bad argument value raises a plain ``ValueError``
+instead: a layer count below 1 (``find_product_cycle``,
+``verify_product_cycle``, ``product_cut_from_bipartite``), a malformed
+``Graph(...)``, an unknown ``build_cycle`` mode, a graph that
+``canonical_form`` does not cover, a negative scanner ``start_index`` and
+an order that ``frontier_scattering`` rejects.  ``cli.main`` reports such
+a ``ValueError`` as ``precondition`` (exit 3), as it does every
+``BoxhamError`` that has no kind of its own (parse, no-factor, budget).
 """
 
 

@@ -86,13 +86,6 @@ def _side_gap(g: Graph) -> int:
     return abs(len(bip.side_a) - len(bip.side_b))
 
 
-def _product_side_gap(base: Graph, n: int) -> int:
-    """:func:`_side_gap` of the n-layer product over ``base``, from the
-    base alone: the layers alternate colours, so the product's sides
-    differ by the base's when n is odd and not at all when n is even."""
-    return _side_gap(base) if n % 2 else 0
-
-
 def find_hamiltonian_cycle(g: Graph, *, deadline: float | None = None,
                            max_nodes: int | None = None) -> OracleResult:
     """:func:`find_product_cycle` on the one-layer product, which is ``g``:
@@ -124,7 +117,9 @@ def find_product_cycle(base: Graph, n: int, *,
     if n < 1:
         raise ValueError("layer count must be positive")
     order = n * base.order
-    if order >= 3 and _product_side_gap(base, n) > 0:
+    # the layers alternate colours, so the product's sides differ by the
+    # base's when n is odd and not at all when n is even
+    if order >= 3 and n % 2 and _side_gap(base) > 0:
         return OracleResult("none", None, 0, "bipartite_imbalance")
     h, m = product_split(base) if n == 1 and order >= SPLICE_MIN_ORDER else (base, n)
     cycle = splice_attempt(h, m) if order >= SPLICE_MIN_ORDER and m >= 4 else None

@@ -9,9 +9,10 @@ from functools import lru_cache
 
 from boxham import kernels
 from boxham._pykernels import _Budget, _OutOfBudget, _greedy_matching, count_components
-from boxham.cycles import _COMPONENT_ROLES
+from boxham.cycles import _COMPONENT_ROLES, used_column_indices
+from boxham.errors import LayerBoundError, OddLayersError
 from boxham.factors import _canon_factor, _cut_run
-from boxham.graphs import Graph, format_label, is_connected
+from boxham.graphs import Graph, format_label, is_connected, product_label
 from boxham.toughness import _last_steps
 
 
@@ -236,10 +237,29 @@ def connected_bipartite_up_to_iso(max_order: int) -> tuple[Graph, ...]:
     return tuple(found)
 
 
+def cycle_labels(cycle) -> tuple[tuple[int, int], ...]:
+    """The (layer, base vertex) label of every id of a ``HamCycle``, in order."""
+    return tuple(product_label(v, cycle.base_order) for v in cycle.seq)
+
+
+def pattern_overlap_counts(n: int) -> tuple[int, int, int]:
+    """Sizes of (left & right, right & mid, left & mid) index sets, by
+    direct enumeration over 1..n-1; tests check the chain inequality and
+    the closed form ceil((n-4)/4) of the last entry."""
+    if n % 2:
+        raise OddLayersError("overlap counts are defined for even layer counts")
+    if n < 4:
+        raise LayerBoundError("need at least 4 layers", 4)
+    left = used_column_indices("left", n)
+    mid = used_column_indices("mid", n)
+    right = used_column_indices("right", n)
+    return (len(left & right), len(right & mid), len(left & mid))
+
+
 def reference_format_cycle(cycle) -> str:
     """Reference for ``cycles.format_cycle``: decode every id of the
     sequence to its (layer, base) label and format the labels one by one."""
-    tokens = " ".join(format_label(i, v) for i, v in cycle.labels())
+    tokens = " ".join(format_label(i, v) for i, v in cycle_labels(cycle))
     return f"{cycle.layers} {cycle.order}\n{tokens}\n"
 
 

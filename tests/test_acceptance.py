@@ -13,10 +13,9 @@ import pytest
 
 from boxham.cycles import (
     ROLE_COMPONENT_DEGREE,
+    build_cycle,
     build_cycle_matching,
     build_cycle_path_factor,
-    pattern_overlap_counts,
-    three_column_cycle,
     used_column_indices,
     verify_column_contract,
     verify_cycle,
@@ -43,6 +42,8 @@ from boxham.toughness import (
 )
 from helpers import (
     connected_bipartite_up_to_iso,
+    cycle_labels,
+    pattern_overlap_counts,
     random_connected_bipartite,
     random_connected_graph,
     removal_stats,
@@ -173,8 +174,8 @@ def test_criterion_06_seven_vertex_fixture():
 
 
 def test_criterion_07_ten_layer_three_column_cycle():
-    """The 10-layer three-column cycle equals the transcribed reference
-    drawing edge for edge."""
+    """The builder's 10-layer cycle on P3, the three-column cycle, equals
+    the transcribed reference drawing edge for edge."""
     want = set()
     for col, idxs in ((1, (1, 3, 4, 5, 7, 8, 9)),
                       (2, (2, 4, 6, 8)),
@@ -185,8 +186,7 @@ def test_criterion_07_ten_layer_three_column_cycle():
         want.add(frozenset(((i, 1), (i, 2))))
     for i in (1, 4, 5, 8, 9, 10):
         want.add(frozenset(((i, 2), (i, 3))))
-    cyc = three_column_cycle(10)
-    labels = cyc.labels()
+    labels = cycle_labels(build_cycle(10, path_graph(3)).cycle)
     got = {frozenset((a, b)) for a, b in zip(labels, labels[1:] + labels[:1])}
     assert got == want
     ok(7, "10-layer three-column cycle matches the transcribed drawing exactly")

@@ -19,9 +19,7 @@ from boxham.cycles import (
     format_cycle,
     parse_cycle,
     path_factor_min_layers,
-    pattern_overlap_counts,
-    three_column_cycle,
-    two_column_cycle,
+    splice_attempt,
     used_column_indices,
     verify_column_contract,
     verify_cycle,
@@ -38,6 +36,7 @@ from boxham.errors import (
 from boxham.factors import PathFactor, find_p23_factor, find_perfect_matching
 from boxham.graphs import (
     Graph,
+    canon_edge,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -47,7 +46,13 @@ from boxham.graphs import (
     star_graph,
 )
 from boxham.oracle import enumerate_trees, fixtures
-from helpers import forged_assembly, reference_column_template, reference_format_cycle
+from helpers import (
+    cycle_labels,
+    forged_assembly,
+    pattern_overlap_counts,
+    reference_column_template,
+    reference_format_cycle,
+)
 
 T1 = fixtures().t1
 
@@ -77,8 +82,30 @@ def component_sizes_after(g, removed):
 
 
 def labeled_edges(cycle):
-    labels = cycle.labels()
+    labels = cycle_labels(cycle)
     return {frozenset((a, b)) for a, b in zip(labels, labels[1:] + labels[:1])}
+
+
+def column_cycle(n, size):
+    """The two- or three-column cycle on n layers: the builder's on
+    path_graph(size), or below the path-factor bound (a triple at n = 4)
+    the unchecked splice attempt's, checked here."""
+    base = path_graph(size)
+    if size == 3 and n < path_factor_min_layers(2):
+        cycle = splice_attempt(base, n)
+        assert verify_product_cycle(base, n, cycle)
+        return cycle
+    return build_cycle(n, base).cycle
+
+
+def reference_column_cycle_edges(n, size):
+    """The edge set of the column cycle on path_graph(size), linked edge by
+    edge by the reference template."""
+    roles = assign_roles(PathFactor((tuple(range(1, size + 1)),))).values()
+    patterns = {role: tuple(sorted(used_column_indices(role, n))) for role in roles}
+    rows = reference_column_template(n, size, size, patterns)
+    return {canon_edge(o + pos + 1, c + pc + 1)
+            for o, pos, a, pa, b, pb in rows for c, pc in ((a, pa), (b, pb))}
 
 
 class TestColumnIndexSets:
@@ -104,76 +131,62 @@ class TestColumnIndexSets:
         with pytest.raises(OddLayersError):
             pattern_overlap_counts(5)
 
+    def test_rejects_short(self):
+        with pytest.raises(LayerBoundError) as exc:
+            pattern_overlap_counts(2)
+        assert exc.value.minimum_layers == 4
+
+
+class TestColumnPatterns:
+    @pytest.mark.parametrize("size, n", [(2, n) for n in range(2, 13)]
+                             + [(3, n) for n in range(4, 13, 2)])
+    def test_vertical_steps_follow_the_role_patterns(self, size, n):
+        c = column_cycle(n, size)
+        assert verify_product_cycle(path_graph(size), n, c)
+        edges = labeled_edges(c)
+        roles = assign_roles(PathFactor((tuple(range(1, size + 1)),)))
+        for col, role in roles.items():
+            used = {i for i in range(1, n)
+                    if frozenset(((i, col), (i + 1, col))) in edges}
+            assert used == used_column_indices(role, n)
+
 
 class TestTwoColumnCycle:
     def test_n2(self):
-        c = two_column_cycle(2)
-        assert c.labels() == ((1, 1), (1, 2), (2, 2), (2, 1))
+        c = column_cycle(2, 2)
+        assert cycle_labels(c) == ((1, 1), (1, 2), (2, 2), (2, 1))
         assert verify_cycle(product_over(2, path_graph(2)), c)
 
     def test_n3_sequence(self):
-        c = two_column_cycle(3)
+        c = column_cycle(3, 2)
         # the ring: up one column, across, back down the other
-        assert c.labels() == ((1, 1), (1, 2), (2, 2), (3, 2), (3, 1), (2, 1))
+        assert cycle_labels(c) == ((1, 1), (1, 2), (2, 2), (3, 2), (3, 1), (2, 1))
 
     def test_n5_contains_all_column_edges(self):
-        c = two_column_cycle(5)
+        c = column_cycle(5, 2)
         assert verify_cycle(product_over(5, path_graph(2)), c)
         edges = labeled_edges(c)
         for col in (1, 2):
             for i in range(1, 5):
                 assert frozenset(((i, col), (i + 1, col))) in edges
 
-    def test_rejects_single_layer(self):
-        with pytest.raises(LayerBoundError) as exc:
-            two_column_cycle(1)
-        assert exc.value.minimum_layers == 2
-
-    def test_rejects_columns_outside_base(self):
-        # ids of out-of-range columns would collide with other columns' ids
-        for u, w, base in ((1, 3, 2), (0, 2, 2)):
-            with pytest.raises(ValueError):
-                two_column_cycle(3, u, w, base_order=base)
-        with pytest.raises(ValueError):
-            three_column_cycle(4, 1, 2, 5, base_order=3)
-
 
 class TestThreeColumnCycle:
     def test_n4_sequence(self):
-        c = three_column_cycle(4)
+        c = column_cycle(4, 3)
         want = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (4, 3),
                 (4, 2), (4, 1), (3, 1), (3, 2), (2, 2), (2, 1)]
-        assert list(c.labels()) == want
+        assert list(cycle_labels(c)) == want
         assert verify_cycle(product_over(4, path_graph(3)), c)
 
-    def test_column_pattern_usage(self):
-        for n in (4, 6, 8, 10, 12):
-            c = three_column_cycle(n)
-            assert verify_cycle(product_over(n, path_graph(3)), c)
-            edges = labeled_edges(c)
-            for col, role in ((1, "left"), (2, "mid"), (3, "right")):
-                used = {i for i in range(1, n)
-                        if frozenset(((i, col), (i + 1, col))) in edges}
-                assert used == used_column_indices(role, n)
-
     def test_n6_vertical_counts(self):
-        c = three_column_cycle(6)
+        c = column_cycle(6, 3)
         edges = labeled_edges(c)
         counts = []
         for col in (1, 2, 3):
             counts.append(sum(1 for i in range(1, 6)
                               if frozenset(((i, col), (i + 1, col))) in edges))
         assert counts == [4, 2, 4]
-
-    def test_rejections(self):
-        with pytest.raises(OddLayersError):
-            three_column_cycle(5)
-        with pytest.raises(LayerBoundError) as exc:
-            three_column_cycle(2)
-        assert exc.value.minimum_layers == 4
-        with pytest.raises(LayerBoundError) as exc:
-            pattern_overlap_counts(2)
-        assert exc.value.minimum_layers == 4
 
 
 class TestColumnTemplate:
@@ -327,12 +340,12 @@ def T1_pm_tree():
 class TestPathFactorBuilder:
     def test_p3_base_case(self):
         res = build_cycle_path_factor(6, path_graph(3), PathFactor(((1, 2, 3),)))
-        assert labeled_edges(res.cycle) == labeled_edges(three_column_cycle(6))
+        assert res.cycle.edge_set == reference_column_cycle_edges(6, 3)
         assert res.column_counts == {1: 4, 2: 2, 3: 4}
 
     def test_p2_base_case(self):
         res = build_cycle_path_factor(4, path_graph(2), PathFactor(((1, 2),)))
-        assert labeled_edges(res.cycle) == labeled_edges(two_column_cycle(4))
+        assert res.cycle.edge_set == reference_column_cycle_edges(4, 2)
 
     def test_t1_at_minimum_layers(self):
         res = build_cycle_path_factor(10, T1, find_p23_factor(T1))
@@ -434,7 +447,7 @@ class TestBuildPipeline:
 
 class TestValidators:
     def test_detects_repeat(self):
-        c = two_column_cycle(5)
+        c = column_cycle(5, 2)
         bad = HamCycle(5, 2, c.seq[:-1] + (c.seq[0],))
         assert not verify_cycle(product_over(5, path_graph(2)), bad)
 
@@ -446,7 +459,7 @@ class TestValidators:
     def test_wrong_contract_mode_fails(self):
         # check a pair-style cycle against a triple-style contract: the mid
         # column pattern cannot account for the verticals the ring uses
-        c = two_column_cycle(5)
+        c = column_cycle(5, 2)
         fake_roles = assign_roles(PathFactor(((1, 2, 3),)))
         t = path_graph(3)
         assert not verify_column_contract(c, t, fake_roles, 5)
@@ -460,7 +473,7 @@ class TestValidators:
         assert not verify_column_contract(res.cycle, other, res.roles, 4)
 
     def test_roundtrip_cycle_file(self):
-        c = three_column_cycle(6)
+        c = column_cycle(6, 3)
         assert parse_cycle(format_cycle(c)) == c
 
     @pytest.mark.parametrize("bad", [
@@ -647,7 +660,7 @@ class TestProductFreeVerifier:
 
     def test_rejects_nonpositive_layers(self):
         with pytest.raises(ValueError):
-            verify_product_cycle(path_graph(2), 0, two_column_cycle(2))
+            verify_product_cycle(path_graph(2), 0, column_cycle(2, 2))
 
 
 class TestCycleText:

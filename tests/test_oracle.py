@@ -456,8 +456,10 @@ class TestProductEntry:
         for base in bases:
             for n in range(1, 10):
                 gap = oracle._side_gap(product(n, base))
-                assert oracle._product_side_gap(base, n) == gap, (base.edges, n)
-                gaps.add(gap > 0)
+                res = find_product_cycle(base, n, max_nodes=0)
+                imbalanced = gap > 0 and n * base.order >= 3
+                assert (res.decided_by == "bipartite_imbalance") == imbalanced, (base.edges, n)
+                gaps.add(imbalanced)
         assert gaps == {True, False}
 
     def test_imbalance_and_splice_build_no_product(self, monkeypatch):

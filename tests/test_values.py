@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from boxham import cli, cycles, factors, graphs, oracle, toughness
+from helpers import cycle_labels
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,4 +83,4 @@ def test_certificates_are_told_apart_by_type():
 def test_edge_set_of_a_cycle():
     cycle = cycles.HamCycle(2, 2, (1, 2, 4, 3))
     assert cycle.edge_set == {(1, 2), (2, 4), (3, 4), (1, 3)}
-    assert cycle.order == 4 and cycle.labels() == ((1, 1), (1, 2), (2, 2), (2, 1))
+    assert cycle.order == 4 and cycle_labels(cycle) == ((1, 1), (1, 2), (2, 2), (2, 1))
