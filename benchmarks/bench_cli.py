@@ -44,14 +44,15 @@ import tempfile
 import time
 
 from boxham import kernels
-from boxham.graphs import Graph, cartesian_product, format_graph, path_graph
+from boxham.graphs import cartesian_product, format_graph, path_graph
+from boxham.oracle import fixtures
 
 from bench_builder import tree
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 RUNS = 15  # timed runs per row; 11 at least, for a median to mean much
 
-T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
+T1 = fixtures().t1
 MAIN = "import sys; from boxham.cli import main; sys.exit(main())"
 
 # (exit code, answer, decided_by, nodes) of every row

@@ -51,13 +51,12 @@ from boxham.graphs import (
     path_graph,
     star_graph,
 )
-from boxham.oracle import find_product_cycle
+from boxham.oracle import find_product_cycle, fixtures
 from boxham.toughness import is_one_tough
 
 from bench_builder import tree
 
-T1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
-FIG4 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
+T1, FIG4, _ = fixtures()
 CRICKET = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)])
 # a degree-3 tree of order 8 from the scan 1 --k 3 family
 SCAN8 = Graph.from_edges(8, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 8), (5, 7)])

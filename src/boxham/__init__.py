@@ -23,7 +23,6 @@ from .factors import (
     factor_obstruction,
     find_p23_factor,
     find_perfect_matching,
-    sufficient_conditions,
 )
 from .graphs import (
     Graph,
@@ -38,7 +37,6 @@ from .oracle import (
     enumerate_trees,
     find_hamiltonian_cycle,
     find_product_cycle,
-    find_spanning_path,
     fixtures,
     scan_balanced_odd,
     scan_below_layer_bound,
@@ -72,7 +70,6 @@ __all__ = [
     "find_p23_factor",
     "find_perfect_matching",
     "find_product_cycle",
-    "find_spanning_path",
     "fixtures",
     "format_graph",
     "is_one_tough",
@@ -82,7 +79,6 @@ __all__ = [
     "scan_balanced_odd",
     "scan_below_layer_bound",
     "spanning_tree_containing",
-    "sufficient_conditions",
     "toughness_exact",
     "verify_column_contract",
     "verify_cycle",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import HasPathFactorError
-from .graphs import Bipartition, Graph, components, is_connected, split_counts
+from .graphs import Bipartition, Graph, components
 from .kernels import count_isolated_after
 
 Component = tuple[int, ...]
@@ -66,14 +66,6 @@ class MatchingBarrier(NamedTuple):
     def format(self) -> str:
         inner = ",".join(str(v) for v in sorted(self.witness))
         return f"S = {{{inner}}}; odd(G-S) = {self.odd_components}; |S| = {len(self.witness)}"
-
-
-class ConditionReport(NamedTuple):
-    """Degree-based sufficient conditions for factor existence."""
-
-    delta_third: bool        # 3 * min degree >= order  => path factor
-    dirac_type: bool         # 2 * min degree >= max degree  => path factor
-    cubic_bridgeless: bool   # connected 3-regular, no cut-edge  => matching
 
 
 def _canon_component(comp: Component) -> Component:
@@ -423,29 +415,7 @@ def one_sided_obstruction(h: Graph, bip: Bipartition) -> FactorCertificate:
     raise AssertionError("split witness lost its excess: counting argument violated")
 
 
-def sufficient_conditions(g: Graph) -> ConditionReport:
-    """Check the degree conditions that force a factor, asserting each one.
-
-    Every true flag is backed by actually finding the promised factor, so
-    a true report is never vacuous.
-    """
-    degs = [g.degree(v) for v in g.vertices()]
-    dmin, dmax = min(degs), max(degs)
-    delta_third = 3 * dmin >= g.order
-    dirac_type = 2 * dmin >= dmax
-    # a cubic graph has a cut-edge exactly when it has a cut vertex: the
-    # ends of a cut-edge are cut vertices, and a cut vertex sends a lone
-    # edge, a cut-edge, to one of its components
-    cubic_bridgeless = (dmin == dmax == 3) and is_connected(g) and max(split_counts(g)) < 2
-    if (delta_third or dirac_type) and find_p23_factor(g) is None:
-        raise AssertionError("degree condition held but no path factor was found")
-    if cubic_bridgeless and find_perfect_matching(g) is None:
-        raise AssertionError("bridgeless cubic graph without a perfect matching")
-    return ConditionReport(delta_third, dirac_type, cubic_bridgeless)
-
-
 __all__ = [
-    "ConditionReport",
     "FactorCertificate",
     "MatchingBarrier",
     "PathFactor",
@@ -455,6 +425,5 @@ __all__ = [
     "one_sided_obstruction",
     "p23_factor_or_obstruction",
     "perfect_matching_or_barrier",
-    "sufficient_conditions",
     "validate_path_factor",
 ]

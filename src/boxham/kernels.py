@@ -1,9 +1,7 @@
 """Graph-level wrappers over the search kernels of ``boxham._pykernels``.
 
-The hot search loops are the Hamiltonian cycle backtracking, which also
-answers traceability through an apex vertex
-(:func:`boxham.oracle.find_spanning_path`), the scattering
-branch-and-bound, which looks for a cut set S with c(G - S) - |S| > 0
+The hot search loops are the Hamiltonian cycle backtracking, the
+scattering branch-and-bound, which looks for a cut set S with c(G - S) - |S| > 0
 and stops at the first, and the exact toughness scan over vertex sets by
 increasing size, which stops at the ratio bound.  They are pure Python,
 so ``backend_name()`` is always ``"pure"``.  The two searches stop

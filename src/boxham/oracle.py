@@ -1,5 +1,5 @@
-"""Brute-force oracles, the product entry, named fixtures, canonical
-forms, tree enumeration, and scanners.
+"""The exhaustive Hamiltonicity search, the product entry, named fixtures,
+canonical forms, tree enumeration, and scanners.
 
 The exhaustive Hamiltonicity search shares no code with the builders, so
 it cross-checks everything the constructive pipeline claims.
@@ -15,8 +15,6 @@ graph is built only when the search runs.  A plain graph that is a
 product in layer-major ids, as ``boxham product`` writes it, is split
 into its base and layers (:func:`~boxham.graphs.product_split`) and
 spliced like one given with its layer count.
-:func:`find_spanning_path` answers traceability by the same search on
-the graph plus an apex vertex, and checks its path before returning it.
 :func:`canonical_form` names the isomorphism class of a connected graph
 with at most one cycle in linear-size AHU strings; it deduplicates the
 enumerated trees and the scanners' bases, so no scan runs an
@@ -69,12 +67,6 @@ class OracleResult(NamedTuple):
 
 
 _VERDICTS = {"found": "hamiltonian", "none": "non_hamiltonian", "unknown": "unknown"}
-
-
-class PathResult(NamedTuple):
-    status: str
-    path: tuple[int, ...] | None
-    nodes: int
 
 
 def _side_gap(g: Graph) -> int:
@@ -135,27 +127,6 @@ def find_product_cycle(base: Graph, n: int, *,
     return res
 
 
-def find_spanning_path(g: Graph, *, deadline: float | None = None,
-                       max_nodes: int | None = None) -> PathResult:
-    """Exhaustive spanning path oracle (traceability): the cycle search on
-    ``g`` plus an apex joined to every vertex, as vertex 1 (g's vertex v
-    is v + 1), with the apex dropped from the cycle; ``nodes`` counts that
-    search.  A bipartite graph whose sides differ by more than one answers
-    "none" at 0 nodes.  A path it returns has visited every vertex once
-    along edges of ``g``, or it raises ``AssertionError``."""
-    if g.order >= 3 and _side_gap(g) > 1:
-        return PathResult("none", None, 0)
-    apexed = Graph(g.order + 1, tuple((1, v + 1) for v in g.vertices())
-                   + tuple((u + 1, v + 1) for u, v in g.edges))
-    status, cycle, nodes = kernels.ham_cycle(
-        apexed, max_nodes=max_nodes, deadline=deadline)
-    seq = None if cycle is None else tuple(v - 1 for v in cycle[1:])
-    if seq is not None and (sorted(seq) != list(g.vertices())
-                            or not all(map(g.has_edge, seq, seq[1:]))):
-        raise AssertionError(f"search path on {g.order} vertices failed its check")
-    return PathResult(status, seq, nodes)
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -176,26 +147,14 @@ class Fixtures(NamedTuple):
     fig1: Graph
 
 
-_FIXTURES: Fixtures | None = None
-
-
 def fixtures() -> Fixtures:
-    """Named fixture graphs, re-verified once per process: fig1 was
-    transcribed from a drawing, so the two claims that define it
-    (toughness 1, no Hamiltonian cycle) are rechecked first."""
-    global _FIXTURES
-    if _FIXTURES is None:
-        t1 = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)])
-        fig4 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
-        fig1 = Graph.from_edges(7, [(1, 2), (1, 3), (1, 7), (2, 3), (2, 4),
-                                    (3, 5), (4, 6), (5, 6), (6, 7)])
-        size, comps, _, _ = kernels.toughness_scan(fig1)
-        if size != comps:
-            raise AssertionError(f"fig1 transcription broken: toughness {size}/{comps}")
-        if find_hamiltonian_cycle(fig1).status != "none":
-            raise AssertionError("fig1 transcription broken: found a Hamiltonian cycle")
-        _FIXTURES = Fixtures(t1, fig4, fig1)
-    return _FIXTURES
+    """The named fixture graphs.  fig1's two defining claims (toughness
+    1, no Hamiltonian cycle) are checked by the acceptance tests."""
+    return Fixtures(
+        t1=Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (4, 8)]),
+        fig4=Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)]),
+        fig1=Graph.from_edges(7, [(1, 2), (1, 3), (1, 7), (2, 3), (2, 4),
+                                  (3, 5), (4, 6), (5, 6), (6, 7)]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +434,12 @@ def format_scan_report(report: ScanReport) -> str:
 __all__ = [
     "Fixtures",
     "OracleResult",
-    "PathResult",
     "ScanEntry",
     "ScanReport",
     "canonical_form",
     "enumerate_trees",
     "find_hamiltonian_cycle",
     "find_product_cycle",
-    "find_spanning_path",
     "fixtures",
     "format_scan_report",
     "scan_balanced_odd",

@@ -44,7 +44,7 @@ path factor, and products whose base tree out-degrees the path factor.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .errors import BudgetExceededError, PreconditionFailedError
@@ -61,6 +61,9 @@ from .graphs import (
     split_counts,
 )
 from .oracle import find_product_cycle
+
+if TYPE_CHECKING:  # imported at run time by toughness_exact alone, to keep cold start cheap
+    from fractions import Fraction
 
 # The frontier DP decides 1-toughness up to this frontier width, past which
 # its state count (about Bell(width + 1)) hands over to the branch and
@@ -441,18 +444,19 @@ def product_cut_from_bipartite(n: int, h: Graph) -> CutWitness:
         # a single-vertex base gives the bare path, where the claim fails
         # for fewer than 3 layers and the shift construction degenerates
         raise PreconditionFailedError("connected base must have at least 2 vertices")
-    cert = one_sided_obstruction(h, bipartition(h))  # HasPathFactorError if factored
+    bip = bipartition(h)
+    cert = one_sided_obstruction(h, bip)  # HasPathFactorError if factored
     s_layer1 = frozenset(product_id(1, v, h.order) for v in sorted(cert.witness))
-    bip = bipartition(product)
-    side_a, side_b = bip.side_a, bip.side_b
+    # the layers alternate colours: (i, v) is on the product's side a
+    # exactly when v is on h's side a and i is odd, or neither
+    side_a, side_b = (frozenset(product_id(i, v, h.order) for i in range(1, n + 1)
+                                for v in (first if i % 2 else second))
+                      for first, second in (bip, bip[::-1]))
     if len(side_a) == len(side_b):
         iso_h = [v for v in h.vertices()
                  if v not in cert.witness and not set(h.neighbors(v)) - cert.witness]
         i_layer1 = frozenset(product_id(1, v, h.order) for v in iso_h)
-        y = side_a if s_layer1 <= side_a else side_b
-        if not s_layer1 <= y:
-            raise AssertionError("one-sided witness split across product sides")
-        x = side_b if y is side_a else side_a
+        x = side_b if cert.witness <= bip.side_a else side_a
         cut = frozenset((x | s_layer1) - i_layer1)
     else:
         cut = min((side_a, side_b), key=len)

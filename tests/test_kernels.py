@@ -20,6 +20,7 @@ from helpers import (
     random_connected_graph,
     recursive_ham_cycle,
     recursive_scattering_max,
+    spanning_path,
 )
 
 
@@ -127,7 +128,7 @@ class TestPureHamCycle:
         assert {"found", "unknown"} <= outcomes
 
     def test_matches_reference_on_apexed_scan_products(self):
-        # the spanning-path oracle's graphs: every vertex is adjacent to the
+        # the graphs ``spanning_path`` searches: every vertex is adjacent to the
         # start, so every vertex may come to need its closing edge
         outcomes = set()
         for base, prod in scan_products():
@@ -245,9 +246,9 @@ class TestClockBudget:
                 == ("unknown", None, self.STRIDE))
         # the search on the apexed P6 x T1 meets a cycle at node 35,706
         p6 = cartesian_product(path_graph(6), oracle.fixtures().t1)
-        assert oracle.find_spanning_path(p6).nodes == 35_706
-        assert (oracle.find_spanning_path(p6, deadline=time.monotonic())
-                == oracle.PathResult("unknown", None, self.STRIDE))
+        assert spanning_path(p6)[2] == 35_706
+        assert (spanning_path(p6, deadline=time.monotonic())
+                == ("unknown", None, self.STRIDE))
 
 
 class CallRecorder:
@@ -269,8 +270,8 @@ class CallRecorder:
 class TestWrappers:
     def test_vertex_translation(self):
         # the apex is vertex 1 of the searched graph, so P4's vertex v is v + 1
-        # there, and the oracle maps the cycle back
-        assert oracle.find_spanning_path(path_graph(4)).path == (1, 2, 3, 4)
+        # there, and ``spanning_path`` maps the cycle back
+        assert spanning_path(path_graph(4))[1] == (1, 2, 3, 4)
         status, order, _ = kernels.ham_cycle(cycle_graph(5))
         assert status == "found" and order == (1, 2, 3, 4, 5)
 
@@ -280,15 +281,15 @@ class TestWrappers:
         assert kernels.backend_name() == "pure"
         g = star_graph(3)
         p4 = path_graph(4)
-        want = (kernels.ham_cycle(g), oracle.find_spanning_path(p4),
+        want = (kernels.ham_cycle(g), spanning_path(p4),
                 kernels.scattering_max(g), kernels.toughness_scan(g))
         fast = CallRecorder()
         monkeypatch.setattr(kernels, "_fast", fast)
-        assert (kernels.ham_cycle(g), oracle.find_spanning_path(p4),
+        assert (kernels.ham_cycle(g), spanning_path(p4),
                 kernels.scattering_max(g), kernels.toughness_scan(g)) == want
         assert kernels.count_isolated_after(g, {1}) == 3
         assert kernels.count_components_after(g, {1}) == 3
-        # the spanning-path oracle runs the cycle search on P4 plus an apex;
+        # ``spanning_path`` runs the cycle search on P4 plus an apex;
         # the counters always run on the pure kernels
         assert fast.calls == ["ham_cycle", "ham_cycle", "scattering_max", "toughness_scan"]
 
@@ -299,8 +300,8 @@ class TestWrappers:
         assert _pykernels.ham_cycle(32, flagship.adjacency_masks, 10, None)[2] == 10
         status, _, nodes = kernels.ham_cycle(flagship, max_nodes=10)
         assert (status, nodes) == ("unknown", 10)
-        res = oracle.find_spanning_path(flagship, max_nodes=10)
-        assert (res.status, res.nodes) == ("unknown", 10)
+        status, _, nodes = spanning_path(flagship, max_nodes=10)
+        assert (status, nodes) == ("unknown", 10)
         status, *_, nodes = kernels.scattering_max(flagship, max_nodes=10)
         assert (status, nodes) == ("unknown", 10)
 
@@ -317,9 +318,8 @@ class TestWrappers:
                 wrapped = (kernels.ham_cycle(g, max_nodes=cap),
                            kernels.scattering_max(g, max_nodes=cap))
                 assert [out[-1] for out in raw] == [out[-1] for out in wrapped]
-                path = oracle.find_spanning_path(g, max_nodes=cap)
-                for status, nodes in [(out[0], out[-1]) for out in raw] + [
-                        (path.status, path.nodes)]:
+                path = spanning_path(g, max_nodes=cap)
+                for status, *_, nodes in raw + (path,):
                     assert nodes <= cap
                     if status == "unknown":
                         stopped += 1

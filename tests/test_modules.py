@@ -4,14 +4,16 @@ its own module only.  Importing a private module whole, such as
 ``from . import _pykernels``, stays allowed.  Every name a module
 exports in ``__all__`` exists, so a deleted name cannot linger there.
 Below the command line a time budget is one ``time.monotonic()``
-deadline, never a count of seconds."""
+deadline, never a count of seconds.  No module of the package, the tests
+or the benchmarks imports a name it never uses."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boxham"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "boxham"
 
 
 def test_no_private_names_cross_modules():
@@ -50,3 +52,26 @@ def test_no_public_function_takes_budget_seconds():
             if inspect.isfunction(obj) and "budget_seconds" in inspect.signature(obj).parameters:
                 offenders.append(f"{module.__name__}.{name}")
     assert not offenders, offenders
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads; a name in ``__all__`` is read."""
+    imported, used = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    unused = [f"{path.relative_to(ROOT)}: {name}"
+              for folder in (PACKAGE, ROOT / "tests", ROOT / "benchmarks")
+              for path in sorted(folder.glob("*.py")) for name in unused_imports(path)]
+    assert not unused, unused
