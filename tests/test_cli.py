@@ -127,6 +127,16 @@ class TestHamcycle:
                                    "--cycle", out)
         assert code2 == 0 and payload2["valid"] is True
 
+    def test_cycle_file_verifies_only_at_its_own_n(self, capsys, files, tmp_path):
+        out = str(tmp_path / "p3x6.cycle")
+        code, _ = run_json(capsys, "hamcycle", "--n", "6", "--graph", files["p3"],
+                           "--out", out)
+        assert code == 0
+        for n, valid in (("6", True), ("4", False)):
+            code, payload = run_json(capsys, "verify", "--n", n, "--graph", files["p3"],
+                                     "--cycle", out)
+            assert code == 0 and payload["valid"] is valid
+
     def test_fig4_pathfactor(self, capsys, files):
         code, payload = run_json(capsys, "hamcycle", "--n", "10",
                                  "--graph", files["fig4"], "--mode", "pathfactor")
@@ -209,6 +219,12 @@ class TestPathfactor:
                                  "--kind", "p23")
         assert code == 0
         assert payload["certificate"] == {"isolated": 3, "witness": [1]}
+
+    def test_k13_pm_barrier(self, capsys, files):
+        code, payload = run_json(capsys, "pathfactor", "--graph", files["k13"],
+                                 "--kind", "pm")
+        assert code == 0 and payload["factor"] is None
+        assert payload["certificate"] == {"witness": [1], "odd_components": 3}
 
     def test_certificate_at_order_28(self, capsys, tmp_path):
         code, payload = run_json(capsys, "pathfactor", "--graph", no_factor_tree_28(tmp_path))

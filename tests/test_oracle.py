@@ -155,6 +155,15 @@ class TestFixtures:
         fig1 = fixtures().fig1
         assert (fig1.order, fig1.size) == (7, 9)
 
+    def test_built_without_a_search(self, monkeypatch):
+        # fig1's claims are the acceptance tests' to check, not each call's
+        def refuse(*args, **kwargs):
+            raise AssertionError("fixtures() ran a search")
+        for module, name in ((kernels, "toughness_scan"), (kernels, "ham_cycle"),
+                             (oracle, "find_hamiltonian_cycle")):
+            monkeypatch.setattr(module, name, refuse)
+        assert fixtures() == fixtures()
+
 
 def unicyclic_by_order(max_order: int) -> dict[int, list[Graph]]:
     """Every tree of enumerate_trees plus each edge it lacks, by order:

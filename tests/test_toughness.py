@@ -16,7 +16,12 @@ from boxham.errors import (
     HasPathFactorError,
     PreconditionFailedError,
 )
-from boxham.factors import MatchingBarrier, find_p23_factor, perfect_matching_or_barrier
+from boxham.factors import (
+    MatchingBarrier,
+    find_p23_factor,
+    one_sided_obstruction,
+    perfect_matching_or_barrier,
+)
 from boxham.graphs import (
     Graph,
     bipartition,
@@ -27,6 +32,7 @@ from boxham.graphs import (
     cycle_graph,
     degree_stats,
     path_graph,
+    product_id,
     split_counts,
     star_graph,
 )
@@ -716,6 +722,25 @@ class TestBipartiteProductCut:
                 prod = cartesian_product(path_graph(n), h)
                 comps, _ = removal_stats(prod, w.cut)
                 assert comps == w.components > len(w.cut)
+
+    def test_cut_matches_the_product_two_colouring(self):
+        # the sides read off h's bipartition are the ones a 2-colouring of
+        # the product finds, so the cut is the one built on bipartition(product)
+        for h in connected_bipartite_up_to_iso(7):
+            if find_p23_factor(h) is not None:
+                continue
+            cert = one_sided_obstruction(h, bipartition(h))
+            s_layer1 = {product_id(1, v, h.order) for v in cert.witness}
+            i_layer1 = {product_id(1, v, h.order) for v in h.vertices()
+                        if v not in cert.witness and set(h.neighbors(v)) <= cert.witness}
+            for n in (1, 2, 3, 4, 5):
+                side_a, side_b = bipartition(cartesian_product(path_graph(n), h))
+                if len(side_a) == len(side_b):
+                    x = side_b if s_layer1 <= side_a else side_a
+                    expected = (x | s_layer1) - i_layer1
+                else:
+                    expected = min(side_a, side_b, key=len)
+                assert product_cut_from_bipartite(n, h).cut == expected
 
     def test_product_not_one_tough_confirms(self):
         # the witness certifies what the search also concludes
