@@ -37,12 +37,7 @@ import time
 
 from boxham import cycles, kernels
 from boxham.factors import find_p23_factor, find_perfect_matching
-from boxham.graphs import (
-    Graph,
-    cartesian_product,
-    degree_stats,
-    path_graph,
-)
+from boxham.graphs import Graph, cartesian_product, max_degree, path_graph
 
 TARGETS = (1_000, 10_000, 100_000, 1_000_000)
 KINDS = ("matching", "p23")
@@ -85,7 +80,7 @@ def tree(kind: str, target: int) -> tuple[Graph, int]:
     labels = list(range(1, order + 1))
     rng.shuffle(labels)
     t = Graph.from_edges(order, [(labels[u - 1], labels[v - 1]) for u, v in edges])
-    dmax = degree_stats(t).maximum
+    dmax = max_degree(t)
     return t, dmax if kind == "matching" else 4 * dmax - 2
 
 

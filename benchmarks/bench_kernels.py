@@ -22,9 +22,7 @@ search answers).  It gives the median microseconds per call and the
 share of that median spent parsing argv (``cli._parse``, its checks
 included), and pins each answer's stage and nodes the same way.
 
-    python benchmarks/bench_kernels.py            # quick set
-    python benchmarks/bench_kernels.py --full     # adds the flagship's
-                                                  # branch and bound
+    python benchmarks/bench_kernels.py
     PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_kernels.json
 
 ``--out`` writes every row (its nodes, seconds and deciding stage or
@@ -105,13 +103,12 @@ PINNED_NODES = {
     "P8 x scan tree8 (64, found)": 83_687,
     "P600 x K2 ladder (1200, found)": 2_989,
     "P3 x caterpillar8 (24 vertices)": 251_734,
-    "P4 x caterpillar8 flagship (32 vertices)": 15_567_633,
     "P2 x caterpillar8": 14_893,
     "P3 x caterpillar6": 63_004,
 }
 
 
-def instances(full):
+def instances():
     yield ("ham_cycle", "P5 x caterpillar6 (found)",
            cartesian_product(path_graph(5), FIG4), "ham_cycle")
     yield ("ham_cycle", "P4 x caterpillar8 (none)",
@@ -127,9 +124,6 @@ def instances(full):
            cartesian_product(path_graph(2), T1), "toughness_scan")
     yield ("toughness_scan", "P3 x caterpillar6",
            cartesian_product(path_graph(3), FIG4), "toughness_scan")
-    if full:
-        yield ("scattering", "P4 x caterpillar8 flagship (32 vertices)",
-               cartesian_product(path_graph(4), T1), "scattering_max")
 
 
 def one_tough_instances():
@@ -247,8 +241,6 @@ def row(table, label, nodes, seconds, decided_by):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--full", action="store_true",
-                        help="include the long flagship branch and bound")
     parser.add_argument("--out", help="write the rows to this JSON file")
     args = parser.parse_args()
     rows = []
@@ -256,7 +248,7 @@ def main():
     header = f"{'kernel':<15} {'instance':<38} {'nodes':>10} {'time':>9}"
     print(header)
     print("-" * len(header))
-    for kind, label, g, func in instances(args.full):
+    for kind, label, g, func in instances():
         elapsed, nodes = run_one(func, g)
         if nodes != PINNED_NODES[label]:
             raise SystemExit(f"{label}: {nodes} nodes, pinned {PINNED_NODES[label]}")
@@ -287,7 +279,6 @@ def main():
     if args.out:
         report = {
             "script": "benchmarks/bench_kernels.py",
-            "full": args.full,
             "backend": kernels.backend_name(),
             "python": platform.python_version(),
             "nproc": os.cpu_count(),

@@ -30,12 +30,10 @@ from typing import Literal, NamedTuple
 
 from .errors import (
     DisconnectedError,
-    InvalidFactorError,
     LayerBoundError,
     MalformedGraphError,
     NoFactorError,
-    NotTreeError,
-    OddLayersError,
+    PreconditionFailedError,
     SpliceStockError,
 )
 from .factors import (
@@ -50,9 +48,9 @@ from .factors import (
 from .graphs import (
     Graph,
     canon_edge,
-    degree_stats,
     is_connected,
     is_tree,
+    max_degree,
     parse_label,
     product_id,
     spanning_tree_containing,
@@ -244,13 +242,10 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
     it has one edge fewer than components and peels down to nothing.  So
     the contraction stands in for a separate connectivity search.
     """
-    if tree.size != tree.order - 1:
-        raise NotTreeError("not a tree")
-    if not validate_path_factor(tree, factor):
+    if tree.size != tree.order - 1 or not validate_path_factor(tree, factor):
         # a graph that is no tree is reported as such, whatever the factor
-        if not is_tree(tree):
-            raise NotTreeError("not a tree")
-        raise InvalidFactorError("factor does not cover the tree")
+        raise PreconditionFailedError(
+            "factor does not cover the tree" if is_tree(tree) else "not a tree")
     comps = factor.components
     owner = {v: idx for idx, comp in enumerate(comps) for v in comp}
     # adj[a][b] is a tree edge (u, w) with u in component a, w in b
@@ -277,7 +272,7 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
             if len(adj[j]) == 1:
                 heapq.heappush(heap, (comps[j][0], j))
     if contracted_size != len(comps) - 1 or len(order) != len(comps):
-        raise NotTreeError("not a tree")
+        raise PreconditionFailedError("not a tree")
     return PeelOrder(tuple(comps[i] for i in order), tuple(links))
 
 
@@ -390,10 +385,9 @@ def _check_layers(route: str, n: int, dmax: int) -> None:
             raise LayerBoundError(f"matching route needs n >= {dmax}", dmax)
         return
     need = path_factor_min_layers(dmax)
-    if n % 2:
-        raise OddLayersError(f"path-factor route needs even n >= {need}")
-    if n < need:
-        raise LayerBoundError(f"path-factor route needs n >= {need}", need)
+    if n % 2 or n < need:
+        rule = "even n" if n % 2 else "n"
+        raise LayerBoundError(f"path-factor route needs {rule} >= {need}", need)
 
 
 def _build(n: int, tree: Graph, factor: PathFactor, route: str,
@@ -403,8 +397,8 @@ def _build(n: int, tree: Graph, factor: PathFactor, route: str,
     product over the tree, and count each column's vertical steps."""
     peel = component_peel_order(tree, factor)
     if route == "matching" and not factor.is_perfect_matching:
-        raise InvalidFactorError("not a perfect matching of the tree")
-    _check_layers(route, n, degree_stats(tree).maximum if dmax is None else dmax)
+        raise PreconditionFailedError("not a perfect matching of the tree")
+    _check_layers(route, n, max_degree(tree) if dmax is None else dmax)
     cycle, roles = _assemble(n, tree, factor, peel)
     if not verify_product_cycle(tree, n, cycle):
         raise AssertionError(f"{route} cycle on {n} layers failed its check")
@@ -479,7 +473,7 @@ def build_cycle(n: int, base: Graph, mode: str = "auto") -> BuildResult:
         raise ValueError(f"unknown mode {mode!r}")
     route, factor, tree = _route(base, mode)
     builder = build_cycle_matching if route == "matching" else build_cycle_path_factor
-    return builder(n, tree, factor, max_degree=degree_stats(base).maximum)
+    return builder(n, tree, factor, max_degree=max_degree(base))
 
 
 def splice_attempt(base: Graph, n: int) -> HamCycle | None:

@@ -1,14 +1,23 @@
 """Exception types shared across the package.
 
-Every domain failure the library raises derives from
-:class:`BoxhamError`.  A bad argument value raises a plain ``ValueError``
-instead: a layer count below 1 (``find_product_cycle``,
-``verify_product_cycle``, ``product_cut_from_bipartite``), a malformed
-``Graph(...)``, an unknown ``build_cycle`` mode, a graph that
-``canonical_form`` does not cover, a negative scanner ``start_index`` and
-an order that ``frontier_scattering`` rejects.  ``cli.main`` reports such
-a ``ValueError`` as ``precondition`` (exit 3), as it does every
-``BoxhamError`` that has no kind of its own (parse, no-factor, budget).
+Every domain failure derives from :class:`BoxhamError`; each class marks
+a distinction some code makes.  :class:`MalformedGraphError`,
+:class:`BudgetExceededError` and :class:`PreconditionFailedError` are the
+kinds ``parse``, ``budget`` and ``precondition`` of ``cli.main``; the
+last is any broken precondition that no caller tells apart, such as a
+cyclic or foreign spanning-tree seed, a non-tree or a bad factor handed
+to a builder, or an obstruction asked of a graph with a factor.  Code
+catches :class:`NotBipartiteError`, :class:`DisconnectedError` and
+:class:`SpliceStockError`.  :class:`NoFactorError` (kind ``no-factor``)
+carries its certificate and :class:`LayerBoundError` the minimum layers.
+
+A bad argument value raises a plain ``ValueError`` instead: a layer count
+below 1 (``find_product_cycle``, ``verify_product_cycle``,
+``product_cut_from_bipartite``), a malformed ``Graph(...)``, an unknown
+``build_cycle`` mode, a graph that ``canonical_form`` does not cover, a
+negative scanner ``start_index`` and an order that ``frontier_scattering``
+rejects.  ``cli.main`` reports such a ``ValueError`` as ``precondition``
+(exit 3), as it does every ``BoxhamError`` that has no kind of its own.
 """
 
 
@@ -24,36 +33,12 @@ class NotBipartiteError(BoxhamError):
     """A 2-coloring was requested for a graph containing an odd cycle."""
 
 
-class CyclicSeedError(BoxhamError):
-    """The seed edge set for a spanning tree contains a cycle."""
-
-
-class NotSubgraphError(BoxhamError):
-    """Seed edges are not all present in the host graph."""
-
-
 class DisconnectedError(BoxhamError):
     """The operation requires a connected graph."""
 
 
-class NotTreeError(BoxhamError):
-    """The operation requires a tree."""
-
-
-class InvalidFactorError(BoxhamError):
-    """A supplied factor fails validation against its graph."""
-
-
 class BudgetExceededError(BoxhamError):
     """Instance size or search budget above the supported cap."""
-
-
-class HasPathFactorError(BoxhamError):
-    """An obstruction certificate was requested for a graph that has a factor."""
-
-
-class OddLayersError(BoxhamError):
-    """The construction needs an even number of path layers."""
 
 
 class PreconditionFailedError(BoxhamError):
@@ -73,7 +58,7 @@ class NoFactorError(BoxhamError):
 
 
 class LayerBoundError(BoxhamError):
-    """Layer count below the pipeline requirement; reports the minimum."""
+    """Layer count outside the pipeline requirement; reports the minimum."""
 
     def __init__(self, message, minimum_layers):
         super().__init__(message)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import HasPathFactorError
+from .errors import PreconditionFailedError
 from .graphs import Bipartition, Graph, components
 from .kernels import count_isolated_after
 
@@ -406,7 +406,7 @@ def one_sided_obstruction(h: Graph, bip: Bipartition) -> FactorCertificate:
     """
     general = factor_obstruction(h)
     if general is None:
-        raise HasPathFactorError("graph has a path factor; no obstruction exists")
+        raise PreconditionFailedError("graph has a path factor; no obstruction exists")
     for side in (bip.side_a, bip.side_b):
         part = general.witness & side
         iso = count_isolated_after(h, part)

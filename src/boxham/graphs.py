@@ -23,11 +23,10 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    CyclicSeedError,
     DisconnectedError,
     MalformedGraphError,
     NotBipartiteError,
-    NotSubgraphError,
+    PreconditionFailedError,
 )
 
 Edge = tuple[int, int]
@@ -132,12 +131,6 @@ class Graph:
         return tuple(masks)
 
 
-class DegreeStats(NamedTuple):
-    maximum: int
-    minimum: int
-    degrees: dict[int, int]
-
-
 class Bipartition(NamedTuple):
     """Deterministic 2-coloring: each component's smallest vertex is in side_a."""
 
@@ -209,9 +202,8 @@ def is_tree(g: Graph) -> bool:
     return g.size == g.order - 1 and is_connected(g)
 
 
-def degree_stats(g: Graph) -> DegreeStats:
-    degrees = list(map(len, g._adjacency))[1:]  # entry 0 is no vertex
-    return DegreeStats(max(degrees), min(degrees), dict(zip(g.vertices(), degrees)))
+def max_degree(g: Graph) -> int:
+    return max(map(len, g._adjacency))  # entry 0 is no vertex and empty
 
 
 def bipartition(g: Graph) -> Bipartition:
@@ -384,7 +376,7 @@ def spanning_tree_containing(g: Graph, seed: Iterable[tuple[int, int]]) -> Graph
     seed_edges = [canon_edge(u, v) for u, v in seed]
     for e in seed_edges:
         if e not in g._edge_set:
-            raise NotSubgraphError(f"seed edge {e} not in the graph")
+            raise PreconditionFailedError(f"seed edge {e} not in the graph")
     parent = list(range(g.order + 1))
 
     def find(x: int) -> int:
@@ -397,7 +389,7 @@ def spanning_tree_containing(g: Graph, seed: Iterable[tuple[int, int]]) -> Graph
     for u, v in sorted(set(seed_edges)):
         ru, rv = find(u), find(v)
         if ru == rv:
-            raise CyclicSeedError("seed edges contain a cycle")
+            raise PreconditionFailedError("seed edges contain a cycle")
         parent[ru] = rv
         chosen.add((u, v))
     for u, v in sorted(g.edges, key=itemgetter(1, 0)):
@@ -486,7 +478,6 @@ def to_dot(g: Graph, *, layers: int | None = None,
 
 __all__ = [
     "Bipartition",
-    "DegreeStats",
     "Edge",
     "Graph",
     "bipartition",
@@ -496,12 +487,12 @@ __all__ = [
     "complete_graph",
     "components",
     "cycle_graph",
-    "degree_stats",
     "format_graph",
     "format_label",
     "is_bipartite",
     "is_connected",
     "is_tree",
+    "max_degree",
     "parse_graph",
     "parse_label",
     "path_graph",

@@ -36,9 +36,9 @@ from .graphs import (
     Graph,
     bipartition,
     cartesian_product,
-    degree_stats,
     is_bipartite,
     is_connected,
+    max_degree,
     path_graph,
     product_split,
 )
@@ -288,7 +288,7 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
         if _past(deadline):
             return out
         trees.append(t)
-        if degree is not None and degree_stats(t).maximum != degree:
+        if degree is not None and max_degree(t) != degree:
             continue
         if find_p23_factor(t) is None:
             continue
@@ -303,7 +303,7 @@ def _candidate_bases(max_order: int, *, degree: int | None = None,
                 if (u, v) in existing:
                     continue
                 g = Graph.from_edges(t.order, list(t.edges) + [(u, v)])
-                if degree is not None and degree_stats(g).maximum != degree:
+                if degree is not None and max_degree(g) != degree:
                     continue
                 if bipartite_only and not is_bipartite(g):
                     continue
@@ -409,7 +409,7 @@ def scan_balanced_odd(max_h_order: int, max_n: int, *,
         bip = bipartition(g)
         if len(bip.side_a) != len(bip.side_b):
             continue
-        bound = path_factor_min_layers(degree_stats(g).maximum)
+        bound = path_factor_min_layers(max_degree(g))
         instances += [(g, n, n >= bound) for n in range(3, max_n + 1, 2)]
     return ScanReport("balanced_odd", {
         "max_h_order": max_h_order, "max_n": max_n, "start_index": start_index,

@@ -54,8 +54,8 @@ from .graphs import (
     bipartition,
     cartesian_product,
     components,
-    degree_stats,
     is_connected,
+    max_degree,
     path_graph,
     product_id,
     split_counts,
@@ -445,7 +445,7 @@ def product_cut_from_bipartite(n: int, h: Graph) -> CutWitness:
         # for fewer than 3 layers and the shift construction degenerates
         raise PreconditionFailedError("connected base must have at least 2 vertices")
     bip = bipartition(h)
-    cert = one_sided_obstruction(h, bip)  # HasPathFactorError if factored
+    cert = one_sided_obstruction(h, bip)  # PreconditionFailedError if factored
     s_layer1 = frozenset(product_id(1, v, h.order) for v in sorted(cert.witness))
     # the layers alternate colours: (i, v) is on the product's side a
     # exactly when v is on h's side a and i is odd, or neither
@@ -470,17 +470,16 @@ def product_cut_from_high_degree(g1: Graph, t: Graph) -> CutWitness:
     The column of a maximum-degree vertex v has |V(g1)| vertices and its
     removal splits the product into degree(v) branch blocks.
     """
-    stats = degree_stats(t)
-    if stats.maximum <= g1.order:
-        raise PreconditionFailedError(
-            f"max degree {stats.maximum} does not exceed order {g1.order}")
+    dmax = max_degree(t)
+    if dmax <= g1.order:
+        raise PreconditionFailedError(f"max degree {dmax} does not exceed order {g1.order}")
     if not is_connected(g1):
         raise PreconditionFailedError("first factor must be connected")
-    v = min(u for u in t.vertices() if t.degree(u) == stats.maximum)
+    v = min(u for u in t.vertices() if t.degree(u) == dmax)
     product = cartesian_product(g1, t)
     cut = frozenset(product_id(i, v, t.order) for i in g1.vertices())
     witness = _recounted(product, cut, "constructed witness")
-    if witness.components != stats.maximum:
+    if witness.components != dmax:
         raise AssertionError("column cut left a component count other than the degree")
     return witness
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 from boxham import kernels
 from boxham._pykernels import _Budget, _OutOfBudget, _greedy_matching, count_components
 from boxham.cycles import _COMPONENT_ROLES, used_column_indices
-from boxham.errors import LayerBoundError, OddLayersError
+from boxham.errors import LayerBoundError
 from boxham.factors import _canon_factor, _cut_run
 from boxham.graphs import Graph, format_label, is_connected, product_label
 from boxham.toughness import _last_steps
@@ -255,7 +255,7 @@ def pattern_overlap_counts(n: int) -> tuple[int, int, int]:
     direct enumeration over 1..n-1; tests check the chain inequality and
     the closed form ceil((n-4)/4) of the last entry."""
     if n % 2:
-        raise OddLayersError("overlap counts are defined for even layer counts")
+        raise LayerBoundError("overlap counts are defined for even layer counts", 4)
     if n < 4:
         raise LayerBoundError("need at least 4 layers", 4)
     left = used_column_indices("left", n)

@@ -30,7 +30,7 @@ from boxham.graphs import (
     cartesian_product,
     complete_bipartite,
     cycle_graph,
-    degree_stats,
+    max_degree,
     path_graph,
 )
 from boxham.oracle import enumerate_trees, find_hamiltonian_cycle, fixtures
@@ -73,7 +73,7 @@ def test_criterion_01_matching_builder_sweep():
         matching = find_perfect_matching(t)
         if matching is None:
             continue
-        dmax = degree_stats(t).maximum
+        dmax = max_degree(t)
         for n in range(dmax, dmax + 4):
             res = build_cycle_matching(n, t, matching)
             prod = product_over(n, t)
@@ -96,7 +96,7 @@ def test_criterion_02_path_factor_builder_sweep():
         factor = find_p23_factor(t)
         if factor is None:
             continue
-        dmax = degree_stats(t).maximum
+        dmax = max_degree(t)
         for n in (4 * dmax - 2, 4 * dmax):
             res = build_cycle_path_factor(n, t, factor)
             prod = product_over(n, t)
@@ -124,7 +124,7 @@ def test_criterion_03_equivalence_sweep():
     for t in enumerate_trees(12):
         if find_perfect_matching(t) is None:
             continue
-        dmax = degree_stats(t).maximum
+        dmax = max_degree(t)
         n = 1
         while n * t.order <= 18:
             prod = product_over(n, t)

@@ -27,11 +27,9 @@ from boxham.cycles import (
 )
 from boxham.errors import (
     DisconnectedError,
-    InvalidFactorError,
     LayerBoundError,
     NoFactorError,
-    NotTreeError,
-    OddLayersError,
+    PreconditionFailedError,
 )
 from boxham.factors import PathFactor, find_p23_factor, find_perfect_matching
 from boxham.graphs import (
@@ -40,7 +38,7 @@ from boxham.graphs import (
     cartesian_product,
     complete_graph,
     cycle_graph,
-    degree_stats,
+    max_degree,
     path_graph,
     spanning_tree_containing,
     star_graph,
@@ -128,7 +126,7 @@ class TestColumnIndexSets:
             assert lc == -((4 - n) // 4)  # ceil((n-4)/4)
 
     def test_rejects_odd(self):
-        with pytest.raises(OddLayersError):
+        with pytest.raises(LayerBoundError, match="even layer counts"):
             pattern_overlap_counts(5)
 
     def test_rejects_short(self):
@@ -263,11 +261,11 @@ class TestRolesAndPeel:
         assert order.components == ((1, 2),)
 
     def test_not_tree(self):
-        with pytest.raises(NotTreeError):
+        with pytest.raises(PreconditionFailedError, match="not a tree"):
             component_peel_order(cycle_graph(4), PathFactor(((1, 2), (3, 4))))
 
     def test_factor_that_misses_the_tree(self):
-        with pytest.raises(InvalidFactorError):
+        with pytest.raises(PreconditionFailedError, match="factor does not cover the tree"):
             component_peel_order(path_graph(4), PathFactor(((1, 2),)))
 
     def test_order_minus_one_edges_that_are_no_tree(self):
@@ -275,7 +273,7 @@ class TestRolesAndPeel:
         # invalid factor and under a valid one that no edge joins
         g = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])
         for factor in (PathFactor(((1, 2),)), PathFactor(((1, 2, 3), (4, 5, 6)))):
-            with pytest.raises(NotTreeError):
+            with pytest.raises(PreconditionFailedError, match="not a tree"):
                 component_peel_order(g, factor)
 
 
@@ -314,14 +312,14 @@ class TestMatchingBuilder:
             m = find_perfect_matching(t)
             if m is None:
                 continue
-            dmax = degree_stats(t).maximum
+            dmax = max_degree(t)
             for n in range(max(dmax, 2), dmax + 3):
                 res = build_cycle_matching(n, t, m)
                 assert verify_cycle(product_over(n, t), res.cycle)
                 assert verify_column_contract(res.cycle, t, res.roles, n)
 
     def test_rejects_a_factor_with_a_triple(self):
-        with pytest.raises(InvalidFactorError):
+        with pytest.raises(PreconditionFailedError, match="not a perfect matching"):
             build_cycle_matching(4, path_graph(3), PathFactor(((1, 2, 3),)))
 
     def test_determinism(self):
@@ -354,11 +352,12 @@ class TestPathFactorBuilder:
         assert verify_column_contract(res.cycle, T1, res.roles, 10)
 
     def test_odd_layers(self):
-        with pytest.raises(OddLayersError):
+        with pytest.raises(LayerBoundError, match="needs even n >= 6") as exc:
             build_cycle_path_factor(9, path_graph(3), PathFactor(((1, 2, 3),)))
+        assert exc.value.minimum_layers == path_factor_min_layers(2) == 6
 
     def test_too_few_layers(self):
-        with pytest.raises(LayerBoundError) as exc:
+        with pytest.raises(LayerBoundError, match="route needs n >= 10") as exc:
             build_cycle_path_factor(8, T1, find_p23_factor(T1))
         assert exc.value.minimum_layers == 10
 
@@ -367,7 +366,7 @@ class TestPathFactorBuilder:
             f = find_p23_factor(t)
             if f is None:
                 continue
-            dmax = degree_stats(t).maximum
+            dmax = max_degree(t)
             for n in (4 * dmax - 2, 4 * dmax):
                 res = build_cycle_path_factor(n, t, f)
                 assert verify_cycle(product_over(n, t), res.cycle)
@@ -432,8 +431,9 @@ class TestBuildPipeline:
 
     def test_p3_odd_n_needs_matching_route_fails(self):
         # odd base order has no matching; odd n blocks the factor route
-        with pytest.raises(OddLayersError):
+        with pytest.raises(LayerBoundError, match="needs even n >= 6") as exc:
             build_cycle(7, path_graph(3))
+        assert exc.value.minimum_layers == 6
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -567,7 +567,7 @@ class TestBuildersAtScale:
 
     def test_matching_tree_2000(self):
         t = matching_tree_2000()
-        n = degree_stats(t).maximum
+        n = max_degree(t)
         res = build_cycle_matching(n, t, find_perfect_matching(t))
         assert verify_cycle(product_over(n, t), res.cycle)
         for v in t.vertices():
@@ -578,7 +578,7 @@ class TestBuildersAtScale:
     def test_p23_tree_2001(self):
         t = p23_tree_2001()
         assert find_perfect_matching(t) is None
-        n = 4 * degree_stats(t).maximum - 2
+        n = 4 * max_degree(t) - 2
         factor = find_p23_factor(t)
         assert {len(c) for c in factor.components} == {2, 3}
         res = build_cycle_path_factor(n, t, factor)
@@ -610,7 +610,7 @@ class TestProductFreeVerifier:
     ])
     def test_agrees_with_product_validator(self, make, builder):
         t = make()
-        dmax = degree_stats(t).maximum
+        dmax = max_degree(t)
         matching = builder is build_cycle_matching
         n = dmax if matching else 4 * dmax - 2
         prod = product_over(n, t)
@@ -676,7 +676,7 @@ class TestCycleText:
 
     def test_builder_cycles_match_reference(self):
         t = matching_tree_2000()
-        c = build_cycle_matching(degree_stats(t).maximum, t, find_perfect_matching(t)).cycle
+        c = build_cycle_matching(max_degree(t), t, find_perfect_matching(t)).cycle
         assert format_cycle(c) == reference_format_cycle(c)
         c = build_cycle(1, path_graph(2)).cycle
         assert format_cycle(c) == reference_format_cycle(c)
@@ -740,7 +740,7 @@ class TestChecksRunOnce:
     ])
     def test_build_cycle(self, monkeypatch, base, n, mode, trees_built):
         calls = _count_calls(monkeypatch, ("is_connected", "validate_path_factor",
-                                           "spanning_tree_containing", "degree_stats",
+                                           "spanning_tree_containing", "max_degree",
                                            "_check_layers"))
         res = build_cycle(n, base)
         assert res.mode == mode
@@ -749,7 +749,7 @@ class TestChecksRunOnce:
         assert calls["spanning_tree_containing"] == trees_built
         # the layer rule once, on the base's maximum degree, which the
         # builder takes in place of its tree's
-        assert calls["degree_stats"] == calls["_check_layers"] == 1
+        assert calls["max_degree"] == calls["_check_layers"] == 1
         tree = cycles._route(base, "auto")[2]
         assert (tree is base) == (not trees_built)
         assert tree.size == base.order - 1

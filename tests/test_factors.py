@@ -3,7 +3,7 @@ from typing import NamedTuple
 
 import pytest
 
-from boxham.errors import HasPathFactorError
+from boxham.errors import PreconditionFailedError
 from boxham.factors import (
     _factor_from_picks,
     _matching_search,
@@ -264,7 +264,7 @@ class TestOneSided:
         assert iso == cert.isolated_count > 2 * len(cert.witness)
 
     def test_has_factor_error(self):
-        with pytest.raises(HasPathFactorError):
+        with pytest.raises(PreconditionFailedError, match="has a path factor"):
             one_sided_obstruction(path_graph(4), bipartition(path_graph(4)))
 
     def test_all_no_factor_bipartite_up_to_7(self):

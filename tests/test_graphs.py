@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxham.errors import (
-    CyclicSeedError,
     DisconnectedError,
     MalformedGraphError,
     NotBipartiteError,
-    NotSubgraphError,
+    PreconditionFailedError,
 )
 from boxham.graphs import (
     Graph,
@@ -18,10 +17,10 @@ from boxham.graphs import (
     complete_graph,
     components,
     cycle_graph,
-    degree_stats,
     format_graph,
     is_connected,
     is_tree,
+    max_degree,
     parse_graph,
     path_graph,
     product_id,
@@ -194,13 +193,13 @@ class TestPredicates:
         assert not is_connected(Graph.from_edges(4, [(1, 2), (3, 4)]))
         assert is_connected(Graph.from_edges(8, T1_EDGES))
 
-    def test_degree_stats(self):
+    def test_max_degree(self):
         t1 = Graph.from_edges(8, T1_EDGES)
-        stats = degree_stats(t1)
-        assert (stats.maximum, stats.minimum) == (3, 1)
-        assert stats.degrees[2] == 3 and stats.degrees[5] == 1
-        assert degree_stats(complete_graph(4))[:2] == (3, 3)
-        assert degree_stats(path_graph(2))[:2] == (1, 1)
+        assert max_degree(t1) == 3
+        assert t1.degree(2) == 3 and t1.degree(5) == 1
+        assert max_degree(complete_graph(4)) == 3
+        assert max_degree(path_graph(2)) == 1
+        assert max_degree(Graph(1)) == 0
 
     def test_bipartition_sides(self):
         bip = bipartition(cycle_graph(4))
@@ -264,12 +263,16 @@ class TestSpanningTree:
         assert spanning_tree_containing(t1, t1.edges) == t1
 
     def test_errors(self):
-        with pytest.raises(CyclicSeedError):
+        with pytest.raises(PreconditionFailedError, match="seed edges contain a cycle"):
             spanning_tree_containing(complete_graph(4), [(1, 2), (2, 3), (1, 3)])
-        with pytest.raises(NotSubgraphError):
+        with pytest.raises(PreconditionFailedError, match=r"seed edge \(1, 4\) not in the graph"):
             spanning_tree_containing(path_graph(4), [(1, 4)])
+        split = Graph.from_edges(4, [(1, 2), (3, 4)])
         with pytest.raises(DisconnectedError):
-            spanning_tree_containing(Graph.from_edges(4, [(1, 2), (3, 4)]), [(1, 2)])
+            spanning_tree_containing(split, [(1, 2)])
+        # a bad seed is reported before the host's connectivity
+        with pytest.raises(PreconditionFailedError, match="not in the graph"):
+            spanning_tree_containing(split, [(2, 3)])
 
     def test_random_instances_contain_seed(self):
         rng = random.Random(11)
@@ -294,7 +297,7 @@ class TestTextFormats:
         text = "6 5\n1 2\n2 3\n3 4\n2 5\n3 6\n"
         g = parse_graph(text)
         assert g.order == 6 and g.size == 5
-        assert degree_stats(g).degrees[2] == 3
+        assert g.degree(2) == 3
 
     @pytest.mark.parametrize("bad", [
         "",
@@ -328,9 +331,9 @@ class TestTextFormats:
             text = f"{order} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
             g = parse_graph(text)
             assert g == Graph.from_edges(order, edges)
-            stats = degree_stats(g)
             degrees = {v: sum(v in e for e in edges) for v in g.vertices()}
-            assert stats == (max(degrees.values()), min(degrees.values()), degrees)
+            assert {v: g.degree(v) for v in g.vertices()} == degrees
+            assert max_degree(g) == max(degrees.values())
 
     def test_dot_labels_and_bold(self):
         prod = cartesian_product(path_graph(2), path_graph(2))

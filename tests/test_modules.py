@@ -5,7 +5,8 @@ its own module only.  Importing a private module whole, such as
 exports in ``__all__`` exists, so a deleted name cannot linger there.
 Below the command line a time budget is one ``time.monotonic()``
 deadline, never a count of seconds.  No module of the package, the tests
-or the benchmarks imports a name it never uses."""
+or the benchmarks imports a name it never uses.  Every exception class
+marks a distinction: the package tells it apart, or it carries data."""
 
 import ast
 import importlib
@@ -75,3 +76,32 @@ def test_no_unused_imports():
               for folder in (PACKAGE, ROOT / "tests", ROOT / "benchmarks")
               for path in sorted(folder.glob("*.py")) for name in unused_imports(path)]
     assert not unused, unused
+
+
+def type_tested_names(path: Path) -> set[str]:
+    """Names that an ``except`` clause or an ``isinstance`` call in ``path``
+    tests against."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            tested = node.type
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            tested = node.args[1]
+        else:
+            continue
+        names.update(n.id for n in ast.walk(tested) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_error_class_makes_a_distinction():
+    # PreconditionFailedError is the one class for a precondition that no
+    # code tells apart from another; every other class is caught or tested
+    # by type in the package, or defines its own __init__ to carry data
+    from boxham import errors
+    tested = set().union(*map(type_tested_names, PACKAGE.glob("*.py")))
+    idle = [name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and obj.__module__ == errors.__name__
+            and obj is not errors.PreconditionFailedError
+            and name not in tested and "__init__" not in vars(obj)]
+    assert not idle, idle

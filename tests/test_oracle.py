@@ -27,7 +27,7 @@ from boxham.graphs import (
     cartesian_product,
     complete_graph,
     cycle_graph,
-    degree_stats,
+    max_degree,
     path_graph,
     star_graph,
 )
@@ -144,7 +144,7 @@ class TestFixtures:
     def test_t1_shape(self):
         t1 = fixtures().t1
         assert (t1.order, t1.size) == (8, 7)
-        assert degree_stats(t1).maximum == 3
+        assert max_degree(t1) == 3
 
     def test_fig4_shape(self):
         fig4 = fixtures().fig4
@@ -279,7 +279,7 @@ class TestOracleBuilderAgreement:
             m = find_perfect_matching(t)
             if m is None:
                 continue
-            dmax = degree_stats(t).maximum
+            dmax = max_degree(t)
             for n in range(1, dmax):
                 if n * t.order > 24:
                     continue
@@ -301,7 +301,7 @@ class TestOracleBuilderAgreement:
         # constructed cycles and exhaustive search agree on every tree
         # product up to 32 vertices along both routes
         for t in enumerate_trees(8):
-            dmax = degree_stats(t).maximum
+            dmax = max_degree(t)
             m = find_perfect_matching(t)
             from boxham.factors import find_p23_factor
             f = find_p23_factor(t)
@@ -503,7 +503,7 @@ class TestScans:
         assert all(e.layers == 8 for e in report.entries)
         # every base really has max degree 3 and a factor
         for e in report.entries:
-            assert degree_stats(e.base).maximum == 3
+            assert max_degree(e.base) == 3
 
     def test_scan2_fig4_entry(self):
         report = scan_balanced_odd(6, 5)

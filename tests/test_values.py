@@ -96,7 +96,7 @@ def test_result_type_hints_resolve():
             if isinstance(obj, type) and issubclass(obj, tuple):
                 typing.get_type_hints(obj, localns=type_checking_names(module))
                 resolved.append(name)
-    assert "ToughnessResult" in resolved and len(resolved) == 15
+    assert "ToughnessResult" in resolved and len(resolved) == 14
 
 
 def test_certificates_are_told_apart_by_type():
