@@ -16,11 +16,11 @@ one: the factor search, the spanning tree (both families are trees, and
 a tree base is its own spanning tree, so none is built), the peel order,
 the assembly, the builder's check of the cycle against the product over
 the tree (``verify_product_cycle``, which needs no product graph) and
-``format_cycle``.  The builder's count of each column's vertical steps
-is not timed on its own.  The peak RSS is read after the stages.  The
-row then checks that the public builder gives the same cycle, and, off
-the clock, that the paper's column contract and ``verify_cycle`` on the
-product graph accept it too.
+``format_cycle``.  The assembly counts each column's vertical edges as
+it splices.  The peak RSS is read after the stages.  The row then
+checks that the public builder gives the same cycle and column counts,
+and, off the clock, that the paper's column contract and ``verify_cycle``
+on the product graph accept the cycle too.
 
     PYTHONPATH=src python benchmarks/bench_builder.py          # writes BENCH_builder.json
 """
@@ -102,10 +102,11 @@ def row(kind: str, target: int) -> dict:
     # (its spanning tree) and cycles._build (the peel order and the layer
     # rule, then _assemble, then verify_product_cycle on the tree): the
     # assembly has no public entry point that leaves out the check, and it
-    # is the stage this file exists to time.  The public builder is run below on the same input and must
-    # give the same cycle, so a refactor of _build that changes what it
-    # does makes this bench fail, not drift.
-    cycle, roles = timed(stages, "assembly", cycles._assemble, n, t, factor, peel)
+    # is the stage this file exists to time.  The public builder is run
+    # below on the same input and must give the same cycle and column
+    # counts, so a refactor of _build that changes what it does makes this
+    # bench fail, not drift.
+    cycle, roles, counts = timed(stages, "assembly", cycles._assemble, n, t, factor, peel)
     ok_product_free = timed(stages, "verify_product_cycle", cycles.verify_product_cycle,
                             t, n, cycle)
     timed(stages, "format_cycle", cycles.format_cycle, cycle)
@@ -123,8 +124,9 @@ def row(kind: str, target: int) -> dict:
         "contract_ok": cycles.verify_column_contract(cycle, t, roles, n),
         "verify_product_cycle_ok": ok_product_free,
     }
-    if builder(n, t, factor).cycle != cycle:
-        raise SystemExit(f"{kind} {target}: the stages no longer give the builder's cycle")
+    res = builder(n, t, factor)
+    if (res.cycle, res.column_counts) != (cycle, counts):
+        raise SystemExit(f"{kind} {target}: the stages no longer give the builder's answer")
     start = time.perf_counter()
     out["verify_cycle_ok"] = cycles.verify_cycle(cartesian_product(path_graph(n), base), cycle)
     out["verify_cycle_with_product_s"] = round(time.perf_counter() - start, 4)

@@ -112,7 +112,7 @@ def _cmd_hamcycle(args):
         "layers": args.n,
         "base_order": base.order,
         "cycle_order": cyc.order,
-        "column_counts": {str(v): c for v, c in sorted(result.column_counts.items())},
+        "column_counts": {str(v): c for v, c in result.column_counts.items()},
     }
     text = cycles.format_cycle(cyc)
     _write(args.out, text, payload, "cycle")

@@ -247,7 +247,10 @@ def component_peel_order(tree: Graph, factor: PathFactor) -> PeelOrder:
         raise PreconditionFailedError(
             "factor does not cover the tree" if is_tree(tree) else "not a tree")
     comps = factor.components
-    owner = {v: idx for idx, comp in enumerate(comps) for v in comp}
+    owner = [0] * (tree.order + 1)
+    for idx, comp in enumerate(comps):
+        for v in comp:
+            owner[v] = idx
     # adj[a][b] is a tree edge (u, w) with u in component a, w in b
     adj: list[dict[int, tuple[int, int]]] = [{} for _ in comps]
     for u, v in tree.edges:
@@ -291,16 +294,6 @@ def _empty_slots(size: int) -> Slots:
     return Slots([0] * (size + 1), [0] * (size + 1))
 
 
-def _relink(slots: Slots, a: int, old: int, new: int) -> None:
-    first, second = slots
-    if first[a] == old:
-        first[a] = new
-    elif second[a] == old:
-        second[a] = new
-    else:
-        raise AssertionError(f"{old} is not a cycle neighbour of {a}")
-
-
 def _add_column_cycle(slots: Slots, comp: tuple[int, ...], plan: _LayerPlan) -> None:
     """Link the column cycle of one factor component from its template."""
     first, second = slots
@@ -342,13 +335,16 @@ class BuildResult(NamedTuple):
 
 
 def _assemble(n: int, tree: Graph, factor: PathFactor,
-              peel: PeelOrder) -> tuple[HamCycle, dict[int, Role]]:
+              peel: PeelOrder) -> tuple[HamCycle, dict[int, Role], dict[int, int]]:
     """Splice the column cycles along the peel order's links, the last
-    peeled component first; the cycle is unchecked."""
+    peeled component first; the cycle is unchecked.  Each column's
+    vertical-edge count comes with it: its role pattern's length, less
+    one per splice at the column."""
     k = tree.order
     roles = assign_roles(factor)
     plan = _layer_plan(n, k, {len(c) for c in factor.components})
-    slots = _empty_slots(n * k)
+    counts = {v: len(plan.patterns[roles[v]]) for v in tree.vertices()}
+    first, second = slots = _empty_slots(n * k)
     for comp, link in zip(reversed(peel.components), reversed(peel.links)):
         _add_column_cycle(slots, comp, plan)
         if link is None:
@@ -357,17 +353,23 @@ def _assemble(n: int, tree: Graph, factor: PathFactor,
         # the first index of u1's pattern still linked in column u2
         for j in plan.patterns[roles[u1]]:
             q = (j - 1) * k + u2
-            if q + k in (slots.first[q], slots.second[q]):
+            if q + k in (first[q], second[q]):
                 break
         else:
             raise SpliceStockError(f"splice stock ran dry at tree edge {u1}-{u2}")
+        counts[u1] -= 1
+        counts[u2] -= 1
         # swap the two vertical edges at index j for the two crossings
         p = (j - 1) * k + u1
-        _relink(slots, p, p + k, q)
-        _relink(slots, q, q + k, p)
-        _relink(slots, p + k, p, q + k)
-        _relink(slots, q + k, q, p + k)
-    return _walk(slots, n, k), roles
+        for x, old, new in ((p, p + k, q), (q, q + k, p),
+                            (p + k, p, q + k), (q + k, q, p + k)):
+            if first[x] == old:
+                first[x] = new
+            elif second[x] == old:
+                second[x] = new
+            else:
+                raise AssertionError(f"{old} is not a cycle neighbour of {x}")
+    return _walk(slots, n, k), roles, counts
 
 
 def path_factor_min_layers(dmax: int) -> int:
@@ -393,22 +395,16 @@ def _check_layers(route: str, n: int, dmax: int) -> None:
 def _build(n: int, tree: Graph, factor: PathFactor, route: str,
            dmax: int | None) -> BuildResult:
     """Check the tree, the factor and the layer count for maximum degree
-    ``dmax`` (None: the tree's), assemble the cycle, check it on the
-    product over the tree, and count each column's vertical steps."""
+    ``dmax`` (None: the tree's), assemble the cycle with its column
+    counts, and check it on the product over the tree."""
     peel = component_peel_order(tree, factor)
     if route == "matching" and not factor.is_perfect_matching:
         raise PreconditionFailedError("not a perfect matching of the tree")
     _check_layers(route, n, max_degree(tree) if dmax is None else dmax)
-    cycle, roles = _assemble(n, tree, factor, peel)
+    cycle, roles, counts = _assemble(n, tree, factor, peel)
     if not verify_product_cycle(tree, n, cycle):
         raise AssertionError(f"{route} cycle on {n} layers failed its check")
-    k, seq = tree.order, cycle.seq
-    counts = [0] * k  # column v at index v % k
-    for a, b in zip(seq, seq[1:] + seq[:1]):
-        if a - b == k or b - a == k:
-            counts[a % k] += 1
-    counts.append(counts.pop(0))
-    return BuildResult(cycle, roles, route, dict(zip(tree.vertices(), counts)))
+    return BuildResult(cycle, roles, route, counts)
 
 
 def build_cycle_matching(n: int, tree: Graph, matching: PathFactor, *,
@@ -523,9 +519,10 @@ def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
     ``base``, without building the product.
 
     Product id x sits at layer (x - 1) // k + 1 and column (x - 1) % k + 1
-    for base order k.  A step of the cycle is a product edge when its ends
-    share a layer and their columns are adjacent in the base, or share a
-    column in adjacent layers, which makes their ids exactly k apart.
+    for base order k.  A step from a to b = a + d is a product edge when
+    d = +-k (same column, adjacent layers), or when c + d is a base
+    neighbour of a's column c: c + d lies in 1..k exactly when b shares
+    a's layer, where it is b's column.
     """
     if n < 1:
         raise ValueError("layer count must be positive")
@@ -536,12 +533,13 @@ def verify_product_cycle(base: Graph, n: int, cycle: HamCycle) -> bool:
         return False
     if len(set(seq)) != total or min(seq) < 1 or max(seq) > total:
         return False
+    adj = [()] + list(map(base.neighbors, base.vertices()))
     for a, b in zip(seq, seq[1:] + seq[:1]):
-        if a - b == k or b - a == k:
+        d = b - a
+        if d == k or d == -k:
             continue
-        # columns less 1; a - ca == b - cb exactly when the layers agree
-        ca, cb = (a - 1) % k, (b - 1) % k
-        if a - ca != b - cb or cb + 1 not in base.neighbors(ca + 1):
+        c = (a - 1) % k + 1
+        if c + d not in adj[c]:
             return False
     return True
 

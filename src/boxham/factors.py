@@ -91,7 +91,7 @@ def validate_path_factor(g: Graph, factor: PathFactor) -> bool:
                 return False
             seen.add(v)
         for a, b in zip(comp, comp[1:]):
-            if not g.has_edge(a, b):
+            if b not in g.neighbors(a):
                 return False
     return len(seen) == g.order
 

@@ -303,13 +303,50 @@ def forged_assembly(assemble, i, j):
     """A stand-in for ``cycles._assemble`` whose cycle takes a 2-opt swap
     of steps i and j: the run between them is reversed.  On two steps in
     one layer every column keeps its vertical edges, so the column
-    contract still holds while the new steps need not be edges."""
+    contract and the column counts still hold while the new steps need
+    not be edges."""
     def forging(*args):
-        cycle, roles = assemble(*args)
+        cycle, roles, counts = assemble(*args)
         seq = cycle.seq
         seq = seq[:i + 1] + seq[i + 1:j + 1][::-1] + seq[j + 1:]
-        return type(cycle)(cycle.layers, cycle.base_order, seq), roles
+        return type(cycle)(cycle.layers, cycle.base_order, seq), roles, counts
     return forging
+
+
+def reference_verify_product_cycle(base: Graph, n: int, cycle) -> bool:
+    """Reference for ``cycles.verify_product_cycle``: both ends' columns
+    are decoded, the layers compared through them, and the base asked
+    for the edge.  It must accept exactly the same cycles."""
+    if n < 1:
+        raise ValueError("layer count must be positive")
+    k = base.order
+    total = n * k
+    seq = cycle.seq
+    if len(seq) != total or cycle.order != total:
+        return False
+    if len(set(seq)) != total or min(seq) < 1 or max(seq) > total:
+        return False
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        if a - b == k or b - a == k:
+            continue
+        # columns less 1; a - ca == b - cb exactly when the layers agree
+        ca, cb = (a - 1) % k, (b - 1) % k
+        if a - ca != b - cb or cb + 1 not in base.neighbors(ca + 1):
+            return False
+    return True
+
+
+def vertical_step_counts(cycle) -> dict[int, int]:
+    """Each column's vertical steps, read off the whole cycle: the
+    reference for the builder's ``column_counts``, which it takes from
+    the splices."""
+    k, seq = cycle.base_order, cycle.seq
+    counts = [0] * k  # column v at index v % k
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        if a - b == k or b - a == k:
+            counts[a % k] += 1
+    counts.append(counts.pop(0))
+    return dict(zip(range(1, k + 1), counts))
 
 
 def all_pairs(items):

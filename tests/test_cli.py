@@ -835,3 +835,47 @@ def test_hamcycle_json_is_pinned(capsys, tmp_path):
         assert base.size == base.order - 1 + chords
         digest.update(out.encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _hamcycle_sweep():
+    """(base, argv tail, route) for 30 seeded bases: pairs only on the
+    matching route, an odd order on the {P2,P3} route, and an even order
+    with triples with the path-factor route forced; of each kind's ten
+    bases, three are trees and the rest have one to three chords."""
+    rng = random.Random(35)
+    for i in range(30):
+        kind, chords = i % 3, i // 3 % 4
+        if kind == 0:
+            sizes = (2,) * rng.randint(2, 10)
+        else:
+            sizes = [rng.choice((2, 3)) for _ in range(rng.randint(2, 7))]
+            if (sum(sizes) % 2 == 0) == (kind == 1):
+                sizes.append(3)
+        base = factor_tree(rng, sizes, chords)
+        dmax = max(base.degree(v) for v in base.vertices())
+        extra = rng.randint(0, 2)
+        if kind == 0:
+            yield base, ("--n", str(dmax + extra)), "matching"
+        else:
+            n = cycles.path_factor_min_layers(dmax) + 2 * extra
+            mode = ("--mode", "pathfactor") if kind == 2 else ()
+            yield base, ("--n", str(n), *mode), "pathfactor"
+
+
+SWEEP_SHA256 = "e157be77b13c30e025ab571cd72a487e01ae1772988afa7e67af3b187650bc36"
+
+
+def test_hamcycle_json_sweep_is_pinned(capsys, tmp_path):
+    """The ``hamcycle --json`` answers on 30 seeded bases, trees and not,
+    on both routes, byte for byte."""
+    digest = hashlib.sha256()
+    seen = set()
+    for i, (base, tail, route) in enumerate(_hamcycle_sweep()):
+        path = tmp_path / f"sweep{i}.el"
+        path.write_text(format_graph(base))
+        code, out, _ = run(capsys, "hamcycle", "--graph", str(path), *tail, "--json")
+        assert code == 0 and json.loads(out)["mode"] == route, (i, out)
+        seen.add((route, base.size == base.order - 1))
+        digest.update(out.encode())
+    assert len(seen) == 4
+    assert digest.hexdigest() == SWEEP_SHA256

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boxham import cycles
+from boxham import cycles, kernels
 from boxham.cycles import (
     HamCycle,
     assign_roles,
@@ -46,10 +46,14 @@ from boxham.graphs import (
 from boxham.oracle import enumerate_trees, fixtures
 from helpers import (
     cycle_labels,
+    factor_tree,
     forged_assembly,
     pattern_overlap_counts,
+    random_connected_graph,
     reference_column_template,
     reference_format_cycle,
+    reference_verify_product_cycle,
+    vertical_step_counts,
 )
 
 T1 = fixtures().t1
@@ -663,6 +667,123 @@ class TestProductFreeVerifier:
             verify_product_cycle(path_graph(2), 0, column_cycle(2, 2))
 
 
+def corruptions(rng, good, n, k):
+    """The cycle ``good`` as given, reversed and started elsewhere, then
+    corrupted: two vertices swapped, a run reversed (2-opt), one layer's
+    columns rotated, every layer moved up one, every id moved up one."""
+    total = n * k
+    yield good
+    yield good[::-1]
+    yield good[3:] + good[:3]
+    for _ in range(3):
+        seq = list(good)
+        i, j = rng.sample(range(total), 2)
+        seq[i], seq[j] = seq[j], seq[i]
+        yield tuple(seq)
+        i, j = sorted(rng.sample(range(total + 1), 2))
+        yield good[:i] + good[i:j][::-1] + good[j:]
+    layer = rng.randrange(n) * k  # the ids of one layer are layer + 1..layer + k
+    yield tuple(layer + (x - layer) % k + 1 if 0 < x - layer <= k else x for x in good)
+    yield tuple((x + k - 1) % total + 1 for x in good)
+    yield tuple(x % total + 1 for x in good)
+
+
+class TestProductCheckReference:
+    """``verify_product_cycle`` tests a step within a layer by one column
+    and one neighbour lookup; it must accept exactly the cycles that the
+    reference, which decodes both ends' columns, accepts."""
+
+    def test_agrees_on_corrupted_cycles(self):
+        rng = random.Random(35)
+        bases = [path_graph(2), path_graph(5), star_graph(4), T1, fixtures().fig4,
+                 cycle_graph(5), cycle_graph(6), complete_graph(4)]
+        bases += [random_connected_graph(rng, 3, 8) for _ in range(6)]
+        checked, verdicts, trees = 0, set(), set()
+        for base in bases:
+            k = base.order
+            trees.add(base.size == k - 1)
+            for n in range(1, 9):
+                seeds = [tuple(range(1, n * k + 1))]
+                spliced = splice_attempt(base, n)
+                if spliced is not None:
+                    seeds.append(spliced.seq)
+                _, found, _ = kernels.ham_cycle(product_over(n, base), max_nodes=2000)
+                if found is not None:
+                    seeds.append(found)
+                for good in seeds:
+                    for seq in corruptions(rng, good, n, k):
+                        c = HamCycle(n, k, seq)
+                        verdict = verify_product_cycle(base, n, c)
+                        assert verdict == reference_verify_product_cycle(base, n, c), \
+                            (base, n, seq)
+                        verdicts.add(verdict)
+                        checked += 1
+        assert checked >= 1000 and verdicts == {True, False} and trees == {True, False}
+
+    @pytest.mark.parametrize("base", [
+        cycle_graph(5), cycle_graph(7), star_graph(2),
+        Graph.from_edges(5, [(5, 1), (1, 2), (2, 3), (3, 4)]),  # a path with ends 5, 4
+    ])
+    def test_rejects_the_step_from_column_k_to_column_1_one_layer_up(self, base):
+        # with the base edge (1, k), ids a = i * k (column k, layer i) and
+        # a + 1 (column 1, layer i + 1) have columns adjacent in the base.
+        # A spanning path of the product between them closes with that
+        # step; it is a Hamiltonian cycle through a new vertex z joined to
+        # both.  On a tree base the two share a colour, so only an odd n
+        # has one.
+        k = base.order
+        assert base.has_edge(1, k)
+        found = 0
+        for n in (2, 3, 4):
+            prod = product_over(n, base)
+            z = prod.order + 1
+            for i in range(1, n):
+                a = i * k
+                _, order, _ = kernels.ham_cycle(
+                    Graph.from_edges(z, prod.edges + ((a, z), (a + 1, z))))
+                if order is None:
+                    continue
+                at = order.index(z)
+                path = order[at + 1:] + order[:at]
+                assert {path[0], path[-1]} == {a, a + 1}
+                forged = Graph.from_edges(prod.order, prod.edges + ((a, a + 1),))
+                for seq in (path, path[::-1]):
+                    c = HamCycle(n, k, seq)
+                    # every other step is a product edge
+                    assert verify_cycle(forged, c) and not verify_cycle(prod, c)
+                    assert not verify_product_cycle(base, n, c)
+                    assert not reference_verify_product_cycle(base, n, c)
+                found += 1
+        assert found
+
+
+class TestColumnCounts:
+    """The builder's column counts, taken from the splices, are the
+    vertical steps read off its cycle."""
+
+    def test_counts_match_the_cycle(self):
+        rng = random.Random(3535)
+        builds = [build_cycle(n, complete_graph(2)) for n in (1, 2, 3, 4)]
+        builds += [build_cycle(n, path_graph(2)) for n in (1, 5)]
+        builds += [build_cycle(n, path_graph(3)) for n in (6, 8, 10)]
+        builds += [build_cycle(n, T1) for n in (10, 12)]
+        for _ in range(15):
+            t = factor_tree(rng, (2,) * rng.randint(1, 10), 0)
+            dmax = max_degree(t)
+            builds += [build_cycle_matching(n, t, find_perfect_matching(t))
+                       for n in range(dmax, dmax + 4)]
+            sizes = [rng.choice((2, 3)) for _ in range(rng.randint(1, 6))]
+            t = factor_tree(rng, sizes, 0)
+            n = path_factor_min_layers(max_degree(t)) + 2 * rng.randint(0, 1)
+            builds.append(build_cycle_path_factor(n, t, find_p23_factor(t)))
+            g = factor_tree(rng, sizes + [rng.choice((2, 3))], rng.randint(1, 3))
+            assert g.size > g.order - 1
+            builds.append(build_cycle(path_factor_min_layers(max_degree(g)), g))
+        assert {res.mode for res in builds} == {"matching", "pathfactor"}
+        for res in builds:
+            assert res.column_counts == vertical_step_counts(res.cycle)
+
+
 class TestCycleText:
     def test_matches_reference_and_roundtrips(self):
         rng = random.Random(2024)
@@ -701,7 +822,8 @@ class TestForgedCycle:
         res = builder(n, tree, factor)
         forging = forged_assembly(cycles._assemble, *steps)
         monkeypatch.setattr(cycles, "_assemble", forging)
-        forged, _ = forging(n, tree, factor, component_peel_order(tree, factor))
+        forged, _, counts = forging(n, tree, factor, component_peel_order(tree, factor))
+        assert counts == res.column_counts == vertical_step_counts(forged)
         assert verify_column_contract(forged, tree, res.roles, n)
         assert not verify_product_cycle(tree, n, forged)
         with pytest.raises(AssertionError, match="failed its check"):
